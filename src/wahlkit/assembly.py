@@ -414,15 +414,14 @@ class SurfaceReport:
         return out
 
 
-def surface_report(ms: MarkedSurface, base: Configuration,
-                   ambient_rank_cap: Optional[int] = None) -> SurfaceReport:
+def surface_report(ms: MarkedSurface, base: Configuration) -> SurfaceReport:
     """Assemble the full report; base is the configuration before blow-ups."""
     k2 = k_squared(ms)
     return SurfaceReport(
         k2=k2,
         singularities=tuple(str(e) for e in singularity_report(ms)),
         ample=nef_ample_check(ms),
-        obstruction=obstruction_dim(base, ambient_rank_cap),
+        obstruction=obstruction_dim(base),
         pi1=pi1_verdict(ms),
         family_dim=20 - 2 * k2,
     )

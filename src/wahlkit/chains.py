@@ -65,7 +65,6 @@ class CyclicQuotient:
 
     m: int
     q: int
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         if self.m < 2 or not 0 < self.q < self.m:
@@ -78,7 +77,7 @@ class CyclicQuotient:
         return pow(self.q, -1, self.m)
 
     def normalize(self) -> "CyclicQuotient":
-        return CyclicQuotient(self.m, min(self.q, self.q_inverse), normalized=True)
+        return CyclicQuotient(self.m, min(self.q, self.q_inverse))
 
     def same_germ(self, other: "CyclicQuotient") -> bool:
         return self.m == other.m and other.q in (self.q, self.q_inverse)

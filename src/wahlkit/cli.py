@@ -23,7 +23,7 @@ from .catalog.verify import (ledger_constraints, load_expected, load_records,
 from .plans import PlanError, SearchParams, search_constructions
 
 _ERRORS = (cf.ChainError, ConfigurationError, AssemblyError, RecordError,
-           PlanError, a0mod.CatalogError, ValueError)
+           PlanError, a0mod.CatalogError, ValueError, OSError)
 
 
 def _chain_arg(text: str) -> tuple[int, ...]:

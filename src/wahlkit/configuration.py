@@ -278,6 +278,9 @@ class Configuration:
             unknown = set(entry) - {"name", "self_int"}
             if unknown:
                 raise ConfigurationError(f"unknown curve fields: {sorted(unknown)}")
+            missing = {"name", "self_int"} - set(entry)
+            if missing:
+                raise ConfigurationError(f"curve entry {entry!r} lacks {sorted(missing)}")
             curves.append((entry["name"], int(entry["self_int"])))
         nodes = []
         for entry in payload.get("nodes", []):

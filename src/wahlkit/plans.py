@@ -2,21 +2,33 @@
 
 The records name the base points blown up but encode the infinitely-near
 part only through opaque bracket patterns, so a plan is recovered by
-search: distribute the forced number of blow-ups over the listed base
-nodes, branch over the nodes sitting on each tower's exceptional curves,
-and accept exactly the interpretations whose marked surface reports the
-stated chains.  Pruning only ever discards states that provably cannot
-reach the stated chain strings.
+search.  Plan inference (`infer_plan`) and construction search
+(`search_constructions`) share one search core:
+
+- `_base_choices` enumerates the choices of base nodes to blow up, one per
+  multiset of curve pairs, counting each as one state;
+- `_leaves` distributes the blow-ups over the chosen nodes (one allocation
+  at a time), branches over the nodes sitting on each tower's exceptional
+  curves, and yields every completed configuration with its steps;
+- `_DepthBound` drops the states whose curves are already deeper than the
+  chains sought allow, since blow-ups only deepen curves.
+
+Inference accepts exactly the leaves whose marked surface reports the
+stated chains; search keeps the leaves that mark greedily into Wahl chains
+with an ample canonical class.  Pruning only ever discards states that
+provably cannot reach the chains sought.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+import operator
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .assembly import MarkedSurface, SurfaceReport, nef_ample_check, surface_report
+from .assembly import (AssemblyError, MarkedSurface, SurfaceReport, k_squared,
+                       nef_ample_check, surface_report)
 from .chains import wahl_singularity
-from .configuration import Configuration, ConfigurationError, det_exact, geography_check
+from .configuration import Configuration, det_exact, geography_check
 from .catalog.records import BlowupSpec, ChainSpec, SurfaceRecord
 
 __all__ = [
@@ -155,42 +167,42 @@ def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
         if entries != tuple(targets[idx]):
             path = tuple(reversed(path))
         ordered.append(tuple(path))
+    return _marked(config, ordered, ade)
+
+
+def _marked(config: Configuration, wahl: Sequence[Sequence[str]],
+            ade: Sequence[Sequence[str]]) -> Optional[MarkedSurface]:
+    """The surface with these chains marked, or None if the marking is invalid."""
     try:
-        return MarkedSurface(config, tuple(ordered), tuple(tuple(c) for c in ade))
-    except Exception:
+        return MarkedSurface(config, tuple(tuple(c) for c in wahl),
+                             tuple(tuple(c) for c in ade))
+    except AssemblyError:
         return None
 
 
-# -- inference ---------------------------------------------------------------
+# -- the search core -----------------------------------------------------------
 
-def _entry_budget(targets: Sequence[tuple[int, ...]]) -> dict[int, int]:
-    budget: dict[int, int] = {}
-    for target in targets:
-        for b in target:
-            if b >= 3:
-                for k in range(3, b + 1):
-                    budget[k] = budget.get(k, 0) + 1
-    return budget
+@dataclass(frozen=True)
+class _DepthBound:
+    """Caps on curve depths (-C^2) that a search state may reach.
 
-
-def _prunable(config: Configuration, budget) -> bool:
-    """True when the state provably cannot finish in the stated chains.
-
-    Curves only sink under blow-ups, so a state with more curves at depth
-    >= k than the stated chains have entries >= k is dead; the search
-    variant only bounds the maximal entry.
+    A state passes when its depths >= 3, sorted, are dominated entry by
+    entry by `caps` (sorted descending): equivalently, for every k >= 3 it
+    has at most as many curves at depth >= k as `caps` has entries >= k.
+    Blow-ups only deepen curves, so a state that fails can never finish.
     """
-    if budget is None:
-        return False
-    if "max_entry" in budget:
-        return any(-c.self_int > budget["max_entry"] for c in config.curves)
-    counts: dict[int, int] = {}
-    for curve in config.curves:
-        depth = -curve.self_int
-        if depth >= 3:
-            for k in range(3, depth + 1):
-                counts[k] = counts.get(k, 0) + 1
-    return any(have > budget.get(k, 0) for k, have in counts.items())
+
+    caps: tuple[int, ...]
+
+    @classmethod
+    def of_chains(cls, targets: Sequence[tuple[int, ...]]) -> "_DepthBound":
+        """Every curve deeper than 2 must end as an entry of a stated chain."""
+        return cls(tuple(sorted((b for t in targets for b in t if b >= 3),
+                                reverse=True)))
+
+    def admits(self, depths: Iterable[int]) -> bool:
+        deep = sorted([d for d in depths if d >= 3], reverse=True)
+        return len(deep) <= len(self.caps) and all(map(operator.le, deep, self.caps))
 
 
 def _substring_pool(targets: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -202,18 +214,6 @@ def _substring_pool(targets: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
                 for j in range(i + 1, len(chain) + 1):
                     pool.add(chain[i:j])
     return pool
-
-
-def _state_ok(xs: tuple[int, ...], budget) -> bool:
-    if budget is None:
-        return True
-    if "max_entry" in budget:
-        return all(x <= budget["max_entry"] for x in xs)
-    counts: dict[int, int] = {}
-    for x in xs:
-        for k in range(3, x + 1):
-            counts[k] = counts.get(k, 0) + 1
-    return all(counts[k] <= budget.get(k, 0) for k in counts)
 
 
 def _runs_embed(xs: tuple[int, ...], pool: Optional[set[tuple[int, ...]]]) -> bool:
@@ -232,8 +232,8 @@ def _runs_embed(xs: tuple[int, ...], pool: Optional[set[tuple[int, ...]]]) -> bo
     return True
 
 
-def _tower_outcomes(size: int, budget, pool,
-                    ones_cap: Optional[int] = None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool,
+                    ones_cap: Optional[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Enumerate completed towers abstractly, one witness script each.
 
     A tower lives on the local chain [c1', E..., c2']; a blow-up picks a
@@ -247,7 +247,7 @@ def _tower_outcomes(size: int, budget, pool,
     single curve.
     """
     if pool is not None and ones_cap is not None and size >= 5:
-        return _targeted_outcomes(size, budget, pool, ones_cap)
+        return _targeted_outcomes(size, bound, pool, ones_cap)
     level: dict[tuple[int, ...], tuple[int, ...]] = {(1,): ()}
     for step in range(size - 1):
         remaining = size - 2 - step
@@ -261,7 +261,7 @@ def _tower_outcomes(size: int, budget, pool,
                     new[gap] += 1
                 new.insert(gap, 1)
                 state = tuple(new)
-                if state in nxt or not _state_ok(state, budget):
+                if state in nxt or (bound is not None and not bound.admits(state)):
                     continue
                 if ones_cap is not None and state.count(1) - remaining > ones_cap:
                     continue  # each insertion removes at most one surviving 1
@@ -314,7 +314,7 @@ def _reduce_script(final: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     return tuple(script)
 
 
-def _targeted_outcomes(size: int, budget, pool: set[tuple[int, ...]],
+def _targeted_outcomes(size: int, bound: Optional[_DepthBound], pool: set[tuple[int, ...]],
                        ones_cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Assemble candidate final tower strings run-by-run and validate them.
 
@@ -329,11 +329,11 @@ def _targeted_outcomes(size: int, budget, pool: set[tuple[int, ...]],
     # j surviving (-1)s split the string into j+1 runs (outer ones may be empty)
     for j in range(1, ones_cap + 1):
         if size >= j:
-            _assemble_runs(size, j, by_len, budget, seen, outcomes)
+            _assemble_runs(size, j, by_len, bound, seen, outcomes)
     return sorted(outcomes)
 
 
-def _assemble_runs(size: int, ones: int, by_len, budget, seen, outcomes) -> None:
+def _assemble_runs(size: int, ones: int, by_len, bound, seen, outcomes) -> None:
     """Place `ones` single 1s between runs summing to size - ones."""
     def rec(parts: list[tuple[int, ...]], slots_left: int, mass_left: int) -> None:
         if slots_left == 0:
@@ -347,7 +347,7 @@ def _assemble_runs(size: int, ones: int, by_len, budget, seen, outcomes) -> None
             state = tuple(final)
             if len(state) != size or state in seen:
                 return
-            if not _state_ok(state, budget):
+            if bound is not None and not bound.admits(state):
                 return
             seen.add(state)
             script = _reduce_script(state)
@@ -366,7 +366,7 @@ def _assemble_runs(size: int, ones: int, by_len, budget, seen, outcomes) -> None
 
 
 def _tower_scripts(config: Configuration, base: PlanStep, size: int,
-                   budget, pool=None, ones_cap=None) -> Iterable[tuple[Configuration, tuple[PlanStep, ...]]]:
+                   bound, pool, ones_cap) -> Iterable[tuple[Configuration, tuple[PlanStep, ...]]]:
     """All inequivalent ways to blow `size` times over one base node.
 
     Replays each abstract outcome's witness script on the concrete
@@ -376,7 +376,7 @@ def _tower_scripts(config: Configuration, base: PlanStep, size: int,
     nodes = config.nodes_between(base.a, base.b)
     if base.occurrence >= len(nodes):
         return
-    for _, script in _tower_outcomes(size, budget, pool, ones_cap):
+    for _, script in _tower_outcomes(size, bound, pool, ones_cap):
         state = config.blow_up(nodes[base.occurrence].id)
         local = [base.a, state.history[-1].exceptional, base.b]
         steps = [base]
@@ -398,27 +398,22 @@ def _tower_scripts(config: Configuration, base: PlanStep, size: int,
             yield state, tuple(steps)
 
 
-def _allocations(total: int, sizes_min: Sequence[int],
-                 hints: Sequence[Optional[int]]) -> Iterable[tuple[int, ...]]:
-    """Compositions of `total` with given minimums, hinted sizes first.
+def _allocations(total: int, hints: Sequence[Optional[int]]) -> Iterable[tuple[int, ...]]:
+    """Compositions of `total` into len(hints) positive sizes, hinted sizes first.
 
     Lazily yields allocations by increasing total deviation from the hints
     (bracket-pattern lengths), so the hinted allocation comes out first
     without materializing the composition space.
     """
-    n = len(sizes_min)
-    suffix_min = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + sizes_min[i]
+    n = len(hints)
 
-    def layer(budget: Optional[int]) -> Iterable[tuple[int, ...]]:
+    def layer(deviation: Optional[int]) -> Iterable[tuple[int, ...]]:
         def rec(i: int, left: int, bad_left: Optional[int], acc: list[int]):
             if i == n:
                 if left == 0 and (bad_left is None or bad_left == 0):
                     yield tuple(acc)
                 return
-            hi = left - suffix_min[i + 1]
-            for s in range(sizes_min[i], hi + 1):
+            for s in range(1, left - (n - i - 1) + 1):
                 if bad_left is None:
                     b = None
                 else:
@@ -428,18 +423,65 @@ def _allocations(total: int, sizes_min: Sequence[int],
                 acc.append(s)
                 yield from rec(i + 1, left - s, b, acc)
                 acc.pop()
-        yield from rec(0, total, budget, [])
+        yield from rec(0, total, deviation, [])
 
     if all(h is None for h in hints):
         yield from layer(None)
         return
     max_bad = total + sum(h for h in hints if h is not None)
-    for budget in range(max_bad + 1):
-        yield from layer(budget)
+    for deviation in range(max_bad + 1):
+        yield from layer(deviation)
+
+
+def _base_choices(base: Configuration, m: int, result,
+                  max_states: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
+    """Each choice of m base nodes to blow up, as node ids and curve pairs.
+
+    Choices meeting the same multiset of curve pairs are isomorphic, so
+    only the first is yielded.  Each one yielded counts as one state of
+    `result`; the enumeration stops once the states exceed `max_states`.
+    """
+    seen: set[tuple[tuple[str, str], ...]] = set()
+    for combo in itertools.combinations(sorted(n.id for n in base.nodes), m):
+        pairs = tuple(sorted(base.node(nid).pair() for nid in combo))
+        if pairs in seen:
+            continue
+        seen.add(pairs)
+        result.states += 1
+        if result.states > max_states:
+            return
+        yield combo, pairs
+
+
+def _leaves(base: Configuration, bases: Sequence[PlanStep],
+            allocs: Iterable[tuple[int, ...]], bound: Optional[_DepthBound],
+            pool, ones_cap: Optional[int], result, max_states: int
+            ) -> Iterator[tuple[tuple[int, ...], Configuration, tuple[PlanStep, ...]]]:
+    """Every completed configuration, with its allocation and steps.
+
+    For each allocation, blows alloc[i] times over bases[i], depth first,
+    one tower at a time.  Each configuration a tower yields counts as one
+    state of `result`; the search stops once the states exceed
+    `max_states`.  Configurations that `bound` rejects are not expanded.
+    """
+    for alloc in allocs:
+        stack: list[tuple[Configuration, tuple[PlanStep, ...], int]] = [(base, (), 0)]
+        while stack:
+            config, steps, idx = stack.pop()
+            if idx == len(bases):
+                yield alloc, config, steps
+                continue
+            for state, tower_steps in _tower_scripts(config, bases[idx], alloc[idx],
+                                                     bound, pool, ones_cap):
+                result.states += 1
+                if result.states > max_states:
+                    return
+                if bound is None or bound.admits([-c.self_int for c in state.curves]):
+                    stack.append((state, steps + tower_steps, idx + 1))
 
 
 def _combo_feasible(base: Configuration, combo: Sequence[int],
-                    targets: Sequence[tuple[int, ...]]) -> bool:
+                    targets: Sequence[tuple[int, ...]], bound: _DepthBound) -> bool:
     """Cheap sound filters on a choice of base nodes to blow up.
 
     Every incident chosen node sinks its curve at least one step, so the
@@ -475,11 +517,7 @@ def _combo_feasible(base: Configuration, combo: Sequence[int],
                 return False  # unblown nodes close a cycle
             parent[ra] = rb
             surviving.append((node.a, node.b))
-    forced = sorted((2 + k for k in inc.values()), reverse=True)
-    entries = sorted((b for t in targets for b in t), reverse=True)
-    if len(forced) > len(entries):
-        return False
-    if not all(f <= e for f, e in zip(forced, entries)):
+    if not bound.admits([2 + k for k in inc.values()]):
         return False
     # a surviving node is a chain adjacency: its endpoint depths must
     # dominate some adjacent entry pair of a stated chain
@@ -493,9 +531,7 @@ def _combo_feasible(base: Configuration, combo: Sequence[int],
 
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
-               max_states: int = 200000, prune: bool = True,
-               ade: Sequence[tuple[str, ...]] = (),
-               rank_cap: Optional[int] = None) -> InferenceResult:
+               max_states: int = 200000, prune: bool = True) -> InferenceResult:
     """Recover a concrete blow-up plan realizing the record, by search.
 
     The number of blow-ups is forced by K^2; bracket patterns only rank the
@@ -513,7 +549,7 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         if sing.n != spec.n or spec.a not in (sing.a, sing.n - sing.a):
             raise PlanError(f"({record.rid}): stated ({spec.n},{spec.a}) does not "
                             f"match chain {list(spec.chain)} = ({sing.n},{sing.a})")
-    budget = _entry_budget(targets) if prune else None
+    bound = _DepthBound.of_chains(targets) if prune else None
     pool = _substring_pool(targets) if prune else None
     b_total = record.blowup_total
     if b_total < 0:
@@ -522,94 +558,54 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     # with all base curves available for chains this bounds the survivors
     ones_total = b_total - sum(len(t) for t in targets) + len(base.curves)
 
-    if record.steps:
-        base_specs = list(record.steps)
-    else:
-        base_specs = None
-
     def run_bases(bases: list[PlanStep], hints: list[Optional[int]]) -> Optional[BlowupPlan]:
-        mins = [1] * len(bases)
-        if sum(mins) > b_total:
-            return None
         ones_cap = ones_total - (len(bases) - 1) if prune else None
-        if ones_cap is not None and ones_cap < 1:
-            return None  # every tower keeps at least one (-1)-curve
-        for alloc in _allocations(b_total, mins, hints):
-            stack: list[tuple[Configuration, tuple[PlanStep, ...], int]] = [(base, (), 0)]
-            while stack:
-                config, steps, idx = stack.pop()
-                if result.states > max_states:
-                    result.near_misses.append("state budget exhausted")
-                    return None
-                if idx == len(bases):
-                    result.states += 1
-                    marked = mark_chains(config, targets, ade)
-                    if marked is not None:
-                        return BlowupPlan(steps)
-                    if len(result.near_misses) < 40:
-                        result.near_misses.append(
-                            f"alloc {alloc}: executed but chains do not match")
-                    continue
-                for state, tower_steps in _tower_scripts(config, bases[idx],
-                                                         alloc[idx], budget, pool,
-                                                         ones_cap):
-                    result.states += 1
-                    if not _prunable(state, budget):
-                        stack.append((state, steps + tower_steps, idx + 1))
+        if len(bases) > b_total or (ones_cap is not None and ones_cap < 1):
+            return None  # every tower takes a blow-up and keeps a (-1)-curve
+        for alloc, config, steps in _leaves(base, bases, _allocations(b_total, hints),
+                                            bound, pool, ones_cap, result, max_states):
+            if mark_chains(config, targets) is not None:
+                return BlowupPlan(steps)
+            if len(result.near_misses) < 40:
+                result.near_misses.append(
+                    f"alloc {alloc}: executed but chains do not match")
         return None
 
     plan = None
-    if base_specs is None and b_total == 0:
-        marked = mark_chains(base, targets, ade)
-        if marked is not None:
-            result.plan = BlowupPlan(())
-            result.marked = marked
-            result.report = surface_report(marked, base, rank_cap)
-            return result
-        result.near_misses.append("no blow-ups forced but chains do not match")
-        return result
-    if base_specs is not None:
+    if record.steps:
         # a step always blows the first surviving node of its pair: the two
         # nodes of a doubly-meeting pair are interchangeable until one goes
         bases = []
         hints: list[Optional[int]] = []
-        for spec in base_specs:
+        for spec in record.steps:
             pair = (spec.a, spec.b) if spec.a <= spec.b else (spec.b, spec.a)
             bases.append(PlanStep(pair[0], pair[1], 0))
             hints.append(len(spec.pattern) if spec.pattern is not None else 1)
         plan = run_bases(bases, hints)
+    elif b_total == 0:
+        plan = run_bases([], [])
     else:
-        # free search over base-node subsets of the forced size
-        geo = geography_check(len(record.chains), record.k2)
-        m = geo.nodes_to_blow_up
-        node_ids = sorted(n.id for n in base.nodes)
-        seen_pairsets: set[tuple] = set()
-        for combo in itertools.combinations(node_ids, m):
-            if result.states > max_states:
-                result.near_misses.append("state budget exhausted")
-                break
-            pairs = tuple(sorted(base.node(nid).pair() for nid in combo))
-            if pairs in seen_pairsets:
-                continue  # same multiset of pairs: isomorphic choice of nodes
-            seen_pairsets.add(pairs)
-            if prune and not _combo_feasible(base, combo, targets):
+        # free search over base-node choices of the forced size
+        m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
+        for combo, pairs in _base_choices(base, m, result, max_states):
+            if prune and not _combo_feasible(base, combo, targets, bound):
                 continue
-            bases = [PlanStep(a, b) for a, b in pairs]
-            plan = run_bases(bases, [None] * m)
+            plan = run_bases([PlanStep(a, b) for a, b in pairs], [None] * m)
             if plan is not None:
                 break
 
     if plan is None:
-        if not result.near_misses:
+        if result.states > max_states:
+            result.near_misses.append("state budget exhausted")
+        elif not result.near_misses:
             result.near_misses.append("search space exhausted without a match")
         return result
 
-    config = plan.execute(base)
-    marked = mark_chains(config, targets, ade)
+    marked = mark_chains(plan.execute(base), targets)
     assert marked is not None
     result.plan = plan
     result.marked = marked
-    result.report = surface_report(marked, base, rank_cap)
+    result.report = surface_report(marked, base)
     return result
 
 
@@ -621,7 +617,6 @@ class SearchParams:
     max_chains: int
     max_blowups: int
     curve_pool: Optional[tuple[str, ...]] = None
-    subset_size: Optional[int] = None
     max_states: int = 500000
     max_results: int = 25
 
@@ -638,10 +633,11 @@ def _greedy_mark(config: Configuration) -> Optional[MarkedSurface]:
     """Mark the components of the non-(-1) subgraph, if they are all chains.
 
     Components that are paths of (-2)-curves become ADE chains; paths whose
-    string is a Wahl chain become Wahl chains; anything else fails.
+    string is a Wahl chain become Wahl chains; anything else fails.  Each
+    path starts at its lexicographically smaller end.
     """
-    names = [c.name for c in config.curves if c.self_int != -1]
-    adjacency = {n: sorted(x for x in config.neighbors(n) if x in set(names))
+    names = {c.name for c in config.curves if c.self_int != -1}
+    adjacency = {n: sorted(x for x in config.neighbors(n) if x in names)
                  for n in names}
     seen: set[str] = set()
     wahl: list[tuple[str, ...]] = []
@@ -658,13 +654,13 @@ def _greedy_mark(config: Configuration) -> Optional[MarkedSurface]:
                     comp.add(nxt)
                     frontier.append(nxt)
         seen |= comp
-        ends = [n for n in comp if len([x for x in adjacency[n] if x in comp]) <= 1]
+        ends = [n for n in comp if len(adjacency[n]) <= 1]
         if len(comp) == 1:
-            path = [next(iter(comp))]
+            path = [name]
         elif len(ends) == 2:
-            path = [ends[0]]
+            path = [min(ends)]
             while len(path) < len(comp):
-                nxts = [x for x in adjacency[path[-1]] if x in comp and x not in path]
+                nxts = [x for x in adjacency[path[-1]] if x not in path]
                 if len(nxts) != 1:
                     return None
                 path.append(nxts[0])
@@ -680,10 +676,7 @@ def _greedy_mark(config: Configuration) -> Optional[MarkedSurface]:
             wahl.append(tuple(path))
         else:
             return None
-    try:
-        return MarkedSurface(config, tuple(wahl), tuple(ade))
-    except Exception:
-        return None
+    return _marked(config, wahl, ade)
 
 
 def search_constructions(params: SearchParams, a0: Configuration,
@@ -706,68 +699,44 @@ def search_constructions(params: SearchParams, a0: Configuration,
         if not geo.admissible:
             result.notes.append(f"P={p}, K^2={params.k2} inadmissible by geography")
             continue
-        size = params.subset_size or geo.r
-        if size != geo.r:
-            result.notes.append(f"subset size {size} incompatible with r={geo.r}")
+        if geo.r > len(pool):
             continue
-        if size > len(pool):
-            continue
-        for subset in itertools.combinations(pool, size):
+        m = geo.nodes_to_blow_up
+        # no Wahl chain of admissible length has an entry above 4K^2+4,
+        # and no state has more than r + max_blowups curves
+        bound = _DepthBound((4 * params.k2 + 4,) * (geo.r + params.max_blowups)) \
+            if prune else None
+        for subset in itertools.combinations(pool, geo.r):
+            sub = a0.restrict(subset)
+            if sub.t2 != geo.t2:
+                continue
+            base_det = det_exact(sub.intersection_matrix())
+            if base_det == 0:
+                continue
+            for _, pairs in _base_choices(sub, m, result, params.max_states):
+                bases = [PlanStep(a, b) for a, b in pairs]
+                allocs = itertools.chain.from_iterable(
+                    _allocations(total, [None] * m)
+                    for total in range(m, params.max_blowups + 1))
+                for alloc, config, steps in _leaves(sub, bases, allocs, bound, None, None,
+                                                    result, params.max_states):
+                    _harvest(params, config, bases, alloc, subset, base_det,
+                             result, found)
             if result.states > params.max_states:
                 result.exhausted = True
                 result.notes.append("state budget exhausted")
                 return result
-            sub = a0.restrict(subset)
-            if sub.t2 != geo.t2:
-                continue
-            if det_exact(sub.intersection_matrix()) == 0:
-                continue
-            _search_subset(params, geo, sub, subset, result, found, prune)
             if len(result.records) >= params.max_results:
                 result.notes.append("result budget reached")
                 return result
     return result
 
 
-def _search_subset(params: SearchParams, geo, sub: Configuration, subset,
-                   result: SearchResult, found: set, prune: bool) -> None:
-    max_entry = 4 * params.k2 + 4  # no Wahl chain of admissible length is deeper
-    budget = None if not prune else {"max_entry": max_entry}
-    node_ids = sorted(n.id for n in sub.nodes)
-    m = geo.nodes_to_blow_up
-    base_det = det_exact(sub.intersection_matrix())
-    seen_pairsets: set[tuple] = set()
-    for combo in itertools.combinations(node_ids, m):
-        pairs = tuple(sorted(sub.node(nid).pair() for nid in combo))
-        if pairs in seen_pairsets:
-            continue
-        seen_pairsets.add(pairs)
-        bases = [PlanStep(a, b) for a, b in pairs]
-        for total in range(m, params.max_blowups + 1):
-            for alloc in _allocations(total, [1] * m, [None] * m):
-                stack = [(sub, (), 0)]
-                while stack:
-                    config, steps, idx = stack.pop()
-                    result.states += 1
-                    if result.states > params.max_states:
-                        result.exhausted = True
-                        result.notes.append("state budget exhausted")
-                        return
-                    if idx == m:
-                        _harvest(params, config, steps, bases, alloc, subset,
-                                 base_det, result, found)
-                        continue
-                    for state, tower_steps in _tower_scripts(config, bases[idx],
-                                                             alloc[idx], budget):
-                        stack.append((state, steps + tower_steps, idx + 1))
-
-
-def _harvest(params: SearchParams, config: Configuration, steps, bases, alloc,
+def _harvest(params: SearchParams, config: Configuration, bases, alloc,
              subset, base_det: int, result: SearchResult, found: set) -> None:
     marked = _greedy_mark(config)
     if marked is None or not marked.wahl_chains or marked.ade_chains:
         return
-    from .assembly import k_squared
     if k_squared(marked) != params.k2:
         return
     if nef_ample_check(marked).status != "ample":

@@ -242,6 +242,8 @@ class TestBoundsAndTypes:
         assert (norm.m, norm.q) == (64, 23)
         assert norm.normalize() == norm
         assert cq.same_germ(norm)
+        assert CyclicQuotient(8, 3) == CyclicQuotient(8, 3).normalize()
+        assert hash(CyclicQuotient(8, 3)) == hash(CyclicQuotient(8, 3).normalize())
         with pytest.raises(ChainError):
             CyclicQuotient(9, 3)
 

@@ -100,6 +100,20 @@ class TestVerifyAndSearch:
         assert code == 1
         assert "FAIL" in out
 
+    def test_malformed_a0_is_a_usage_error(self, capture, tmp_path):
+        bad = tmp_path / "a0.json"
+        bad.write_text('{"curves":[{"name":"A"}],"nodes":[]}')
+        code, _, err = capture("verify", "--a0", str(bad), "--no-infer")
+        assert code == 2
+        assert err.startswith("error:") and "self_int" in err
+
+    @pytest.mark.parametrize("option", ["--a0", "--records", "--expected"])
+    def test_missing_input_file_is_a_usage_error(self, capture, tmp_path, option):
+        missing = tmp_path / "missing.txt"
+        code, _, err = capture("verify", option, str(missing), "--no-infer")
+        assert code == 2
+        assert err.startswith("error:") and "missing.txt" in err
+
     def test_search_streams_records(self, capture):
         code, out, _ = capture(
             "search", "--k2", "2", "--max-blowups", "7",

@@ -1,3 +1,9 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from wahlkit.catalog.a0 import frozen_a0
@@ -45,6 +51,8 @@ class TestInference:
         assert report.obstruction == 0
         assert sorted(report.singularities) == ["1/121(1,32)", "1/64(1,23)"]
         assert report.pi1.status == "trivial"
+        assert str(result.plan) == ("C1*C2, C2*D1, A2*B1, B1*E3, B1*E4, "
+                                    "A3*C1, C1*E6")
 
     def test_record_2_2_t_join(self, a0, records):
         record = records["2.2"]
@@ -56,6 +64,8 @@ class TestInference:
         assert report.ample.canonical_ample
         joint = report.ample.contractions[0]
         assert (joint.result.m, joint.result.q) == (648, 251)
+        assert str(result.plan) == ("A3*C1, A2*B1, C1*C2, C1*E3, A2*C1, "
+                                    "A2*E5, A2*E6, E6*E7, E7*E8, E8*E9")
 
     def test_replay_deterministic(self, a0, records):
         record = records["2.1"]
@@ -101,6 +111,15 @@ class TestInference:
         assert not result.success
         assert result.near_misses
 
+    def test_state_budget_bounds_base_node_choices(self, a0, records):
+        # free inference of (8.1) tries millions of base-node choices; each
+        # distinct choice counts as a state, so a small budget stops it
+        record = dataclasses.replace(records["8.1"], steps=())
+        result = infer_plan(record, a0.restrict(record.curves), max_states=2000)
+        assert not result.success
+        assert "state budget exhausted" in result.near_misses
+        assert result.states <= 2001
+
     def test_pruning_soundness_on_inference(self, a0, records):
         record = records["2.1"]
         base = a0.restrict(record.curves)
@@ -135,6 +154,10 @@ class TestSearch:
         assert result.records
         for rec in result.records:
             assert parse_record(format_record(rec)) == rec
+        assert format_record(result.records[0]) == (
+            "(2.1) K^2=2 - {A2, A3, B1, C1, C2, D1} - det=-40 - "
+            "[2,2,1] × A2∩B1, [2,1] × A3∩C1, C1∩C2, C2∩D1 - "
+            "(11,3):[4,5,3,2,2] - (8,3):[3,5,3,2]")
 
     def test_geography_violating_params_empty(self, a0):
         params = SearchParams(k2=14, max_chains=2, max_blowups=4)
@@ -159,6 +182,23 @@ class TestSearch:
         for record in result.records:
             assert record.k2 == 1
             assert len(record.chains) == 2
+
+    def test_greedy_marking_independent_of_hash_seed(self):
+        # the two ends of a chain come out of a set: under these two seeds
+        # they come out in different orders
+        script = ("from wahlkit.configuration import Configuration\n"
+                  "from wahlkit.plans import _greedy_mark\n"
+                  "cfg = Configuration.build([('P', -2), ('Q', -5)], [('P', 'Q')])\n"
+                  "print(_greedy_mark(cfg).wahl_chains)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for seed in ("0", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.append(run.stdout.strip())
+        assert outputs == ["(('P', 'Q'),)"] * 2
 
     def test_pruning_soundness_on_search(self):
         cfg = Configuration.build(
