@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Optional, Sequence
 
 from ..chains import (CyclicQuotient, blow_down_compose, length_bound,
@@ -73,12 +74,12 @@ def _data_text(name: str) -> str:
 
 
 def load_records(path: Optional[str] = None) -> list[SurfaceRecord]:
-    text = open(path, encoding="utf-8").read() if path else _data_text("records.txt")
+    text = Path(path).read_text(encoding="utf-8") if path else _data_text("records.txt")
     return parse_records_file(text)
 
 
 def load_expected(path: Optional[str] = None) -> dict:
-    text = open(path, encoding="utf-8").read() if path else _data_text("expected.json")
+    text = Path(path).read_text(encoding="utf-8") if path else _data_text("expected.json")
     return json.loads(text)
 
 

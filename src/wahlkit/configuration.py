@@ -269,9 +269,14 @@ class Configuration:
         ambient = K3
         if "ambient" in payload:
             amb = payload["ambient"]
+            if not isinstance(amb, dict):
+                raise ConfigurationError(f"ambient must be an object, got {amb!r}")
             unknown = set(amb) - {"name", "k_sq", "chi_top"}
             if unknown:
                 raise ConfigurationError(f"unknown ambient fields: {sorted(unknown)}")
+            missing = {"name", "k_sq", "chi_top"} - set(amb)
+            if missing:
+                raise ConfigurationError(f"ambient {amb!r} lacks {sorted(missing)}")
             ambient = Ambient(amb["name"], int(amb["k_sq"]), int(amb["chi_top"]))
         curves = []
         for entry in payload.get("curves", []):
@@ -320,7 +325,8 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact rank over Q via fraction-free elimination with full pivoting."""
+    """Exact rank over Q by Gaussian elimination in `Fraction`s, pivoting on
+    the first nonzero entry of each column."""
     a = [[Fraction(x) for x in row] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0

@@ -6,7 +6,11 @@ search.  Plan inference (`infer_plan`) and construction search
 (`search_constructions`) share one search core:
 
 - `_base_choices` enumerates the choices of base nodes to blow up, one per
-  multiset of curve pairs, counting each as one state;
+  multiset of curve pairs, counting each as one state.  It generates only
+  the canonical choice of each multiset: deciding the nodes in id order, a
+  node may be chosen only after the node before it on the same curve
+  pair.  That is the first of its multiset among the combinations of node
+  ids, so choices come in lexicographic order with no duplicate to drop;
 - `_leaves` distributes the blow-ups over the chosen nodes (one allocation
   at a time), branches over the nodes sitting on each tower's exceptional
   curves, and yields every completed configuration with its steps;
@@ -16,12 +20,19 @@ search.  Plan inference (`infer_plan`) and construction search
 Inference accepts exactly the leaves whose marked surface reports the
 stated chains; search keeps the leaves that mark greedily into Wahl chains
 with an ample canonical class.  Pruning only ever discards states that
-provably cannot reach the chains sought.
+provably cannot reach the chains sought.  Inference also checks the rules
+of `_ChoicePrefix` on every prefix of a base-node choice, and counts the
+choices below a failing prefix as states in one step (a coefficient of a
+product of polynomials, see `_base_choices`) instead of building them, so
+the state counts equal those of checking every choice whole.  Abstract
+tower outcomes depend only on the tower's size and limits; each search
+call memoises them in its own table.
 """
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -80,6 +91,7 @@ class InferenceResult:
     marked: Optional[MarkedSurface] = None
     report: Optional[SurfaceReport] = None
     states: int = 0
+    pruned: int = 0  # base-node choices rejected by a prefix, each also a state
     near_misses: list[str] = field(default_factory=list)
 
     @property
@@ -91,8 +103,8 @@ class InferenceResult:
             return (f"({self.record.rid}) plan found after {self.states} states: "
                     f"{self.plan}")
         misses = "; ".join(self.near_misses[:4]) or "no partial matches"
-        return (f"({self.record.rid}) ambiguous after {self.states} states: "
-                f"{misses}")
+        return (f"({self.record.rid}) ambiguous after {self.states} states "
+                f"({self.pruned} pruned): {misses}")
 
 
 # -- chain marking ------------------------------------------------------------
@@ -205,7 +217,7 @@ class _DepthBound:
         return len(deep) <= len(self.caps) and all(map(operator.le, deep, self.caps))
 
 
-def _substring_pool(targets: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
+def _substring_pool(targets: Sequence[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     """All contiguous substrings of the stated chains, both orientations."""
     pool: set[tuple[int, ...]] = set()
     for target in targets:
@@ -213,10 +225,10 @@ def _substring_pool(targets: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
             for i in range(len(chain)):
                 for j in range(i + 1, len(chain) + 1):
                     pool.add(chain[i:j])
-    return pool
+    return frozenset(pool)
 
 
-def _runs_embed(xs: tuple[int, ...], pool: Optional[set[tuple[int, ...]]]) -> bool:
+def _runs_embed(xs: tuple[int, ...], pool: Optional[frozenset[tuple[int, ...]]]) -> bool:
     """Completed-tower filter: maximal runs of non-(-1) exceptional curves
     are final and must occur contiguously inside some stated chain."""
     if pool is None:
@@ -314,7 +326,7 @@ def _reduce_script(final: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     return tuple(script)
 
 
-def _targeted_outcomes(size: int, bound: Optional[_DepthBound], pool: set[tuple[int, ...]],
+def _targeted_outcomes(size: int, bound: Optional[_DepthBound], pool: frozenset[tuple[int, ...]],
                        ones_cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Assemble candidate final tower strings run-by-run and validate them.
 
@@ -366,17 +378,22 @@ def _assemble_runs(size: int, ones: int, by_len, bound, seen, outcomes) -> None:
 
 
 def _tower_scripts(config: Configuration, base: PlanStep, size: int,
-                   bound, pool, ones_cap) -> Iterable[tuple[Configuration, tuple[PlanStep, ...]]]:
+                   bound, pool, ones_cap, outcomes: dict
+                   ) -> Iterable[tuple[Configuration, tuple[PlanStep, ...]]]:
     """All inequivalent ways to blow `size` times over one base node.
 
     Replays each abstract outcome's witness script on the concrete
     configuration: gap g of the local chain is the surviving node between
-    neighbours g and g+1.
+    neighbours g and g+1.  The abstract outcomes depend only on the tower
+    parameters, so `outcomes` memoises them for the calling search.
     """
     nodes = config.nodes_between(base.a, base.b)
     if base.occurrence >= len(nodes):
         return
-    for _, script in _tower_outcomes(size, bound, pool, ones_cap):
+    key = (size, bound, pool, ones_cap)
+    if key not in outcomes:
+        outcomes[key] = _tower_outcomes(size, bound, pool, ones_cap)
+    for _, script in outcomes[key]:
         state = config.blow_up(nodes[base.occurrence].id)
         local = [base.a, state.history[-1].exceptional, base.b]
         steps = [base]
@@ -433,29 +450,162 @@ def _allocations(total: int, hints: Sequence[Optional[int]]) -> Iterable[tuple[i
         yield from layer(deviation)
 
 
-def _base_choices(base: Configuration, m: int, result,
-                  max_states: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
+def _base_choices(base: Configuration, m: int, result, max_states: int,
+                  prefix: Optional["_ChoicePrefix"] = None
+                  ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
     """Each choice of m base nodes to blow up, as node ids and curve pairs.
 
     Choices meeting the same multiset of curve pairs are isomorphic, so
-    only the first is yielded.  Each one yielded counts as one state of
-    `result`; the enumeration stops once the states exceed `max_states`.
+    only the canonical one is generated: nodes are decided in id order, and
+    a node may be chosen only if the node before it on the same curve pair
+    is.  Each choice counts as one state of `result`; the enumeration stops
+    once the states exceed `max_states`.
+
+    With a `prefix` filter, a decided prefix that fails it is not extended:
+    its completions are counted as states (and as `result.pruned`) in one
+    step, and only feasible choices are yielded.
     """
-    seen: set[tuple[tuple[str, str], ...]] = set()
-    for combo in itertools.combinations(sorted(n.id for n in base.nodes), m):
-        pairs = tuple(sorted(base.node(nid).pair() for nid in combo))
-        if pairs in seen:
-            continue
-        seen.add(pairs)
-        result.states += 1
-        if result.states > max_states:
-            return
-        yield combo, pairs
+    nodes = sorted(base.nodes, key=operator.attrgetter("id"))
+    ids = [n.id for n in nodes]
+    pairs = [n.pair() for n in nodes]
+    # left[i][pair]: the nodes of each curve pair at position i or later
+    left = [Counter(pairs[i:]) for i in range(len(nodes) + 1)]
+
+    def count(n: int) -> bool:
+        """Count n choices as states; False once they exceed the budget."""
+        if result.states + n > max_states:
+            result.states = max(result.states + 1, max_states + 1)
+            return False
+        result.states += n
+        return True
+
+    def reject(i: int, need: int, closed: frozenset) -> bool:
+        """Count the completions of a failing prefix decided up to i."""
+        # choose 0..r of the r undecided nodes of each open pair, need in all:
+        # the coefficient of x^need in the product of (1 + x + ... + x^r)
+        poly = [1] + [0] * need
+        for pair, r in left[i].items():
+            if pair not in closed:
+                poly = [sum(poly[max(0, k - r):k + 1]) for k in range(need + 1)]
+        if not count(poly[need]):
+            return False
+        result.pruned += poly[need]
+        return True
+
+    def extend(i: int, chosen: tuple, closed: frozenset, room: int, state
+               ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
+        """Complete a prefix decided up to i; returns True once the budget stops it.
+
+        `chosen` holds the positions chosen; `closed` holds the pairs with
+        an unchosen node, whose later nodes stay unchosen; `room` counts
+        the undecided nodes of the other pairs.
+        """
+        need = m - len(chosen)
+        while i < len(nodes):
+            pair = pairs[i]
+            if need and pair not in closed:
+                nxt = state.chosen(nodes[i]) if state is not None else None
+                if state is not None and nxt is None:
+                    if not reject(i + 1, need - 1, closed):
+                        return True
+                elif (yield from extend(i + 1, chosen + (i,), closed, room - 1, nxt)):
+                    return True
+                # leave node i unchosen, which closes its pair
+                room -= left[i][pair]
+                if room < need:
+                    return False
+                closed = closed | {pair}
+            elif state is None and not need:
+                break  # the rest stay unchosen, with nothing to check
+            if state is not None:
+                state = state.unchosen(nodes[i])
+                if state is None:
+                    return not reject(i + 1, need, closed)
+            i += 1
+        if not count(1):
+            return True
+        yield tuple(ids[j] for j in chosen), tuple(sorted([pairs[j] for j in chosen]))
+        return False
+
+    if m <= len(nodes):
+        yield from extend(0, (), frozenset(), len(nodes), prefix)
+
+
+class _ChoicePrefix:
+    """Sound rules on the base nodes decided so far, in id order.
+
+    - Unchosen non-self nodes survive as chain adjacencies, so they must
+      form disjoint simple paths (degree at most 2, no cycle).
+    - Every incident chosen node sinks its curve one step, so the depths
+      2 + incidences must pass the depth bound.
+    - A surviving node's endpoint depths must be dominated by some
+      adjacent entry pair of a stated chain.
+
+    Deciding more nodes only adds incidences and surviving nodes, so a
+    prefix that fails a rule has no feasible completion.  `chosen` and
+    `unchosen` return the extended prefix, or None when it fails.
+    """
+
+    __slots__ = ("bound", "reach", "inc", "degree", "ends", "surviving")
+
+    def __init__(self, bound: _DepthBound, reach: tuple[int, ...], inc: dict,
+                 degree: dict, ends: dict, surviving: tuple) -> None:
+        self.bound = bound
+        self.reach = reach
+        self.inc = inc
+        self.degree = degree
+        self.ends = ends  # a path end -> the other end of its path
+        self.surviving = surviving
+
+    @classmethod
+    def of_chains(cls, targets: Sequence[tuple[int, ...]],
+                  bound: _DepthBound) -> "_ChoicePrefix":
+        adjacent = {(t[i], t[i + 1]) for t in targets for i in range(len(t) - 1)}
+        adjacent |= {(y, x) for x, y in adjacent}
+        top = max((x for x, _ in adjacent), default=-1)
+        # reach[d]: the deepest partner of an adjacent entry at least d deep
+        reach = tuple(max(y for x, y in adjacent if x >= d) for d in range(top + 1))
+        return cls(bound, reach, {}, {}, {}, ())
+
+    def _dominated(self, inc: dict, u: str, v: str) -> bool:
+        du, dv = 2 + inc.get(u, 0), 2 + inc.get(v, 0)
+        return du < len(self.reach) and dv <= self.reach[du]
+
+    def chosen(self, node) -> Optional["_ChoicePrefix"]:
+        inc = dict(self.inc)
+        inc[node.a] = inc.get(node.a, 0) + 1
+        inc[node.b] = inc.get(node.b, 0) + 1
+        if not self.bound.admits([2 + k for k in inc.values()]):
+            return None
+        if not all(self._dominated(inc, u, v) for u, v in self.surviving):
+            return None
+        return _ChoicePrefix(self.bound, self.reach, inc, self.degree, self.ends,
+                             self.surviving)
+
+    def unchosen(self, node) -> Optional["_ChoicePrefix"]:
+        if node.is_self_node:
+            return self  # its curve can only survive as a free nodal curve
+        a, b = node.a, node.b
+        degree = dict(self.degree)
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+        if degree[a] > 2 or degree[b] > 2:
+            return None
+        # a and b are ends of paths (or isolated): joining them closes a
+        # cycle exactly when they end the same path
+        end_a, end_b = self.ends.get(a, a), self.ends.get(b, b)
+        if end_a == b or not self._dominated(self.inc, a, b):
+            return None
+        ends = dict(self.ends)
+        ends[end_a] = end_b
+        ends[end_b] = end_a
+        return _ChoicePrefix(self.bound, self.reach, self.inc, degree, ends,
+                             self.surviving + ((a, b),))
 
 
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
             allocs: Iterable[tuple[int, ...]], bound: Optional[_DepthBound],
-            pool, ones_cap: Optional[int], result, max_states: int
+            pool, ones_cap: Optional[int], outcomes: dict, result, max_states: int
             ) -> Iterator[tuple[tuple[int, ...], Configuration, tuple[PlanStep, ...]]]:
     """Every completed configuration, with its allocation and steps.
 
@@ -463,6 +613,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     one tower at a time.  Each configuration a tower yields counts as one
     state of `result`; the search stops once the states exceed
     `max_states`.  Configurations that `bound` rejects are not expanded.
+    `outcomes` is the caller's tower-outcome memo (see `_tower_scripts`).
     """
     for alloc in allocs:
         stack: list[tuple[Configuration, tuple[PlanStep, ...], int]] = [(base, (), 0)]
@@ -472,62 +623,12 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                 yield alloc, config, steps
                 continue
             for state, tower_steps in _tower_scripts(config, bases[idx], alloc[idx],
-                                                     bound, pool, ones_cap):
+                                                     bound, pool, ones_cap, outcomes):
                 result.states += 1
                 if result.states > max_states:
                     return
                 if bound is None or bound.admits([-c.self_int for c in state.curves]):
                     stack.append((state, steps + tower_steps, idx + 1))
-
-
-def _combo_feasible(base: Configuration, combo: Sequence[int],
-                    targets: Sequence[tuple[int, ...]], bound: _DepthBound) -> bool:
-    """Cheap sound filters on a choice of base nodes to blow up.
-
-    Every incident chosen node sinks its curve at least one step, so the
-    forced depths must embed into the stated chain entries; and unblown
-    nodes survive as chain adjacencies, so they must form simple disjoint
-    paths.
-    """
-    chosen = set(combo)
-    inc: dict[str, int] = {}
-    degree: dict[str, int] = {}
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    surviving: list[tuple[str, str]] = []
-    for node in base.nodes:
-        if node.id in chosen:
-            inc[node.a] = inc.get(node.a, 0) + 1
-            inc[node.b] = inc.get(node.b, 0) + 1
-        else:
-            if node.is_self_node:
-                continue  # its curve can only survive as a free nodal curve
-            degree[node.a] = degree.get(node.a, 0) + 1
-            degree[node.b] = degree.get(node.b, 0) + 1
-            if degree[node.a] > 2 or degree[node.b] > 2:
-                return False
-            ra, rb = find(node.a), find(node.b)
-            if ra == rb:
-                return False  # unblown nodes close a cycle
-            parent[ra] = rb
-            surviving.append((node.a, node.b))
-    if not bound.admits([2 + k for k in inc.values()]):
-        return False
-    # a surviving node is a chain adjacency: its endpoint depths must
-    # dominate some adjacent entry pair of a stated chain
-    adjacent = {(t[i], t[i + 1]) for t in targets for i in range(len(t) - 1)}
-    adjacent |= {(y, x) for x, y in adjacent}
-    for u, v in surviving:
-        du, dv = 2 + inc.get(u, 0), 2 + inc.get(v, 0)
-        if not any(x >= du and y >= dv for x, y in adjacent):
-            return False
-    return True
 
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
@@ -557,13 +658,15 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     # every exceptional curve ends inside a chain or as a surviving (-1);
     # with all base curves available for chains this bounds the survivors
     ones_total = b_total - sum(len(t) for t in targets) + len(base.curves)
+    outcomes: dict = {}
 
     def run_bases(bases: list[PlanStep], hints: list[Optional[int]]) -> Optional[BlowupPlan]:
         ones_cap = ones_total - (len(bases) - 1) if prune else None
         if len(bases) > b_total or (ones_cap is not None and ones_cap < 1):
             return None  # every tower takes a blow-up and keeps a (-1)-curve
         for alloc, config, steps in _leaves(base, bases, _allocations(b_total, hints),
-                                            bound, pool, ones_cap, result, max_states):
+                                            bound, pool, ones_cap, outcomes, result,
+                                            max_states):
             if mark_chains(config, targets) is not None:
                 return BlowupPlan(steps)
             if len(result.near_misses) < 40:
@@ -587,9 +690,8 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     else:
         # free search over base-node choices of the forced size
         m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
-        for combo, pairs in _base_choices(base, m, result, max_states):
-            if prune and not _combo_feasible(base, combo, targets, bound):
-                continue
+        prefix = _ChoicePrefix.of_chains(targets, bound) if prune else None
+        for _, pairs in _base_choices(base, m, result, max_states, prefix):
             plan = run_bases([PlanStep(a, b) for a, b in pairs], [None] * m)
             if plan is not None:
                 break
@@ -693,6 +795,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
     for name in pool:
         a0.curve(name)
     found: set[tuple] = set()
+    outcomes: dict = {}
 
     for p in range(1, params.max_chains + 1):
         geo = geography_check(p, params.k2)
@@ -719,7 +822,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
                     _allocations(total, [None] * m)
                     for total in range(m, params.max_blowups + 1))
                 for alloc, config, steps in _leaves(sub, bases, allocs, bound, None, None,
-                                                    result, params.max_states):
+                                                    outcomes, result, params.max_states):
                     _harvest(params, config, bases, alloc, subset, base_det,
                              result, found)
             if result.states > params.max_states:

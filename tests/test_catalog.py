@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -67,6 +68,18 @@ class TestRecordGrammar:
             parse_record("(2.1) K^2=2 - {C1, C1} - det=-2 -  - (2,1):[4]")
         with pytest.raises(RecordError):
             parse_record("(2.1) K^2=2 - {C1} - det=-2 - C1∩C9 - (2,1):[4]")
+
+    def test_loading_a_file_closes_it(self, tmp_path):
+        records = tmp_path / "records.txt"
+        records.write_text("(9.9) K^2=2 - {C1} - det=-2 -  - (2,1):[4]\n",
+                           encoding="utf-8")
+        expected = tmp_path / "expected.json"
+        expected.write_text('{"mains": {}}', encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert [r.rid for r in load_records(str(records))] == ["9.9"]
+            assert load_expected(str(expected)) == {"mains": {}}
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_empty_steps_allowed(self):
         record = parse_record("(9.9) K^2=2 - {C1} - det=-2 -  - (2,1):[4]")

@@ -107,6 +107,18 @@ class TestVerifyAndSearch:
         assert code == 2
         assert err.startswith("error:") and "self_int" in err
 
+    @pytest.mark.parametrize("ambient, reason", [
+        ('{"name":"K3"}', "lacks"),
+        ('24', "must be an object"),
+    ])
+    def test_malformed_ambient_is_a_usage_error(self, capture, tmp_path,
+                                                ambient, reason):
+        bad = tmp_path / "a0.json"
+        bad.write_text('{"curves":[],"nodes":[],"ambient":%s}' % ambient)
+        code, _, err = capture("verify", "--a0", str(bad), "--no-infer")
+        assert code == 2
+        assert err.startswith("error:") and reason in err
+
     @pytest.mark.parametrize("option", ["--a0", "--records", "--expected"])
     def test_missing_input_file_is_a_usage_error(self, capture, tmp_path, option):
         missing = tmp_path / "missing.txt"

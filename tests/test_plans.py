@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -10,8 +11,10 @@ from wahlkit.catalog.a0 import frozen_a0
 from wahlkit.catalog.records import (ChainSpec, SurfaceRecord, format_record,
                                      parse_record)
 from wahlkit.catalog.verify import load_records
-from wahlkit.configuration import Configuration
+from wahlkit.configuration import Configuration, geography_check
+from wahlkit import plans
 from wahlkit.plans import (BlowupPlan, PlanError, PlanStep, SearchParams,
+                           _base_choices, _ChoicePrefix, _DepthBound,
                            infer_plan, mark_chains, search_constructions)
 
 
@@ -23,6 +26,79 @@ def a0():
 @pytest.fixture(scope="module")
 def records():
     return {r.rid: r for r in load_records()}
+
+
+def _nodes_to_blow_up(record):
+    return geography_check(len(record.chains), record.k2).nodes_to_blow_up
+
+
+def _combo_feasible(base, combo, targets, bound):
+    """Oracle: the rules of `_ChoicePrefix`, on a whole choice of base nodes.
+
+    Every incident chosen node sinks its curve at least one step, so the
+    forced depths must embed into the stated chain entries; and unblown
+    nodes survive as chain adjacencies, so they must form simple disjoint
+    paths.
+    """
+    chosen = set(combo)
+    inc = {}
+    degree = {}
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    surviving = []
+    for node in base.nodes:
+        if node.id in chosen:
+            inc[node.a] = inc.get(node.a, 0) + 1
+            inc[node.b] = inc.get(node.b, 0) + 1
+        else:
+            if node.is_self_node:
+                continue
+            degree[node.a] = degree.get(node.a, 0) + 1
+            degree[node.b] = degree.get(node.b, 0) + 1
+            if degree[node.a] > 2 or degree[node.b] > 2:
+                return False
+            ra, rb = find(node.a), find(node.b)
+            if ra == rb:
+                return False
+            parent[ra] = rb
+            surviving.append((node.a, node.b))
+    if not bound.admits([2 + k for k in inc.values()]):
+        return False
+    adjacent = {(t[i], t[i + 1]) for t in targets for i in range(len(t) - 1)}
+    adjacent |= {(y, x) for x, y in adjacent}
+    for u, v in surviving:
+        du, dv = 2 + inc.get(u, 0), 2 + inc.get(v, 0)
+        if not any(x >= du and y >= dv for x, y in adjacent):
+            return False
+    return True
+
+
+def _reference_choices(base, m, result, max_states):
+    """Oracle: the first choice of each multiset of curve pairs, among all
+    combinations of node ids, each counted as one state."""
+    pair_of = {n.id: n.pair() for n in base.nodes}
+    seen = set()
+    for combo in itertools.combinations(sorted(pair_of), m):
+        pairs = tuple(sorted(pair_of[nid] for nid in combo))
+        if pairs in seen:
+            continue
+        seen.add(pairs)
+        result.states += 1
+        if result.states > max_states:
+            return
+        yield combo, pairs
+
+
+@dataclasses.dataclass
+class _Counts:
+    states: int = 0
+    pruned: int = 0
 
 
 class TestPlanExecution:
@@ -120,6 +196,50 @@ class TestInference:
         assert "state budget exhausted" in result.near_misses
         assert result.states <= 2001
 
+    @pytest.mark.parametrize("rid, states, plan", [
+        ("6.1", 83734, "A1*F15, A2*B1, A2*C1, A2*C3, A2*F1, A3*C1, A3*C3, "
+                       "A3*E7, C1*C2"),
+        ("7.1", 163513, "A2*B1, A3*B1, A3*C1, A4*C1, B4*D3, C1*C2, C1*C2, "
+                        "D3*F1, D3*E8, F1*F2"),
+    ])
+    def test_free_inference_golden(self, a0, records, rid, states, plan):
+        record = dataclasses.replace(records[rid], steps=())
+        result = infer_plan(record, a0.restrict(record.curves))
+        assert result.success
+        assert result.states == states
+        assert str(result.plan) == plan
+        assert 0 < result.pruned < result.states
+
+    def test_free_inference_budget_counts(self, a0, records):
+        # the base-node choices rejected in bulk exhaust the budget
+        record = dataclasses.replace(records["7.1"], steps=())
+        result = infer_plan(record, a0.restrict(record.curves), max_states=20000)
+        assert not result.success
+        assert result.states == 20001
+        assert "state budget exhausted" in result.near_misses
+        assert f"after 20001 states ({result.pruned} pruned)" in result.summary()
+        # towers exhaust the budget, then one more base-node choice counts
+        record = dataclasses.replace(records["2.1"], steps=())
+        result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
+        assert not result.success
+        assert result.states == 3002
+
+    def test_tower_outcomes_computed_once_per_call(self, a0, records, monkeypatch):
+        calls = []
+        enumerate_towers = plans._tower_outcomes
+
+        def counted(*key):
+            calls.append(key)
+            return enumerate_towers(*key)
+
+        monkeypatch.setattr(plans, "_tower_outcomes", counted)
+        record = records["2.1"]
+        base = a0.restrict(record.curves)
+        for _ in range(2):
+            calls.clear()
+            assert infer_plan(record, base).success
+            assert calls and len(calls) == len(set(calls))
+
     def test_pruning_soundness_on_inference(self, a0, records):
         record = records["2.1"]
         base = a0.restrict(record.curves)
@@ -130,6 +250,73 @@ class TestInference:
             ms = mark_chains(result.plan.execute(base),
                              [tuple(c.chain) for c in record.chains])
             assert sorted((s.n, s.a) for s in ms.wahl_data()) == [(8, 3), (11, 3)]
+
+
+class TestBaseChoices:
+    # records with at most 8 base nodes to blow up: the oracle enumerates
+    # all combinations, 94,146 distinct choices for m = 8
+    SMALL = [r.rid for r in load_records() if _nodes_to_blow_up(r) <= 8]
+
+    @pytest.mark.parametrize("rid", SMALL)
+    @pytest.mark.parametrize("budget", [3000, sys.maxsize], ids=["3000", "unlimited"])
+    def test_matches_reference(self, a0, records, rid, budget):
+        record = records[rid]
+        base = a0.restrict(record.curves)
+        m = _nodes_to_blow_up(record)
+        targets = [tuple(c.chain) for c in record.chains]
+        bound = _DepthBound.of_chains(targets)
+        ref = _Counts()
+        every = [(combo, pairs, ref.states)
+                 for combo, pairs in _reference_choices(base, m, ref, budget)]
+        feasible = [x for x in every if _combo_feasible(base, x[0], targets, bound)]
+        for prefix, want in ((None, every),
+                             (_ChoicePrefix.of_chains(targets, bound), feasible)):
+            got = _Counts()
+            seq = [(combo, pairs, got.states)
+                   for combo, pairs in _base_choices(base, m, got, budget, prefix)]
+            assert seq == want
+            assert got.states == ref.states
+            if prefix is None:
+                assert got.pruned == 0
+            elif ref.states <= budget:
+                assert got.pruned == ref.states - len(feasible)
+
+    # A0 has neither self-nodes nor a pair meeting three times
+    TANGLE = [("W", "X"), ("Y", "Y"), ("W", "X"), ("X", "Y"), ("Y", "Z"),
+              ("W", "W"), ("Y", "Z"), ("Z", "X"), ("Y", "Z")]
+
+    @pytest.mark.parametrize("nodes, targets", [
+        (TANGLE, [(4, 5, 3, 2, 2), (3, 5, 3, 2)]),
+        (TANGLE, [(2, 5), (4,)]),
+        (TANGLE, [(3, 3, 2, 6, 3, 2)]),
+        # a chosen self-node sinks its curve two steps: too deep for [3, 2]
+        ([("W", "W"), ("W", "X")], [(3, 2)]),
+    ])
+    def test_self_nodes_and_repeated_pairs(self, nodes, targets):
+        cfg = Configuration.build([(c, -2) for c in sorted({c for n in nodes for c in n})],
+                                  nodes)
+        bound = _DepthBound.of_chains(targets)
+        for m in range(len(cfg.nodes) + 1):
+            for budget in (5, sys.maxsize):
+                ref = _Counts()
+                every = [(combo, pairs, ref.states)
+                         for combo, pairs in _reference_choices(cfg, m, ref, budget)]
+                feasible = [x for x in every
+                            if _combo_feasible(cfg, x[0], targets, bound)]
+                for prefix, want in ((None, every),
+                                     (_ChoicePrefix.of_chains(targets, bound), feasible)):
+                    got = _Counts()
+                    seq = [(combo, pairs, got.states) for combo, pairs
+                           in _base_choices(cfg, m, got, budget, prefix)]
+                    assert (seq, got.states) == (want, ref.states), (m, budget)
+
+    def test_too_few_nodes(self):
+        cfg = Configuration.build([("A", -2), ("B", -2)], [("A", "B")])
+        got = _Counts()
+        assert list(_base_choices(cfg, 2, got, 100)) == []
+        assert got.states == 0
+        assert list(_base_choices(cfg, 0, got, 100)) == [((), ())]
+        assert got.states == 1
 
 
 class TestSearch:
