@@ -10,14 +10,14 @@ never "nontrivial").
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 from .chains import (CyclicQuotient, TSingularity, WahlSingularity, blow_down_compose,
                      discrepancies, meridian_exponents, t_singularity, wahl_singularity)
-from .configuration import Configuration, ConfigurationError, det_exact, rank_exact
+from .configuration import Configuration, rank_exact
 
 __all__ = [
     "AssemblyError", "MarkedSurface", "Witness", "NefAmpleReport",
@@ -43,17 +43,6 @@ class MarkedSurface:
     @property
     def blowup_count(self) -> int:
         return self.surface.blowup_count
-
-    @property
-    def free_curves(self) -> tuple[str, ...]:
-        marked = {c for chain in self.wahl_chains + self.ade_chains for c in chain}
-        return tuple(c.name for c in self.surface.curves if c.name not in marked)
-
-    def chain_of(self, name: str) -> Optional[int]:
-        for i, chain in enumerate(self.wahl_chains):
-            if name in chain:
-                return i
-        return None
 
     def wahl_data(self) -> tuple[WahlSingularity, ...]:
         out = []
@@ -183,7 +172,6 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
     table = _discrepancy_table(ms)
 
     witnesses: list[Witness] = []
-    warnings: list[Witness] = []
     contractions: list[Contraction] = []
     for curve in surface.curves:
         if curve.name in marked:
@@ -230,12 +218,11 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
 
     k2 = k_squared(ms)
     if strict and not zero_curves and k2 > 0:
-        return NefAmpleReport("ample", (), tuple(warnings), tuple(contractions))
+        return NefAmpleReport("ample", (), (), tuple(contractions))
     notes = list(zero_curves)
     if k2 <= 0:
         notes.append(Witness("k-squared", "-", f"K^2 = {k2} is not positive"))
-    return NefAmpleReport("nef-only", (), tuple(notes) + tuple(warnings),
-                          tuple(contractions))
+    return NefAmpleReport("nef-only", (), tuple(notes), tuple(contractions))
 
 
 def _contraction_for(ms: MarkedSurface, curve: str, meets: list[str]) -> Contraction:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..configuration import Configuration, ConfigurationError, det_exact, rank_exact
+from ..configuration import Configuration, det_exact, rank_exact
 
 __all__ = [
     "FIBERS", "SECTIONS", "COMPONENTS", "CatalogError",

@@ -14,8 +14,8 @@ stored verbatim and interpreted only by plan search.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["RecordError", "BlowupSpec", "ChainSpec", "SurfaceRecord",
            "parse_record", "format_record", "parse_records_file"]
@@ -63,8 +63,6 @@ class SurfaceRecord:
     det: int
     steps: tuple[BlowupSpec, ...]
     chains: tuple[ChainSpec, ...]
-    extra_singularities: tuple[str, ...] = ()
-    wormhole_partner: Optional[str] = None
 
     @property
     def chain_length_sum(self) -> int:

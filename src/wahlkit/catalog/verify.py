@@ -170,9 +170,14 @@ def _verify_a0(ledger: Ledger, a0: Configuration, expected: dict,
                f"{len(cons.incident)} required, {len(cons.disjoint)} forbidden")
 
 
-def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
-                   with_inference: bool, infer_budget: int) -> None:
-    sec = f"record ({record.rid})"
+def _verify_construction(ledger: Ledger, sec: str, a0: Configuration,
+                         record: SurfaceRecord) -> tuple[Configuration, bool]:
+    """The checks every construction gets: its chains, their length bound,
+    the determinant, the geography identities and the obstruction.
+
+    Returns the configuration on the record's curves and whether its family
+    is admissible and unobstructed.
+    """
     for spec in record.chains:
         _check_chain(ledger, sec, spec)
     bound = length_bound("K3", record.k2)
@@ -193,8 +198,14 @@ def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
                f"P={p} K={k} r={sub.r} t2={sub.t2} c1^2={c1} c2={c2}")
     obs = obstruction_dim(sub)
     ledger.add(sec, "no local-to-global obstruction", obs == 0, f"dim={obs}")
-    ledger.add(sec, f"family dimension {20 - 2 * record.k2}",
-               obs == 0 and geo.admissible)
+    return sub, obs == 0 and geo.admissible
+
+
+def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
+                   with_inference: bool, infer_budget: int) -> None:
+    sec = f"record ({record.rid})"
+    sub, family_ok = _verify_construction(ledger, sec, a0, record)
+    ledger.add(sec, f"family dimension {20 - 2 * record.k2}", family_ok)
     if not with_inference:
         return
     result = infer_plan(record, sub, max_states=infer_budget)
@@ -271,26 +282,9 @@ def _plan_from_json(steps: list) -> BlowupPlan:
 
 def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None:
     sec = f"main K^2={k2}"
-    chains = [ChainSpec(c["n"], c["a"], tuple(c["chain"])) for c in data["chains"]]
-    for spec in chains:
-        _check_chain(ledger, sec, spec)
-    bound = length_bound("K3", k2)
-    ledger.add(sec, f"length bound l <= {bound}",
-               all(len(c.chain) <= bound for c in chains),
-               f"lengths {[len(c.chain) for c in chains]}")
-    sub = a0.restrict(data["curves"])
-    det = det_exact(sub.intersection_matrix())
-    ledger.add(sec, f"determinant {data['det']}", det == data["det"], f"got {det}")
-    p, k = sub.pk_invariants()
-    geo = geography_check(len(chains), k2)
-    c1, c2 = sub.log_chern()
-    ledger.add(sec, "geography identities",
-               p == len(chains) and k == k2 and sub.r == geo.r and
-               sub.t2 == geo.t2 and c1 == 2 * k2 and c2 == 24 - p - k2 and
-               geo.admissible,
-               f"P={p} K={k} r={sub.r} t2={sub.t2}")
-    obs = obstruction_dim(sub)
-    ledger.add(sec, "no local-to-global obstruction", obs == 0, f"dim={obs}")
+    chains = tuple(ChainSpec(c["n"], c["a"], tuple(c["chain"])) for c in data["chains"])
+    _verify_construction(ledger, sec, a0, SurfaceRecord(
+        f"main{k2}", k2, tuple(data["curves"]), data["det"], (), chains))
     ledger.add(sec, f"KSBA family dimension {data['ksba_dim']}",
                data["ksba_dim"] == 20 - 2 * k2)
     duval = [tuple(ch) for ch in data["duval"]]

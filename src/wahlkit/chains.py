@@ -96,19 +96,9 @@ class WahlSingularity:
     n: int
     a: int
     chain: tuple[int, ...]
-    discrepancies: tuple[Fraction, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.chain)
 
     def quotient(self) -> CyclicQuotient:
         return CyclicQuotient(self.n * self.n, self.n * self.a - 1)
-
-    def reversed(self) -> "WahlSingularity":
-        sing = wahl_singularity(self.chain[::-1])
-        assert sing is not None
-        return sing
 
     def __str__(self) -> str:
         return f"1/{self.n * self.n}(1,{self.n}*{self.a}-1)"
@@ -228,7 +218,7 @@ def wahl_singularity(chain: Sequence[int]) -> Optional[WahlSingularity]:
         assert not by_rules, f"rule test disagrees with arithmetic on {entries}"
         return None
     assert by_rules, f"arithmetic says Wahl but rules disagree on {entries}"
-    return WahlSingularity(n, a, entries, discrepancies(entries))
+    return WahlSingularity(n, a, entries)
 
 
 def is_wahl(chain: Sequence[int]) -> bool:

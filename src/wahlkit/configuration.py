@@ -8,19 +8,16 @@ self-nodes).  All derived linear algebra is exact over the integers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "ConfigurationError",
     "Ambient",
     "K3",
-    "ENRIQUES",
     "Curve",
     "Node",
     "Configuration",
-    "BlowupStep",
     "det_exact",
     "rank_exact",
     "geography_check",
@@ -40,18 +37,12 @@ class Ambient:
 
 
 K3 = Ambient("K3", 0, 24)
-ENRIQUES = Ambient("Enriques", 0, 12)
 
 
 @dataclass(frozen=True)
 class Curve:
     name: str
     self_int: int
-    origin: str = "base"  # "base" or "exc:<step index>"
-
-    @property
-    def is_exceptional(self) -> bool:
-        return self.origin.startswith("exc:")
 
 
 @dataclass(frozen=True)
@@ -81,21 +72,11 @@ class Node:
 
 
 @dataclass(frozen=True)
-class BlowupStep:
-    """History entry: which node was blown up and what it created."""
-
-    index: int
-    node_pair: tuple[str, str]
-    exceptional: str
-    self_node: bool
-
-
-@dataclass(frozen=True)
 class Configuration:
     curves: tuple[Curve, ...]
     nodes: tuple[Node, ...]
     ambient: Ambient = K3
-    history: tuple[BlowupStep, ...] = ()
+    blowup_count: int = 0  # blow-ups so far; the next one creates E{blowup_count + 1}
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.curves]
@@ -172,10 +153,6 @@ class Configuration:
                     out.add(other)
         return out
 
-    @property
-    def blowup_count(self) -> int:
-        return len(self.history)
-
     # -- derived invariants --------------------------------------------------
 
     def intersection_matrix(self, order: Optional[Sequence[str]] = None) -> list[list[int]]:
@@ -212,27 +189,25 @@ class Configuration:
 
     def blow_up(self, node_id: int) -> "Configuration":
         """Blow up one node: both incident branches' curves drop by one and
-        the new (-1)-curve meets each branch once.
+        the new (-1)-curve, named E{blowup_count + 1}, meets each branch once.
 
         A self-node decrements its curve twice and the exceptional curve
-        meets it twice; such steps are flagged in the history.
+        meets it twice.
         """
         target = self.node(node_id)
-        step_index = len(self.history) + 1
-        exc_name = f"E{step_index}"
+        exc_name = f"E{self.blowup_count + 1}"
         if self.has_curve(exc_name):
             raise ConfigurationError(f"exceptional name {exc_name} already taken")
         new_curves = []
         for c in self.curves:
             drop = (1 if c.name == target.a else 0) + (1 if c.name == target.b else 0)
-            new_curves.append(replace(c, self_int=c.self_int - drop) if drop else c)
-        new_curves.append(Curve(exc_name, -1, origin=f"exc:{step_index}"))
+            new_curves.append(Curve(c.name, c.self_int - drop) if drop else c)
+        new_curves.append(Curve(exc_name, -1))
         next_id = max((n.id for n in self.nodes), default=-1) + 1
         kept = tuple(n for n in self.nodes if n.id != node_id)
         added = (Node(next_id, exc_name, target.a), Node(next_id + 1, exc_name, target.b))
-        step = BlowupStep(step_index, target.pair(), exc_name, target.is_self_node)
         return Configuration(tuple(new_curves), kept + added, self.ambient,
-                             self.history + (step,))
+                             self.blowup_count + 1)
 
     def restrict(self, names: Sequence[str]) -> "Configuration":
         """Sub-configuration on the named curves (keeps only internal nodes)."""
@@ -268,86 +243,91 @@ class Configuration:
             raise ConfigurationError(f"unknown fields: {sorted(unknown)}")
         ambient = K3
         if "ambient" in payload:
-            amb = payload["ambient"]
-            if not isinstance(amb, dict):
-                raise ConfigurationError(f"ambient must be an object, got {amb!r}")
-            unknown = set(amb) - {"name", "k_sq", "chi_top"}
-            if unknown:
-                raise ConfigurationError(f"unknown ambient fields: {sorted(unknown)}")
-            missing = {"name", "k_sq", "chi_top"} - set(amb)
-            if missing:
-                raise ConfigurationError(f"ambient {amb!r} lacks {sorted(missing)}")
-            ambient = Ambient(amb["name"], int(amb["k_sq"]), int(amb["chi_top"]))
+            amb = _json_object(payload["ambient"], "ambient", {"name": str, "k_sq": int,
+                                                               "chi_top": int})
+            ambient = Ambient(amb["name"], amb["k_sq"], amb["chi_top"])
         curves = []
-        for entry in payload.get("curves", []):
-            unknown = set(entry) - {"name", "self_int"}
-            if unknown:
-                raise ConfigurationError(f"unknown curve fields: {sorted(unknown)}")
-            missing = {"name", "self_int"} - set(entry)
-            if missing:
-                raise ConfigurationError(f"curve entry {entry!r} lacks {sorted(missing)}")
-            curves.append((entry["name"], int(entry["self_int"])))
+        for entry in _json_list(payload.get("curves", []), "curves"):
+            entry = _json_object(entry, "curve", {"name": str, "self_int": int})
+            curves.append((entry["name"], entry["self_int"]))
         nodes = []
-        for entry in payload.get("nodes", []):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ConfigurationError(f"node entry must be a pair, got {entry!r}")
+        for entry in _json_list(payload.get("nodes", []), "nodes"):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(isinstance(name, str) for name in entry)):
+                raise ConfigurationError(f"node entry must be a pair of curve names, "
+                                         f"got {entry!r}")
             nodes.append((entry[0], entry[1]))
         return Configuration.build(curves, nodes, ambient)
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _json_object(value, what: str, types: dict) -> dict:
+    """`value` as an object with exactly the keys of `types`, each of its type."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{what} must be an object, got {value!r}")
+    unknown = set(value) - set(types)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(types) - set(value)
+    if missing:
+        raise ConfigurationError(f"{what} {value!r} lacks {sorted(missing)}")
+    for key, kind in types.items():
+        # bool is an int subclass, but true/false is no integer
+        if not isinstance(value[key], kind) or isinstance(value[key], bool):
+            raise ConfigurationError(f"{what} field {key!r} must be of type "
+                                     f"{kind.__name__}, got {value[key]!r}")
+    return value
+
+
 # -- exact linear algebra ---------------------------------------------------
 
-def det_exact(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
+def _bareiss(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank, det) of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Each pivot is the first nonzero entry of its column at or below the
+    current row; a column with no pivot is skipped.  After k pivots every
+    entry below them is a (k+1)-minor, so each division by the previous
+    pivot is exact.  det is 0 unless the matrix is square of full rank;
+    the empty matrix has rank 0 and det 1.
+    """
     a = [[int(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in a):
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(cols):
+        if rank == rows:
+            break
+        pivot = next((i for i in range(rank, rows) if a[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        for row in a[rank + 1:]:
+            for j in range(col + 1, cols):
+                row[j] = (row[j] * top[col] - row[col] * top[j]) // prev
+            row[col] = 0
+        prev = top[col]
+        rank += 1
+    return rank, (sign * prev if rank == rows == cols else 0)
+
+
+def det_exact(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (see `_bareiss`)."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise ConfigurationError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss(matrix)[1]
 
 
 def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact rank over Q by Gaussian elimination in `Fraction`s, pivoting on
-    the first nonzero entry of each column."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = next((i for i in range(row, rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = a[row][col]
-        for i in range(row + 1, rows):
-            if a[i][col] != 0:
-                factor = a[i][col] / inv
-                for j in range(col, cols):
-                    a[i][j] -= factor * a[row][j]
-        row += 1
-        rank += 1
-        if row == rows:
-            break
-    return rank
+    """Exact rank over Q of an integer matrix, any shape (see `_bareiss`)."""
+    return _bareiss(matrix)[0]
 
 
 # -- geography ----------------------------------------------------------------

@@ -149,15 +149,15 @@ def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
                 ade: Sequence[tuple[str, ...]] = ()) -> Optional[MarkedSurface]:
     """Mark disjoint chains matching the target strings exactly, or None.
 
-    Targets are matched longest first; the marking must leave only (-1)-
-    and (-2)-curves unmarked.
+    Targets are matched longest first.  A marking must leave only (-1)-
+    and (-2)-curves unmarked; if none does, the result is None.
     """
     order = sorted(range(len(targets)), key=lambda i: -len(targets[i]))
     chosen: dict[int, tuple[str, ...]] = {}
 
     def assign(k: int, used: set[str]) -> bool:
         if k == len(order):
-            return True
+            return all(c.self_int in (-1, -2) for c in config.curves if c.name not in used)
         idx = order[k]
         for path in _paths_matching(config, targets[idx], used):
             if any(config.pairing(a, b) != 0
@@ -395,7 +395,7 @@ def _tower_scripts(config: Configuration, base: PlanStep, size: int,
         outcomes[key] = _tower_outcomes(size, bound, pool, ones_cap)
     for _, script in outcomes[key]:
         state = config.blow_up(nodes[base.occurrence].id)
-        local = [base.a, state.history[-1].exceptional, base.b]
+        local = [base.a, f"E{state.blowup_count}", base.b]
         steps = [base]
         ok = True
         for gap in script:
@@ -408,7 +408,7 @@ def _tower_scripts(config: Configuration, base: PlanStep, size: int,
             node = between[-1]
             occ = len(between) - 1
             state = state.blow_up(node.id)
-            local.insert(gap + 1, state.history[-1].exceptional)
+            local.insert(gap + 1, f"E{state.blowup_count}")
             steps.append(PlanStep(node.a if node.a <= node.b else node.b,
                                   max(node.a, node.b), occ))
         if ok:
@@ -660,21 +660,23 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     ones_total = b_total - sum(len(t) for t in targets) + len(base.curves)
     outcomes: dict = {}
 
-    def run_bases(bases: list[PlanStep], hints: list[Optional[int]]) -> Optional[BlowupPlan]:
+    def run_bases(bases: list[PlanStep], hints: list[Optional[int]]
+                  ) -> Optional[tuple[BlowupPlan, MarkedSurface]]:
         ones_cap = ones_total - (len(bases) - 1) if prune else None
         if len(bases) > b_total or (ones_cap is not None and ones_cap < 1):
             return None  # every tower takes a blow-up and keeps a (-1)-curve
         for alloc, config, steps in _leaves(base, bases, _allocations(b_total, hints),
                                             bound, pool, ones_cap, outcomes, result,
                                             max_states):
-            if mark_chains(config, targets) is not None:
-                return BlowupPlan(steps)
+            marked = mark_chains(config, targets)
+            if marked is not None:
+                return BlowupPlan(steps), marked
             if len(result.near_misses) < 40:
                 result.near_misses.append(
                     f"alloc {alloc}: executed but chains do not match")
         return None
 
-    plan = None
+    found = None
     if record.steps:
         # a step always blows the first surviving node of its pair: the two
         # nodes of a doubly-meeting pair are interchangeable until one goes
@@ -684,30 +686,27 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
             pair = (spec.a, spec.b) if spec.a <= spec.b else (spec.b, spec.a)
             bases.append(PlanStep(pair[0], pair[1], 0))
             hints.append(len(spec.pattern) if spec.pattern is not None else 1)
-        plan = run_bases(bases, hints)
+        found = run_bases(bases, hints)
     elif b_total == 0:
-        plan = run_bases([], [])
+        found = run_bases([], [])
     else:
         # free search over base-node choices of the forced size
         m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
         prefix = _ChoicePrefix.of_chains(targets, bound) if prune else None
         for _, pairs in _base_choices(base, m, result, max_states, prefix):
-            plan = run_bases([PlanStep(a, b) for a, b in pairs], [None] * m)
-            if plan is not None:
+            found = run_bases([PlanStep(a, b) for a, b in pairs], [None] * m)
+            if found is not None:
                 break
 
-    if plan is None:
+    if found is None:
         if result.states > max_states:
             result.near_misses.append("state budget exhausted")
         elif not result.near_misses:
             result.near_misses.append("search space exhausted without a match")
         return result
 
-    marked = mark_chains(plan.execute(base), targets)
-    assert marked is not None
-    result.plan = plan
-    result.marked = marked
-    result.report = surface_report(marked, base)
+    result.plan, result.marked = found
+    result.report = surface_report(result.marked, base)
     return result
 
 

@@ -100,12 +100,23 @@ class TestVerifyAndSearch:
         assert code == 1
         assert "FAIL" in out
 
-    def test_malformed_a0_is_a_usage_error(self, capture, tmp_path):
+    @pytest.mark.parametrize("text, reason", [
+        ('{"curves":[{"name":"A"}],"nodes":[]}', "self_int"),
+        ('{"curves":[],"nodes":[],"ambient":{"name":"K3","k_sq":null,"chi_top":24}}',
+         "k_sq"),
+        ('{"curves":[],"nodes":[],"ambient":{"name":"K3","k_sq":[1],"chi_top":24}}',
+         "k_sq"),
+        ('{"curves":[3],"nodes":[]}', "curve must be an object"),
+        ('{"curves":5,"nodes":[]}', "curves must be a list"),
+        ('{"curves":[],"nodes":5}', "nodes must be a list"),
+    ], ids=["curve-lacks-self_int", "k_sq-null", "k_sq-list", "curve-not-object",
+            "curves-not-list", "nodes-not-list"])
+    def test_malformed_a0_is_a_usage_error(self, capture, tmp_path, text, reason):
         bad = tmp_path / "a0.json"
-        bad.write_text('{"curves":[{"name":"A"}],"nodes":[]}')
+        bad.write_text(text)
         code, _, err = capture("verify", "--a0", str(bad), "--no-infer")
         assert code == 2
-        assert err.startswith("error:") and "self_int" in err
+        assert err.startswith("error:") and reason in err
 
     @pytest.mark.parametrize("ambient, reason", [
         ('{"name":"K3"}', "lacks"),

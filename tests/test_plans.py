@@ -115,6 +115,11 @@ class TestPlanExecution:
         assert ms.wahl_chains == (("Q", "P"),)
         assert mark_chains(cfg, [(6, 2)]) is None
 
+    def test_mark_chains_leaves_only_minus_one_and_two_curves(self):
+        cfg = Configuration.build([("P", -2), ("Q", -5), ("R", -3)], [("P", "Q")])
+        assert mark_chains(cfg, [(5, 2)]) is None
+        assert mark_chains(cfg.restrict(["P", "Q"]), [(5, 2)]) is not None
+
 
 class TestInference:
     def test_record_2_1(self, a0, records):
