@@ -214,6 +214,7 @@ def _dispatch(args: argparse.Namespace, fmt: str) -> int:
             print(json.dumps({"records": [format_record(r) for r in result.records],
                               "notes": result.notes,
                               "states": result.states,
+                              "leaves": result.leaves,
                               "exhausted": result.exhausted}, sort_keys=True))
         else:
             for record in result.records:

@@ -193,6 +193,11 @@ class Configuration:
 
         A self-node decrements its curve twice and the exceptional curve
         meets it twice.
+
+        The result is not validated again: its names stay distinct because
+        the new name is checked against the curves, its node ids because
+        the new ones are past every existing id, and both new nodes name
+        known curves (the new one and the blown-up node's).
         """
         target = self.node(node_id)
         exc_name = f"E{self.blowup_count + 1}"
@@ -206,8 +211,12 @@ class Configuration:
         next_id = max((n.id for n in self.nodes), default=-1) + 1
         kept = tuple(n for n in self.nodes if n.id != node_id)
         added = (Node(next_id, exc_name, target.a), Node(next_id + 1, exc_name, target.b))
-        return Configuration(tuple(new_curves), kept + added, self.ambient,
-                             self.blowup_count + 1)
+        out = object.__new__(Configuration)  # no __post_init__, see above
+        object.__setattr__(out, "curves", tuple(new_curves))
+        object.__setattr__(out, "nodes", kept + added)
+        object.__setattr__(out, "ambient", self.ambient)
+        object.__setattr__(out, "blowup_count", self.blowup_count + 1)
+        return out
 
     def restrict(self, names: Sequence[str]) -> "Configuration":
         """Sub-configuration on the named curves (keeps only internal nodes)."""

@@ -13,7 +13,13 @@ search.  Plan inference (`infer_plan`) and construction search
   ids, so choices come in lexicographic order with no duplicate to drop;
 - `_leaves` distributes the blow-ups over the chosen nodes (one allocation
   at a time), branches over the nodes sitting on each tower's exceptional
-  curves, and yields every completed configuration with its steps;
+  curves, and yields every completed configuration with its steps.  It
+  searches on integer states (`_State`): the depths of the base curves and
+  of the exceptional curves, which is all the depth bound reads.  A tower's
+  outcome (`_tower_scripts`) fixes its exceptional string, how much it
+  deepens its two base curves, and its steps, all without a configuration;
+  a configuration is built, by replaying steps with `BlowupPlan.execute`,
+  only for a yielded leaf and the states on its path, each once;
 - `_DepthBound` drops the states whose curves are already deeper than the
   chains sought allow, since blow-ups only deepen curves.
 
@@ -39,7 +45,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .assembly import (AssemblyError, MarkedSurface, SurfaceReport, k_squared,
                        nef_ample_check, surface_report)
 from .chains import wahl_singularity
-from .configuration import Configuration, det_exact, geography_check
+from .configuration import (Configuration, ConfigurationError, det_exact,
+                            geography_check)
 from .catalog.records import BlowupSpec, ChainSpec, SurfaceRecord
 
 __all__ = [
@@ -92,6 +99,7 @@ class InferenceResult:
     report: Optional[SurfaceReport] = None
     states: int = 0
     pruned: int = 0  # base-node choices rejected by a prefix, each also a state
+    leaves: int = 0  # completed configurations handed to mark_chains
     near_misses: list[str] = field(default_factory=list)
 
     @property
@@ -104,7 +112,7 @@ class InferenceResult:
                     f"{self.plan}")
         misses = "; ".join(self.near_misses[:4]) or "no partial matches"
         return (f"({self.record.rid}) ambiguous after {self.states} states "
-                f"({self.pruned} pruned): {misses}")
+                f"({self.pruned} pruned), {self.leaves} leaves: {misses}")
 
 
 # -- chain marking ------------------------------------------------------------
@@ -377,42 +385,49 @@ def _assemble_runs(size: int, ones: int, by_len, bound, seen, outcomes) -> None:
     rec([], ones + 1, size - ones)
 
 
-def _tower_scripts(config: Configuration, base: PlanStep, size: int,
-                   bound, pool, ones_cap, outcomes: dict
-                   ) -> Iterable[tuple[Configuration, tuple[PlanStep, ...]]]:
-    """All inequivalent ways to blow `size` times over one base node.
+def _tower_scripts(base: PlanStep, count: int, size: int, bound, pool, ones_cap,
+                   outcomes: dict
+                   ) -> Iterator[tuple[tuple[int, ...], int, int, tuple[PlanStep, ...]]]:
+    """All inequivalent ways to blow `size` times over one base node, abstractly.
 
-    Replays each abstract outcome's witness script on the concrete
-    configuration: gap g of the local chain is the surviving node between
-    neighbours g and g+1.  The abstract outcomes depend only on the tower
-    parameters, so `outcomes` memoises them for the calling search.
+    Yields, for each abstract outcome, its exceptional depth string, how
+    much it deepens the base curves `base.a` and `base.b`, and its steps on
+    a configuration with `count` blow-ups so far.  Gap g of the local chain
+    is the surviving node between neighbours g and g+1, and the curves
+    there meet only inside the tower, so the steps follow from the local
+    names alone: the node blown up is the newest between its two curves,
+    occurrence (meetings - 1).  A self-node's base blow-up leaves (a, E)
+    meeting twice; an outcome whose script needs a node that is gone is
+    dropped.  The abstract outcomes depend only on the tower parameters, so
+    `outcomes` memoises them, with their deepenings, for the calling search.
     """
-    nodes = config.nodes_between(base.a, base.b)
-    if base.occurrence >= len(nodes):
-        return
     key = (size, bound, pool, ones_cap)
     if key not in outcomes:
-        outcomes[key] = _tower_outcomes(size, bound, pool, ones_cap)
-    for _, script in outcomes[key]:
-        state = config.blow_up(nodes[base.occurrence].id)
-        local = [base.a, f"E{state.blowup_count}", base.b]
+        # a deepens once per gap 0; b once per last gap, t + 1 at step t
+        outcomes[key] = [(xs, script, 1 + script.count(0),
+                          1 + sum(gap == t + 1 for t, gap in enumerate(script)))
+                         for xs, script in _tower_outcomes(size, bound, pool, ones_cap)]
+    for xs, script, deepen_a, deepen_b in outcomes[key]:
+        local = [base.a, f"E{count + 1}", base.b]
+        meets = Counter(_pair(u, v) for u, v in zip(local, local[1:]))
         steps = [base]
-        ok = True
-        for gap in script:
+        for t, gap in enumerate(script):
             u, v = local[gap], local[gap + 1]
-            between = state.nodes_between(u, v)
-            if not between:
-                ok = False
+            pair = _pair(u, v)
+            if not meets[pair]:
                 break
-            # the surviving local-chain node is the newest between u and v
-            node = between[-1]
-            occ = len(between) - 1
-            state = state.blow_up(node.id)
-            local.insert(gap + 1, f"E{state.blowup_count}")
-            steps.append(PlanStep(node.a if node.a <= node.b else node.b,
-                                  max(node.a, node.b), occ))
-        if ok:
-            yield state, tuple(steps)
+            meets[pair] -= 1
+            new = f"E{count + t + 2}"
+            local.insert(gap + 1, new)
+            meets[_pair(u, new)] += 1
+            meets[_pair(new, v)] += 1
+            steps.append(PlanStep(pair[0], pair[1], meets[pair]))
+        else:
+            yield xs, deepen_a, deepen_b, tuple(steps)
+
+
+def _pair(a: str, b: str) -> tuple[str, str]:
+    return (a, b) if a <= b else (b, a)
 
 
 def _allocations(total: int, hints: Sequence[Optional[int]]) -> Iterable[tuple[int, ...]]:
@@ -603,32 +618,98 @@ class _ChoicePrefix:
                              self.surviving + ((a, b),))
 
 
+class _State:
+    """A search state in integers, with its configuration built on demand.
+
+    `depths` are the depths (-C^2) of the base curves, in base order, and
+    `exceptional` those of the exceptional curves so far; `steps` are the
+    blow-ups of the last tower placed, `index` the number of towers placed
+    and `count` the blow-ups so far.  `configuration` replays `steps` on
+    the parent's configuration the first time it is asked for, and keeps it.
+    """
+
+    __slots__ = ("parent", "depths", "exceptional", "steps", "index", "count", "config")
+
+    def __init__(self, parent: Optional["_State"], depths: tuple[int, ...],
+                 exceptional: tuple[int, ...], steps: tuple[PlanStep, ...], index: int,
+                 count: int, config: Optional[Configuration] = None) -> None:
+        self.parent = parent
+        self.depths = depths
+        self.exceptional = exceptional
+        self.steps = steps
+        self.index = index
+        self.count = count
+        self.config = config
+
+    def configuration(self) -> Configuration:
+        if self.config is None:
+            self.config = BlowupPlan(self.steps).execute(self.parent.configuration())
+        return self.config
+
+    def plan_steps(self) -> tuple[PlanStep, ...]:
+        if self.parent is None:
+            return self.steps
+        return self.parent.plan_steps() + self.steps
+
+
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
             allocs: Iterable[tuple[int, ...]], bound: Optional[_DepthBound],
             pool, ones_cap: Optional[int], outcomes: dict, result, max_states: int
             ) -> Iterator[tuple[tuple[int, ...], Configuration, tuple[PlanStep, ...]]]:
     """Every completed configuration, with its allocation and steps.
 
-    For each allocation, blows alloc[i] times over bases[i], depth first,
-    one tower at a time.  Each configuration a tower yields counts as one
+    For each allocation, blows alloc[i] times over the base node bases[i],
+    depth first, one tower at a time, on integer states (`_State`).  Tower
+    i is there when its pair meets in `base` more often than the towers
+    before it on that pair use up.  Each outcome of a tower counts as one
     state of `result`; the search stops once the states exceed
-    `max_states`.  Configurations that `bound` rejects are not expanded.
-    `outcomes` is the caller's tower-outcome memo (see `_tower_scripts`).
+    `max_states`.  States that `bound` rejects are not expanded.  A
+    configuration is built only for a yielded leaf and the states on its
+    path, each once; each leaf counts in `result.leaves`.  `outcomes` is
+    the caller's tower-outcome memo (see `_tower_scripts`).
     """
+    position = {c.name: i for i, c in enumerate(base.curves)}
+    placed: Counter = Counter()
+    available = []
+    for step in bases:
+        pair = _pair(step.a, step.b)
+        available.append(step.occurrence < len(base.nodes_between(*pair)) - placed[pair])
+        placed[pair] += 1
+    root = _State(None, tuple(-c.self_int for c in base.curves), (), (), 0,
+                  base.blowup_count, base)
+    towers: dict = {}  # (index, count, size) -> the tower's outcomes there
     for alloc in allocs:
-        stack: list[tuple[Configuration, tuple[PlanStep, ...], int]] = [(base, (), 0)]
+        stack = [root]
         while stack:
-            config, steps, idx = stack.pop()
+            state = stack.pop()
+            idx = state.index
             if idx == len(bases):
-                yield alloc, config, steps
+                result.leaves += 1
+                yield alloc, state.configuration(), state.plan_steps()
                 continue
-            for state, tower_steps in _tower_scripts(config, bases[idx], alloc[idx],
-                                                     bound, pool, ones_cap, outcomes):
+            if not available[idx]:
+                continue
+            key = (idx, state.count, alloc[idx])
+            if key not in towers:
+                towers[key] = list(_tower_scripts(bases[idx], state.count, alloc[idx],
+                                                  bound, pool, ones_cap, outcomes))
+                # the tower's curves take the names blow_up gives, which it
+                # refuses where the base already has one
+                for k in range(state.count + 1, state.count + alloc[idx] + 1):
+                    if towers[key] and base.has_curve(f"E{k}"):
+                        raise ConfigurationError(f"exceptional name E{k} already taken")
+            ia, ib = position[bases[idx].a], position[bases[idx].b]
+            for xs, deepen_a, deepen_b, steps in towers[key]:
                 result.states += 1
                 if result.states > max_states:
                     return
-                if bound is None or bound.admits([-c.self_int for c in state.curves]):
-                    stack.append((state, steps + tower_steps, idx + 1))
+                depths = list(state.depths)
+                depths[ia] += deepen_a
+                depths[ib] += deepen_b
+                exceptional = state.exceptional + xs
+                if bound is None or bound.admits(depths + list(exceptional)):
+                    stack.append(_State(state, tuple(depths), exceptional, steps, idx + 1,
+                                        state.count + alloc[idx]))
 
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
@@ -683,8 +764,7 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         bases = []
         hints: list[Optional[int]] = []
         for spec in record.steps:
-            pair = (spec.a, spec.b) if spec.a <= spec.b else (spec.b, spec.a)
-            bases.append(PlanStep(pair[0], pair[1], 0))
+            bases.append(PlanStep(*_pair(spec.a, spec.b)))
             hints.append(len(spec.pattern) if spec.pattern is not None else 1)
         found = run_bases(bases, hints)
     elif b_total == 0:
@@ -727,6 +807,7 @@ class SearchResult:
     records: list[SurfaceRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     states: int = 0
+    leaves: int = 0  # completed configurations handed to _harvest
     exhausted: bool = False
 
 
@@ -785,11 +866,14 @@ def search_constructions(params: SearchParams, a0: Configuration,
     """Enumerate ample constructions over subsets of the configuration.
 
     Deterministic: subsets, node choices and emitted records are all in
-    canonical order.  Budget exhaustion is reported, partial results are
-    still returned.
+    canonical order.  A name repeated in the pool is searched once.  Budget
+    exhaustion is reported, partial results are still returned.
     """
+    for name in ("max_chains", "max_blowups", "max_states", "max_results"):
+        if getattr(params, name) < 0:
+            raise PlanError(f"{name} must be nonnegative, got {getattr(params, name)}")
     result = SearchResult()
-    pool = sorted(params.curve_pool) if params.curve_pool else \
+    pool = sorted(set(params.curve_pool)) if params.curve_pool else \
         sorted(c.name for c in a0.curves)
     for name in pool:
         a0.curve(name)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -145,6 +146,21 @@ class TestVerifyAndSearch:
         lines = [l for l in out.splitlines() if l.startswith("(")]
         assert lines
         assert all("K^2=2" in l for l in lines)
+
+    def test_search_json_counts_leaves(self, capture):
+        code, out, _ = capture("search", "--k2", "2", "--max-blowups", "5",
+                               "--pool", "A2,A3,B1,C1,C2,D1", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert 0 < payload["leaves"] <= payload["states"]
+
+    @pytest.mark.parametrize("option", ["--max-blowups", "--max-chains",
+                                        "--max-states", "--max-results"])
+    def test_search_negative_limit_is_a_usage_error(self, capture, option):
+        argv = {"--k2": "2", "--max-blowups": "6", option: "-1"}
+        code, out, err = capture("search", *itertools.chain(*argv.items()))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must be nonnegative" in err
 
     def test_reconstruct_summary(self, capture, tmp_path):
         out_path = tmp_path / "a0.json"

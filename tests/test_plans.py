@@ -8,14 +8,15 @@ from pathlib import Path
 import pytest
 
 from wahlkit.catalog.a0 import frozen_a0
-from wahlkit.catalog.records import (ChainSpec, SurfaceRecord, format_record,
-                                     parse_record)
-from wahlkit.catalog.verify import load_records
-from wahlkit.configuration import Configuration, geography_check
+from wahlkit.catalog.records import (BlowupSpec, ChainSpec, SurfaceRecord,
+                                     format_record, parse_record)
+from wahlkit.catalog.verify import load_expected, load_records
+from wahlkit.configuration import Configuration, ConfigurationError, geography_check
 from wahlkit import plans
 from wahlkit.plans import (BlowupPlan, PlanError, PlanStep, SearchParams,
-                           _base_choices, _ChoicePrefix, _DepthBound,
-                           infer_plan, mark_chains, search_constructions)
+                           _allocations, _base_choices, _ChoicePrefix, _DepthBound,
+                           _substring_pool, infer_plan, mark_chains,
+                           search_constructions)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,12 @@ def a0():
 
 @pytest.fixture(scope="module")
 def records():
-    return {r.rid: r for r in load_records()}
+    by_id = {r.rid: r for r in load_records()}
+    data = load_expected()["mains"]["2"]
+    by_id["main2"] = SurfaceRecord(
+        "main2", 2, tuple(data["curves"]), data["det"], (),
+        tuple(ChainSpec(c["n"], c["a"], tuple(c["chain"])) for c in data["chains"]))
+    return by_id
 
 
 def _nodes_to_blow_up(record):
@@ -95,10 +101,78 @@ def _reference_choices(base, m, result, max_states):
         yield combo, pairs
 
 
+def _reference_tower_scripts(config, base, size, bound, pool, ones_cap, outcomes):
+    """Oracle: replay each abstract tower outcome's script with `blow_up`.
+
+    Gap g of the local chain is the newest node between its neighbours g
+    and g+1; a script that finds no node there is dropped.
+    """
+    nodes = config.nodes_between(base.a, base.b)
+    if base.occurrence >= len(nodes):
+        return
+    key = (size, bound, pool, ones_cap)
+    if key not in outcomes:
+        outcomes[key] = plans._tower_outcomes(size, bound, pool, ones_cap)
+    for _, script in outcomes[key]:
+        state = config.blow_up(nodes[base.occurrence].id)
+        local = [base.a, f"E{state.blowup_count}", base.b]
+        steps = [base]
+        for gap in script:
+            u, v = local[gap], local[gap + 1]
+            between = state.nodes_between(u, v)
+            if not between:
+                break
+            node = between[-1]
+            state = state.blow_up(node.id)
+            local.insert(gap + 1, f"E{state.blowup_count}")
+            steps.append(PlanStep(min(node.a, node.b), max(node.a, node.b),
+                                  len(between) - 1))
+        else:
+            yield state, tuple(steps)
+
+
+def _reference_leaves(base, bases, allocs, bound, pool, ones_cap, result, max_states):
+    """Oracle: `_leaves` on concrete configurations, one per state."""
+    outcomes = {}
+    for alloc in allocs:
+        stack = [(base, (), 0)]
+        while stack:
+            config, steps, idx = stack.pop()
+            if idx == len(bases):
+                yield alloc, config, steps
+                continue
+            for state, tower_steps in _reference_tower_scripts(
+                    config, bases[idx], alloc[idx], bound, pool, ones_cap, outcomes):
+                result.states += 1
+                if result.states > max_states:
+                    return
+                if bound is None or bound.admits([-c.self_int for c in state.curves]):
+                    stack.append((state, steps + tower_steps, idx + 1))
+
+
+def _lockstep(leaves):
+    """`leaves`, checked leaf by leaf and count by count against the oracle."""
+    def checked(base, bases, allocs, bound, pool, ones_cap, outcomes, result,
+                max_states):
+        allocs, ref_allocs = itertools.tee(allocs)
+        ref = _Counts(states=result.states)
+        want = _reference_leaves(base, bases, ref_allocs, bound, pool, ones_cap,
+                                 ref, max_states)
+        for alloc, config, steps in leaves(base, bases, allocs, bound, pool, ones_cap,
+                                           outcomes, result, max_states):
+            assert (alloc, config, steps) == next(want)
+            assert result.states == ref.states
+            yield alloc, config, steps
+        assert next(want, None) is None
+        assert result.states == ref.states
+    return checked
+
+
 @dataclasses.dataclass
 class _Counts:
     states: int = 0
     pruned: int = 0
+    leaves: int = 0
 
 
 class TestPlanExecution:
@@ -201,11 +275,25 @@ class TestInference:
         assert "state budget exhausted" in result.near_misses
         assert result.states <= 2001
 
+    # the eight cases of the benchmark's free_infer workload, with the
+    # base-node choices each rejects by a prefix
+    FREE_PRUNED = {"2.1": 6, "2.2": 11, "3.2": 6, "4.1": 54, "5.1": 11363,
+                   "6.1": 83629, "7.1": 163260, "main2": 13}
+
     @pytest.mark.parametrize("rid, states, plan", [
+        ("2.1", 5702, "A2*B1, B1*E1, B1*E2, A3*C1, C1*E4, C1*C2, C2*D1"),
+        ("2.2", 9041, "A2*B1, A2*C1, A2*E2, A2*E3, E3*E4, E4*E5, E5*E6, A3*C1, "
+                      "C1*C2, C1*E9"),
+        ("3.2", 7347, "A1*B2, A1*C1, C1*E2, E2*E3, E2*E4, A1*C3, C3*E6, C3*E7, "
+                      "A2*C1, A4*B2"),
+        ("4.1", 1593, "A2*B1, A2*E1, A2*F1, A3*B1, C1*C2, C1*C2, C2*D4, C2*E7"),
+        ("5.1", 15862, "A2*B1, A2*C1, A2*F1, A3*B1, A3*C3, C3*E5, C3*E6, A4*C1, "
+                       "C1*C2"),
         ("6.1", 83734, "A1*F15, A2*B1, A2*C1, A2*C3, A2*F1, A3*C1, A3*C3, "
                        "A3*E7, C1*C2"),
         ("7.1", 163513, "A2*B1, A3*B1, A3*C1, A4*C1, B4*D3, C1*C2, C1*C2, "
                         "D3*F1, D3*E8, F1*F2"),
+        ("main2", 629, "A2*B1, A2*C1, B1*D1, C1*C2, C2*E4, C2*E5"),
     ])
     def test_free_inference_golden(self, a0, records, rid, states, plan):
         record = dataclasses.replace(records[rid], steps=())
@@ -213,6 +301,7 @@ class TestInference:
         assert result.success
         assert result.states == states
         assert str(result.plan) == plan
+        assert result.pruned == self.FREE_PRUNED[rid]
         assert 0 < result.pruned < result.states
 
     def test_free_inference_budget_counts(self, a0, records):
@@ -245,6 +334,29 @@ class TestInference:
             assert infer_plan(record, base).success
             assert calls and len(calls) == len(set(calls))
 
+    def test_blow_ups_only_on_paths_to_leaves(self, a0, records, monkeypatch):
+        # only the states on the paths to leaves are built, and a prefix that
+        # leaves share is built once (778 blow-ups for 79 leaves of 10)
+        calls = []
+        blow_up = Configuration.blow_up
+
+        def counted(config, node_id):
+            calls.append(node_id)
+            return blow_up(config, node_id)
+
+        monkeypatch.setattr(Configuration, "blow_up", counted)
+        record = dataclasses.replace(records["2.2"], steps=())
+        result = infer_plan(record, a0.restrict(record.curves))
+        assert result.success and result.states == 9041
+        assert 0 < result.leaves < result.states
+        assert len(calls) < result.leaves * record.blowup_total
+
+    def test_failed_summary_counts_leaves(self, a0, records):
+        record = dataclasses.replace(records["2.1"], steps=())
+        result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
+        assert not result.success and result.leaves > 0
+        assert f", {result.leaves} leaves: " in result.summary()
+
     def test_pruning_soundness_on_inference(self, a0, records):
         record = records["2.1"]
         base = a0.restrict(record.curves)
@@ -255,6 +367,66 @@ class TestInference:
             ms = mark_chains(result.plan.execute(base),
                              [tuple(c.chain) for c in record.chains])
             assert sorted((s.n, s.a) for s in ms.wahl_data()) == [(8, 3), (11, 3)]
+
+
+class TestAbstractLeaves:
+    """`_leaves` on integer states against the replay of every state."""
+
+    @pytest.mark.parametrize("rid", ["2.1", "2.2", "3.2", "4.1", "5.1", "7.1"])
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize("hinted", [True, False], ids=["hinted", "free"])
+    def test_matches_replay_on_inference(self, a0, records, monkeypatch,
+                                         rid, prune, hinted):
+        record = records[rid] if hinted else dataclasses.replace(records[rid], steps=())
+        monkeypatch.setattr(plans, "_leaves", _lockstep(plans._leaves))
+        # the pruned runs finish; the budget cuts every free unpruned run short
+        result = infer_plan(record, a0.restrict(record.curves),
+                            max_states=200000 if prune else 2500, prune=prune)
+        assert result.leaves > 0
+        assert result.success or "state budget exhausted" in result.near_misses
+
+    def test_taken_exceptional_name_raises_without_a_leaf(self):
+        # blow_up names the first tower's curves E1 and E2, and E2 is a base
+        # curve; the second tower finds no A-B node left, so no leaf is built
+        cfg = Configuration.build([("A", -2), ("B", -2), ("E2", -2)],
+                                  [("A", "B"), ("B", "E2")])
+        record = SurfaceRecord("0.9", -2, ("A", "B", "E2"), 0,
+                               (BlowupSpec("A", "B", (2, 1)), BlowupSpec("A", "B", None)),
+                               (ChainSpec(3, 1, (5, 2)),))
+        for prune in (True, False):
+            with pytest.raises(ConfigurationError, match="E2 already taken"):
+                infer_plan(record, cfg, prune=prune)
+
+    # a self-node, a pair meeting twice and one meeting three times
+    TANGLE = Configuration.build(
+        [(c, -2) for c in "WXYZ"],
+        [("W", "X"), ("Y", "Y"), ("W", "X"), ("X", "Y"), ("Y", "Z"), ("W", "W"),
+         ("Y", "Z"), ("Z", "X"), ("Y", "Z")])
+    TARGETS = [(4, 5, 3, 2, 2), (3, 5, 3, 2), (6, 2, 2)]
+
+    @pytest.mark.parametrize("bases, complete", [
+        ([("Y", "Y", 0), ("W", "X", 0), ("W", "X", 0)], True),
+        ([("W", "W", 0), ("Y", "Z", 0), ("Y", "Z", 1), ("Y", "Z", 0)], True),
+        ([("W", "X", 1), ("W", "X", 1)], False),  # the second has no node left
+        ([("W", "X", 0), ("W", "X", 0), ("W", "X", 0)], False),
+        ([("X", "W", 0), ("Z", "Z", 0)], False),  # Z has no self-node
+    ], ids=["self-node", "thrice", "occurrence", "used-up", "absent"])
+    @pytest.mark.parametrize("limits", ["none", "bound", "targeted"])
+    @pytest.mark.parametrize("budget", [400, sys.maxsize], ids=["400", "unlimited"])
+    def test_matches_replay_on_tangle(self, bases, complete, limits, budget):
+        bound = _DepthBound.of_chains(self.TARGETS) if limits != "none" else None
+        pool = _substring_pool(self.TARGETS) if limits == "targeted" else None
+        ones_cap = 4 if limits == "targeted" else None
+        steps = [PlanStep(*b) for b in bases]
+        leaves = 0
+        for total in range(len(steps), 8):
+            got = _Counts()
+            yielded = list(_lockstep(plans._leaves)(
+                self.TANGLE, steps, _allocations(total, [None] * len(steps)), bound,
+                pool, ones_cap, {}, got, budget))
+            assert got.states > 0 and got.leaves == len(yielded)
+            leaves += len(yielded)
+        assert (leaves > 0) == complete
 
 
 class TestBaseChoices:
@@ -391,6 +563,24 @@ class TestSearch:
                                  capture_output=True, text=True, check=True)
             outputs.append(run.stdout.strip())
         assert outputs == ["(('P', 'Q'),)"] * 2
+
+    def test_repeated_pool_names_searched_once(self, a0):
+        params = SearchParams(k2=2, max_chains=2, max_blowups=6,
+                              curve_pool=("A2", "A3", "B1", "C1", "C2", "D1"))
+        once = search_constructions(params, a0)
+        assert once.states == 7550 and once.leaves > 0
+        for pool in (("A2", "A2", "A3", "B1", "C1", "C2", "D1"),
+                     ("D1", "A2", "A3", "D1", "B1", "C1", "C2", "D1")):
+            repeated = dataclasses.replace(params, curve_pool=pool)
+            assert search_constructions(repeated, a0) == once
+
+    @pytest.mark.parametrize("field", ["max_chains", "max_blowups", "max_states",
+                                       "max_results"])
+    def test_negative_limits_rejected(self, a0, field):
+        params = dataclasses.replace(SearchParams(k2=2, max_chains=2, max_blowups=6),
+                                     **{field: -1})
+        with pytest.raises(PlanError, match=field):
+            search_constructions(params, a0)
 
     def test_pruning_soundness_on_search(self):
         cfg = Configuration.build(
