@@ -215,6 +215,7 @@ def _dispatch(args: argparse.Namespace, fmt: str) -> int:
                               "notes": result.notes,
                               "states": result.states,
                               "leaves": result.leaves,
+                              "marked": result.marked,
                               "exhausted": result.exhausted}, sort_keys=True))
         else:
             for record in result.records:

@@ -13,26 +13,30 @@ search.  Plan inference (`infer_plan`) and construction search
   ids, so choices come in lexicographic order with no duplicate to drop;
 - `_leaves` distributes the blow-ups over the chosen nodes (one allocation
   at a time), branches over the nodes sitting on each tower's exceptional
-  curves, and yields every completed configuration with its steps.  It
-  searches on integer states (`_State`): the depths of the base curves and
-  of the exceptional curves, which is all the depth bound reads.  A tower's
-  outcome (`_tower_scripts`) fixes its exceptional string, how much it
-  deepens its two base curves, and its steps, all without a configuration;
-  a configuration is built, by replaying steps with `BlowupPlan.execute`,
-  only for a yielded leaf and the states on its path, each once;
+  curves, and yields every completed search state.  It searches on integer
+  states (`_State`): the depths of the base curves and of the exceptional
+  curves, which is all the depth bound reads.  A tower's outcome
+  (`_tower_scripts`) fixes its exceptional string, how much it deepens its
+  two base curves, its steps and its final local chain, all without a
+  configuration.  A leaf's curves and nodes follow from these integers
+  (`_State.graph`); a configuration is built, by replaying steps with
+  `BlowupPlan.execute`, only for a leaf that needs one and the states on its
+  path, each once;
 - `_DepthBound` drops the states whose curves are already deeper than the
   chains sought allow, since blow-ups only deepen curves.
 
 Inference accepts exactly the leaves whose marked surface reports the
-stated chains; search keeps the leaves that mark greedily into Wahl chains
-with an ample canonical class.  Pruning only ever discards states that
-provably cannot reach the chains sought.  Inference also checks the rules
-of `_ChoicePrefix` on every prefix of a base-node choice, and counts the
-choices below a failing prefix as states in one step (a coefficient of a
-product of polynomials, see `_base_choices`) instead of building them, so
-the state counts equal those of checking every choice whole.  Abstract
-tower outcomes depend only on the tower's size and limits; each search
-call memoises them in its own table.
+stated chains, so it builds every leaf's configuration.  Search marks each
+leaf greedily on its integer graph (`_greedy_mark`) and builds a
+configuration only for a leaf that marks into Wahl chains and no ADE chain,
+to keep it if its canonical class is ample.  Pruning only ever discards
+states that provably cannot reach the chains sought.  Inference also checks
+the rules of `_ChoicePrefix` on every prefix of a base-node choice, and
+counts the choices below a failing prefix as states in one step (a
+coefficient of a product of polynomials, see `_base_choices`) instead of
+building them, so the state counts equal those of checking every choice
+whole.  Abstract tower outcomes depend only on the tower's size and limits;
+each search call memoises them in its own table.
 """
 from __future__ import annotations
 
@@ -387,12 +391,15 @@ def _assemble_runs(size: int, ones: int, by_len, bound, seen, outcomes) -> None:
 
 def _tower_scripts(base: PlanStep, count: int, size: int, bound, pool, ones_cap,
                    outcomes: dict
-                   ) -> Iterator[tuple[tuple[int, ...], int, int, tuple[PlanStep, ...]]]:
+                   ) -> Iterator[tuple[tuple[int, ...], int, int, tuple[PlanStep, ...],
+                                       tuple[str, ...]]]:
     """All inequivalent ways to blow `size` times over one base node, abstractly.
 
     Yields, for each abstract outcome, its exceptional depth string, how
-    much it deepens the base curves `base.a` and `base.b`, and its steps on
-    a configuration with `count` blow-ups so far.  Gap g of the local chain
+    much it deepens the base curves `base.a` and `base.b`, its steps on a
+    configuration with `count` blow-ups so far, and its final local chain
+    [a, E..., b]: the names of the curves in the order of the depth string,
+    whose consecutive pairs are the tower's nodes.  Gap g of the local chain
     is the surviving node between neighbours g and g+1, and the curves
     there meet only inside the tower, so the steps follow from the local
     names alone: the node blown up is the newest between its two curves,
@@ -423,7 +430,7 @@ def _tower_scripts(base: PlanStep, count: int, size: int, bound, pool, ones_cap,
             meets[_pair(new, v)] += 1
             steps.append(PlanStep(pair[0], pair[1], meets[pair]))
         else:
-            yield xs, deepen_a, deepen_b, tuple(steps)
+            yield xs, deepen_a, deepen_b, tuple(steps), tuple(local)
 
 
 def _pair(a: str, b: str) -> tuple[str, str]:
@@ -622,21 +629,25 @@ class _State:
     """A search state in integers, with its configuration built on demand.
 
     `depths` are the depths (-C^2) of the base curves, in base order, and
-    `exceptional` those of the exceptional curves so far; `steps` are the
-    blow-ups of the last tower placed, `index` the number of towers placed
-    and `count` the blow-ups so far.  `configuration` replays `steps` on
-    the parent's configuration the first time it is asked for, and keeps it.
+    `exceptional` those of the exceptional curves so far, tower by tower;
+    `steps` are the blow-ups of the last tower placed and `chain` its final
+    local chain [a, E..., b]; `index` is the number of towers placed and
+    `count` the blow-ups so far.  `configuration` replays `steps` on the
+    parent's configuration the first time it is asked for, and keeps it.
     """
 
-    __slots__ = ("parent", "depths", "exceptional", "steps", "index", "count", "config")
+    __slots__ = ("parent", "depths", "exceptional", "steps", "chain", "index", "count",
+                 "config")
 
     def __init__(self, parent: Optional["_State"], depths: tuple[int, ...],
-                 exceptional: tuple[int, ...], steps: tuple[PlanStep, ...], index: int,
-                 count: int, config: Optional[Configuration] = None) -> None:
+                 exceptional: tuple[int, ...], steps: tuple[PlanStep, ...],
+                 chain: tuple[str, ...], index: int, count: int,
+                 config: Optional[Configuration] = None) -> None:
         self.parent = parent
         self.depths = depths
         self.exceptional = exceptional
         self.steps = steps
+        self.chain = chain
         self.index = index
         self.count = count
         self.config = config
@@ -651,22 +662,45 @@ class _State:
             return self.steps
         return self.parent.plan_steps() + self.steps
 
+    def graph(self, surviving: Counter) -> tuple[dict[str, int], Counter]:
+        """The configuration's self-intersections and node counts, unbuilt.
+
+        `surviving` counts, by curve pair, the base nodes that no tower on
+        the path from the root blows up.  The result maps each curve name
+        to its self-intersection and each curve pair, ordered as `_pair`
+        orders it, to the number of nodes between the two curves.
+        """
+        chains = []
+        state = self
+        while state.parent is not None:
+            chains.append(state.chain)
+            state = state.parent
+        chains.reverse()
+        self_int = {c.name: -d for c, d in zip(state.config.curves, self.depths)}
+        names = [name for chain in chains for name in chain[1:-1]]
+        self_int.update(zip(names, [-d for d in self.exceptional]))
+        meets = surviving.copy()
+        for chain in chains:
+            meets.update(map(_pair, chain, chain[1:]))
+        return self_int, meets
+
 
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
             allocs: Iterable[tuple[int, ...]], bound: Optional[_DepthBound],
             pool, ones_cap: Optional[int], outcomes: dict, result, max_states: int
-            ) -> Iterator[tuple[tuple[int, ...], Configuration, tuple[PlanStep, ...]]]:
-    """Every completed configuration, with its allocation and steps.
+            ) -> Iterator[tuple[tuple[int, ...], _State]]:
+    """Every completed search state, with its allocation.
 
     For each allocation, blows alloc[i] times over the base node bases[i],
     depth first, one tower at a time, on integer states (`_State`).  Tower
     i is there when its pair meets in `base` more often than the towers
     before it on that pair use up.  Each outcome of a tower counts as one
     state of `result`; the search stops once the states exceed
-    `max_states`.  States that `bound` rejects are not expanded.  A
-    configuration is built only for a yielded leaf and the states on its
-    path, each once; each leaf counts in `result.leaves`.  `outcomes` is
-    the caller's tower-outcome memo (see `_tower_scripts`).
+    `max_states`.  States that `bound` rejects are not expanded.  No
+    configuration is built here: a leaf's `configuration()` builds it and
+    those on its path, each once, and its `graph()` reads its curves and
+    nodes off the integers.  Each leaf counts in `result.leaves`.
+    `outcomes` is the caller's tower-outcome memo (see `_tower_scripts`).
     """
     position = {c.name: i for i, c in enumerate(base.curves)}
     placed: Counter = Counter()
@@ -675,7 +709,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
         pair = _pair(step.a, step.b)
         available.append(step.occurrence < len(base.nodes_between(*pair)) - placed[pair])
         placed[pair] += 1
-    root = _State(None, tuple(-c.self_int for c in base.curves), (), (), 0,
+    root = _State(None, tuple(-c.self_int for c in base.curves), (), (), (), 0,
                   base.blowup_count, base)
     towers: dict = {}  # (index, count, size) -> the tower's outcomes there
     for alloc in allocs:
@@ -685,7 +719,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
             idx = state.index
             if idx == len(bases):
                 result.leaves += 1
-                yield alloc, state.configuration(), state.plan_steps()
+                yield alloc, state
                 continue
             if not available[idx]:
                 continue
@@ -699,7 +733,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                     if towers[key] and base.has_curve(f"E{k}"):
                         raise ConfigurationError(f"exceptional name E{k} already taken")
             ia, ib = position[bases[idx].a], position[bases[idx].b]
-            for xs, deepen_a, deepen_b, steps in towers[key]:
+            for xs, deepen_a, deepen_b, steps, chain in towers[key]:
                 result.states += 1
                 if result.states > max_states:
                     return
@@ -708,8 +742,8 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                 depths[ib] += deepen_b
                 exceptional = state.exceptional + xs
                 if bound is None or bound.admits(depths + list(exceptional)):
-                    stack.append(_State(state, tuple(depths), exceptional, steps, idx + 1,
-                                        state.count + alloc[idx]))
+                    stack.append(_State(state, tuple(depths), exceptional, steps, chain,
+                                        idx + 1, state.count + alloc[idx]))
 
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
@@ -746,12 +780,11 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         ones_cap = ones_total - (len(bases) - 1) if prune else None
         if len(bases) > b_total or (ones_cap is not None and ones_cap < 1):
             return None  # every tower takes a blow-up and keeps a (-1)-curve
-        for alloc, config, steps in _leaves(base, bases, _allocations(b_total, hints),
-                                            bound, pool, ones_cap, outcomes, result,
-                                            max_states):
-            marked = mark_chains(config, targets)
+        for alloc, state in _leaves(base, bases, _allocations(b_total, hints), bound,
+                                    pool, ones_cap, outcomes, result, max_states):
+            marked = mark_chains(state.configuration(), targets)
             if marked is not None:
-                return BlowupPlan(steps), marked
+                return BlowupPlan(state.plan_steps()), marked
             if len(result.near_misses) < 40:
                 result.near_misses.append(
                     f"alloc {alloc}: executed but chains do not match")
@@ -807,24 +840,37 @@ class SearchResult:
     records: list[SurfaceRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     states: int = 0
-    leaves: int = 0  # completed configurations handed to _harvest
+    leaves: int = 0  # completed search states handed to _harvest
+    marked: int = 0  # leaves marked greedily into Wahl chains and no ADE chain
     exhausted: bool = False
 
 
-def _greedy_mark(config: Configuration) -> Optional[MarkedSurface]:
+def _greedy_mark(self_int: dict[str, int], meets: Counter
+                 ) -> Optional[tuple[tuple[tuple[str, ...], ...], tuple[tuple[str, ...], ...]]]:
     """Mark the components of the non-(-1) subgraph, if they are all chains.
 
+    `self_int` maps each curve to its self-intersection and `meets` each
+    curve pair, ordered as `_pair` orders it, to its number of nodes.
     Components that are paths of (-2)-curves become ADE chains; paths whose
-    string is a Wahl chain become Wahl chains; anything else fails.  Each
-    path starts at its lexicographically smaller end.
+    string is a Wahl chain become Wahl chains; anything else fails, as does
+    a self-node on a non-(-1)-curve or a pair of them meeting twice.  Each
+    path starts at its lexicographically smaller end.  Returns the Wahl and
+    the ADE chains, or None.
     """
-    names = {c.name for c in config.curves if c.self_int != -1}
-    adjacency = {n: sorted(x for x in config.neighbors(n) if x in names)
-                 for n in names}
+    names = sorted(name for name, s in self_int.items() if s != -1)
+    adjacency: dict[str, list[str]] = {name: [] for name in names}
+    for (a, b), count in meets.items():
+        if a in adjacency and b in adjacency:
+            if a == b or count > 1:
+                return None  # no chain curve has a self-node or meets twice
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    if any(len(adjacent) > 2 for adjacent in adjacency.values()):
+        return None  # a branch point
     seen: set[str] = set()
     wahl: list[tuple[str, ...]] = []
     ade: list[tuple[str, ...]] = []
-    for name in sorted(names):
+    for name in names:
         if name in seen:
             continue
         comp = {name}
@@ -837,28 +883,20 @@ def _greedy_mark(config: Configuration) -> Optional[MarkedSurface]:
                     frontier.append(nxt)
         seen |= comp
         ends = [n for n in comp if len(adjacency[n]) <= 1]
-        if len(comp) == 1:
-            path = [name]
-        elif len(ends) == 2:
-            path = [min(ends)]
-            while len(path) < len(comp):
-                nxts = [x for x in adjacency[path[-1]] if x not in path]
-                if len(nxts) != 1:
-                    return None
-                path.append(nxts[0])
-        else:
-            return None  # cycle or branch point
-        for a, b in zip(path, path[1:]):
-            if len(config.nodes_between(a, b)) != 1:
-                return None
-        entries = tuple(-config.curve(c).self_int for c in path)
+        if not ends:
+            return None  # a cycle
+        # every curve meets at most two others, so the walk never branches
+        path = [min(ends)]
+        while len(path) < len(comp):
+            path += [x for x in adjacency[path[-1]] if x not in path]
+        entries = tuple(-self_int[c] for c in path)
         if all(b == 2 for b in entries):
             ade.append(tuple(path))
         elif wahl_singularity(entries) is not None:
             wahl.append(tuple(path))
         else:
             return None
-    return _marked(config, wahl, ade)
+    return tuple(wahl), tuple(ade)
 
 
 def search_constructions(params: SearchParams, a0: Configuration,
@@ -866,7 +904,8 @@ def search_constructions(params: SearchParams, a0: Configuration,
     """Enumerate ample constructions over subsets of the configuration.
 
     Deterministic: subsets, node choices and emitted records are all in
-    canonical order.  A name repeated in the pool is searched once.  Budget
+    canonical order.  A name repeated in the pool is searched once.  The
+    search stops as soon as it holds `max_results` records.  Budget
     exhaustion is reported, partial results are still returned.
     """
     for name in ("max_chains", "max_blowups", "max_states", "max_results"):
@@ -880,6 +919,14 @@ def search_constructions(params: SearchParams, a0: Configuration,
     found: set[tuple] = set()
     outcomes: dict = {}
 
+    def full() -> bool:
+        if len(result.records) < params.max_results:
+            return False
+        result.notes.append("result budget reached")
+        return True
+
+    if full():
+        return result
     for p in range(1, params.max_chains + 1):
         geo = geography_check(p, params.k2)
         if not geo.admissible:
@@ -899,29 +946,41 @@ def search_constructions(params: SearchParams, a0: Configuration,
             base_det = det_exact(sub.intersection_matrix())
             if base_det == 0:
                 continue
+            nodes = Counter(n.pair() for n in sub.nodes)
             for _, pairs in _base_choices(sub, m, result, params.max_states):
                 bases = [PlanStep(a, b) for a, b in pairs]
+                surviving = nodes - Counter(pairs)
                 allocs = itertools.chain.from_iterable(
                     _allocations(total, [None] * m)
                     for total in range(m, params.max_blowups + 1))
-                for alloc, config, steps in _leaves(sub, bases, allocs, bound, None, None,
-                                                    outcomes, result, params.max_states):
-                    _harvest(params, config, bases, alloc, subset, base_det,
+                for alloc, state in _leaves(sub, bases, allocs, bound, None, None,
+                                            outcomes, result, params.max_states):
+                    _harvest(params, state, surviving, bases, alloc, subset, base_det,
                              result, found)
+                    if full():
+                        return result
             if result.states > params.max_states:
                 result.exhausted = True
                 result.notes.append("state budget exhausted")
                 return result
-            if len(result.records) >= params.max_results:
-                result.notes.append("result budget reached")
-                return result
     return result
 
 
-def _harvest(params: SearchParams, config: Configuration, bases, alloc,
+def _harvest(params: SearchParams, state: _State, surviving: Counter, bases, alloc,
              subset, base_det: int, result: SearchResult, found: set) -> None:
-    marked = _greedy_mark(config)
-    if marked is None or not marked.wahl_chains or marked.ade_chains:
+    """Keep the leaf as a record if it marks greedily into Wahl chains alone,
+    with the stated K^2, an ample canonical class and new singularities.
+
+    The leaf is marked on its integer graph; its configuration is built
+    only when that marking has Wahl chains and no ADE chain.
+    """
+    marking = _greedy_mark(*state.graph(surviving))
+    if marking is None or not marking[0] or marking[1]:
+        return
+    result.marked += 1
+    config = state.configuration()
+    marked = _marked(config, *marking)
+    if marked is None:
         return
     if k_squared(marked) != params.k2:
         return

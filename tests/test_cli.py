@@ -154,6 +154,14 @@ class TestVerifyAndSearch:
         payload = json.loads(out)
         assert 0 < payload["leaves"] <= payload["states"]
 
+    def test_search_json_counts_marked_leaves(self, capture):
+        code, out, _ = capture("search", "--k2", "2", "--max-blowups", "7",
+                               "--pool", "A2,A3,B1,C1,C2,D1", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["marked"] == 2
+        assert len(payload["records"]) <= payload["marked"] < payload["leaves"]
+
     @pytest.mark.parametrize("option", ["--max-blowups", "--max-chains",
                                         "--max-states", "--max-results"])
     def test_search_negative_limit_is_a_usage_error(self, capture, option):

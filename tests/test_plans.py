@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -158,11 +159,11 @@ def _lockstep(leaves):
         ref = _Counts(states=result.states)
         want = _reference_leaves(base, bases, ref_allocs, bound, pool, ones_cap,
                                  ref, max_states)
-        for alloc, config, steps in leaves(base, bases, allocs, bound, pool, ones_cap,
-                                           outcomes, result, max_states):
-            assert (alloc, config, steps) == next(want)
+        for alloc, state in leaves(base, bases, allocs, bound, pool, ones_cap, outcomes,
+                                   result, max_states):
+            assert (alloc, state.configuration(), state.plan_steps()) == next(want)
             assert result.states == ref.states
-            yield alloc, config, steps
+            yield alloc, state
         assert next(want, None) is None
         assert result.states == ref.states
     return checked
@@ -429,6 +430,65 @@ class TestAbstractLeaves:
         assert (leaves > 0) == complete
 
 
+def _read_graph(config):
+    """Oracle: the self-intersections and node counts read off a configuration."""
+    return ({c.name: c.self_int for c in config.curves},
+            Counter(n.pair() for n in config.nodes))
+
+
+class TestLeafGraph:
+    """`_State.graph` against the graph of the leaf's built configuration."""
+
+    # a doubly-meeting pair with a two-curve tail, as in the K^2=1 tests
+    FIBRE = Configuration.build(
+        [(c, -2) for c in "WXYZ"],
+        [("W", "X"), ("W", "X"), ("X", "Y"), ("Y", "Z"), ("Z", "X")])
+
+    @staticmethod
+    def _check(state, surviving):
+        graph = state.graph(surviving)
+        read = _read_graph(state.configuration())
+        assert plans._greedy_mark(*graph) == plans._greedy_mark(*read)
+        assert graph == read
+
+    @pytest.mark.parametrize("k2, pool, marked", [
+        (2, ("A2", "A3", "B1", "C1", "C2", "D1"), 0),
+        (1, ("W", "X", "Y", "Z"), 8),
+    ], ids=["2.1", "fibre"])
+    def test_matches_configuration_on_search(self, a0, monkeypatch, k2, pool, marked):
+        harvest = plans._harvest
+        checked = []
+
+        def checking(params, state, surviving, *rest):
+            self._check(state, surviving)
+            checked.append(state)
+            return harvest(params, state, surviving, *rest)
+
+        monkeypatch.setattr(plans, "_harvest", checking)
+        base = a0 if k2 == 2 else self.FIBRE
+        params = SearchParams(k2=k2, max_chains=2, max_blowups=5, curve_pool=pool)
+        result = search_constructions(params, base)
+        assert result.leaves == len(checked) > result.marked == marked
+
+    def test_matches_configuration_on_tangle(self):
+        # two self-nodes and a pair meeting three times, each chosen or
+        # surviving, under towers of one and two blow-ups
+        tangle = TestAbstractLeaves.TANGLE
+        nodes = Counter(n.pair() for n in tangle.nodes)
+        leaves = 0
+        for m in range(1, 7):
+            got = _Counts()
+            for _, pairs in _base_choices(tangle, m, got, sys.maxsize):
+                bases = [PlanStep(a, b) for a, b in pairs]
+                allocs = itertools.chain.from_iterable(
+                    _allocations(total, [None] * m) for total in (m, m + 1))
+                for _, state in plans._leaves(tangle, bases, allocs, None, None, None,
+                                              {}, got, sys.maxsize):
+                    self._check(state, nodes - Counter(pairs))
+                    leaves += 1
+        assert leaves > 0
+
+
 class TestBaseChoices:
     # records with at most 8 base nodes to blow up: the oracle enumerates
     # all combinations, 94,146 distinct choices for m = 8
@@ -550,10 +610,10 @@ class TestSearch:
     def test_greedy_marking_independent_of_hash_seed(self):
         # the two ends of a chain come out of a set: under these two seeds
         # they come out in different orders
-        script = ("from wahlkit.configuration import Configuration\n"
+        script = ("from collections import Counter\n"
                   "from wahlkit.plans import _greedy_mark\n"
-                  "cfg = Configuration.build([('P', -2), ('Q', -5)], [('P', 'Q')])\n"
-                  "print(_greedy_mark(cfg).wahl_chains)\n")
+                  "wahl, ade = _greedy_mark({'P': -2, 'Q': -5}, Counter([('P', 'Q')]))\n"
+                  "print(wahl)\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
         for seed in ("0", "4"):
@@ -563,6 +623,26 @@ class TestSearch:
                                  capture_output=True, text=True, check=True)
             outputs.append(run.stdout.strip())
         assert outputs == ["(('P', 'Q'),)"] * 2
+
+    @pytest.mark.parametrize("curves, nodes, want", [
+        ([("P", -2), ("Q", -5)], [("P", "Q")], ((("P", "Q"),), ())),
+        ([("W", -4)], [], ((("W",),), ())),
+        ([("P", -2), ("Q", -2)], [("P", "Q")], ((), (("P", "Q"),))),
+        # (-1)-curves are left out, with their self-nodes and double nodes
+        ([("P", -2), ("Q", -5), ("E", -1)], [("P", "Q"), ("E", "E"), ("E", "P"), ("E", "P")],
+         ((("P", "Q"),), ())),
+        ([("P", -2), ("Q", -5)], [("P", "Q"), ("P", "Q")], None),
+        ([("P", -2), ("Q", -5)], [("P", "Q"), ("P", "P")], None),
+        ([("W", -4)], [("W", "W")], None),
+        ([("P", -2), ("Q", -5), ("R", -2)], [("P", "Q"), ("Q", "R"), ("R", "P")], None),
+        ([("P", -5), ("Q", -2), ("R", -2), ("S", -2)], [("P", "Q"), ("P", "R"), ("P", "S")],
+         None),
+        ([("W", -3)], [], None),
+    ], ids=["wahl", "single", "ade", "minus-one", "twice", "self-node", "lone-self-node",
+            "cycle", "branch", "not-wahl"])
+    def test_greedy_mark(self, curves, nodes, want):
+        cfg = Configuration.build(curves, nodes)
+        assert plans._greedy_mark(*_read_graph(cfg)) == want
 
     def test_repeated_pool_names_searched_once(self, a0):
         params = SearchParams(k2=2, max_chains=2, max_blowups=6,
@@ -581,6 +661,36 @@ class TestSearch:
                                      **{field: -1})
         with pytest.raises(PlanError, match=field):
             search_constructions(params, a0)
+
+    # the benchmark's search: 32,300 states, 13,050 leaves, 2 of them marked
+    BENCH = SearchParams(k2=2, max_chains=2, max_blowups=7,
+                         curve_pool=("A2", "A3", "B1", "C1", "C2", "D1"))
+
+    def test_search_blows_up_only_marked_leaves(self, a0, monkeypatch):
+        # a leaf is marked on its integer graph; only a marked leaf and the
+        # states on its path are built (60,250 blow-ups when every leaf was)
+        calls = []
+        blow_up = Configuration.blow_up
+
+        def counted(config, node_id):
+            calls.append(node_id)
+            return blow_up(config, node_id)
+
+        monkeypatch.setattr(Configuration, "blow_up", counted)
+        result = search_constructions(self.BENCH, a0)
+        assert (result.states, result.leaves, result.marked) == (32300, 13050, 2)
+        assert len(result.records) == 1
+        assert 0 < len(calls) <= result.marked * self.BENCH.max_blowups
+
+    def test_result_cap_stops_the_search(self, a0):
+        # uncapped, this search finds 2 records in 130,100 states
+        params = dataclasses.replace(self.BENCH, max_blowups=8)
+        capped = search_constructions(dataclasses.replace(params, max_results=1), a0)
+        assert len(capped.records) == 1 and capped.states < 130100
+        assert capped.notes == ["result budget reached"]
+        empty = search_constructions(dataclasses.replace(params, max_results=0), a0)
+        assert (empty.records, empty.states) == ([], 0)
+        assert empty.notes == ["result budget reached"]
 
     def test_pruning_soundness_on_search(self):
         cfg = Configuration.build(
