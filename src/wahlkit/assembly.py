@@ -67,7 +67,7 @@ class MarkedSurface:
                 if self.surface.self_nodes(name):
                     raise AssemblyError(f"chain curve {name} has a self-node")
             for left, right in zip(chain, chain[1:]):
-                if len(self.surface.nodes_between(left, right)) != 1:
+                if self.surface.pairing(left, right) != 1:
                     raise AssemblyError(f"consecutive chain curves {left},{right} must "
                                         f"share exactly one node")
             for i, a in enumerate(chain):

@@ -4,11 +4,17 @@ A configuration is a multigraph: curves with self-intersections, plus one
 explicit node per physical intersection point (a pair of curves meeting
 twice contributes two distinct nodes; a nodal irreducible curve carries
 self-nodes).  All derived linear algebra is exact over the integers.
+
+A configuration is immutable, so the node count of each curve pair, which
+`pairing` reads, is tabulated the first time it is asked for and kept with
+the instance.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -136,7 +142,16 @@ class Configuration:
         """Intersection number: self_int on the diagonal, node count off it."""
         if a == b:
             return self.curve(a).self_int
-        return len(self.nodes_between(a, b))
+        return self._meets[(a, b) if a <= b else (b, a)]
+
+    @cached_property
+    def _meets(self) -> Counter:
+        """The number of nodes of each curve pair, as `Node.pair` orders it.
+
+        Built on first use and kept with the instance; not a field, so
+        equality, hashing and serialisation do not see it.
+        """
+        return Counter(n.pair() for n in self.nodes)
 
     def nodes_at(self, name: str) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.touches(name))

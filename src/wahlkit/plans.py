@@ -37,6 +37,12 @@ coefficient of a product of polynomials, see `_base_choices`) instead of
 building them, so the state counts equal those of checking every choice
 whole.  Abstract tower outcomes depend only on the tower's size and limits;
 each search call memoises them in its own table.
+
+Inference knows the chains sought, so a large tower's outcomes are read off
+them (`_targeted_outcomes`).  For a record that fits the geography each
+tower keeps exactly one surviving (-1)-curve, so every blow-up of the tower
+lands next to the newest one, and the outcomes are walked forwards along it,
+dropping a word once its finished runs leave the chains.
 """
 from __future__ import annotations
 
@@ -142,7 +148,7 @@ def _paths_matching(config: Configuration, target: tuple[int, ...],
                 continue
             if curves[nxt] != -target[pos]:
                 continue
-            if len(config.nodes_between(last, nxt)) != 1:
+            if config.pairing(last, nxt) != 1:
                 continue
             if any(config.pairing(nxt, earlier) != 0 for earlier in path[:-1]):
                 continue
@@ -265,10 +271,8 @@ def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool,
     (-1)-curve.  States that differ only in the script are merged; results
     are (exceptional depth string, gap script) pairs.
 
-    For large towers with known targets the enumeration runs backwards
-    instead: assemble candidate final strings from target substrings
-    separated by surviving (-1)s, and keep the ones that contract to a
-    single curve.
+    For large towers with known targets, `_targeted_outcomes` enumerates
+    only the outcomes whose runs occur inside the stated chains.
     """
     if pool is not None and ones_cap is not None and size >= 5:
         return _targeted_outcomes(size, bound, pool, ones_cap)
@@ -340,11 +344,28 @@ def _reduce_script(final: tuple[int, ...]) -> Optional[tuple[int, ...]]:
 
 def _targeted_outcomes(size: int, bound: Optional[_DepthBound], pool: frozenset[tuple[int, ...]],
                        ones_cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Assemble candidate final tower strings run-by-run and validate them.
+    """The completed towers whose runs occur inside the stated chains.
 
     A completed tower keeps at least one and at most ones_cap surviving
-    (-1)-curves; runs between them must occur inside the stated chains.
+    (-1)-curves; the runs between them must be substrings of the stated
+    chains (`pool`, closed under substrings).
+
+    With one survivor allowed, the towers are walked forwards: no two 1s of
+    a tower string are ever adjacent (a fresh 1 deepens both its
+    neighbours), so no insertion lowers the number of 1s, and a tower that
+    ends with one 1 has exactly one 1 throughout.  Each insertion then goes
+    next to the current 1, at gap k or k+1 for the 1 at k, and a string has
+    only one script.  Every entry but the 1's two neighbours is final, so a
+    word is dropped once its final runs leave the pool or `bound` rejects
+    it.  For a record that fits the geography this is the only case:
+    `infer_plan` allows r - K^2 = P + K^2 surviving (-1)s in all, as many as
+    there are towers, and each tower keeps at least one.
+
+    With more survivors, candidate final strings are assembled run by run
+    and kept if they contract to a single curve (`_reduce_script`).
     """
+    if ones_cap == 1:
+        return sorted(_one_survivor_outcomes(size, bound, pool))
     by_len: dict[int, set[tuple[int, ...]]] = {}
     for sub in pool:
         by_len.setdefault(len(sub), set()).add(sub)
@@ -355,6 +376,33 @@ def _targeted_outcomes(size: int, bound: Optional[_DepthBound], pool: frozenset[
         if size >= j:
             _assemble_runs(size, j, by_len, bound, seen, outcomes)
     return sorted(outcomes)
+
+
+def _one_survivor_outcomes(size: int, bound: Optional[_DepthBound],
+                           pool: frozenset[tuple[int, ...]]
+                           ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The towers of `size` curves that keep one (-1), walked depth first."""
+    stack: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((1,), 0, ())]
+    while stack:
+        xs, k, script = stack.pop()
+        if len(xs) == size:
+            if _runs_embed(xs, pool):
+                yield xs, script
+            continue
+        for gap in (k, k + 1):
+            new = list(xs)
+            if gap > 0:
+                new[gap - 1] += 1
+            if gap < len(xs):
+                new[gap] += 1
+            new.insert(gap, 1)
+            state = tuple(new)
+            left, right = state[:max(gap - 1, 0)], state[gap + 2:]
+            if (left and left not in pool) or (right and right not in pool):
+                continue
+            if bound is not None and not bound.admits(state):
+                continue
+            stack.append((state, gap, script + (gap,)))
 
 
 def _assemble_runs(size: int, ones: int, by_len, bound, seen, outcomes) -> None:
@@ -755,6 +803,8 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     a marked surface whose chains are exactly the stated ones; the survivor
     is re-certified (ample check, K^2, obstruction) in the result report.
     """
+    if max_states < 0:
+        raise PlanError(f"max_states must be nonnegative, got {max_states}")
     result = InferenceResult(record)
     targets = [tuple(c.chain) for c in record.chains]
     for spec in record.chains:

@@ -138,6 +138,11 @@ class TestVerifyAndSearch:
         assert code == 2
         assert err.startswith("error:") and "missing.txt" in err
 
+    def test_verify_negative_infer_budget_is_a_usage_error(self, capture):
+        code, out, err = capture("verify", "--infer-budget", "-5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must be nonnegative" in err
+
     def test_search_streams_records(self, capture):
         code, out, _ = capture(
             "search", "--k2", "2", "--max-blowups", "7",

@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wahlkit.catalog.a0 import frozen_a0
 from wahlkit.configuration import (Configuration, ConfigurationError, det_exact,
                                    geography_check, rank_exact)
 
@@ -192,6 +193,55 @@ class TestBlowUp:
         cfg = Configuration.build([("A", -2)], [])
         with pytest.raises(ConfigurationError):
             cfg.blow_up(0)
+
+
+class TestPairTable:
+    """`pairing` off the diagonal reads a node-count table built on first use."""
+
+    @staticmethod
+    def _check(cfg):
+        for a in cfg.curves:
+            assert cfg.pairing(a.name, a.name) == a.self_int
+            for b in cfg.curves:
+                if a != b:
+                    assert cfg.pairing(a.name, b.name) == \
+                        len(cfg.nodes_between(a.name, b.name)), (a, b)
+
+    def test_matches_node_scan_on_a0(self):
+        a0 = frozen_a0()
+        self._check(a0)
+        self._check(a0.restrict(["A2", "A3", "B1", "C1", "C2", "D1"]))
+
+    def test_matches_node_scan_after_blow_ups(self):
+        # a self-node on G and a pair G, H meeting twice; each configuration's
+        # table is built before it is blown up
+        cfg = Configuration.build([("G", -2), ("H", -2), ("K", -2)],
+                                  [("G", "G"), ("G", "H"), ("G", "H"), ("H", "K")])
+        for pair in [("G", "G"), ("G", "H"), ("E1", "G"), ("G", "H"), ("E2", "H"),
+                     ("E1", "G")]:
+            self._check(cfg)
+            cfg = cfg.blow_up(cfg.nodes_between(*pair)[0].id)
+        self._check(cfg)
+        assert cfg.pairing("E1", "G") == cfg.pairing("G", "H") == 0
+        rng = random.Random(7)
+        for _ in range(200):
+            cfg = random_configuration(rng)
+            self._check(cfg)
+            while cfg.nodes and cfg.r < 10:
+                cfg = cfg.blow_up(rng.choice(cfg.nodes).id)
+                self._check(cfg)
+
+    def test_table_is_not_part_of_the_value(self):
+        a0 = frozen_a0()
+        sub = a0.restrict(["A2", "A3", "B1", "C1", "C2", "D1"])
+        sub = sub.blow_up(sub.nodes[0].id)
+        for cfg in (a0, sub):
+            text = cfg.to_json()
+            fresh = Configuration(cfg.curves, cfg.nodes, cfg.ambient, cfg.blowup_count)
+            cfg.intersection_matrix()
+            assert cfg == fresh and hash(cfg) == hash(fresh)
+            assert repr(cfg) == repr(fresh)
+            assert cfg.to_json() == fresh.to_json() == text
 
 
 class TestInvariants:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ from wahlkit.catalog.a0 import frozen_a0
 from wahlkit.catalog.records import (BlowupSpec, ChainSpec, SurfaceRecord,
                                      format_record, parse_record)
 from wahlkit.catalog.verify import load_expected, load_records
+from wahlkit.chains import wahl_singularity
 from wahlkit.configuration import Configuration, ConfigurationError, geography_check
 from wahlkit import plans
 from wahlkit.plans import (BlowupPlan, PlanError, PlanStep, SearchParams,
@@ -28,10 +30,10 @@ def a0():
 @pytest.fixture(scope="module")
 def records():
     by_id = {r.rid: r for r in load_records()}
-    data = load_expected()["mains"]["2"]
-    by_id["main2"] = SurfaceRecord(
-        "main2", 2, tuple(data["curves"]), data["det"], (),
-        tuple(ChainSpec(c["n"], c["a"], tuple(c["chain"])) for c in data["chains"]))
+    for k2, data in load_expected()["mains"].items():
+        by_id[f"main{k2}"] = SurfaceRecord(
+            f"main{k2}", int(k2), tuple(data["curves"]), data["det"], (),
+            tuple(ChainSpec(c["n"], c["a"], tuple(c["chain"])) for c in data["chains"]))
     return by_id
 
 
@@ -130,6 +132,24 @@ def _reference_tower_scripts(config, base, size, bound, pool, ones_cap, outcomes
                                   len(between) - 1))
         else:
             yield state, tuple(steps)
+
+
+def _reference_one_survivor(size, bound, pool):
+    """Oracle: every string run + (1,) + run of `size` entries, its runs taken
+    from `pool` or empty, that `bound` admits and that contracts to one curve."""
+    by_len = {}
+    for run in [()] + sorted(pool):
+        by_len.setdefault(len(run), []).append(run)
+    out = []
+    for left in itertools.chain.from_iterable(by_len.values()):
+        for right in by_len.get(size - 1 - len(left), ()):
+            final = left + (1,) + right
+            if bound is not None and not bound.admits(final):
+                continue
+            script = plans._reduce_script(final)
+            if script is not None:
+                out.append((final, script))
+    return sorted(out)
 
 
 def _reference_leaves(base, bases, allocs, bound, pool, ones_cap, result, max_states):
@@ -275,6 +295,15 @@ class TestInference:
         assert not result.success
         assert "state budget exhausted" in result.near_misses
         assert result.states <= 2001
+
+    def test_negative_budget_rejected(self, a0, records):
+        record = records["2.1"]
+        with pytest.raises(PlanError, match="max_states must be nonnegative"):
+            infer_plan(record, a0.restrict(record.curves), max_states=-5)
+        # a zero budget stops the search at its first state
+        result = infer_plan(record, a0.restrict(record.curves), max_states=0)
+        assert not result.success and result.states == 1
+        assert "state budget exhausted" in result.near_misses
 
     # the eight cases of the benchmark's free_infer workload, with the
     # base-node choices each rejects by a prefix
@@ -428,6 +457,70 @@ class TestAbstractLeaves:
             assert got.states > 0 and got.leaves == len(yielded)
             leaves += len(yielded)
         assert (leaves > 0) == complete
+
+
+def _random_wahl_chain(rng):
+    """A Wahl chain grown from [4] by the two extension moves."""
+    chain = [4]
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.5:
+            chain = [2] + chain[:-1] + [chain[-1] + 1]
+        else:
+            chain = [chain[0] + 1] + chain[1:] + [2]
+    return tuple(chain)
+
+
+def _chain_sets():
+    """The chains of every catalog record and main, then seeded random ones."""
+    sets = {r.rid: [tuple(c.chain) for c in r.chains] for r in load_records()}
+    for k2, main in load_expected()["mains"].items():
+        sets[f"main{k2}"] = [tuple(c["chain"]) for c in main["chains"]]
+    rng = random.Random(9)
+    for i in range(12):
+        sets[f"random{i}"] = [_random_wahl_chain(rng) for _ in range(rng.randint(1, 3))]
+    # runs (2,2,3,5) and (2,2,2,3,5) fit the pool apart but are too deep
+    # together: the depth bound drops such towers of size 10
+    sets["bound"] = [(6, 5, 3, 2, 2, 2, 2)]
+    return sets
+
+
+class TestOneSurvivorTowers:
+    """The forward walk of one-survivor towers against generate-and-test."""
+
+    CHAIN_SETS = _chain_sets()
+
+    @pytest.mark.parametrize("targets", CHAIN_SETS.values(), ids=list(CHAIN_SETS))
+    def test_matches_generate_and_test(self, targets):
+        assert all(wahl_singularity(t) is not None for t in targets)
+        pool = _substring_pool(targets)
+        found = 0
+        for bound in (None, _DepthBound.of_chains(targets)):
+            for size in range(1, 15):
+                got = plans._targeted_outcomes(size, bound, pool, 1)
+                assert got == _reference_one_survivor(size, bound, pool), (size, bound)
+                found += len(got)
+        assert found > 0
+
+    @pytest.mark.parametrize("hinted", [True, False], ids=["hinted", "free"])
+    def test_catalog_allows_one_survivor_per_tower(self, a0, records, monkeypatch,
+                                                   hinted):
+        # for a record that fits the geography, r - K^2 = P + K^2 surviving
+        # (-1)s are allowed, one per tower, so the ledger takes the walk
+        caps = []
+        targeted = plans._targeted_outcomes
+
+        def recording(size, bound, pool, ones_cap):
+            caps.append(ones_cap)
+            return targeted(size, bound, pool, ones_cap)
+
+        monkeypatch.setattr(plans, "_targeted_outcomes", recording)
+        for record in records.values():
+            if not hinted:
+                record = dataclasses.replace(record, steps=())
+            elif not record.steps:
+                continue
+            infer_plan(record, a0.restrict(record.curves), max_states=3000)
+        assert caps and set(caps) == {1}
 
 
 def _read_graph(config):
