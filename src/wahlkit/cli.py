@@ -132,6 +132,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def _nonnegative(args: argparse.Namespace, *options: str) -> None:
+    """Reject a negative value of any of these options, by option name."""
+    for option in options:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value < 0:
+            raise ValueError(f"{option} must be nonnegative, got {value}")
+
+
 def _dispatch(args: argparse.Namespace, fmt: str) -> int:
     if args.command == "expand":
         chain = cf.hj_expand(args.m, args.q)
@@ -189,6 +197,7 @@ def _dispatch(args: argparse.Namespace, fmt: str) -> int:
         return 0
 
     if args.command == "verify":
+        _nonnegative(args, "--infer-budget")
         a0 = a0mod.load_a0(args.a0) if args.a0 else a0mod.frozen_a0()
         records = load_records(args.records)
         expected = load_expected(args.expected)
@@ -203,6 +212,8 @@ def _dispatch(args: argparse.Namespace, fmt: str) -> int:
         return 0 if ledger.ok else 1
 
     if args.command == "search":
+        _nonnegative(args, "--max-blowups", "--max-chains", "--max-states",
+                     "--max-results")
         a0 = a0mod.load_a0(args.a0) if args.a0 else a0mod.frozen_a0()
         pool = tuple(p.strip() for p in args.pool.split(",")) if args.pool else None
         params = SearchParams(k2=args.k2, max_chains=args.max_chains,

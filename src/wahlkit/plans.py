@@ -13,36 +13,33 @@ search.  Plan inference (`infer_plan`) and construction search
   ids, so choices come in lexicographic order with no duplicate to drop;
 - `_leaves` distributes the blow-ups over the chosen nodes (one allocation
   at a time), branches over the nodes sitting on each tower's exceptional
-  curves, and yields every completed search state.  It searches on integer
-  states (`_State`): the depths of the base curves and of the exceptional
-  curves, which is all the depth bound reads.  A tower's outcome
-  (`_tower_scripts`) fixes its exceptional string, how much it deepens its
-  two base curves, its steps and its final local chain, all without a
-  configuration.  A leaf's curves and nodes follow from these integers
-  (`_State.graph`); a configuration is built, by replaying steps with
-  `BlowupPlan.execute`, only for a leaf that needs one and the states on its
-  path, each once;
+  curves, and yields every completed search state with its graph.  It
+  searches on integer states (`_State`): the depths of the base curves and
+  of the exceptional curves, which is all the depth bound reads.  A
+  tower's outcome (`_tower_scripts`) fixes its exceptional string, how much
+  it deepens its two base curves, its steps and its final local chain, all
+  without a configuration.  A leaf's curves and nodes follow from these
+  integers (`_State.graph`);
 - `_DepthBound` drops the states whose curves are already deeper than the
   chains sought allow, since blow-ups only deepen curves.
 
-Inference accepts exactly the leaves whose marked surface reports the
-stated chains, so it builds every leaf's configuration.  Search marks each
-leaf greedily on its integer graph (`_greedy_mark`) and builds a
-configuration only for a leaf that marks into Wahl chains and no ADE chain,
-to keep it if its canonical class is ample.  Pruning only ever discards
+Both searches mark a leaf on its graph: inference into the stated chains
+(`_chain_marking`, the search behind `mark_chains`), search greedily
+(`_greedy_mark`).  A configuration is built, by replaying the leaf's steps
+with `BlowupPlan.execute`, only for a leaf that marks: inference keeps it
+if its marked surface is valid, search if it has Wahl chains and no ADE
+chain and its canonical class is ample.  Pruning only ever discards
 states that provably cannot reach the chains sought.  Inference also checks
 the rules of `_ChoicePrefix` on every prefix of a base-node choice, and
 counts the choices below a failing prefix as states in one step (a
 coefficient of a product of polynomials, see `_base_choices`) instead of
 building them, so the state counts equal those of checking every choice
 whole.  Abstract tower outcomes depend only on the tower's size and limits;
-each search call memoises them in its own table.
-
-Inference knows the chains sought, so a large tower's outcomes are read off
-them (`_targeted_outcomes`).  For a record that fits the geography each
-tower keeps exactly one surviving (-1)-curve, so every blow-up of the tower
-lands next to the newest one, and the outcomes are walked forwards along it,
-dropping a word once its finished runs leave the chains.
+each search call memoises them in its own table (`_tower_outcomes`).  For
+a record that fits the geography, inference lets each tower keep exactly
+one surviving (-1)-curve, so every blow-up of the tower lands next to the
+newest one, and the outcomes are walked forwards along it, dropping a word
+once its finished runs leave the chains.
 """
 from __future__ import annotations
 
@@ -109,7 +106,7 @@ class InferenceResult:
     report: Optional[SurfaceReport] = None
     states: int = 0
     pruned: int = 0  # base-node choices rejected by a prefix, each also a state
-    leaves: int = 0  # completed configurations handed to mark_chains
+    leaves: int = 0  # completed search states marked against the stated chains
     near_misses: list[str] = field(default_factory=list)
 
     @property
@@ -127,58 +124,60 @@ class InferenceResult:
 
 # -- chain marking ------------------------------------------------------------
 
-def _paths_matching(config: Configuration, target: tuple[int, ...],
-                    used: set[str]) -> list[tuple[str, ...]]:
-    """All simple paths whose self-intersection string equals the target.
+def _chain_marking(self_int: dict[str, int], meets: Counter,
+                   targets: Sequence[tuple[int, ...]], used: Iterable[str] = ()
+                   ) -> Optional[list[tuple[str, ...]]]:
+    """Disjoint chains matching the target strings exactly, or None.
 
-    Consecutive path curves must share exactly one node; curves in `used`
-    are excluded.  Matches of a string and its reverse are deduplicated.
+    Reads the graph `_greedy_mark` reads: `self_int` maps each curve to its
+    self-intersection and `meets` each curve pair, ordered as `_pair` orders
+    it, to its number of nodes.  A chain is a simple path whose consecutive
+    curves share exactly one node and whose other curves are disjoint; curves
+    in `used` are left out.  Targets are matched longest first, trying the
+    paths in name order, and the marking must leave only (-1)- and
+    (-2)-curves unmarked.  Returns the chains in target order, each oriented
+    as its target.
     """
-    curves = {c.name: c.self_int for c in config.curves}
-    out: set[tuple[str, ...]] = set()
+    adjacency: dict[str, list[str]] = {name: [] for name in self_int}
+    for a, b in meets:
+        if a != b:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
 
-    def extend(path: list[str], pos: int) -> None:
-        if pos == len(target):
-            key = min(tuple(path), tuple(reversed(path)))
-            out.add(key)
-            return
-        last = path[-1]
-        for nxt in sorted(config.neighbors(last)):
-            if nxt in used or nxt in path:
-                continue
-            if curves[nxt] != -target[pos]:
-                continue
-            if config.pairing(last, nxt) != 1:
-                continue
-            if any(config.pairing(nxt, earlier) != 0 for earlier in path[:-1]):
-                continue
-            path.append(nxt)
-            extend(path, pos + 1)
-            path.pop()
+    def paths(target: tuple[int, ...], used: set[str]) -> list[tuple[str, ...]]:
+        """The matching paths, a string and its reverse counted once."""
+        out: set[tuple[str, ...]] = set()
 
-    for name, self_int in sorted(curves.items()):
-        if name in used or self_int != -target[0]:
-            continue
-        extend([name], 1)
-    return sorted(out)
+        def extend(path: list[str], pos: int) -> None:
+            if pos == len(target):
+                out.add(min(tuple(path), tuple(reversed(path))))
+                return
+            last = path[-1]
+            for nxt in adjacency[last]:
+                if nxt in used or nxt in path or self_int[nxt] != -target[pos]:
+                    continue
+                if meets[_pair(last, nxt)] != 1:
+                    continue
+                if any(meets[_pair(nxt, earlier)] for earlier in path[:-1]):
+                    continue
+                path.append(nxt)
+                extend(path, pos + 1)
+                path.pop()
 
+        for name, s in sorted(self_int.items()):
+            if name not in used and s == -target[0]:
+                extend([name], 1)
+        return sorted(out)
 
-def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
-                ade: Sequence[tuple[str, ...]] = ()) -> Optional[MarkedSurface]:
-    """Mark disjoint chains matching the target strings exactly, or None.
-
-    Targets are matched longest first.  A marking must leave only (-1)-
-    and (-2)-curves unmarked; if none does, the result is None.
-    """
     order = sorted(range(len(targets)), key=lambda i: -len(targets[i]))
     chosen: dict[int, tuple[str, ...]] = {}
 
     def assign(k: int, used: set[str]) -> bool:
         if k == len(order):
-            return all(c.self_int in (-1, -2) for c in config.curves if c.name not in used)
+            return all(s in (-1, -2) for name, s in self_int.items() if name not in used)
         idx = order[k]
-        for path in _paths_matching(config, targets[idx], used):
-            if any(config.pairing(a, b) != 0
+        for path in paths(targets[idx], used):
+            if any(meets[_pair(a, b)]
                    for a in path for other in chosen.values() for b in other):
                 continue
             chosen[idx] = path
@@ -187,17 +186,29 @@ def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
             del chosen[idx]
         return False
 
-    ade_used = {c for chain in ade for c in chain}
-    if not assign(0, set(ade_used)):
+    if not assign(0, set(used)):
         return None
-    ordered = []
-    for idx in range(len(targets)):
+    oriented = []
+    for idx, target in enumerate(targets):
         path = chosen[idx]
-        entries = tuple(-config.curve(c).self_int for c in path)
-        if entries != tuple(targets[idx]):
+        if tuple(-self_int[c] for c in path) != tuple(target):
             path = tuple(reversed(path))
-        ordered.append(tuple(path))
-    return _marked(config, ordered, ade)
+        oriented.append(path)
+    return oriented
+
+
+def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
+                ade: Sequence[tuple[str, ...]] = ()) -> Optional[MarkedSurface]:
+    """Mark disjoint chains matching the target strings exactly, or None.
+
+    Targets are matched longest first, off the curves of the ADE chains.  A
+    marking must leave only (-1)- and (-2)-curves unmarked; if none does,
+    or the marked surface is invalid, the result is None.
+    """
+    chains = _chain_marking({c.name: c.self_int for c in config.curves},
+                            Counter(n.pair() for n in config.nodes), targets,
+                            [c for chain in ade for c in chain])
+    return None if chains is None else _marked(config, chains, ade)
 
 
 def _marked(config: Configuration, wahl: Sequence[Sequence[str]],
@@ -268,120 +279,60 @@ def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool,
 
     A tower lives on the local chain [c1', E..., c2']; a blow-up picks a
     gap (a surviving node), deepens its two sides and inserts a fresh
-    (-1)-curve.  States that differ only in the script are merged; results
-    are (exceptional depth string, gap script) pairs.
+    (-1)-curve.  Results are the (exceptional depth string, gap script)
+    pairs, sorted, of the towers that `bound` admits, whose runs occur
+    inside the stated chains (`pool`, closed under substrings) and that keep
+    at most `ones_cap` surviving (-1)-curves.
 
-    For large towers with known targets, `_targeted_outcomes` enumerates
-    only the outcomes whose runs occur inside the stated chains.
-    """
-    if pool is not None and ones_cap is not None and size >= 5:
-        return _targeted_outcomes(size, bound, pool, ones_cap)
-    level: dict[tuple[int, ...], tuple[int, ...]] = {(1,): ()}
-    for step in range(size - 1):
-        remaining = size - 2 - step
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for xs, script in sorted(level.items()):
-            for gap in range(len(xs) + 1):
-                new = list(xs)
-                if gap > 0:
-                    new[gap - 1] += 1
-                if gap < len(xs):
-                    new[gap] += 1
-                new.insert(gap, 1)
-                state = tuple(new)
-                if state in nxt or (bound is not None and not bound.admits(state)):
-                    continue
-                if ones_cap is not None and state.count(1) - remaining > ones_cap:
-                    continue  # each insertion removes at most one surviving 1
-                nxt[state] = script + (gap,)
-        level = nxt
-    return [(xs, script) for xs, script in sorted(level.items())
-            if _runs_embed(xs, pool)
-            and (ones_cap is None or xs.count(1) <= ones_cap)]
-
-
-def _reduce_script(final: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Insertion script producing `final` from a single (-1), or None.
-
-    Contracts 1-entries one at a time (neighbors decrement, boundaries
-    absorb silently); a successful contraction order reversed is exactly
-    the insertion script, gap g being the entry index of the inserted 1.
-    """
-    dead: set[tuple[int, ...]] = set()
-
-    def rec(state: tuple[int, ...]) -> Optional[list[int]]:
-        if state == (1,):
-            return []
-        if state in dead:
-            return None
-        for i, x in enumerate(state):
-            if x != 1:
-                continue
-            new = list(state)
-            del new[i]
-            ok = True
-            if i > 0:
-                new[i - 1] -= 1
-                ok = ok and new[i - 1] >= 1
-            if i < len(new):
-                new[i] -= 1
-                ok = ok and new[i] >= 1
-            if not ok:
-                continue
-            sub = rec(tuple(new))
-            if sub is not None:
-                return sub + [i]
-        dead.add(state)
-        return None
-
-    script = rec(final)
-    if script is None:
-        return None
-    # the reduction reaches the single base exceptional, so the reversed
-    # removal order is exactly the insertion script after the base blow-up
-    return tuple(script)
-
-
-def _targeted_outcomes(size: int, bound: Optional[_DepthBound], pool: frozenset[tuple[int, ...]],
-                       ones_cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The completed towers whose runs occur inside the stated chains.
-
-    A completed tower keeps at least one and at most ones_cap surviving
-    (-1)-curves; the runs between them must be substrings of the stated
-    chains (`pool`, closed under substrings).
-
-    With one survivor allowed, the towers are walked forwards: no two 1s of
-    a tower string are ever adjacent (a fresh 1 deepens both its
-    neighbours), so no insertion lowers the number of 1s, and a tower that
-    ends with one 1 has exactly one 1 throughout.  Each insertion then goes
-    next to the current 1, at gap k or k+1 for the 1 at k, and a string has
-    only one script.  Every entry but the 1's two neighbours is final, so a
-    word is dropped once its final runs leave the pool or `bound` rejects
-    it.  For a record that fits the geography this is the only case:
-    `infer_plan` allows r - K^2 = P + K^2 surviving (-1)s in all, as many as
-    there are towers, and each tower keeps at least one.
-
-    With more survivors, candidate final strings are assembled run by run
-    and kept if they contract to a single curve (`_reduce_script`).
+    No two 1s of a tower string are ever adjacent (a fresh 1 deepens both
+    its neighbours), so no insertion lowers the number of 1s.  With one
+    survivor allowed the towers are walked forwards (`_one_survivor_outcomes`).
+    For a record that fits the geography every tower of inference is such
+    a tower: `infer_plan` allows r - K^2 = P + K^2 surviving (-1)s in all,
+    as many as there are towers, and each tower keeps at least one.
+    Otherwise the towers are enumerated level by level: states that differ
+    only in the script are merged, and a state with more than `ones_cap` 1s
+    is dropped.
     """
     if ones_cap == 1:
         return sorted(_one_survivor_outcomes(size, bound, pool))
-    by_len: dict[int, set[tuple[int, ...]]] = {}
-    for sub in pool:
-        by_len.setdefault(len(sub), set()).add(sub)
-    outcomes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    seen: set[tuple[int, ...]] = set()
-    # j surviving (-1)s split the string into j+1 runs (outer ones may be empty)
-    for j in range(1, ones_cap + 1):
-        if size >= j:
-            _assemble_runs(size, j, by_len, bound, seen, outcomes)
-    return sorted(outcomes)
+    level: dict[tuple[int, ...], tuple[int, ...]] = {(1,): ()}
+    for _ in range(size - 1):
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for xs, script in sorted(level.items()):
+            for gap in range(len(xs) + 1):
+                state = _insert(xs, gap)
+                if state in nxt or (bound is not None and not bound.admits(state)):
+                    continue
+                if ones_cap is not None and state.count(1) > ones_cap:
+                    continue
+                nxt[state] = script + (gap,)
+        level = nxt
+    return [(xs, script) for xs, script in sorted(level.items()) if _runs_embed(xs, pool)]
+
+
+def _insert(xs: tuple[int, ...], gap: int) -> tuple[int, ...]:
+    """The tower string after blowing up the node at `gap`."""
+    new = list(xs)
+    if gap > 0:
+        new[gap - 1] += 1
+    if gap < len(xs):
+        new[gap] += 1
+    new.insert(gap, 1)
+    return tuple(new)
 
 
 def _one_survivor_outcomes(size: int, bound: Optional[_DepthBound],
                            pool: frozenset[tuple[int, ...]]
                            ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The towers of `size` curves that keep one (-1), walked depth first."""
+    """The towers of `size` curves that keep one (-1), walked depth first.
+
+    A tower that ends with one 1 has exactly one 1 throughout, so each
+    insertion goes next to it, at gap k or k+1 for the 1 at k, and a string
+    has only one script.  Every entry but the 1's two neighbours is final,
+    so a word is dropped once its final runs leave the pool or `bound`
+    rejects it.
+    """
     stack: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((1,), 0, ())]
     while stack:
         xs, k, script = stack.pop()
@@ -390,51 +341,13 @@ def _one_survivor_outcomes(size: int, bound: Optional[_DepthBound],
                 yield xs, script
             continue
         for gap in (k, k + 1):
-            new = list(xs)
-            if gap > 0:
-                new[gap - 1] += 1
-            if gap < len(xs):
-                new[gap] += 1
-            new.insert(gap, 1)
-            state = tuple(new)
+            state = _insert(xs, gap)
             left, right = state[:max(gap - 1, 0)], state[gap + 2:]
             if (left and left not in pool) or (right and right not in pool):
                 continue
             if bound is not None and not bound.admits(state):
                 continue
             stack.append((state, gap, script + (gap,)))
-
-
-def _assemble_runs(size: int, ones: int, by_len, bound, seen, outcomes) -> None:
-    """Place `ones` single 1s between runs summing to size - ones."""
-    def rec(parts: list[tuple[int, ...]], slots_left: int, mass_left: int) -> None:
-        if slots_left == 0:
-            if mass_left != 0:
-                return
-            final: list[int] = []
-            for i, part in enumerate(parts):
-                if i:
-                    final.append(1)
-                final.extend(part)
-            state = tuple(final)
-            if len(state) != size or state in seen:
-                return
-            if bound is not None and not bound.admits(state):
-                return
-            seen.add(state)
-            script = _reduce_script(state)
-            if script is not None:
-                outcomes.append((state, script))
-            return
-        min_here = 0 if (not parts or slots_left == 1) else 1
-        for length in range(min_here, mass_left + 1):
-            if length == 0:
-                rec(parts + [()], slots_left - 1, mass_left)
-                continue
-            for run in sorted(by_len.get(length, ())):
-                rec(parts + [run], slots_left - 1, mass_left - length)
-
-    rec([], ones + 1, size - ones)
 
 
 def _tower_scripts(base: PlanStep, count: int, size: int, bound, pool, ones_cap,
@@ -674,23 +587,20 @@ class _ChoicePrefix:
 
 
 class _State:
-    """A search state in integers, with its configuration built on demand.
+    """A search state in integers.
 
     `depths` are the depths (-C^2) of the base curves, in base order, and
     `exceptional` those of the exceptional curves so far, tower by tower;
     `steps` are the blow-ups of the last tower placed and `chain` its final
     local chain [a, E..., b]; `index` is the number of towers placed and
-    `count` the blow-ups so far.  `configuration` replays `steps` on the
-    parent's configuration the first time it is asked for, and keeps it.
+    `count` the blow-ups so far.
     """
 
-    __slots__ = ("parent", "depths", "exceptional", "steps", "chain", "index", "count",
-                 "config")
+    __slots__ = ("parent", "depths", "exceptional", "steps", "chain", "index", "count")
 
     def __init__(self, parent: Optional["_State"], depths: tuple[int, ...],
                  exceptional: tuple[int, ...], steps: tuple[PlanStep, ...],
-                 chain: tuple[str, ...], index: int, count: int,
-                 config: Optional[Configuration] = None) -> None:
+                 chain: tuple[str, ...], index: int, count: int) -> None:
         self.parent = parent
         self.depths = depths
         self.exceptional = exceptional
@@ -698,25 +608,21 @@ class _State:
         self.chain = chain
         self.index = index
         self.count = count
-        self.config = config
-
-    def configuration(self) -> Configuration:
-        if self.config is None:
-            self.config = BlowupPlan(self.steps).execute(self.parent.configuration())
-        return self.config
 
     def plan_steps(self) -> tuple[PlanStep, ...]:
         if self.parent is None:
             return self.steps
         return self.parent.plan_steps() + self.steps
 
-    def graph(self, surviving: Counter) -> tuple[dict[str, int], Counter]:
+    def graph(self, names: Sequence[str], surviving: Counter
+              ) -> tuple[dict[str, int], Counter]:
         """The configuration's self-intersections and node counts, unbuilt.
 
-        `surviving` counts, by curve pair, the base nodes that no tower on
-        the path from the root blows up.  The result maps each curve name
-        to its self-intersection and each curve pair, ordered as `_pair`
-        orders it, to the number of nodes between the two curves.
+        `names` are the base curves, in base order, and `surviving` counts,
+        by curve pair, the base nodes that no tower blows up.  The result
+        maps each curve name to its self-intersection and each curve pair,
+        ordered as `_pair` orders it, to the number of nodes between the two
+        curves.
         """
         chains = []
         state = self
@@ -724,9 +630,9 @@ class _State:
             chains.append(state.chain)
             state = state.parent
         chains.reverse()
-        self_int = {c.name: -d for c, d in zip(state.config.curves, self.depths)}
-        names = [name for chain in chains for name in chain[1:-1]]
-        self_int.update(zip(names, [-d for d in self.exceptional]))
+        self_int = dict(zip(names, [-d for d in self.depths]))
+        exceptional = [name for chain in chains for name in chain[1:-1]]
+        self_int.update(zip(exceptional, [-d for d in self.exceptional]))
         meets = surviving.copy()
         for chain in chains:
             meets.update(map(_pair, chain, chain[1:]))
@@ -736,29 +642,33 @@ class _State:
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
             allocs: Iterable[tuple[int, ...]], bound: Optional[_DepthBound],
             pool, ones_cap: Optional[int], outcomes: dict, result, max_states: int
-            ) -> Iterator[tuple[tuple[int, ...], _State]]:
-    """Every completed search state, with its allocation.
+            ) -> Iterator[tuple[tuple[int, ...], _State, tuple[dict[str, int], Counter]]]:
+    """Every completed search state, with its allocation and its graph.
 
     For each allocation, blows alloc[i] times over the base node bases[i],
     depth first, one tower at a time, on integer states (`_State`).  Tower
     i is there when its pair meets in `base` more often than the towers
-    before it on that pair use up.  Each outcome of a tower counts as one
-    state of `result`; the search stops once the states exceed
-    `max_states`.  States that `bound` rejects are not expanded.  No
-    configuration is built here: a leaf's `configuration()` builds it and
-    those on its path, each once, and its `graph()` reads its curves and
-    nodes off the integers.  Each leaf counts in `result.leaves`.
-    `outcomes` is the caller's tower-outcome memo (see `_tower_scripts`).
+    before it on that pair use up; the base nodes left over survive in
+    every leaf.  Each outcome of a tower counts as one state of `result`;
+    the search stops once the states exceed `max_states`.  States that
+    `bound` rejects are not expanded.  No configuration is built here: a
+    leaf's graph (`_State.graph`) is read off the integers, and its
+    configuration is `BlowupPlan(state.plan_steps()).execute(base)`.  Each
+    leaf counts in `result.leaves`.  `outcomes` is the caller's
+    tower-outcome memo (see `_tower_scripts`).
     """
-    position = {c.name: i for i, c in enumerate(base.curves)}
+    names = [c.name for c in base.curves]
+    position = {name: i for i, name in enumerate(names)}
+    nodes = Counter(n.pair() for n in base.nodes)
     placed: Counter = Counter()
     available = []
     for step in bases:
         pair = _pair(step.a, step.b)
-        available.append(step.occurrence < len(base.nodes_between(*pair)) - placed[pair])
+        available.append(step.occurrence < nodes[pair] - placed[pair])
         placed[pair] += 1
+    surviving = nodes - placed
     root = _State(None, tuple(-c.self_int for c in base.curves), (), (), (), 0,
-                  base.blowup_count, base)
+                  base.blowup_count)
     towers: dict = {}  # (index, count, size) -> the tower's outcomes there
     for alloc in allocs:
         stack = [root]
@@ -767,7 +677,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
             idx = state.index
             if idx == len(bases):
                 result.leaves += 1
-                yield alloc, state
+                yield alloc, state, state.graph(names, surviving)
                 continue
             if not available[idx]:
                 continue
@@ -830,11 +740,15 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         ones_cap = ones_total - (len(bases) - 1) if prune else None
         if len(bases) > b_total or (ones_cap is not None and ones_cap < 1):
             return None  # every tower takes a blow-up and keeps a (-1)-curve
-        for alloc, state in _leaves(base, bases, _allocations(b_total, hints), bound,
-                                    pool, ones_cap, outcomes, result, max_states):
-            marked = mark_chains(state.configuration(), targets)
-            if marked is not None:
-                return BlowupPlan(state.plan_steps()), marked
+        for alloc, state, graph in _leaves(base, bases, _allocations(b_total, hints),
+                                           bound, pool, ones_cap, outcomes, result,
+                                           max_states):
+            chains = _chain_marking(*graph, targets)
+            if chains is not None:
+                plan = BlowupPlan(state.plan_steps())
+                marked = _marked(plan.execute(base), chains, ())
+                if marked is not None:
+                    return plan, marked
             if len(result.near_misses) < 40:
                 result.near_misses.append(
                     f"alloc {alloc}: executed but chains do not match")
@@ -996,16 +910,14 @@ def search_constructions(params: SearchParams, a0: Configuration,
             base_det = det_exact(sub.intersection_matrix())
             if base_det == 0:
                 continue
-            nodes = Counter(n.pair() for n in sub.nodes)
             for _, pairs in _base_choices(sub, m, result, params.max_states):
                 bases = [PlanStep(a, b) for a, b in pairs]
-                surviving = nodes - Counter(pairs)
                 allocs = itertools.chain.from_iterable(
                     _allocations(total, [None] * m)
                     for total in range(m, params.max_blowups + 1))
-                for alloc, state in _leaves(sub, bases, allocs, bound, None, None,
-                                            outcomes, result, params.max_states):
-                    _harvest(params, state, surviving, bases, alloc, subset, base_det,
+                for alloc, state, graph in _leaves(sub, bases, allocs, bound, None, None,
+                                                   outcomes, result, params.max_states):
+                    _harvest(params, sub, state, graph, bases, alloc, subset, base_det,
                              result, found)
                     if full():
                         return result
@@ -1016,19 +928,19 @@ def search_constructions(params: SearchParams, a0: Configuration,
     return result
 
 
-def _harvest(params: SearchParams, state: _State, surviving: Counter, bases, alloc,
-             subset, base_det: int, result: SearchResult, found: set) -> None:
+def _harvest(params: SearchParams, sub: Configuration, state: _State, graph, bases,
+             alloc, subset, base_det: int, result: SearchResult, found: set) -> None:
     """Keep the leaf as a record if it marks greedily into Wahl chains alone,
     with the stated K^2, an ample canonical class and new singularities.
 
-    The leaf is marked on its integer graph; its configuration is built
+    The leaf is marked on its graph; its configuration is built from `sub`
     only when that marking has Wahl chains and no ADE chain.
     """
-    marking = _greedy_mark(*state.graph(surviving))
+    marking = _greedy_mark(*graph)
     if marking is None or not marking[0] or marking[1]:
         return
     result.marked += 1
-    config = state.configuration()
+    config = BlowupPlan(state.plan_steps()).execute(sub)
     marked = _marked(config, *marking)
     if marked is None:
         return

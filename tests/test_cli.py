@@ -141,7 +141,7 @@ class TestVerifyAndSearch:
     def test_verify_negative_infer_budget_is_a_usage_error(self, capture):
         code, out, err = capture("verify", "--infer-budget", "-5")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "must be nonnegative" in err
+        assert err.startswith("error:") and "--infer-budget must be nonnegative" in err
 
     def test_search_streams_records(self, capture):
         code, out, _ = capture(
@@ -173,7 +173,7 @@ class TestVerifyAndSearch:
         argv = {"--k2": "2", "--max-blowups": "6", option: "-1"}
         code, out, err = capture("search", *itertools.chain(*argv.items()))
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "must be nonnegative" in err
+        assert err.startswith("error:") and f"{option} must be nonnegative" in err
 
     def test_reconstruct_summary(self, capture, tmp_path):
         out_path = tmp_path / "a0.json"

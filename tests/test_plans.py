@@ -134,6 +134,52 @@ def _reference_tower_scripts(config, base, size, bound, pool, ones_cap, outcomes
             yield state, tuple(steps)
 
 
+def _reduce_script(final):
+    """Oracle: an insertion script producing `final` from a single (-1), or None.
+
+    Contracts 1-entries one at a time (neighbours decrement, boundaries
+    absorb silently); a successful contraction order reversed is exactly
+    the insertion script, gap g being the entry index of the inserted 1.
+    """
+    dead = set()
+
+    def rec(state):
+        if state == (1,):
+            return []
+        if state in dead:
+            return None
+        for i, x in enumerate(state):
+            if x != 1:
+                continue
+            new = list(state)
+            del new[i]
+            ok = True
+            if i > 0:
+                new[i - 1] -= 1
+                ok = ok and new[i - 1] >= 1
+            if i < len(new):
+                new[i] -= 1
+                ok = ok and new[i] >= 1
+            if not ok:
+                continue
+            sub = rec(tuple(new))
+            if sub is not None:
+                return sub + [i]
+        dead.add(state)
+        return None
+
+    script = rec(final)
+    return None if script is None else tuple(script)
+
+
+def _replay_script(script):
+    """The tower string that an insertion script builds from a single (-1)."""
+    xs = (1,)
+    for gap in script:
+        xs = plans._insert(xs, gap)
+    return xs
+
+
 def _reference_one_survivor(size, bound, pool):
     """Oracle: every string run + (1,) + run of `size` entries, its runs taken
     from `pool` or empty, that `bound` admits and that contracts to one curve."""
@@ -146,7 +192,7 @@ def _reference_one_survivor(size, bound, pool):
             final = left + (1,) + right
             if bound is not None and not bound.admits(final):
                 continue
-            script = plans._reduce_script(final)
+            script = _reduce_script(final)
             if script is not None:
                 out.append((final, script))
     return sorted(out)
@@ -179,11 +225,13 @@ def _lockstep(leaves):
         ref = _Counts(states=result.states)
         want = _reference_leaves(base, bases, ref_allocs, bound, pool, ones_cap,
                                  ref, max_states)
-        for alloc, state in leaves(base, bases, allocs, bound, pool, ones_cap, outcomes,
-                                   result, max_states):
-            assert (alloc, state.configuration(), state.plan_steps()) == next(want)
+        for alloc, state, graph in leaves(base, bases, allocs, bound, pool, ones_cap,
+                                          outcomes, result, max_states):
+            config = BlowupPlan(state.plan_steps()).execute(base)
+            assert (alloc, config, state.plan_steps()) == next(want)
+            assert graph == _read_graph(config)
             assert result.states == ref.states
-            yield alloc, state
+            yield alloc, state, graph
         assert next(want, None) is None
         assert result.states == ref.states
     return checked
@@ -209,6 +257,18 @@ class TestPlanExecution:
         ms = mark_chains(cfg, [(5, 2)])
         assert ms.wahl_chains == (("Q", "P"),)
         assert mark_chains(cfg, [(6, 2)]) is None
+
+    @pytest.mark.parametrize("curves, nodes, target, want", [
+        # P meets Q twice, so only P-R is a chain
+        ([("P", -5), ("Q", -2), ("R", -2)], [("P", "Q"), ("P", "Q"), ("P", "R")],
+         (5, 2), ("P", "R")),
+        # P-Q-R closes up through R-P, so only S-Q-R is a chain
+        ([("P", -2), ("Q", -5), ("R", -3), ("S", -2)],
+         [("P", "Q"), ("Q", "R"), ("R", "P"), ("S", "Q")], (2, 5, 3), ("S", "Q", "R")),
+    ], ids=["meets-twice", "closes-up"])
+    def test_mark_chains_takes_only_simple_paths(self, curves, nodes, target, want):
+        cfg = Configuration.build(curves, nodes)
+        assert mark_chains(cfg, [target]).wahl_chains == (want,)
 
     def test_mark_chains_leaves_only_minus_one_and_two_curves(self):
         cfg = Configuration.build([("P", -2), ("Q", -5), ("R", -3)], [("P", "Q")])
@@ -364,9 +424,9 @@ class TestInference:
             assert infer_plan(record, base).success
             assert calls and len(calls) == len(set(calls))
 
-    def test_blow_ups_only_on_paths_to_leaves(self, a0, records, monkeypatch):
-        # only the states on the paths to leaves are built, and a prefix that
-        # leaves share is built once (778 blow-ups for 79 leaves of 10)
+    def test_blow_ups_only_for_the_marked_leaf(self, a0, records, monkeypatch):
+        # leaves are marked on their graphs, and only the leaf that marks is
+        # built: its 10 blow-ups (778 when the paths to all 79 leaves were)
         calls = []
         blow_up = Configuration.blow_up
 
@@ -379,7 +439,7 @@ class TestInference:
         result = infer_plan(record, a0.restrict(record.curves))
         assert result.success and result.states == 9041
         assert 0 < result.leaves < result.states
-        assert len(calls) < result.leaves * record.blowup_total
+        assert len(calls) == record.blowup_total
 
     def test_failed_summary_counts_leaves(self, a0, records):
         record = dataclasses.replace(records["2.1"], steps=())
@@ -496,8 +556,25 @@ class TestOneSurvivorTowers:
         found = 0
         for bound in (None, _DepthBound.of_chains(targets)):
             for size in range(1, 15):
-                got = plans._targeted_outcomes(size, bound, pool, 1)
+                got = plans._tower_outcomes(size, bound, pool, 1)
                 assert got == _reference_one_survivor(size, bound, pool), (size, bound)
+                found += len(got)
+        assert found > 0
+
+    @pytest.mark.parametrize("targets", CHAIN_SETS.values(), ids=list(CHAIN_SETS))
+    @pytest.mark.parametrize("ones_cap", [2, 3])
+    def test_capped_levels_match_unpruned(self, targets, ones_cap):
+        # the level enumeration drops a state once it has too many 1s; the
+        # unpruned enumeration, filtered afterwards, is the oracle
+        pool = _substring_pool(targets)
+        found = 0
+        for bound in (None, _DepthBound.of_chains(targets)):
+            for size in range(1, 9):
+                got = plans._tower_outcomes(size, bound, pool, ones_cap)
+                want = [xs for xs, _ in plans._tower_outcomes(size, bound, None, None)
+                        if plans._runs_embed(xs, pool) and xs.count(1) <= ones_cap]
+                assert [xs for xs, _ in got] == want, (size, bound)
+                assert all(_replay_script(script) == xs for xs, script in got)
                 found += len(got)
         assert found > 0
 
@@ -505,15 +582,15 @@ class TestOneSurvivorTowers:
     def test_catalog_allows_one_survivor_per_tower(self, a0, records, monkeypatch,
                                                    hinted):
         # for a record that fits the geography, r - K^2 = P + K^2 surviving
-        # (-1)s are allowed, one per tower, so the ledger takes the walk
+        # (-1)s are allowed, one per tower, so every tower takes the walk
         caps = []
-        targeted = plans._targeted_outcomes
+        towers = plans._tower_outcomes
 
         def recording(size, bound, pool, ones_cap):
             caps.append(ones_cap)
-            return targeted(size, bound, pool, ones_cap)
+            return towers(size, bound, pool, ones_cap)
 
-        monkeypatch.setattr(plans, "_targeted_outcomes", recording)
+        monkeypatch.setattr(plans, "_tower_outcomes", recording)
         for record in records.values():
             if not hinted:
                 record = dataclasses.replace(record, steps=())
@@ -529,6 +606,56 @@ def _read_graph(config):
             Counter(n.pair() for n in config.nodes))
 
 
+def _reference_mark_chains(config, targets):
+    """Oracle: the target marking searched on the configuration's own queries.
+
+    Backtracks over the simple paths in name order, longest target first;
+    consecutive path curves share exactly one node and the others none.
+    """
+    curves = {c.name: c.self_int for c in config.curves}
+
+    def paths(target, used):
+        out = set()
+
+        def extend(path, pos):
+            if pos == len(target):
+                out.add(min(tuple(path), tuple(reversed(path))))
+                return
+            last = path[-1]
+            for nxt in sorted(config.neighbors(last)):
+                if (nxt in used or nxt in path or curves[nxt] != -target[pos]
+                        or config.pairing(last, nxt) != 1
+                        or any(config.pairing(nxt, e) for e in path[:-1])):
+                    continue
+                extend(path + [nxt], pos + 1)
+
+        for name, self_int in sorted(curves.items()):
+            if name not in used and self_int == -target[0]:
+                extend([name], 1)
+        return sorted(out)
+
+    order = sorted(range(len(targets)), key=lambda i: -len(targets[i]))
+    chosen = {}
+
+    def assign(k, used):
+        if k == len(order):
+            return all(s in (-1, -2) for name, s in curves.items() if name not in used)
+        for path in paths(targets[order[k]], used):
+            if any(config.pairing(a, b) for a in path for other in chosen.values()
+                   for b in other):
+                continue
+            chosen[order[k]] = path
+            if assign(k + 1, used | set(path)):
+                return True
+            del chosen[order[k]]
+        return False
+
+    if not assign(0, set()):
+        return None
+    return [chosen[i] if tuple(-curves[c] for c in chosen[i]) == tuple(t)
+            else tuple(reversed(chosen[i])) for i, t in enumerate(targets)]
+
+
 class TestLeafGraph:
     """`_State.graph` against the graph of the leaf's built configuration."""
 
@@ -538,11 +665,12 @@ class TestLeafGraph:
         [("W", "X"), ("W", "X"), ("X", "Y"), ("Y", "Z"), ("Z", "X")])
 
     @staticmethod
-    def _check(state, surviving):
-        graph = state.graph(surviving)
-        read = _read_graph(state.configuration())
+    def _check(base, state, graph):
+        config = BlowupPlan(state.plan_steps()).execute(base)
+        read = _read_graph(config)
         assert plans._greedy_mark(*graph) == plans._greedy_mark(*read)
         assert graph == read
+        return config
 
     @pytest.mark.parametrize("k2, pool, marked", [
         (2, ("A2", "A3", "B1", "C1", "C2", "D1"), 0),
@@ -552,10 +680,10 @@ class TestLeafGraph:
         harvest = plans._harvest
         checked = []
 
-        def checking(params, state, surviving, *rest):
-            self._check(state, surviving)
+        def checking(params, sub, state, graph, *rest):
+            self._check(sub, state, graph)
             checked.append(state)
-            return harvest(params, state, surviving, *rest)
+            return harvest(params, sub, state, graph, *rest)
 
         monkeypatch.setattr(plans, "_harvest", checking)
         base = a0 if k2 == 2 else self.FIBRE
@@ -563,11 +691,35 @@ class TestLeafGraph:
         result = search_constructions(params, base)
         assert result.leaves == len(checked) > result.marked == marked
 
+    # (4.1) and (7.1) blow up C1*C2 twice, on a doubly-meeting pair
+    @pytest.mark.parametrize("rid, hinted", [("4.1", True), ("7.1", True),
+                                             ("main2", False)],
+                             ids=["4.1-hinted", "7.1-hinted", "main2-free"])
+    def test_matches_configuration_on_inference(self, a0, records, monkeypatch,
+                                                rid, hinted):
+        record = records[rid] if hinted else dataclasses.replace(records[rid], steps=())
+        targets = [tuple(c.chain) for c in record.chains]
+        leaves = plans._leaves
+        marks = []
+
+        def checking(base, *args):
+            for alloc, state, graph in leaves(base, *args):
+                config = self._check(base, state, graph)
+                chains = plans._chain_marking(*graph, targets)
+                assert chains == _reference_mark_chains(config, targets)
+                assert mark_chains(config, targets) == \
+                    (plans._marked(config, chains, ()) if chains else None)
+                marks.append(chains is not None)
+                yield alloc, state, graph
+
+        monkeypatch.setattr(plans, "_leaves", checking)
+        result = infer_plan(record, a0.restrict(record.curves))
+        assert result.success and result.leaves == len(marks) and marks[-1]
+
     def test_matches_configuration_on_tangle(self):
         # two self-nodes and a pair meeting three times, each chosen or
         # surviving, under towers of one and two blow-ups
         tangle = TestAbstractLeaves.TANGLE
-        nodes = Counter(n.pair() for n in tangle.nodes)
         leaves = 0
         for m in range(1, 7):
             got = _Counts()
@@ -575,9 +727,9 @@ class TestLeafGraph:
                 bases = [PlanStep(a, b) for a, b in pairs]
                 allocs = itertools.chain.from_iterable(
                     _allocations(total, [None] * m) for total in (m, m + 1))
-                for _, state in plans._leaves(tangle, bases, allocs, None, None, None,
-                                              {}, got, sys.maxsize):
-                    self._check(state, nodes - Counter(pairs))
+                for _, state, graph in plans._leaves(tangle, bases, allocs, None, None,
+                                                     None, {}, got, sys.maxsize):
+                    self._check(tangle, state, graph)
                     leaves += 1
         assert leaves > 0
 
