@@ -173,11 +173,16 @@ def _reduce_script(final):
 
 
 def _replay_script(script):
-    """The tower string that an insertion script builds from a single (-1)."""
-    xs = (1,)
+    """Oracle: the tower string that an insertion script builds from a single
+    (-1); each blow-up deepens both sides of its gap and inserts a 1."""
+    xs = [1]
     for gap in script:
-        xs = plans._insert(xs, gap)
-    return xs
+        if gap > 0:
+            xs[gap - 1] += 1
+        if gap < len(xs):
+            xs[gap] += 1
+        xs.insert(gap, 1)
+    return tuple(xs)
 
 
 def _reference_one_survivor(size, bound, pool):
