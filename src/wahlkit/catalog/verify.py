@@ -18,7 +18,7 @@ from ..chains import (CyclicQuotient, blow_down_compose, length_bound,
 from ..configuration import Configuration, det_exact, geography_check
 from ..assembly import (MarkedSurface, k_squared, nef_ample_check, obstruction_dim,
                         pi1_verdict, singularity_report)
-from ..plans import BlowupPlan, PlanStep, infer_plan, mark_chains
+from ..plans import BlowupPlan, PlanError, PlanStep, infer_plan, mark_chains
 from .a0 import A0Constraints, CatalogError, frozen_a0
 from .records import ChainSpec, SurfaceRecord, parse_records_file
 
@@ -175,11 +175,11 @@ def _verify_construction(ledger: Ledger, sec: str, a0: Configuration,
     """The checks every construction gets: its chains, their length bound,
     the determinant, the geography identities and the obstruction.
 
-    Returns the configuration on the record's curves and whether its family
-    is admissible and unobstructed.
+    Returns the configuration on the record's curves, whether its family
+    is admissible and unobstructed, and whether every stated chain is the
+    Wahl chain it claims to be.
     """
-    for spec in record.chains:
-        _check_chain(ledger, sec, spec)
+    chains_ok = all([_check_chain(ledger, sec, spec) for spec in record.chains])
     bound = length_bound("K3", record.k2)
     ledger.add(sec, f"length bound l <= {bound}",
                all(len(c.chain) <= bound for c in record.chains),
@@ -198,15 +198,19 @@ def _verify_construction(ledger: Ledger, sec: str, a0: Configuration,
                f"P={p} K={k} r={sub.r} t2={sub.t2} c1^2={c1} c2={c2}")
     obs = obstruction_dim(sub)
     ledger.add(sec, "no local-to-global obstruction", obs == 0, f"dim={obs}")
-    return sub, obs == 0 and geo.admissible
+    return sub, obs == 0 and geo.admissible, chains_ok
 
 
 def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
                    with_inference: bool, infer_budget: int) -> None:
     sec = f"record ({record.rid})"
-    sub, family_ok = _verify_construction(ledger, sec, a0, record)
+    sub, family_ok, chains_ok = _verify_construction(ledger, sec, a0, record)
     ledger.add(sec, f"family dimension {20 - 2 * record.k2}", family_ok)
     if not with_inference:
+        return
+    if not chains_ok:
+        ledger.add(sec, "plan inference", False,
+                   "not run: a stated chain is not the Wahl chain it claims")
         return
     result = infer_plan(record, sub, max_states=infer_budget)
     required = record.rid in REQUIRED_INFERENCE
@@ -314,10 +318,14 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
     extended = a0.restrict(list(data["curves"]) +
                            [c for ch in duval for c in ch] + list(witnesses))
     plan = _plan_from_json(plan_steps)
-    surface = plan.execute(extended)
-    marked = mark_chains(surface, [tuple(c.chain) for c in chains], ade=duval)
+    try:
+        marked = mark_chains(plan.execute(extended), [tuple(c.chain) for c in chains],
+                             ade=duval)
+        why = "marking failed"
+    except PlanError as exc:
+        marked, why = None, str(exc)
     if marked is None:
-        ledger.add(sec, "recovered plan replays", False, "marking failed")
+        ledger.add(sec, "recovered plan replays", False, why)
         return
     ledger.add(sec, "recovered plan replays", True, f"{len(plan.steps)} blow-ups")
     ledger.add(sec, f"K^2 = {k2} from the marking", k_squared(marked) == k2,

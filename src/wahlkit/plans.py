@@ -35,11 +35,11 @@ counts the choices below a failing prefix as states in one step (a
 coefficient of a product of polynomials, see `_base_choices`) instead of
 building them, so the state counts equal those of checking every choice
 whole.  Abstract tower outcomes depend only on the tower's size and limits;
-each search call memoises them in its own table (`_tower_outcomes`).  For
-a record that fits the geography, inference lets each tower keep exactly
-one surviving (-1)-curve, so every blow-up of the tower lands next to the
-newest one, and the outcomes are walked forwards along it, dropping a word
-once its finished runs leave the chains.
+each search call memoises them in its own table.  In both searches each
+tower keeps exactly one surviving (-1)-curve, as every leaf either search
+can keep does (`_tower_outcomes` says why), so every blow-up of the tower
+lands next to the newest curve, and the outcomes are walked forwards along
+it, dropping a word once its finished runs leave the chains.
 """
 from __future__ import annotations
 
@@ -273,42 +273,52 @@ def _runs_embed(xs: tuple[int, ...], pool: Optional[frozenset[tuple[int, ...]]])
     return True
 
 
-def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool,
-                    ones_cap: Optional[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Enumerate completed towers abstractly, one witness script each.
+def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool
+                    ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The towers of `size` curves that keep one (-1), with their scripts, sorted.
 
     A tower lives on the local chain [c1', E..., c2']; a blow-up picks a
     gap (a surviving node), deepens its two sides and inserts a fresh
-    (-1)-curve.  Results are the (exceptional depth string, gap script)
-    pairs, sorted, of the towers that `bound` admits, whose runs occur
-    inside the stated chains (`pool`, closed under substrings) and that keep
-    at most `ones_cap` surviving (-1)-curves.
+    (-1)-curve.  No two 1s of a tower string are ever adjacent (a fresh 1
+    deepens both its neighbours), so no insertion lowers the number of 1s,
+    and a tower that ends with one 1 has exactly one 1 throughout.  Each
+    insertion therefore goes next to it, at gap k or k+1 for the 1 at k, a
+    string has only one script, and every entry but the 1's two neighbours
+    is final.  The towers are walked depth first, and a word is dropped once
+    `bound` rejects it or its final runs leave the stated chains (`pool`,
+    closed under substrings; None admits every run).
 
-    No two 1s of a tower string are ever adjacent (a fresh 1 deepens both
-    its neighbours), so no insertion lowers the number of 1s.  With one
-    survivor allowed the towers are walked forwards (`_one_survivor_outcomes`).
-    For a record that fits the geography every tower of inference is such
-    a tower: `infer_plan` allows r - K^2 = P + K^2 surviving (-1)s in all,
-    as many as there are towers, and each tower keeps at least one.
-    Otherwise the towers are enumerated level by level: states that differ
-    only in the script are merged, and a state with more than `ones_cap` 1s
-    is dropped.
+    Every tower keeps at least one survivor: its newest curve stays a
+    (-1)-curve, since later towers sit on other base nodes.  One each is
+    all either search can use:
+
+    - `search_constructions` keeps a leaf only if its non-(-1) curves all
+      lie in Wahl chains and K^2 = k2.  Such a leaf has r + B - sum(len) =
+      r - K^2 = P + K^2 (-1)-curves, one per tower.
+    - `infer_plan` leaves only (-1)- and (-2)-curves unmarked, so a leaf has
+      at most r + B - sum(len) surviving (-1)s; for a record that fits the
+      geography that is the number of towers.  A record outside it still
+      gets every plan in which each tower keeps one (-1) and some
+      (-2)-curves stay unmarked.
     """
-    if ones_cap == 1:
-        return sorted(_one_survivor_outcomes(size, bound, pool))
-    level: dict[tuple[int, ...], tuple[int, ...]] = {(1,): ()}
-    for _ in range(size - 1):
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for xs, script in sorted(level.items()):
-            for gap in range(len(xs) + 1):
-                state = _insert(xs, gap)
-                if state in nxt or (bound is not None and not bound.admits(state)):
-                    continue
-                if ones_cap is not None and state.count(1) > ones_cap:
-                    continue
-                nxt[state] = script + (gap,)
-        level = nxt
-    return [(xs, script) for xs, script in sorted(level.items()) if _runs_embed(xs, pool)]
+    out = []
+    stack: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((1,), 0, ())]
+    while stack:
+        xs, k, script = stack.pop()
+        if len(xs) == size:
+            if _runs_embed(xs, pool):
+                out.append((xs, script))
+            continue
+        for gap in (k, k + 1):
+            state = _insert(xs, gap)
+            left, right = state[:max(gap - 1, 0)], state[gap + 2:]
+            if pool is not None and ((left and left not in pool) or
+                                     (right and right not in pool)):
+                continue
+            if bound is not None and not bound.admits(state):
+                continue
+            stack.append((state, gap, script + (gap,)))
+    return sorted(out)
 
 
 def _insert(xs: tuple[int, ...], gap: int) -> tuple[int, ...]:
@@ -322,36 +332,7 @@ def _insert(xs: tuple[int, ...], gap: int) -> tuple[int, ...]:
     return tuple(new)
 
 
-def _one_survivor_outcomes(size: int, bound: Optional[_DepthBound],
-                           pool: frozenset[tuple[int, ...]]
-                           ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The towers of `size` curves that keep one (-1), walked depth first.
-
-    A tower that ends with one 1 has exactly one 1 throughout, so each
-    insertion goes next to it, at gap k or k+1 for the 1 at k, and a string
-    has only one script.  Every entry but the 1's two neighbours is final,
-    so a word is dropped once its final runs leave the pool or `bound`
-    rejects it.
-    """
-    stack: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((1,), 0, ())]
-    while stack:
-        xs, k, script = stack.pop()
-        if len(xs) == size:
-            if _runs_embed(xs, pool):
-                yield xs, script
-            continue
-        for gap in (k, k + 1):
-            state = _insert(xs, gap)
-            left, right = state[:max(gap - 1, 0)], state[gap + 2:]
-            if (left and left not in pool) or (right and right not in pool):
-                continue
-            if bound is not None and not bound.admits(state):
-                continue
-            stack.append((state, gap, script + (gap,)))
-
-
-def _tower_scripts(base: PlanStep, count: int, size: int, bound, pool, ones_cap,
-                   outcomes: dict
+def _tower_scripts(base: PlanStep, count: int, size: int, bound, pool, outcomes: dict
                    ) -> Iterator[tuple[tuple[int, ...], int, int, tuple[PlanStep, ...],
                                        tuple[str, ...]]]:
     """All inequivalent ways to blow `size` times over one base node, abstractly.
@@ -365,16 +346,16 @@ def _tower_scripts(base: PlanStep, count: int, size: int, bound, pool, ones_cap,
     there meet only inside the tower, so the steps follow from the local
     names alone: the node blown up is the newest between its two curves,
     occurrence (meetings - 1).  A self-node's base blow-up leaves (a, E)
-    meeting twice; an outcome whose script needs a node that is gone is
-    dropped.  The abstract outcomes depend only on the tower parameters, so
-    `outcomes` memoises them, with their deepenings, for the calling search.
+    meeting twice.  The abstract outcomes depend only on the tower
+    parameters, so `outcomes` memoises them, with their deepenings, for the
+    calling search.
     """
-    key = (size, bound, pool, ones_cap)
+    key = (size, bound, pool)
     if key not in outcomes:
         # a deepens once per gap 0; b once per last gap, t + 1 at step t
         outcomes[key] = [(xs, script, 1 + script.count(0),
                           1 + sum(gap == t + 1 for t, gap in enumerate(script)))
-                         for xs, script in _tower_outcomes(size, bound, pool, ones_cap)]
+                         for xs, script in _tower_outcomes(size, bound, pool)]
     for xs, script, deepen_a, deepen_b in outcomes[key]:
         local = [base.a, f"E{count + 1}", base.b]
         meets = Counter(_pair(u, v) for u, v in zip(local, local[1:]))
@@ -382,16 +363,13 @@ def _tower_scripts(base: PlanStep, count: int, size: int, bound, pool, ones_cap,
         for t, gap in enumerate(script):
             u, v = local[gap], local[gap + 1]
             pair = _pair(u, v)
-            if not meets[pair]:
-                break
             meets[pair] -= 1
             new = f"E{count + t + 2}"
             local.insert(gap + 1, new)
             meets[_pair(u, new)] += 1
             meets[_pair(new, v)] += 1
             steps.append(PlanStep(pair[0], pair[1], meets[pair]))
-        else:
-            yield xs, deepen_a, deepen_b, tuple(steps), tuple(local)
+        yield xs, deepen_a, deepen_b, tuple(steps), tuple(local)
 
 
 def _pair(a: str, b: str) -> tuple[str, str]:
@@ -641,7 +619,7 @@ class _State:
 
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
             allocs: Iterable[tuple[int, ...]], bound: Optional[_DepthBound],
-            pool, ones_cap: Optional[int], outcomes: dict, result, max_states: int
+            pool, outcomes: dict, result, max_states: int
             ) -> Iterator[tuple[tuple[int, ...], _State, tuple[dict[str, int], Counter]]]:
     """Every completed search state, with its allocation and its graph.
 
@@ -684,7 +662,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
             key = (idx, state.count, alloc[idx])
             if key not in towers:
                 towers[key] = list(_tower_scripts(bases[idx], state.count, alloc[idx],
-                                                  bound, pool, ones_cap, outcomes))
+                                                  bound, pool, outcomes))
                 # the tower's curves take the names blow_up gives, which it
                 # refuses where the base already has one
                 for k in range(state.count + 1, state.count + alloc[idx] + 1):
@@ -737,12 +715,10 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
 
     def run_bases(bases: list[PlanStep], hints: list[Optional[int]]
                   ) -> Optional[tuple[BlowupPlan, MarkedSurface]]:
-        ones_cap = ones_total - (len(bases) - 1) if prune else None
-        if len(bases) > b_total or (ones_cap is not None and ones_cap < 1):
+        if len(bases) > min(b_total, ones_total):
             return None  # every tower takes a blow-up and keeps a (-1)-curve
         for alloc, state, graph in _leaves(base, bases, _allocations(b_total, hints),
-                                           bound, pool, ones_cap, outcomes, result,
-                                           max_states):
+                                           bound, pool, outcomes, result, max_states):
             chains = _chain_marking(*graph, targets)
             if chains is not None:
                 plan = BlowupPlan(state.plan_steps())
@@ -750,8 +726,9 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
                 if marked is not None:
                     return plan, marked
             if len(result.near_misses) < 40:
-                result.near_misses.append(
-                    f"alloc {alloc}: executed but chains do not match")
+                miss = f"alloc {alloc}: no leaf marks the stated chains"
+                if miss not in result.near_misses:
+                    result.near_misses.append(miss)
         return None
 
     found = None
@@ -915,7 +892,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
                 allocs = itertools.chain.from_iterable(
                     _allocations(total, [None] * m)
                     for total in range(m, params.max_blowups + 1))
-                for alloc, state, graph in _leaves(sub, bases, allocs, bound, None, None,
+                for alloc, state, graph in _leaves(sub, bases, allocs, bound, None,
                                                    outcomes, result, params.max_states):
                     _harvest(params, sub, state, graph, bases, alloc, subset, base_det,
                              result, found)

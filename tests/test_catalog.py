@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from wahlkit.catalog.a0 import (A0Constraints, CatalogError, FIBERS, SECTIONS,
                                 build_a0, frozen_a0, incidences_of,
                                 reconstruct_a0, validate_a0)
-from wahlkit.catalog.records import (RecordError, format_record, parse_record,
+from wahlkit.catalog.records import (ChainSpec, RecordError, format_record, parse_record,
                                      parse_records_file)
 from wahlkit.catalog.verify import (ledger_constraints, load_expected,
                                     load_records, verify_all)
@@ -195,3 +196,20 @@ class TestLedger:
         ledger = verify_all(a0, records, broken, with_inference=False)
         assert not ledger.ok
         assert any("node count" in c.name for c in ledger.failures())
+
+    def test_non_wahl_chain_claim_is_a_failure(self, a0, records, expected):
+        # (8,3) written as [3,5,3,3]: inference is not run, and says why
+        bad = [dataclasses.replace(r, chains=(ChainSpec(8, 3, (3, 5, 3, 3)),) + r.chains[1:])
+               if r.rid == "3.0" else r for r in records]
+        ledger = verify_all(a0, bad, expected)
+        failures = [(c.section, c.name) for c in ledger.failures()]
+        assert failures == [("record (3.0)", "chain [3, 5, 3, 3] is a Wahl chain"),
+                            ("record (3.0)", "plan inference")]
+        assert "not the Wahl chain" in ledger.failures()[1].detail
+
+    def test_unreplayable_main_plan_is_a_failure(self, a0, records, expected):
+        broken = json.loads(json.dumps(expected))
+        broken["mains"]["2"]["recovered_plan"][0][2] = 5
+        ledger = verify_all(a0, records, broken, with_inference=False)
+        assert [c.line() for c in ledger.failures()] == [
+            "[FAIL] main K^2=2: recovered plan replays -- no node #5 between A2 and B1"]

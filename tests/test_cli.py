@@ -1,5 +1,6 @@
 import itertools
 import json
+from importlib import resources
 
 import pytest
 
@@ -137,6 +138,26 @@ class TestVerifyAndSearch:
         code, _, err = capture("verify", option, str(missing), "--no-infer")
         assert code == 2
         assert err.startswith("error:") and "missing.txt" in err
+
+    def test_verify_reports_bad_claims_as_failures(self, capture, tmp_path):
+        # a stated chain that is not a Wahl chain, and a main plan naming a
+        # missing node: FAIL lines and exit code 1, not an error
+        data = resources.files("wahlkit.catalog") / "data"
+        records = tmp_path / "records.txt"
+        records.write_text((data / "records.txt").read_text(encoding="utf-8").replace(
+            "(8,3):[3,5,3,2] - (23,7)", "(8,3):[3,5,3,3] - (23,7)"), encoding="utf-8")
+        expected = json.loads((data / "expected.json").read_text(encoding="utf-8"))
+        expected["mains"]["2"]["recovered_plan"][0][2] = 5
+        expected_path = tmp_path / "expected.json"
+        expected_path.write_text(json.dumps(expected))
+        code, out, err = capture("verify", "--records", str(records),
+                                 "--expected", str(expected_path))
+        assert code == 1 and err == ""
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+            "[FAIL] record (3.0): chain [3, 5, 3, 3] is a Wahl chain",
+            "[FAIL] record (3.0): plan inference -- not run: a stated chain is "
+            "not the Wahl chain it claims",
+            "[FAIL] main K^2=2: recovered plan replays -- no node #5 between A2 and B1"]
 
     def test_verify_negative_infer_budget_is_a_usage_error(self, capture):
         code, out, err = capture("verify", "--infer-budget", "-5")

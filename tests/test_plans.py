@@ -104,7 +104,27 @@ def _reference_choices(base, m, result, max_states):
         yield combo, pairs
 
 
-def _reference_tower_scripts(config, base, size, bound, pool, ones_cap, outcomes):
+def _reference_towers(size, bound, pool):
+    """Oracle: every tower of `size` curves, enumerated level by level.
+
+    States that differ only in the script are merged; a state that `bound`
+    rejects is dropped, and a finished tower whose runs leave `pool`.
+    """
+    level = {(1,): ()}
+    for _ in range(size - 1):
+        nxt = {}
+        for xs, script in sorted(level.items()):
+            for gap in range(len(xs) + 1):
+                state = _replay_script(script + (gap,))
+                if state in nxt or (bound is not None and not bound.admits(state)):
+                    continue
+                nxt[state] = script + (gap,)
+        level = nxt
+    return [(xs, script) for xs, script in sorted(level.items())
+            if plans._runs_embed(xs, pool)]
+
+
+def _reference_tower_scripts(config, base, size, bound, pool, outcomes):
     """Oracle: replay each abstract tower outcome's script with `blow_up`.
 
     Gap g of the local chain is the newest node between its neighbours g
@@ -113,9 +133,9 @@ def _reference_tower_scripts(config, base, size, bound, pool, ones_cap, outcomes
     nodes = config.nodes_between(base.a, base.b)
     if base.occurrence >= len(nodes):
         return
-    key = (size, bound, pool, ones_cap)
+    key = (size, bound, pool)
     if key not in outcomes:
-        outcomes[key] = plans._tower_outcomes(size, bound, pool, ones_cap)
+        outcomes[key] = plans._tower_outcomes(size, bound, pool)
     for _, script in outcomes[key]:
         state = config.blow_up(nodes[base.occurrence].id)
         local = [base.a, f"E{state.blowup_count}", base.b]
@@ -203,7 +223,7 @@ def _reference_one_survivor(size, bound, pool):
     return sorted(out)
 
 
-def _reference_leaves(base, bases, allocs, bound, pool, ones_cap, result, max_states):
+def _reference_leaves(base, bases, allocs, bound, pool, result, max_states):
     """Oracle: `_leaves` on concrete configurations, one per state."""
     outcomes = {}
     for alloc in allocs:
@@ -214,7 +234,7 @@ def _reference_leaves(base, bases, allocs, bound, pool, ones_cap, result, max_st
                 yield alloc, config, steps
                 continue
             for state, tower_steps in _reference_tower_scripts(
-                    config, bases[idx], alloc[idx], bound, pool, ones_cap, outcomes):
+                    config, bases[idx], alloc[idx], bound, pool, outcomes):
                 result.states += 1
                 if result.states > max_states:
                     return
@@ -224,14 +244,12 @@ def _reference_leaves(base, bases, allocs, bound, pool, ones_cap, result, max_st
 
 def _lockstep(leaves):
     """`leaves`, checked leaf by leaf and count by count against the oracle."""
-    def checked(base, bases, allocs, bound, pool, ones_cap, outcomes, result,
-                max_states):
+    def checked(base, bases, allocs, bound, pool, outcomes, result, max_states):
         allocs, ref_allocs = itertools.tee(allocs)
         ref = _Counts(states=result.states)
-        want = _reference_leaves(base, bases, ref_allocs, bound, pool, ones_cap,
-                                 ref, max_states)
-        for alloc, state, graph in leaves(base, bases, allocs, bound, pool, ones_cap,
-                                          outcomes, result, max_states):
+        want = _reference_leaves(base, bases, ref_allocs, bound, pool, ref, max_states)
+        for alloc, state, graph in leaves(base, bases, allocs, bound, pool, outcomes,
+                                          result, max_states):
             config = BlowupPlan(state.plan_steps()).execute(base)
             assert (alloc, config, state.plan_steps()) == next(want)
             assert graph == _read_graph(config)
@@ -446,6 +464,18 @@ class TestInference:
         assert 0 < result.leaves < result.states
         assert len(calls) == record.blowup_total
 
+    def test_near_misses_name_each_allocation_once(self, a0, records):
+        # every leaf of an allocation may fail, yet the allocation is named once
+        record = dataclasses.replace(records["2.2"], steps=())
+        result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
+        assert not result.success
+        misses = result.near_misses[:-1]
+        assert result.near_misses[-1] == "state budget exhausted"
+        assert misses and len(misses) == len(set(misses))
+        assert all(m.startswith("alloc (") and m.endswith("): no leaf marks the stated chains")
+                   for m in misses)
+        assert "alloc (1, 1, 4, 4): no leaf marks the stated chains" in misses
+
     def test_failed_summary_counts_leaves(self, a0, records):
         record = dataclasses.replace(records["2.1"], steps=())
         result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
@@ -511,14 +541,13 @@ class TestAbstractLeaves:
     def test_matches_replay_on_tangle(self, bases, complete, limits, budget):
         bound = _DepthBound.of_chains(self.TARGETS) if limits != "none" else None
         pool = _substring_pool(self.TARGETS) if limits == "targeted" else None
-        ones_cap = 4 if limits == "targeted" else None
         steps = [PlanStep(*b) for b in bases]
         leaves = 0
         for total in range(len(steps), 8):
             got = _Counts()
             yielded = list(_lockstep(plans._leaves)(
                 self.TANGLE, steps, _allocations(total, [None] * len(steps)), bound,
-                pool, ones_cap, {}, got, budget))
+                pool, {}, got, budget))
             assert got.states > 0 and got.leaves == len(yielded)
             leaves += len(yielded)
         assert (leaves > 0) == complete
@@ -561,7 +590,7 @@ class TestOneSurvivorTowers:
         found = 0
         for bound in (None, _DepthBound.of_chains(targets)):
             for size in range(1, 15):
-                got = plans._tower_outcomes(size, bound, pool, 1)
+                got = plans._tower_outcomes(size, bound, pool)
                 assert got == _reference_one_survivor(size, bound, pool), (size, bound)
                 found += len(got)
         assert found > 0
@@ -569,16 +598,19 @@ class TestOneSurvivorTowers:
     @pytest.mark.parametrize("targets", CHAIN_SETS.values(), ids=list(CHAIN_SETS))
     @pytest.mark.parametrize("ones_cap", [2, 3])
     def test_capped_levels_match_unpruned(self, targets, ones_cap):
-        # the level enumeration drops a state once it has too many 1s; the
-        # unpruned enumeration, filtered afterwards, is the oracle
+        # the level enumeration finds every tower: each of those with up to
+        # ones_cap surviving (-1)s keeps at least one, and the walk returns
+        # exactly the ones that keep one
         pool = _substring_pool(targets)
         found = 0
         for bound in (None, _DepthBound.of_chains(targets)):
             for size in range(1, 9):
-                got = plans._tower_outcomes(size, bound, pool, ones_cap)
-                want = [xs for xs, _ in plans._tower_outcomes(size, bound, None, None)
-                        if plans._runs_embed(xs, pool) and xs.count(1) <= ones_cap]
-                assert [xs for xs, _ in got] == want, (size, bound)
+                got = plans._tower_outcomes(size, bound, pool)
+                towers = [xs for xs, _ in _reference_towers(size, bound, pool)
+                          if xs.count(1) <= ones_cap]
+                assert all(xs.count(1) >= 1 for xs in towers)
+                assert [xs for xs, _ in got] == [xs for xs in towers if xs.count(1) == 1], \
+                    (size, bound)
                 assert all(_replay_script(script) == xs for xs, script in got)
                 found += len(got)
         assert found > 0
@@ -586,23 +618,49 @@ class TestOneSurvivorTowers:
     @pytest.mark.parametrize("hinted", [True, False], ids=["hinted", "free"])
     def test_catalog_allows_one_survivor_per_tower(self, a0, records, monkeypatch,
                                                    hinted):
-        # for a record that fits the geography, r - K^2 = P + K^2 surviving
-        # (-1)s are allowed, one per tower, so every tower takes the walk
-        caps = []
-        towers = plans._tower_outcomes
+        # for a record that fits the geography, at most r + B - sum(len) =
+        # P + K^2 (-1)s survive, as many as there are towers, so walking
+        # only the towers that keep one loses no plan
+        calls = []
+        leaves = plans._leaves
 
-        def recording(size, bound, pool, ones_cap):
-            caps.append(ones_cap)
-            return towers(size, bound, pool, ones_cap)
+        def recording(base, bases, *rest):
+            calls.append((len(bases), ones_total))
+            return leaves(base, bases, *rest)
 
-        monkeypatch.setattr(plans, "_tower_outcomes", recording)
+        monkeypatch.setattr(plans, "_leaves", recording)
         for record in records.values():
             if not hinted:
                 record = dataclasses.replace(record, steps=())
             elif not record.steps:
                 continue
+            ones_total = (record.blowup_total + len(record.curves)
+                          - sum(len(c.chain) for c in record.chains))
             infer_plan(record, a0.restrict(record.curves), max_states=3000)
-        assert caps and set(caps) == {1}
+        assert calls and all(towers == ones for towers, ones in calls)
+
+    @pytest.mark.parametrize("case", ["fibre", "2.1-pool", "2.1", "2.2", "4.1",
+                                      "main2-free"])
+    def test_level_enumeration_gives_the_same_results(self, a0, records, monkeypatch,
+                                                      case):
+        # towers that keep two (-1)s add states but never a result
+        def run():
+            if case == "fibre":
+                params = SearchParams(k2=1, max_chains=2, max_blowups=7,
+                                      curve_pool=tuple("WXYZ"))
+                return search_constructions(params, TestLeafGraph.FIBRE).records
+            if case == "2.1-pool":
+                return search_constructions(TestSearch.BENCH, a0).records
+            record = records[case.split("-")[0]]
+            if case.endswith("-free"):
+                record = dataclasses.replace(record, steps=())
+            result = infer_plan(record, a0.restrict(record.curves))
+            assert result.success
+            return str(result.plan), result.marked.wahl_chains
+
+        walked = run()
+        monkeypatch.setattr(plans, "_tower_outcomes", _reference_towers)
+        assert run() == walked
 
 
 def _read_graph(config):
@@ -733,7 +791,7 @@ class TestLeafGraph:
                 allocs = itertools.chain.from_iterable(
                     _allocations(total, [None] * m) for total in (m, m + 1))
                 for _, state, graph in plans._leaves(tangle, bases, allocs, None, None,
-                                                     None, {}, got, sys.maxsize):
+                                                     {}, got, sys.maxsize):
                     self._check(tangle, state, graph)
                     leaves += 1
         assert leaves > 0
@@ -898,7 +956,7 @@ class TestSearch:
         params = SearchParams(k2=2, max_chains=2, max_blowups=6,
                               curve_pool=("A2", "A3", "B1", "C1", "C2", "D1"))
         once = search_constructions(params, a0)
-        assert once.states == 7550 and once.leaves > 0
+        assert once.states == 7050 and once.leaves > 0
         for pool in (("A2", "A2", "A3", "B1", "C1", "C2", "D1"),
                      ("D1", "A2", "A3", "D1", "B1", "C1", "C2", "D1")):
             repeated = dataclasses.replace(params, curve_pool=pool)
@@ -912,7 +970,7 @@ class TestSearch:
         with pytest.raises(PlanError, match=field):
             search_constructions(params, a0)
 
-    # the benchmark's search: 32,300 states, 13,050 leaves, 2 of them marked
+    # the benchmark's search: 26,300 states, 10,450 leaves, 2 of them marked
     BENCH = SearchParams(k2=2, max_chains=2, max_blowups=7,
                          curve_pool=("A2", "A3", "B1", "C1", "C2", "D1"))
 
@@ -928,15 +986,15 @@ class TestSearch:
 
         monkeypatch.setattr(Configuration, "blow_up", counted)
         result = search_constructions(self.BENCH, a0)
-        assert (result.states, result.leaves, result.marked) == (32300, 13050, 2)
+        assert (result.states, result.leaves, result.marked) == (26300, 10450, 2)
         assert len(result.records) == 1
         assert 0 < len(calls) <= result.marked * self.BENCH.max_blowups
 
     def test_result_cap_stops_the_search(self, a0):
-        # uncapped, this search finds 2 records in 130,100 states
+        # uncapped, this search finds 2 records in 86,850 states
         params = dataclasses.replace(self.BENCH, max_blowups=8)
         capped = search_constructions(dataclasses.replace(params, max_results=1), a0)
-        assert len(capped.records) == 1 and capped.states < 130100
+        assert len(capped.records) == 1 and capped.states < 86850
         assert capped.notes == ["result budget reached"]
         empty = search_constructions(dataclasses.replace(params, max_results=0), a0)
         assert (empty.records, empty.states) == ([], 0)
