@@ -280,8 +280,19 @@ def _verify_wormholes(ledger: Ledger, expected: dict,
                    f"got {got[0]} and {got[1]}")
 
 
-def _plan_from_json(steps: list) -> BlowupPlan:
-    return BlowupPlan(tuple(PlanStep(a, b, occ) for a, b, occ in steps))
+def _plan_from_json(steps) -> BlowupPlan:
+    """The plan of a `recovered_plan` list of [curve, curve, occurrence] steps."""
+    if not isinstance(steps, list):
+        raise PlanError(f"recovered_plan is not a list of steps: {json.dumps(steps)}")
+    plan = []
+    for i, step in enumerate(steps):
+        if not (isinstance(step, list) and len(step) == 3
+                and all(isinstance(name, str) for name in step[:2])
+                and type(step[2]) is int and step[2] >= 0):
+            raise PlanError(f"recovered_plan[{i}] is not [curve, curve, occurrence >= 0]: "
+                            f"{json.dumps(step)}")
+        plan.append(PlanStep(*step))
+    return BlowupPlan(tuple(plan))
 
 
 def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None:
@@ -317,8 +328,8 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
     witnesses = data.get("pi1_witnesses", [])
     extended = a0.restrict(list(data["curves"]) +
                            [c for ch in duval for c in ch] + list(witnesses))
-    plan = _plan_from_json(plan_steps)
     try:
+        plan = _plan_from_json(plan_steps)
         marked = mark_chains(plan.execute(extended), [tuple(c.chain) for c in chains],
                              ade=duval)
         why = "marking failed"

@@ -225,6 +225,7 @@ def _dispatch(args: argparse.Namespace, fmt: str) -> int:
             print(json.dumps({"records": [format_record(r) for r in result.records],
                               "notes": result.notes,
                               "states": result.states,
+                              "pruned": result.pruned,
                               "leaves": result.leaves,
                               "marked": result.marked,
                               "exhausted": result.exhausted}, sort_keys=True))

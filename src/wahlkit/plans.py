@@ -29,17 +29,26 @@ Both searches mark a leaf on its graph: inference into the stated chains
 with `BlowupPlan.execute`, only for a leaf that marks: inference keeps it
 if its marked surface is valid, search if it has Wahl chains and no ADE
 chain and its canonical class is ample.  Pruning only ever discards
-states that provably cannot reach the chains sought.  Inference also checks
-the rules of `_ChoicePrefix` on every prefix of a base-node choice, and
-counts the choices below a failing prefix as states in one step (a
-coefficient of a product of polynomials, see `_base_choices`) instead of
-building them, so the state counts equal those of checking every choice
-whole.  Abstract tower outcomes depend only on the tower's size and limits;
-each search call memoises them in its own table.  In both searches each
-tower keeps exactly one surviving (-1)-curve, as every leaf either search
-can keep does (`_tower_outcomes` says why), so every blow-up of the tower
-lands next to the newest curve, and the outcomes are walked forwards along
-it, dropping a word once its finished runs leave the chains.
+states that provably cannot reach the chains sought.  A chain is a path
+of curves, so both searches run the path rule (`_PathPrefix`) on every
+prefix of a base-node choice: the surviving nodes between base curves at
+-2 or below must form disjoint simple paths.  Such a curve only gets
+deeper, so it is never a (-1)-curve that a marking leaves out; a curve at
+-1 or above may be, and its nodes are exempt.  Inference adds its
+chain-specific rules on top (`_ChoicePrefix`).  The choices below a
+failing prefix are counted as states in one step (a coefficient of a
+product of polynomials, see `_base_choices`) instead of being built, so
+the state counts equal those of checking every choice whole.  Search also
+drops a state once a base curve at -2 or below has more than two final
+non-(-1) neighbours, a branch point that `_greedy_mark` rejects (the
+degree rule of `_leaves`); inference may leave branched (-2)-curves
+unmarked, so it does not run that rule.  Abstract tower outcomes depend
+only on the tower's size and limits; each search call memoises them in
+its own table.  In both searches each tower keeps exactly one surviving
+(-1)-curve, as every leaf either search can keep does (`_tower_outcomes`
+says why), so every blow-up of the tower lands next to the newest curve,
+and the outcomes are walked forwards along it, dropping a word once its
+finished runs leave the chains.
 """
 from __future__ import annotations
 
@@ -412,7 +421,7 @@ def _allocations(total: int, hints: Sequence[Optional[int]]) -> Iterable[tuple[i
 
 
 def _base_choices(base: Configuration, m: int, result, max_states: int,
-                  prefix: Optional["_ChoicePrefix"] = None
+                  prefix: Optional["_PathPrefix"] = None
                   ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
     """Each choice of m base nodes to blow up, as node ids and curve pairs.
 
@@ -422,9 +431,10 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     is.  Each choice counts as one state of `result`; the enumeration stops
     once the states exceed `max_states`.
 
-    With a `prefix` filter, a decided prefix that fails it is not extended:
-    its completions are counted as states (and as `result.pruned`) in one
-    step, and only feasible choices are yielded.
+    With a `prefix` filter (`_PathPrefix`, or inference's `_ChoicePrefix`),
+    a decided prefix that fails it is not extended: its completions are
+    counted as states (and as `result.pruned`) in one step, and only
+    feasible choices are yielded.
     """
     nodes = sorted(base.nodes, key=operator.attrgetter("id"))
     ids = [n.id for n in nodes]
@@ -492,11 +502,75 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
         yield from extend(0, (), frozenset(), len(nodes), prefix)
 
 
-class _ChoicePrefix:
-    """Sound rules on the base nodes decided so far, in id order.
+def _deep_curves(base: Configuration) -> frozenset[str]:
+    """The base curves at -2 or below, which blow-ups only deepen: none of
+    them ends as a (-1)-curve that a marking leaves out."""
+    return frozenset(c.name for c in base.curves if c.self_int <= -2)
 
-    - Unchosen non-self nodes survive as chain adjacencies, so they must
-      form disjoint simple paths (degree at most 2, no cycle).
+
+class _PathPrefix:
+    """The path rule on the base nodes decided so far, in id order.
+
+    An unchosen non-self node survives into every leaf.  A curve whose base
+    self-intersection is <= -2 only gets deeper, so it is never a
+    (-1)-curve: a surviving node between two such curves is an edge of
+    every leaf's non-(-1) graph.  Those edges must form disjoint simple
+    paths, with degree at most 2 and no cycle; a second surviving node on
+    the same pair closes a cycle.  The rule is exact for search, since
+    `_greedy_mark` rejects a branch point, a cycle and a pair meeting twice
+    in that graph.  In inference, a leaf of a record that fits the
+    geography leaves only the towers' (-1)-curves unmarked
+    (`_tower_outcomes`), so such an edge joins two consecutive curves of
+    one chain.  A curve at -1, 0 or above may end as a (-1)-curve that a
+    marking leaves out, so its nodes are exempt.  Deciding more nodes only
+    adds edges, so a prefix that fails has no feasible completion.
+    `chosen` and `unchosen` return the extended prefix, or None when it
+    fails.
+    """
+
+    __slots__ = ("deep", "degree", "ends")
+
+    def __init__(self, deep: frozenset, degree: dict, ends: dict) -> None:
+        self.deep = deep  # the base curves at -2 or below
+        self.degree = degree
+        self.ends = ends  # a path end -> the other end of its path
+
+    @classmethod
+    def of(cls, base: Configuration) -> "_PathPrefix":
+        return cls(_deep_curves(base), {}, {})
+
+    def chosen(self, node) -> "_PathPrefix":
+        return self
+
+    def unchosen(self, node) -> Optional["_PathPrefix"]:
+        joined = self._join(node)
+        return None if joined is None else _PathPrefix(self.deep, *joined)
+
+    def _join(self, node) -> Optional[tuple[dict, dict]]:
+        """The degrees and path ends once `node` survives, or None."""
+        a, b = node.a, node.b
+        if node.is_self_node or a not in self.deep or b not in self.deep:
+            return self.degree, self.ends
+        degree = dict(self.degree)
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+        if degree[a] > 2 or degree[b] > 2:
+            return None
+        # a and b are ends of paths (or isolated): joining them closes a
+        # cycle exactly when they end the same path
+        end_a, end_b = self.ends.get(a, a), self.ends.get(b, b)
+        if end_a == b:
+            return None
+        ends = dict(self.ends)
+        ends[end_a] = end_b
+        ends[end_b] = end_a
+        return degree, ends
+
+
+class _ChoicePrefix(_PathPrefix):
+    """Inference's rules on the base nodes decided so far, in id order.
+
+    - The path rule it inherits from `_PathPrefix`, which search runs alone.
     - Every incident chosen node sinks its curve one step, so the depths
       2 + incidences must pass the depth bound.
     - A surviving node's endpoint depths must be dominated by some
@@ -507,26 +581,25 @@ class _ChoicePrefix:
     `unchosen` return the extended prefix, or None when it fails.
     """
 
-    __slots__ = ("bound", "reach", "inc", "degree", "ends", "surviving")
+    __slots__ = ("bound", "reach", "inc", "surviving")
 
-    def __init__(self, bound: _DepthBound, reach: tuple[int, ...], inc: dict,
-                 degree: dict, ends: dict, surviving: tuple) -> None:
+    def __init__(self, deep: frozenset, degree: dict, ends: dict, bound: _DepthBound,
+                 reach: tuple[int, ...], inc: dict, surviving: tuple) -> None:
+        super().__init__(deep, degree, ends)
         self.bound = bound
         self.reach = reach
         self.inc = inc
-        self.degree = degree
-        self.ends = ends  # a path end -> the other end of its path
         self.surviving = surviving
 
     @classmethod
-    def of_chains(cls, targets: Sequence[tuple[int, ...]],
-                  bound: _DepthBound) -> "_ChoicePrefix":
+    def of_chains(cls, targets: Sequence[tuple[int, ...]], bound: _DepthBound,
+                  base: Configuration) -> "_ChoicePrefix":
         adjacent = {(t[i], t[i + 1]) for t in targets for i in range(len(t) - 1)}
         adjacent |= {(y, x) for x, y in adjacent}
         top = max((x for x, _ in adjacent), default=-1)
         # reach[d]: the deepest partner of an adjacent entry at least d deep
         reach = tuple(max(y for x, y in adjacent if x >= d) for d in range(top + 1))
-        return cls(bound, reach, {}, {}, {}, ())
+        return cls(_deep_curves(base), {}, {}, bound, reach, {}, ())
 
     def _dominated(self, inc: dict, u: str, v: str) -> bool:
         du, dv = 2 + inc.get(u, 0), 2 + inc.get(v, 0)
@@ -540,28 +613,17 @@ class _ChoicePrefix:
             return None
         if not all(self._dominated(inc, u, v) for u, v in self.surviving):
             return None
-        return _ChoicePrefix(self.bound, self.reach, inc, self.degree, self.ends,
-                             self.surviving)
+        return _ChoicePrefix(self.deep, self.degree, self.ends, self.bound, self.reach,
+                             inc, self.surviving)
 
     def unchosen(self, node) -> Optional["_ChoicePrefix"]:
         if node.is_self_node:
             return self  # its curve can only survive as a free nodal curve
-        a, b = node.a, node.b
-        degree = dict(self.degree)
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-        if degree[a] > 2 or degree[b] > 2:
+        joined = self._join(node)
+        if joined is None or not self._dominated(self.inc, node.a, node.b):
             return None
-        # a and b are ends of paths (or isolated): joining them closes a
-        # cycle exactly when they end the same path
-        end_a, end_b = self.ends.get(a, a), self.ends.get(b, b)
-        if end_a == b or not self._dominated(self.inc, a, b):
-            return None
-        ends = dict(self.ends)
-        ends[end_a] = end_b
-        ends[end_b] = end_a
-        return _ChoicePrefix(self.bound, self.reach, self.inc, degree, ends,
-                             self.surviving + ((a, b),))
+        return _ChoicePrefix(self.deep, *joined, self.bound, self.reach, self.inc,
+                             self.surviving + ((node.a, node.b),))
 
 
 class _State:
@@ -571,14 +633,18 @@ class _State:
     `exceptional` those of the exceptional curves so far, tower by tower;
     `steps` are the blow-ups of the last tower placed and `chain` its final
     local chain [a, E..., b]; `index` is the number of towers placed and
-    `count` the blow-ups so far.
+    `count` the blow-ups so far.  `degree` counts, for each base curve, its
+    final non-(-1) neighbours so far when `_leaves` runs its degree rule,
+    and is empty otherwise.
     """
 
-    __slots__ = ("parent", "depths", "exceptional", "steps", "chain", "index", "count")
+    __slots__ = ("parent", "depths", "exceptional", "steps", "chain", "index", "count",
+                 "degree")
 
     def __init__(self, parent: Optional["_State"], depths: tuple[int, ...],
                  exceptional: tuple[int, ...], steps: tuple[PlanStep, ...],
-                 chain: tuple[str, ...], index: int, count: int) -> None:
+                 chain: tuple[str, ...], index: int, count: int,
+                 degree: tuple[int, ...]) -> None:
         self.parent = parent
         self.depths = depths
         self.exceptional = exceptional
@@ -586,6 +652,7 @@ class _State:
         self.chain = chain
         self.index = index
         self.count = count
+        self.degree = degree
 
     def plan_steps(self) -> tuple[PlanStep, ...]:
         if self.parent is None:
@@ -619,7 +686,7 @@ class _State:
 
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
             allocs: Iterable[tuple[int, ...]], bound: Optional[_DepthBound],
-            pool, outcomes: dict, result, max_states: int
+            pool, outcomes: dict, result, max_states: int, unbranched: bool = False
             ) -> Iterator[tuple[tuple[int, ...], _State, tuple[dict[str, int], Counter]]]:
     """Every completed search state, with its allocation and its graph.
 
@@ -634,6 +701,16 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     configuration is `BlowupPlan(state.plan_steps()).execute(base)`.  Each
     leaf counts in `result.leaves`.  `outcomes` is the caller's
     tower-outcome memo (see `_tower_scripts`).
+
+    With `unbranched` (search only: inference allows branched unmarked
+    (-2)-curves), a state is dropped once a base curve at -2 or below has
+    more than two final non-(-1) neighbours.  Such a curve is never the
+    (-1)-curve `_greedy_mark` leaves out, and its neighbours are the base
+    curves at -2 or below across its surviving nodes and the non-(-1) end
+    curves of the towers on it: tower i attaches its string's first curve
+    to `bases[i].a` and its last to `.b`, and later towers sit on other base
+    nodes, so neither the curves nor their depths change after placement.
+    Such a state is still counted as a state.
     """
     names = [c.name for c in base.curves]
     position = {name: i for i, name in enumerate(names)}
@@ -645,8 +722,19 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
         available.append(step.occurrence < nodes[pair] - placed[pair])
         placed[pair] += 1
     surviving = nodes - placed
+    degree: tuple[int, ...] = ()
+    if unbranched:
+        deep_names = _deep_curves(base)
+        deep = [name in deep_names for name in names]
+        counts = [0] * len(names)
+        for (a, b), k in surviving.items():
+            ia, ib = position[a], position[b]
+            if a != b and deep[ia] and deep[ib]:
+                counts[ia] += k
+                counts[ib] += k
+        degree = tuple(counts)
     root = _State(None, tuple(-c.self_int for c in base.curves), (), (), (), 0,
-                  base.blowup_count)
+                  base.blowup_count, degree)
     towers: dict = {}  # (index, count, size) -> the tower's outcomes there
     for alloc in allocs:
         stack = [root]
@@ -673,13 +761,21 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                 result.states += 1
                 if result.states > max_states:
                     return
+                degree = state.degree
+                if unbranched:
+                    degree = list(degree)
+                    degree[ia] += xs[0] != 1
+                    degree[ib] += xs[-1] != 1
+                    if (deep[ia] and degree[ia] > 2) or (deep[ib] and degree[ib] > 2):
+                        continue
+                    degree = tuple(degree)
                 depths = list(state.depths)
                 depths[ia] += deepen_a
                 depths[ib] += deepen_b
                 exceptional = state.exceptional + xs
                 if bound is None or bound.admits(depths + list(exceptional)):
                     stack.append(_State(state, tuple(depths), exceptional, steps, chain,
-                                        idx + 1, state.count + alloc[idx]))
+                                        idx + 1, state.count + alloc[idx], degree))
 
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
@@ -746,7 +842,7 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     else:
         # free search over base-node choices of the forced size
         m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
-        prefix = _ChoicePrefix.of_chains(targets, bound) if prune else None
+        prefix = _ChoicePrefix.of_chains(targets, bound, base) if prune else None
         for _, pairs in _base_choices(base, m, result, max_states, prefix):
             found = run_bases([PlanStep(a, b) for a, b in pairs], [None] * m)
             if found is not None:
@@ -781,6 +877,7 @@ class SearchResult:
     records: list[SurfaceRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     states: int = 0
+    pruned: int = 0  # base-node choices rejected by a prefix, each also a state
     leaves: int = 0  # completed search states handed to _harvest
     marked: int = 0  # leaves marked greedily into Wahl chains and no ADE chain
     exhausted: bool = False
@@ -793,7 +890,8 @@ def _greedy_mark(self_int: dict[str, int], meets: Counter
     `self_int` maps each curve to its self-intersection and `meets` each
     curve pair, ordered as `_pair` orders it, to its number of nodes.
     Components that are paths of (-2)-curves become ADE chains; paths whose
-    string is a Wahl chain become Wahl chains; anything else fails, as does
+    string is a Wahl chain become Wahl chains; anything else fails (a curve
+    at self-intersection 0 or above is in no chain), as does
     a self-node on a non-(-1)-curve or a pair of them meeting twice.  Each
     path starts at its lexicographically smaller end.  Returns the Wahl and
     the ADE chains, or None.
@@ -833,7 +931,7 @@ def _greedy_mark(self_int: dict[str, int], meets: Counter
         entries = tuple(-self_int[c] for c in path)
         if all(b == 2 for b in entries):
             ade.append(tuple(path))
-        elif wahl_singularity(entries) is not None:
+        elif min(entries) >= 2 and wahl_singularity(entries) is not None:
             wahl.append(tuple(path))
         else:
             return None
@@ -887,13 +985,15 @@ def search_constructions(params: SearchParams, a0: Configuration,
             base_det = det_exact(sub.intersection_matrix())
             if base_det == 0:
                 continue
-            for _, pairs in _base_choices(sub, m, result, params.max_states):
+            paths = _PathPrefix.of(sub) if prune else None
+            for _, pairs in _base_choices(sub, m, result, params.max_states, paths):
                 bases = [PlanStep(a, b) for a, b in pairs]
                 allocs = itertools.chain.from_iterable(
                     _allocations(total, [None] * m)
                     for total in range(m, params.max_blowups + 1))
                 for alloc, state, graph in _leaves(sub, bases, allocs, bound, None,
-                                                   outcomes, result, params.max_states):
+                                                   outcomes, result, params.max_states,
+                                                   prune):
                     _harvest(params, sub, state, graph, bases, alloc, subset, base_det,
                              result, found)
                     if full():

@@ -207,6 +207,30 @@ class TestLedger:
                             ("record (3.0)", "plan inference")]
         assert "not the Wahl chain" in ledger.failures()[1].detail
 
+    @pytest.mark.parametrize("step, shown", [
+        (["A2", "C3"], '["A2", "C3"]'),
+        (["A2", "C3", -1], '["A2", "C3", -1]'),
+        (["A2", "C3", "0"], '["A2", "C3", "0"]'),
+        (["A2", 3, 0], '["A2", 3, 0]'),
+        ("A2*C3", '"A2*C3"'),
+    ], ids=["two-elements", "negative", "string-occurrence", "number-name", "string"])
+    def test_malformed_main_plan_step_is_a_failure(self, a0, records, expected, step,
+                                                   shown):
+        broken = json.loads(json.dumps(expected))
+        broken["mains"]["3"]["recovered_plan"][1] = step
+        ledger = verify_all(a0, records, broken, with_inference=False)
+        assert [c.line() for c in ledger.failures()] == [
+            "[FAIL] main K^2=3: recovered plan replays -- recovered_plan[1] is not "
+            f"[curve, curve, occurrence >= 0]: {shown}"]
+
+    def test_main_plan_that_is_not_a_list_is_a_failure(self, a0, records, expected):
+        broken = json.loads(json.dumps(expected))
+        broken["mains"]["3"]["recovered_plan"] = 5
+        ledger = verify_all(a0, records, broken, with_inference=False)
+        assert [c.line() for c in ledger.failures()] == [
+            "[FAIL] main K^2=3: recovered plan replays -- recovered_plan is not a list "
+            "of steps: 5"]
+
     def test_unreplayable_main_plan_is_a_failure(self, a0, records, expected):
         broken = json.loads(json.dumps(expected))
         broken["mains"]["2"]["recovered_plan"][0][2] = 5

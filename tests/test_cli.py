@@ -159,6 +159,18 @@ class TestVerifyAndSearch:
             "not the Wahl chain it claims",
             "[FAIL] main K^2=2: recovered plan replays -- no node #5 between A2 and B1"]
 
+    def test_verify_reports_malformed_plan_step_as_failure(self, capture, tmp_path):
+        data = resources.files("wahlkit.catalog") / "data"
+        expected = json.loads((data / "expected.json").read_text(encoding="utf-8"))
+        expected["mains"]["3"]["recovered_plan"][1] = ["A2", "C3"]
+        expected_path = tmp_path / "expected.json"
+        expected_path.write_text(json.dumps(expected))
+        code, out, err = capture("verify", "--no-infer", "--expected", str(expected_path))
+        assert code == 1 and err == ""
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+            "[FAIL] main K^2=3: recovered plan replays -- recovered_plan[1] is not "
+            '[curve, curve, occurrence >= 0]: ["A2", "C3"]']
+
     def test_verify_negative_infer_budget_is_a_usage_error(self, capture):
         code, out, err = capture("verify", "--infer-budget", "-5")
         assert code == 2 and out == ""
@@ -187,6 +199,8 @@ class TestVerifyAndSearch:
         payload = json.loads(out)
         assert payload["marked"] == 2
         assert len(payload["records"]) <= payload["marked"] < payload["leaves"]
+        # 24 of the 50 choices of 4 base nodes leave a branch point or a cycle
+        assert payload["pruned"] == 24
 
     @pytest.mark.parametrize("option", ["--max-blowups", "--max-chains",
                                         "--max-states", "--max-results"])

@@ -18,7 +18,7 @@ from wahlkit.configuration import Configuration, ConfigurationError, geography_c
 from wahlkit import plans
 from wahlkit.plans import (BlowupPlan, PlanError, PlanStep, SearchParams,
                            _allocations, _base_choices, _ChoicePrefix, _DepthBound,
-                           _substring_pool, infer_plan, mark_chains,
+                           _PathPrefix, _substring_pool, infer_plan, mark_chains,
                            search_constructions)
 
 
@@ -41,14 +41,17 @@ def _nodes_to_blow_up(record):
     return geography_check(len(record.chains), record.k2).nodes_to_blow_up
 
 
-def _combo_feasible(base, combo, targets, bound):
+def _combo_feasible(base, combo, targets=None, bound=None):
     """Oracle: the rules of `_ChoicePrefix`, on a whole choice of base nodes.
 
-    Every incident chosen node sinks its curve at least one step, so the
-    forced depths must embed into the stated chain entries; and unblown
-    nodes survive as chain adjacencies, so they must form simple disjoint
-    paths.
+    Unblown non-self nodes between curves at -2 or below survive as edges
+    of every leaf's non-(-1) graph, so they must form simple disjoint
+    paths; with no targets, that rule of `_PathPrefix` is all that is
+    checked.  Every incident chosen node sinks its curve at least one step,
+    so the forced depths must embed into the stated chain entries, and the
+    endpoints of a surviving node must fit some adjacent pair of entries.
     """
+    deep = {c.name for c in base.curves if c.self_int <= -2}
     chosen = set(combo)
     inc = {}
     degree = {}
@@ -65,8 +68,9 @@ def _combo_feasible(base, combo, targets, bound):
         if node.id in chosen:
             inc[node.a] = inc.get(node.a, 0) + 1
             inc[node.b] = inc.get(node.b, 0) + 1
-        else:
-            if node.is_self_node:
+        elif not node.is_self_node:
+            surviving.append((node.a, node.b))
+            if node.a not in deep or node.b not in deep:
                 continue
             degree[node.a] = degree.get(node.a, 0) + 1
             degree[node.b] = degree.get(node.b, 0) + 1
@@ -76,7 +80,8 @@ def _combo_feasible(base, combo, targets, bound):
             if ra == rb:
                 return False
             parent[ra] = rb
-            surviving.append((node.a, node.b))
+    if targets is None:
+        return True
     if not bound.admits([2 + k for k in inc.values()]):
         return False
     adjacent = {(t[i], t[i + 1]) for t in targets for i in range(len(t) - 1)}
@@ -797,6 +802,30 @@ class TestLeafGraph:
         assert leaves > 0
 
 
+    def test_degree_rule_drops_only_rejected_leaves(self):
+        # V at +2 ends as a (-1)-curve under three towers whose end curves
+        # meet it, so it is exempt; X at -1 meets A twice and B once
+        cfg = Configuration.build(
+            [("V", 2), ("X", -1)] + [(c, -2) for c in "ABC"],
+            [("A", "V"), ("B", "V"), ("C", "V"), ("A", "X"), ("A", "X"), ("B", "X")])
+        leaves = {False: 0, True: 0}
+        marked = {False: [], True: []}
+        for m in range(1, len(cfg.nodes) + 1):
+            for _, pairs in _base_choices(cfg, m, _Counts(), sys.maxsize):
+                bases = [PlanStep(a, b) for a, b in pairs]
+                for unbranched in (False, True):
+                    allocs = itertools.chain.from_iterable(
+                        _allocations(total, [None] * m) for total in range(m, 7))
+                    for _, state, graph in plans._leaves(cfg, bases, allocs, None, None,
+                                                         {}, _Counts(), sys.maxsize,
+                                                         unbranched):
+                        leaves[unbranched] += 1
+                        if plans._greedy_mark(*graph) is not None:
+                            marked[unbranched].append(state.plan_steps())
+        assert leaves[True] < leaves[False]
+        assert marked[True] == marked[False] and len(marked[True]) == 2
+
+
 class TestBaseChoices:
     # records with at most 8 base nodes to blow up: the oracle enumerates
     # all combinations, 94,146 distinct choices for m = 8
@@ -815,7 +844,7 @@ class TestBaseChoices:
                  for combo, pairs in _reference_choices(base, m, ref, budget)]
         feasible = [x for x in every if _combo_feasible(base, x[0], targets, bound)]
         for prefix, want in ((None, every),
-                             (_ChoicePrefix.of_chains(targets, bound), feasible)):
+                             (_ChoicePrefix.of_chains(targets, bound, base), feasible)):
             got = _Counts()
             seq = [(combo, pairs, got.states)
                    for combo, pairs in _base_choices(base, m, got, budget, prefix)]
@@ -830,26 +859,31 @@ class TestBaseChoices:
     TANGLE = [("W", "X"), ("Y", "Y"), ("W", "X"), ("X", "Y"), ("Y", "Z"),
               ("W", "W"), ("Y", "Z"), ("Z", "X"), ("Y", "Z")]
 
-    @pytest.mark.parametrize("nodes, targets", [
-        (TANGLE, [(4, 5, 3, 2, 2), (3, 5, 3, 2)]),
-        (TANGLE, [(2, 5), (4,)]),
-        (TANGLE, [(3, 3, 2, 6, 3, 2)]),
+    @pytest.mark.parametrize("nodes, targets, self_ints", [
+        (TANGLE, [(4, 5, 3, 2, 2), (3, 5, 3, 2)], {}),
+        (TANGLE, [(2, 5), (4,)], {}),
+        (TANGLE, [(3, 3, 2, 6, 3, 2)], {}),
         # a chosen self-node sinks its curve two steps: too deep for [3, 2]
-        ([("W", "W"), ("W", "X")], [(3, 2)]),
+        ([("W", "W"), ("W", "X")], [(3, 2)], {}),
+        # the nodes of a curve at -1, 0 or above are exempt from the path rule
+        (TANGLE, [(4, 5, 3, 2, 2), (3, 5, 3, 2)], {"X": -1, "Z": 0}),
+        (TANGLE, [(2, 5), (4,)], {"Y": 1}),
     ])
-    def test_self_nodes_and_repeated_pairs(self, nodes, targets):
-        cfg = Configuration.build([(c, -2) for c in sorted({c for n in nodes for c in n})],
-                                  nodes)
+    def test_self_nodes_and_repeated_pairs(self, nodes, targets, self_ints):
+        cfg = Configuration.build([(c, self_ints.get(c, -2))
+                                   for c in sorted({c for n in nodes for c in n})], nodes)
         bound = _DepthBound.of_chains(targets)
         for m in range(len(cfg.nodes) + 1):
             for budget in (5, sys.maxsize):
                 ref = _Counts()
                 every = [(combo, pairs, ref.states)
                          for combo, pairs in _reference_choices(cfg, m, ref, budget)]
-                feasible = [x for x in every
+                paths = [x for x in every if _combo_feasible(cfg, x[0])]
+                feasible = [x for x in paths
                             if _combo_feasible(cfg, x[0], targets, bound)]
-                for prefix, want in ((None, every),
-                                     (_ChoicePrefix.of_chains(targets, bound), feasible)):
+                for prefix, want in ((None, every), (_PathPrefix.of(cfg), paths),
+                                     (_ChoicePrefix.of_chains(targets, bound, cfg),
+                                      feasible)):
                     got = _Counts()
                     seq = [(combo, pairs, got.states) for combo, pairs
                            in _base_choices(cfg, m, got, budget, prefix)]
@@ -946,8 +980,11 @@ class TestSearch:
         ([("P", -5), ("Q", -2), ("R", -2), ("S", -2)], [("P", "Q"), ("P", "R"), ("P", "S")],
          None),
         ([("W", -3)], [], None),
+        # a curve at 0 or above is in no chain (no Wahl string has such an entry)
+        ([("P", -2), ("Q", -5), ("W", 0)], [("P", "Q"), ("Q", "W")], None),
+        ([("W", 1)], [], None),
     ], ids=["wahl", "single", "ade", "minus-one", "twice", "self-node", "lone-self-node",
-            "cycle", "branch", "not-wahl"])
+            "cycle", "branch", "not-wahl", "zero-curve", "positive-curve"])
     def test_greedy_mark(self, curves, nodes, want):
         cfg = Configuration.build(curves, nodes)
         assert plans._greedy_mark(*_read_graph(cfg)) == want
@@ -956,7 +993,7 @@ class TestSearch:
         params = SearchParams(k2=2, max_chains=2, max_blowups=6,
                               curve_pool=("A2", "A3", "B1", "C1", "C2", "D1"))
         once = search_constructions(params, a0)
-        assert once.states == 7050 and once.leaves > 0
+        assert once.states == 2914 and once.leaves > 0
         for pool in (("A2", "A2", "A3", "B1", "C1", "C2", "D1"),
                      ("D1", "A2", "A3", "D1", "B1", "C1", "C2", "D1")):
             repeated = dataclasses.replace(params, curve_pool=pool)
@@ -970,7 +1007,7 @@ class TestSearch:
         with pytest.raises(PlanError, match=field):
             search_constructions(params, a0)
 
-    # the benchmark's search: 26,300 states, 10,450 leaves, 2 of them marked
+    # the benchmark's search: 9,442 states, 2,019 leaves, 2 of them marked
     BENCH = SearchParams(k2=2, max_chains=2, max_blowups=7,
                          curve_pool=("A2", "A3", "B1", "C1", "C2", "D1"))
 
@@ -986,19 +1023,46 @@ class TestSearch:
 
         monkeypatch.setattr(Configuration, "blow_up", counted)
         result = search_constructions(self.BENCH, a0)
-        assert (result.states, result.leaves, result.marked) == (26300, 10450, 2)
+        assert (result.states, result.leaves, result.marked) == (9442, 2019, 2)
         assert len(result.records) == 1
         assert 0 < len(calls) <= result.marked * self.BENCH.max_blowups
 
     def test_result_cap_stops_the_search(self, a0):
-        # uncapped, this search finds 2 records in 86,850 states
+        # uncapped, this search finds 2 records in 27,082 states
         params = dataclasses.replace(self.BENCH, max_blowups=8)
         capped = search_constructions(dataclasses.replace(params, max_results=1), a0)
-        assert len(capped.records) == 1 and capped.states < 86850
+        assert len(capped.records) == 1 and capped.states < 27082
         assert capped.notes == ["result budget reached"]
         empty = search_constructions(dataclasses.replace(params, max_results=0), a0)
         assert (empty.records, empty.states) == ([], 0)
         assert empty.notes == ["result budget reached"]
+
+    # a (-1)-curve X on three nodes, two of them to A, and a 0-curve W, next
+    # to a block that has a record: a leaf that leaves X unblown marks
+    # greedily, so neither rule may count X's nodes
+    EXEMPT = Configuration.build(
+        [(c, -2) for c in "ABCDE"] + [("X", -1), ("W", 0)],
+        [("A", "B"), ("A", "C"), ("A", "C"), ("B", "D"), ("C", "E"), ("C", "E"),
+         ("C", "E"), ("X", "A"), ("X", "A"), ("X", "B"), ("W", "B")])
+
+    @pytest.mark.parametrize("case", ["bench", "a0-k2-1", "exempt"])
+    def test_pruning_keeps_records_byte_identical(self, a0, case):
+        # prune=False runs neither the depth bound nor the path and degree
+        # rules.  No curve reaches the depth bound here, and the two rules
+        # drop only leaves that _greedy_mark rejects, so the marked leaves
+        # agree too
+        base, params = {
+            "bench": (a0, self.BENCH),
+            "a0-k2-1": (a0, SearchParams(k2=1, max_chains=3, max_blowups=6)),
+            "exempt": (self.EXEMPT, SearchParams(k2=2, max_chains=1, max_blowups=6)),
+        }[case]
+        pruned = search_constructions(params, base)
+        unpruned = search_constructions(params, base, prune=False)
+        assert pruned.records
+        assert [format_record(r) for r in pruned.records] == \
+            [format_record(r) for r in unpruned.records]
+        assert pruned.marked == unpruned.marked
+        assert pruned.states < unpruned.states
 
     def test_pruning_soundness_on_search(self):
         cfg = Configuration.build(
