@@ -859,17 +859,26 @@ class TestBaseChoices:
     TANGLE = [("W", "X"), ("Y", "Y"), ("W", "X"), ("X", "Y"), ("Y", "Z"),
               ("W", "W"), ("Y", "Z"), ("Z", "X"), ("Y", "Z")]
 
-    @pytest.mark.parametrize("nodes, targets, self_ints", [
-        (TANGLE, [(4, 5, 3, 2, 2), (3, 5, 3, 2)], {}),
-        (TANGLE, [(2, 5), (4,)], {}),
-        (TANGLE, [(3, 3, 2, 6, 3, 2)], {}),
+    @pytest.mark.parametrize("nodes, targets", [
+        (TANGLE, [(4, 5, 3, 2, 2), (3, 5, 3, 2)]),
+        (TANGLE, [(2, 5), (4,)]),
+        (TANGLE, [(3, 3, 2, 6, 3, 2)]),
         # a chosen self-node sinks its curve two steps: too deep for [3, 2]
-        ([("W", "W"), ("W", "X")], [(3, 2)], {}),
-        # the nodes of a curve at -1, 0 or above are exempt from the path rule
-        (TANGLE, [(4, 5, 3, 2, 2), (3, 5, 3, 2)], {"X": -1, "Z": 0}),
-        (TANGLE, [(2, 5), (4,)], {"Y": 1}),
+        ([("W", "W"), ("W", "X")], [(3, 2)]),
     ])
-    def test_self_nodes_and_repeated_pairs(self, nodes, targets, self_ints):
+    def test_self_nodes_and_repeated_pairs(self, nodes, targets):
+        self._check_prefixes(nodes, targets, {})
+
+    @pytest.mark.parametrize("targets, self_ints", [
+        ([(4, 5, 3, 2, 2), (3, 5, 3, 2)], {"X": -1, "Z": 0}),
+        ([(2, 5), (4,)], {"Y": 1}),
+    ], ids=["minus-one-and-zero", "plus-one"])
+    def test_path_rule_exempts_curves_above_minus_two(self, targets, self_ints):
+        self._check_prefixes(self.TANGLE, targets, self_ints)
+
+    @staticmethod
+    def _check_prefixes(nodes, targets, self_ints):
+        """Both prefix filters against the oracle, every m and two budgets."""
         cfg = Configuration.build([(c, self_ints.get(c, -2))
                                    for c in sorted({c for n in nodes for c in n})], nodes)
         bound = _DepthBound.of_chains(targets)
