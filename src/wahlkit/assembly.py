@@ -114,7 +114,6 @@ class Witness:
 @dataclass(frozen=True)
 class Contraction:
     curve: str
-    joins: tuple[int, ...]
     result: Optional[CyclicQuotient]
     t_type: Optional[TSingularity]
 
@@ -125,10 +124,6 @@ class NefAmpleReport:
     witnesses: tuple[Witness, ...] = ()
     warnings: tuple[Witness, ...] = ()
     contractions: tuple[Contraction, ...] = ()
-
-    @property
-    def nef(self) -> bool:
-        return self.status in ("ample", "nef-only")
 
     @property
     def canonical_ample(self) -> bool:
@@ -235,9 +230,9 @@ def _contraction_for(ms: MarkedSurface, curve: str, meets: list[str]) -> Contrac
         right = _oriented(ms, j, b, end="first")
         if left is not None and right is not None:
             cq = blow_down_compose(left, right)
-            return Contraction(curve, (i, j), cq, t_singularity(cq.m, cq.q))
+            return Contraction(curve, cq, t_singularity(cq.m, cq.q))
     # interior or single-chain equality: no chain-chain join picture to report
-    return Contraction(curve, tuple(sorted(set(joined))), None, None)
+    return Contraction(curve, None, None)
 
 
 def _oriented(ms: MarkedSurface, index: int, end_curve: str,

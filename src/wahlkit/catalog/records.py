@@ -74,42 +74,25 @@ class SurfaceRecord:
         return self.chain_length_sum - self.k2
 
 
-def _split_sections(text: str) -> list[str]:
-    """Split on top-level ' - ' (never inside braces or brackets)."""
-    sections = []
+def _split_top(text: str, sep: str) -> list[str]:
+    """Split at each `sep` outside braces and brackets."""
+    parts = []
     depth = 0
-    start = 0
-    i = 0
+    start = i = 0
     while i < len(text):
         ch = text[i]
         if ch in "{[":
             depth += 1
         elif ch in "}]":
             depth -= 1
-        elif depth == 0 and text.startswith(" - ", i):
-            sections.append(text[start:i])
-            i += 3
+        elif depth == 0 and text.startswith(sep, i):
+            parts.append(text[start:i])
+            i += len(sep)
             start = i
             continue
         i += 1
-    sections.append(text[start:])
-    return sections
-
-
-def _split_commas(text: str) -> list[str]:
-    items = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "{[":
-            depth += 1
-        elif ch in "}]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            items.append(text[start:i])
-            start = i + 1
-    items.append(text[start:])
-    return [item.strip() for item in items]
+    parts.append(text[start:])
+    return parts
 
 
 def _parse_int_list(text: str, where: str) -> tuple[int, ...]:
@@ -150,7 +133,7 @@ def parse_record(text: str) -> SurfaceRecord:
     """Parse one record line of the compact grammar."""
     # split the raw text first: an empty steps section between two
     # separators would not survive whitespace normalization
-    sections = [" ".join(sec.split()) for sec in _split_sections(text.strip())]
+    sections = [" ".join(sec.split()) for sec in _split_top(text.strip(), " - ")]
     head, *rest = sections
     hm = re.match(r"^\((\d+\.\d+)\)\s+K\^2=(\d+)$", head.strip())
     if not hm:
@@ -176,7 +159,7 @@ def parse_record(text: str) -> SurfaceRecord:
     det = int(dm.group(1))
     steps_sec = steps_sec.strip()
     steps = tuple(_parse_step(item, f"({rid}) steps")
-                  for item in _split_commas(steps_sec)) if steps_sec else ()
+                  for item in _split_top(steps_sec, ",")) if steps_sec else ()
     if not chain_secs:
         raise RecordError(f"({rid}): no chains")
     chains = tuple(_parse_chain(sec, f"({rid}) chains") for sec in chain_secs)

@@ -29,26 +29,31 @@ Both searches mark a leaf on its graph: inference into the stated chains
 with `BlowupPlan.execute`, only for a leaf that marks: inference keeps it
 if its marked surface is valid, search if it has Wahl chains and no ADE
 chain and its canonical class is ample.  Pruning only ever discards
-states that provably cannot reach the chains sought.  A chain is a path
-of curves, so both searches run the path rule (`_PathPrefix`) on every
-prefix of a base-node choice: the surviving nodes between base curves at
--2 or below must form disjoint simple paths.  Such a curve only gets
-deeper, so it is never a (-1)-curve that a marking leaves out; a curve at
--1 or above may be, and its nodes are exempt.  Inference adds its
-chain-specific rules on top (`_ChoicePrefix`).  The choices below a
-failing prefix are counted as states in one step (a coefficient of a
-product of polynomials, see `_base_choices`) instead of being built, so
-the state counts equal those of checking every choice whole.  Search also
-drops a state once a base curve at -2 or below has more than two final
-non-(-1) neighbours, a branch point that `_greedy_mark` rejects (the
-degree rule of `_leaves`); inference may leave branched (-2)-curves
-unmarked, so it does not run that rule.  Abstract tower outcomes depend
-only on the tower's size and limits; each search call memoises them in
-its own table.  In both searches each tower keeps exactly one surviving
-(-1)-curve, as every leaf either search can keep does (`_tower_outcomes`
-says why), so every blow-up of the tower lands next to the newest curve,
-and the outcomes are walked forwards along it, dropping a word once its
-finished runs leave the chains.
+states that provably cannot reach the chains sought.
+
+Both searches run the same chain-shape rules, on one premise: every
+curve of a kept leaf other than its (-1)-curves lies in a chain.  Search
+keeps only such leaves (`_greedy_mark`), and in inference it holds for
+every record that fits the geography, whose leaves leave only the towers'
+(-1)-curves unmarked (`_tower_outcomes` says why).  A base curve at -2 or
+below (`_deep_curves`) only gets deeper, so it lies in a chain, and a
+chain is a path of curves.  So the surviving nodes between such curves
+must form disjoint simple paths, a rule checked on every prefix of a
+base-node choice (`_PathPrefix`), and a state is dropped once such a curve
+has more than two final non-(-1) neighbours (the degree rule of
+`_leaves`).  A curve at -1 or above may end as a surviving (-1)-curve, so
+it is exempt from both.  Inference adds its chain-specific rules on top
+(`_ChoicePrefix`).  The choices below a failing prefix are counted as
+states in one step (a coefficient of a product of polynomials, see
+`_base_choices`) instead of being built, so the state counts equal those
+of checking every choice whole.  With `prune=False` a search runs no
+rule: no depth bound, no substring pool and no deep curves.  Abstract
+tower outcomes depend only on the tower's size and limits; each search
+call memoises them in its own table.  In both searches each tower keeps
+exactly one surviving (-1)-curve (`_tower_outcomes`), so every blow-up of
+the tower lands next to the newest curve, and the outcomes are walked
+forwards along it, dropping a word once its finished runs leave the
+chains.
 """
 from __future__ import annotations
 
@@ -306,9 +311,11 @@ def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool
       r - K^2 = P + K^2 (-1)-curves, one per tower.
     - `infer_plan` leaves only (-1)- and (-2)-curves unmarked, so a leaf has
       at most r + B - sum(len) surviving (-1)s; for a record that fits the
-      geography that is the number of towers.  A record outside it still
-      gets every plan in which each tower keeps one (-1) and some
-      (-2)-curves stay unmarked.
+      geography that is the number of towers, so the towers' (-1)s are
+      all the curves a leaf leaves unmarked.  That fit is the premise of
+      both chain-shape rules (see the module docstring): a record outside
+      it gets only the plans in which each tower keeps one (-1) and the
+      unmarked (-2)-curves obey those rules too.
     """
     out = []
     stack: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((1,), 0, ())]
@@ -431,11 +438,14 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     is.  Each choice counts as one state of `result`; the enumeration stops
     once the states exceed `max_states`.
 
-    With a `prefix` filter (`_PathPrefix`, or inference's `_ChoicePrefix`),
-    a decided prefix that fails it is not extended: its completions are
-    counted as states (and as `result.pruned`) in one step, and only
-    feasible choices are yielded.
+    The decided nodes run through a `prefix` filter (`_PathPrefix`, or
+    inference's `_ChoicePrefix`; by default the path rule over no curves,
+    which admits every choice).  A prefix that fails it is not extended:
+    its completions are counted as states (and as `result.pruned`) in one
+    step, and only feasible choices are yielded.
     """
+    if prefix is None:
+        prefix = _PathPrefix.of(frozenset())
     nodes = sorted(base.nodes, key=operator.attrgetter("id"))
     ids = [n.id for n in nodes]
     pairs = [n.pair() for n in nodes]
@@ -475,8 +485,8 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
         while i < len(nodes):
             pair = pairs[i]
             if need and pair not in closed:
-                nxt = state.chosen(nodes[i]) if state is not None else None
-                if state is not None and nxt is None:
+                nxt = state.chosen(nodes[i])
+                if nxt is None:
                     if not reject(i + 1, need - 1, closed):
                         return True
                 elif (yield from extend(i + 1, chosen + (i,), closed, room - 1, nxt)):
@@ -486,12 +496,9 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
                 if room < need:
                     return False
                 closed = closed | {pair}
-            elif state is None and not need:
-                break  # the rest stay unchosen, with nothing to check
-            if state is not None:
-                state = state.unchosen(nodes[i])
-                if state is None:
-                    return not reject(i + 1, need, closed)
+            state = state.unchosen(nodes[i])
+            if state is None:
+                return not reject(i + 1, need, closed)
             i += 1
         if not count(1):
             return True
@@ -511,21 +518,17 @@ def _deep_curves(base: Configuration) -> frozenset[str]:
 class _PathPrefix:
     """The path rule on the base nodes decided so far, in id order.
 
-    An unchosen non-self node survives into every leaf.  A curve whose base
-    self-intersection is <= -2 only gets deeper, so it is never a
-    (-1)-curve: a surviving node between two such curves is an edge of
-    every leaf's non-(-1) graph.  Those edges must form disjoint simple
-    paths, with degree at most 2 and no cycle; a second surviving node on
-    the same pair closes a cycle.  The rule is exact for search, since
-    `_greedy_mark` rejects a branch point, a cycle and a pair meeting twice
-    in that graph.  In inference, a leaf of a record that fits the
-    geography leaves only the towers' (-1)-curves unmarked
-    (`_tower_outcomes`), so such an edge joins two consecutive curves of
-    one chain.  A curve at -1, 0 or above may end as a (-1)-curve that a
-    marking leaves out, so its nodes are exempt.  Deciding more nodes only
-    adds edges, so a prefix that fails has no feasible completion.
-    `chosen` and `unchosen` return the extended prefix, or None when it
-    fails.
+    An unchosen non-self node survives into every leaf.  Between two curves
+    of `deep` (the base curves at -2 or below, `_deep_curves`) it is an edge
+    of every leaf's non-(-1) graph, and on the premise of both searches
+    (see the module docstring) it joins two consecutive curves of one
+    chain.  Those edges must form disjoint simple paths, with degree at
+    most 2 and no cycle; a second surviving node on the same pair closes a
+    cycle.  A curve at -1 or above may end as a (-1)-curve outside every
+    chain, so its nodes are exempt; over no deep curves the rule admits
+    every choice.  Deciding more nodes only adds edges, so a prefix that
+    fails has no feasible completion.  `chosen` and `unchosen` return the
+    extended prefix, or None when it fails.
     """
 
     __slots__ = ("deep", "degree", "ends")
@@ -536,15 +539,19 @@ class _PathPrefix:
         self.ends = ends  # a path end -> the other end of its path
 
     @classmethod
-    def of(cls, base: Configuration) -> "_PathPrefix":
-        return cls(_deep_curves(base), {}, {})
+    def of(cls, deep: frozenset) -> "_PathPrefix":
+        """The prefix with no node decided, over the curves `deep`."""
+        return cls(deep, {}, {})
 
     def chosen(self, node) -> "_PathPrefix":
         return self
 
     def unchosen(self, node) -> Optional["_PathPrefix"]:
         joined = self._join(node)
-        return None if joined is None else _PathPrefix(self.deep, *joined)
+        if joined is None:
+            return None
+        # an exempt node leaves the prefix as it is
+        return self if joined[0] is self.degree else _PathPrefix(self.deep, *joined)
 
     def _join(self, node) -> Optional[tuple[dict, dict]]:
         """The degrees and path ends once `node` survives, or None."""
@@ -593,13 +600,13 @@ class _ChoicePrefix(_PathPrefix):
 
     @classmethod
     def of_chains(cls, targets: Sequence[tuple[int, ...]], bound: _DepthBound,
-                  base: Configuration) -> "_ChoicePrefix":
+                  deep: frozenset) -> "_ChoicePrefix":
         adjacent = {(t[i], t[i + 1]) for t in targets for i in range(len(t) - 1)}
         adjacent |= {(y, x) for x, y in adjacent}
         top = max((x for x, _ in adjacent), default=-1)
         # reach[d]: the deepest partner of an adjacent entry at least d deep
         reach = tuple(max(y for x, y in adjacent if x >= d) for d in range(top + 1))
-        return cls(_deep_curves(base), {}, {}, bound, reach, {}, ())
+        return cls(deep, {}, {}, bound, reach, {}, ())
 
     def _dominated(self, inc: dict, u: str, v: str) -> bool:
         du, dv = 2 + inc.get(u, 0), 2 + inc.get(v, 0)
@@ -634,8 +641,8 @@ class _State:
     `steps` are the blow-ups of the last tower placed and `chain` its final
     local chain [a, E..., b]; `index` is the number of towers placed and
     `count` the blow-ups so far.  `degree` counts, for each base curve, its
-    final non-(-1) neighbours so far when `_leaves` runs its degree rule,
-    and is empty otherwise.
+    final non-(-1) neighbours so far among the ones the degree rule of
+    `_leaves` reads.
     """
 
     __slots__ = ("parent", "depths", "exceptional", "steps", "chain", "index", "count",
@@ -686,7 +693,7 @@ class _State:
 
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
             allocs: Iterable[tuple[int, ...]], bound: Optional[_DepthBound],
-            pool, outcomes: dict, result, max_states: int, unbranched: bool = False
+            pool, outcomes: dict, result, max_states: int, deep: frozenset = frozenset()
             ) -> Iterator[tuple[tuple[int, ...], _State, tuple[dict[str, int], Counter]]]:
     """Every completed search state, with its allocation and its graph.
 
@@ -702,15 +709,16 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     leaf counts in `result.leaves`.  `outcomes` is the caller's
     tower-outcome memo (see `_tower_scripts`).
 
-    With `unbranched` (search only: inference allows branched unmarked
-    (-2)-curves), a state is dropped once a base curve at -2 or below has
-    more than two final non-(-1) neighbours.  Such a curve is never the
-    (-1)-curve `_greedy_mark` leaves out, and its neighbours are the base
-    curves at -2 or below across its surviving nodes and the non-(-1) end
-    curves of the towers on it: tower i attaches its string's first curve
-    to `bases[i].a` and its last to `.b`, and later towers sit on other base
+    The degree rule drops a state once a curve of `deep` (the base curves
+    at -2 or below, `_deep_curves`; empty for a search that does not prune)
+    has more than two final non-(-1) neighbours.  On the premise of both
+    searches (see the module docstring) such a curve lies in a chain, where
+    it meets at most two other curves.  The neighbours counted are the
+    curves of `deep` across its surviving nodes and the non-(-1) end curves
+    of the towers on it: tower i attaches its string's first curve to
+    `bases[i].a` and its last to `.b`, and later towers sit on other base
     nodes, so neither the curves nor their depths change after placement.
-    Such a state is still counted as a state.
+    A dropped state is still counted as a state.
     """
     names = [c.name for c in base.curves]
     position = {name: i for i, name in enumerate(names)}
@@ -722,19 +730,15 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
         available.append(step.occurrence < nodes[pair] - placed[pair])
         placed[pair] += 1
     surviving = nodes - placed
-    degree: tuple[int, ...] = ()
-    if unbranched:
-        deep_names = _deep_curves(base)
-        deep = [name in deep_names for name in names]
-        counts = [0] * len(names)
-        for (a, b), k in surviving.items():
-            ia, ib = position[a], position[b]
-            if a != b and deep[ia] and deep[ib]:
-                counts[ia] += k
-                counts[ib] += k
-        degree = tuple(counts)
+    is_deep = [name in deep for name in names]
+    degree = [0] * len(names)
+    for (a, b), k in surviving.items():
+        ia, ib = position[a], position[b]
+        if a != b and is_deep[ia] and is_deep[ib]:
+            degree[ia] += k
+            degree[ib] += k
     root = _State(None, tuple(-c.self_int for c in base.curves), (), (), (), 0,
-                  base.blowup_count, degree)
+                  base.blowup_count, tuple(degree))
     towers: dict = {}  # (index, count, size) -> the tower's outcomes there
     for alloc in allocs:
         stack = [root]
@@ -761,21 +765,18 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                 result.states += 1
                 if result.states > max_states:
                     return
-                degree = state.degree
-                if unbranched:
-                    degree = list(degree)
-                    degree[ia] += xs[0] != 1
-                    degree[ib] += xs[-1] != 1
-                    if (deep[ia] and degree[ia] > 2) or (deep[ib] and degree[ib] > 2):
-                        continue
-                    degree = tuple(degree)
+                degree = list(state.degree)
+                degree[ia] += xs[0] != 1
+                degree[ib] += xs[-1] != 1
+                if (is_deep[ia] and degree[ia] > 2) or (is_deep[ib] and degree[ib] > 2):
+                    continue
                 depths = list(state.depths)
                 depths[ia] += deepen_a
                 depths[ib] += deepen_b
                 exceptional = state.exceptional + xs
                 if bound is None or bound.admits(depths + list(exceptional)):
                     stack.append(_State(state, tuple(depths), exceptional, steps, chain,
-                                        idx + 1, state.count + alloc[idx], degree))
+                                        idx + 1, state.count + alloc[idx], tuple(degree)))
 
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
@@ -801,6 +802,7 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
                             f"match chain {list(spec.chain)} = ({sing.n},{sing.a})")
     bound = _DepthBound.of_chains(targets) if prune else None
     pool = _substring_pool(targets) if prune else None
+    deep = _deep_curves(base) if prune else frozenset()
     b_total = record.blowup_total
     if b_total < 0:
         raise PlanError(f"({record.rid}): negative blow-up count")
@@ -814,7 +816,8 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         if len(bases) > min(b_total, ones_total):
             return None  # every tower takes a blow-up and keeps a (-1)-curve
         for alloc, state, graph in _leaves(base, bases, _allocations(b_total, hints),
-                                           bound, pool, outcomes, result, max_states):
+                                           bound, pool, outcomes, result, max_states,
+                                           deep):
             chains = _chain_marking(*graph, targets)
             if chains is not None:
                 plan = BlowupPlan(state.plan_steps())
@@ -842,7 +845,7 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     else:
         # free search over base-node choices of the forced size
         m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
-        prefix = _ChoicePrefix.of_chains(targets, bound, base) if prune else None
+        prefix = _ChoicePrefix.of_chains(targets, bound, deep) if prune else None
         for _, pairs in _base_choices(base, m, result, max_states, prefix):
             found = run_bases([PlanStep(a, b) for a, b in pairs], [None] * m)
             if found is not None:
@@ -957,6 +960,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
         a0.curve(name)
     found: set[tuple] = set()
     outcomes: dict = {}
+    meets = Counter(n.pair() for n in a0.nodes)
 
     def full() -> bool:
         if len(result.records) < params.max_results:
@@ -979,21 +983,25 @@ def search_constructions(params: SearchParams, a0: Configuration,
         bound = _DepthBound((4 * params.k2 + 4,) * (geo.r + params.max_blowups)) \
             if prune else None
         for subset in itertools.combinations(pool, geo.r):
-            sub = a0.restrict(subset)
-            if sub.t2 != geo.t2:
+            # count the subset's nodes before building it; the pool is sorted,
+            # so each pair comes ordered as `Node.pair` orders it
+            subset_pairs = itertools.combinations_with_replacement(subset, 2)
+            if sum(map(meets.__getitem__, subset_pairs)) != geo.t2:
                 continue
+            sub = a0.restrict(subset)
             base_det = det_exact(sub.intersection_matrix())
             if base_det == 0:
                 continue
-            paths = _PathPrefix.of(sub) if prune else None
-            for _, pairs in _base_choices(sub, m, result, params.max_states, paths):
+            deep = _deep_curves(sub) if prune else frozenset()
+            for _, pairs in _base_choices(sub, m, result, params.max_states,
+                                          _PathPrefix.of(deep)):
                 bases = [PlanStep(a, b) for a, b in pairs]
                 allocs = itertools.chain.from_iterable(
                     _allocations(total, [None] * m)
                     for total in range(m, params.max_blowups + 1))
                 for alloc, state, graph in _leaves(sub, bases, allocs, bound, None,
                                                    outcomes, result, params.max_states,
-                                                   prune):
+                                                   deep):
                     _harvest(params, sub, state, graph, bases, alloc, subset, base_det,
                              result, found)
                     if full():
@@ -1025,16 +1033,12 @@ def _harvest(params: SearchParams, sub: Configuration, state: _State, graph, bas
         return
     if nef_ample_check(marked).status != "ample":
         return
-    sings = tuple(sorted((s.n, min(s.a, s.n - s.a)) for s in marked.wahl_data()))
-    key = (tuple(subset), sings)
+    data = marked.wahl_data()
+    key = (tuple(subset), tuple(sorted((s.n, min(s.a, s.n - s.a)) for s in data)))
     if key in found:
         return
     found.add(key)
-    chains = []
-    for chain in marked.wahl_chains:
-        entries = tuple(-config.curve(c).self_int for c in chain)
-        sing = wahl_singularity(entries)
-        chains.append(ChainSpec(sing.n, sing.a, entries))
+    chains = tuple(ChainSpec(s.n, s.a, s.chain) for s in data)
     # collapse the flat step list back into per-base-node specs:
     # tower i created exceptionals E{start+1}..E{start+alloc[i]}
     specs: list[BlowupSpec] = []
@@ -1049,4 +1053,4 @@ def _harvest(params: SearchParams, sub: Configuration, state: _State, graph, bas
         start += size
     rid = f"{params.k2}.{len(found)}"
     result.records.append(SurfaceRecord(
-        rid, params.k2, tuple(subset), base_det, tuple(specs), tuple(chains)))
+        rid, params.k2, tuple(subset), base_det, tuple(specs), chains))

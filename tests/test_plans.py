@@ -17,9 +17,9 @@ from wahlkit.chains import wahl_singularity
 from wahlkit.configuration import Configuration, ConfigurationError, geography_check
 from wahlkit import plans
 from wahlkit.plans import (BlowupPlan, PlanError, PlanStep, SearchParams,
-                           _allocations, _base_choices, _ChoicePrefix, _DepthBound,
-                           _PathPrefix, _substring_pool, infer_plan, mark_chains,
-                           search_constructions)
+                           _allocations, _base_choices, _ChoicePrefix, _deep_curves,
+                           _DepthBound, _PathPrefix, _substring_pool, infer_plan,
+                           mark_chains, search_constructions)
 
 
 @pytest.fixture(scope="module")
@@ -228,9 +228,14 @@ def _reference_one_survivor(size, bound, pool):
     return sorted(out)
 
 
-def _reference_leaves(base, bases, allocs, bound, pool, result, max_states):
+def _reference_leaves(base, bases, allocs, bound, pool, result, max_states,
+                      deep=frozenset()):
     """Oracle: `_leaves` on concrete configurations, one per state."""
     outcomes = {}
+    base_names = {c.name for c in base.curves}
+    # the base nodes that no tower blows up, by curve pair
+    final = Counter(n.pair() for n in base.nodes) - Counter(
+        (min(b.a, b.b), max(b.a, b.b)) for b in bases)
     for alloc in allocs:
         stack = [(base, (), 0)]
         while stack:
@@ -243,18 +248,44 @@ def _reference_leaves(base, bases, allocs, bound, pool, result, max_states):
                 result.states += 1
                 if result.states > max_states:
                     return
+                if not _degree_admits(state, base_names, deep, final):
+                    continue
                 if bound is None or bound.admits([-c.self_int for c in state.curves]):
                     stack.append((state, steps + tower_steps, idx + 1))
 
 
+def _degree_admits(config, base_names, deep, final):
+    """Oracle for the degree rule, on a configuration with some towers placed.
+
+    Every curve of `deep` that meets an exceptional curve (a tower is
+    placed on it) has at most two neighbours that are not (-1)-curves in
+    any leaf: the exceptional curves not at -1, and the curves of `deep`
+    across the `final` nodes, which no tower blows up.  Nodes are counted
+    with multiplicity, self-nodes not at all.
+    """
+    for name in deep:
+        exceptional = [node.other(name) for node in config.nodes_at(name)
+                       if node.other(name) not in base_names]
+        if not exceptional:
+            continue
+        count = sum(config.curve(x).self_int != -1 for x in exceptional)
+        count += sum(k for (a, b), k in final.items()
+                     if a != b and name in (a, b) and a in deep and b in deep)
+        if count > 2:
+            return False
+    return True
+
+
 def _lockstep(leaves):
     """`leaves`, checked leaf by leaf and count by count against the oracle."""
-    def checked(base, bases, allocs, bound, pool, outcomes, result, max_states):
+    def checked(base, bases, allocs, bound, pool, outcomes, result, max_states,
+                deep=frozenset()):
         allocs, ref_allocs = itertools.tee(allocs)
         ref = _Counts(states=result.states)
-        want = _reference_leaves(base, bases, ref_allocs, bound, pool, ref, max_states)
+        want = _reference_leaves(base, bases, ref_allocs, bound, pool, ref, max_states,
+                                 deep)
         for alloc, state, graph in leaves(base, bases, allocs, bound, pool, outcomes,
-                                          result, max_states):
+                                          result, max_states, deep):
             config = BlowupPlan(state.plan_steps()).execute(base)
             assert (alloc, config, state.plan_steps()) == next(want)
             assert graph == _read_graph(config)
@@ -394,11 +425,15 @@ class TestInference:
         assert "state budget exhausted" in result.near_misses
 
     # the eight cases of the benchmark's free_infer workload, with the
-    # base-node choices each rejects by a prefix
+    # base-node choices each rejects by a prefix and the states each takes
     FREE_PRUNED = {"2.1": 6, "2.2": 11, "3.2": 6, "4.1": 54, "5.1": 11363,
                    "6.1": 83629, "7.1": 163260, "main2": 13}
+    FREE_STATES = {"2.1": 3935, "2.2": 2463, "3.2": 3866, "4.1": 971, "5.1": 13396,
+                   "6.1": 83698, "7.1": 163409, "main2": 457}
 
-    @pytest.mark.parametrize("rid, states, plan", [
+    # `unshaped` is the state count without the degree rule of `_leaves`,
+    # which finds the same plan
+    @pytest.mark.parametrize("rid, unshaped, plan", [
         ("2.1", 5702, "A2*B1, B1*E1, B1*E2, A3*C1, C1*E4, C1*C2, C2*D1"),
         ("2.2", 9041, "A2*B1, A2*C1, A2*E2, A2*E3, E3*E4, E4*E5, E5*E6, A3*C1, "
                       "C1*C2, C1*E9"),
@@ -413,14 +448,20 @@ class TestInference:
                         "D3*F1, D3*E8, F1*F2"),
         ("main2", 629, "A2*B1, A2*C1, B1*D1, C1*C2, C2*E4, C2*E5"),
     ])
-    def test_free_inference_golden(self, a0, records, rid, states, plan):
+    def test_free_inference_golden(self, a0, records, monkeypatch, rid, unshaped, plan):
         record = dataclasses.replace(records[rid], steps=())
         result = infer_plan(record, a0.restrict(record.curves))
         assert result.success
-        assert result.states == states
+        assert result.states == self.FREE_STATES[rid]
         assert str(result.plan) == plan
         assert result.pruned == self.FREE_PRUNED[rid]
         assert 0 < result.pruned < result.states
+        leaves = plans._leaves
+        monkeypatch.setattr(plans, "_leaves",
+                            lambda *args: leaves(*args[:-1], frozenset()))
+        without = infer_plan(record, a0.restrict(record.curves))
+        assert (without.states, str(without.plan)) == (unshaped, plan)
+        assert without.marked.wahl_chains == result.marked.wahl_chains
 
     def test_free_inference_budget_counts(self, a0, records):
         # the base-node choices rejected in bulk exhaust the budget
@@ -465,21 +506,23 @@ class TestInference:
         monkeypatch.setattr(Configuration, "blow_up", counted)
         record = dataclasses.replace(records["2.2"], steps=())
         result = infer_plan(record, a0.restrict(record.curves))
-        assert result.success and result.states == 9041
+        assert result.success and result.states == 2463
         assert 0 < result.leaves < result.states
         assert len(calls) == record.blowup_total
 
     def test_near_misses_name_each_allocation_once(self, a0, records):
-        # every leaf of an allocation may fail, yet the allocation is named once
+        # every leaf of an allocation may fail, yet the allocation is named
+        # once; the search succeeds after 2,463 states
         record = dataclasses.replace(records["2.2"], steps=())
-        result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
+        result = infer_plan(record, a0.restrict(record.curves), max_states=2000)
         assert not result.success
         misses = result.near_misses[:-1]
+        assert result.leaves > len(misses)
         assert result.near_misses[-1] == "state budget exhausted"
         assert misses and len(misses) == len(set(misses))
         assert all(m.startswith("alloc (") and m.endswith("): no leaf marks the stated chains")
                    for m in misses)
-        assert "alloc (1, 1, 4, 4): no leaf marks the stated chains" in misses
+        assert "alloc (1, 1, 2, 6): no leaf marks the stated chains" in misses
 
     def test_failed_summary_counts_leaves(self, a0, records):
         record = dataclasses.replace(records["2.1"], steps=())
@@ -497,6 +540,33 @@ class TestInference:
             ms = mark_chains(result.plan.execute(base),
                              [tuple(c.chain) for c in record.chains])
             assert sorted((s.n, s.a) for s in ms.wahl_data()) == [(8, 3), (11, 3)]
+
+
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+    def test_prune_sets_the_deep_curves_of_both_rules(self, a0, records, monkeypatch,
+                                                      prune):
+        # one datum turns both chain-shape rules on or off: the base curves
+        # at -2 or below that the path rule and the degree rule read
+        seen = []
+        leaves, base_choices = plans._leaves, plans._base_choices
+
+        def recording_leaves(*args):
+            seen.append((args[0], args[-1]))
+            return leaves(*args)
+
+        def recording_choices(base, m, result, max_states, prefix=None):
+            seen.append((base, prefix.deep if prefix is not None else frozenset()))
+            return base_choices(base, m, result, max_states, prefix)
+
+        monkeypatch.setattr(plans, "_leaves", recording_leaves)
+        monkeypatch.setattr(plans, "_base_choices", recording_choices)
+        record = dataclasses.replace(records["2.1"], steps=())
+        infer_plan(record, a0.restrict(record.curves), max_states=2000, prune=prune)
+        params = dataclasses.replace(TestSearch.BENCH, max_blowups=4)
+        search_constructions(params, a0, prune=prune)
+        assert len({id(base) for base, _ in seen}) > 1
+        assert all(deep == (_deep_curves(base) if prune else frozenset())
+                   for base, deep in seen)
 
 
 class TestAbstractLeaves:
@@ -541,18 +611,21 @@ class TestAbstractLeaves:
         ([("W", "X", 0), ("W", "X", 0), ("W", "X", 0)], False),
         ([("X", "W", 0), ("Z", "Z", 0)], False),  # Z has no self-node
     ], ids=["self-node", "thrice", "occurrence", "used-up", "absent"])
-    @pytest.mark.parametrize("limits", ["none", "bound", "targeted"])
+    @pytest.mark.parametrize("limits", ["none", "bound", "targeted", "degree"])
     @pytest.mark.parametrize("budget", [400, sys.maxsize], ids=["400", "unlimited"])
     def test_matches_replay_on_tangle(self, bases, complete, limits, budget):
         bound = _DepthBound.of_chains(self.TARGETS) if limits != "none" else None
         pool = _substring_pool(self.TARGETS) if limits == "targeted" else None
+        # the degree rule on W, X and Y, as if Z were at -1: it drops some
+        # but not all leaves of both complete cases
+        deep = frozenset("WXY") if limits == "degree" else frozenset()
         steps = [PlanStep(*b) for b in bases]
         leaves = 0
         for total in range(len(steps), 8):
             got = _Counts()
             yielded = list(_lockstep(plans._leaves)(
                 self.TANGLE, steps, _allocations(total, [None] * len(steps)), bound,
-                pool, {}, got, budget))
+                pool, {}, got, budget, deep))
             assert got.states > 0 and got.leaves == len(yielded)
             leaves += len(yielded)
         assert (leaves > 0) == complete
@@ -802,28 +875,58 @@ class TestLeafGraph:
         assert leaves > 0
 
 
-    def test_degree_rule_drops_only_rejected_leaves(self):
-        # V at +2 ends as a (-1)-curve under three towers whose end curves
-        # meet it, so it is exempt; X at -1 meets A twice and B once
-        cfg = Configuration.build(
-            [("V", 2), ("X", -1)] + [(c, -2) for c in "ABC"],
-            [("A", "V"), ("B", "V"), ("C", "V"), ("A", "X"), ("A", "X"), ("B", "X")])
-        leaves = {False: 0, True: 0}
-        marked = {False: [], True: []}
-        for m in range(1, len(cfg.nodes) + 1):
-            for _, pairs in _base_choices(cfg, m, _Counts(), sys.maxsize):
-                bases = [PlanStep(a, b) for a, b in pairs]
-                for unbranched in (False, True):
+    # V at +2 ends as a (-1)-curve under three towers whose end curves meet
+    # it, so it is exempt; X at -1 meets A twice and B once
+    EXEMPT = Configuration.build(
+        [("V", 2), ("X", -1)] + [(c, -2) for c in "ABC"],
+        [("A", "V"), ("B", "V"), ("C", "V"), ("A", "X"), ("A", "X"), ("B", "X")])
+
+    @pytest.mark.parametrize("rid, hinted", [(None, None), ("4.1", True), ("7.1", True),
+                                             ("main2", False)],
+                             ids=["search-exempt", "4.1-hinted", "7.1-hinted",
+                                  "main2-free"])
+    def test_degree_rule_drops_only_rejected_leaves(self, a0, records, monkeypatch,
+                                                    rid, hinted):
+        # every leaf the rule drops is one the search's marker rejects:
+        # _greedy_mark in search, _chain_marking against the stated chains in
+        # inference
+        leaves = plans._leaves
+        kept, dropped = [], []
+
+        def compare(base, bases, allocs, bound, pool, outcomes, result, max_states,
+                    deep):
+            allocs, mine = itertools.tee(allocs)
+            for alloc in mine:
+                run = {d: [(state.plan_steps(), graph) for _, state, graph in leaves(
+                    base, bases, [alloc], bound, pool, {}, _Counts(), sys.maxsize, d)]
+                    for d in (deep, frozenset())}
+                ruled = {steps for steps, _ in run[deep]}
+                assert run[deep] == [x for x in run[frozenset()] if x[0] in ruled]
+                kept.extend(graph for _, graph in run[deep])
+                dropped.extend(graph for steps, graph in run[frozenset()]
+                               if steps not in ruled)
+            return leaves(base, bases, allocs, bound, pool, outcomes, result, max_states,
+                          deep)
+
+        monkeypatch.setattr(plans, "_leaves", compare)
+        if rid is None:
+            marks = plans._greedy_mark
+            for m in range(1, len(self.EXEMPT.nodes) + 1):
+                for _, pairs in _base_choices(self.EXEMPT, m, _Counts(), sys.maxsize):
                     allocs = itertools.chain.from_iterable(
                         _allocations(total, [None] * m) for total in range(m, 7))
-                    for _, state, graph in plans._leaves(cfg, bases, allocs, None, None,
-                                                         {}, _Counts(), sys.maxsize,
-                                                         unbranched):
-                        leaves[unbranched] += 1
-                        if plans._greedy_mark(*graph) is not None:
-                            marked[unbranched].append(state.plan_steps())
-        assert leaves[True] < leaves[False]
-        assert marked[True] == marked[False] and len(marked[True]) == 2
+                    list(plans._leaves(self.EXEMPT, [PlanStep(a, b) for a, b in pairs],
+                                       allocs, None, None, {}, _Counts(), sys.maxsize,
+                                       _deep_curves(self.EXEMPT)))
+            assert len([g for g in kept if marks(*g) is not None]) == 2
+        else:
+            record = records[rid] if hinted else dataclasses.replace(records[rid],
+                                                                     steps=())
+            targets = [tuple(c.chain) for c in record.chains]
+            marks = lambda *graph: plans._chain_marking(*graph, targets)
+            assert infer_plan(record, a0.restrict(record.curves)).success
+            assert any(marks(*g) is not None for g in kept)
+        assert dropped and all(marks(*g) is None for g in dropped)
 
 
 class TestBaseChoices:
@@ -844,7 +947,8 @@ class TestBaseChoices:
                  for combo, pairs in _reference_choices(base, m, ref, budget)]
         feasible = [x for x in every if _combo_feasible(base, x[0], targets, bound)]
         for prefix, want in ((None, every),
-                             (_ChoicePrefix.of_chains(targets, bound, base), feasible)):
+                             (_ChoicePrefix.of_chains(targets, bound, _deep_curves(base)),
+                              feasible)):
             got = _Counts()
             seq = [(combo, pairs, got.states)
                    for combo, pairs in _base_choices(base, m, got, budget, prefix)]
@@ -890,8 +994,9 @@ class TestBaseChoices:
                 paths = [x for x in every if _combo_feasible(cfg, x[0])]
                 feasible = [x for x in paths
                             if _combo_feasible(cfg, x[0], targets, bound)]
-                for prefix, want in ((None, every), (_PathPrefix.of(cfg), paths),
-                                     (_ChoicePrefix.of_chains(targets, bound, cfg),
+                deep = _deep_curves(cfg)
+                for prefix, want in ((None, every), (_PathPrefix.of(deep), paths),
+                                     (_ChoicePrefix.of_chains(targets, bound, deep),
                                       feasible)):
                     got = _Counts()
                     seq = [(combo, pairs, got.states) for combo, pairs
@@ -1015,6 +1120,22 @@ class TestSearch:
                                      **{field: -1})
         with pytest.raises(PlanError, match=field):
             search_constructions(params, a0)
+
+    def test_restricts_only_subsets_with_the_node_count(self, monkeypatch):
+        # a subset's nodes are counted, self-nodes included, before it is
+        # built: for K^2=1 and one chain only {W, X, Z} of the tangle has the
+        # 4 nodes needed, W's self-node among them
+        restricted = []
+        restrict = Configuration.restrict
+
+        def recording(config, names):
+            restricted.append(tuple(names))
+            return restrict(config, names)
+
+        monkeypatch.setattr(Configuration, "restrict", recording)
+        params = SearchParams(k2=1, max_chains=1, max_blowups=4)
+        search_constructions(params, TestAbstractLeaves.TANGLE)
+        assert restricted == [("W", "X", "Z")]
 
     # the benchmark's search: 9,442 states, 2,019 leaves, 2 of them marked
     BENCH = SearchParams(k2=2, max_chains=2, max_blowups=7,
