@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
@@ -43,6 +44,11 @@ class MarkedSurface:
     @property
     def blowup_count(self) -> int:
         return self.surface.blowup_count
+
+    @cached_property
+    def chain_index(self) -> dict[str, int]:
+        """Each Wahl chain curve -> the index of its chain."""
+        return {c: i for i, ch in enumerate(self.wahl_chains) for c in ch}
 
     def wahl_data(self) -> tuple[WahlSingularity, ...]:
         out = []
@@ -162,7 +168,7 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
     (-2)-curve away from the chains.
     """
     surface = ms.surface
-    chain_index = {c: i for i, ch in enumerate(ms.wahl_chains) for c in ch}
+    chain_index = ms.chain_index
     marked = set(chain_index) | {c for ch in ms.ade_chains for c in ch}
     table = _discrepancy_table(ms)
 
@@ -222,8 +228,7 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
 
 def _contraction_for(ms: MarkedSurface, curve: str, meets: list[str]) -> Contraction:
     """Describe the T-singularity produced by contracting an equality curve."""
-    chain_index = {c: i for i, ch in enumerate(ms.wahl_chains) for c in ch}
-    joined = tuple(chain_index[m] for m in meets)
+    joined = tuple(ms.chain_index[m] for m in meets)
     if len(meets) == 2 and len(set(joined)) == 2:
         (i, a), (j, b) = (joined[0], meets[0]), (joined[1], meets[1])
         left = _oriented(ms, i, a, end="last")
@@ -293,7 +298,7 @@ class Pi1Report:
 def _chain_hits(ms: MarkedSurface, curve: str) -> dict[int, list[str]]:
     """Wahl chain index -> chain curves this curve meets (with multiplicity)."""
     hits: dict[int, list[str]] = {}
-    chain_index = {c: i for i, ch in enumerate(ms.wahl_chains) for c in ch}
+    chain_index = ms.chain_index
     for node in ms.surface.nodes_at(curve):
         other = node.other(curve)
         if other in chain_index:
@@ -316,12 +321,12 @@ def pi1_verdict(ms: MarkedSurface) -> Pi1Report:
         return Pi1Report("trivial", "no Wahl chains marked")
     data = ms.wahl_data()
     surface = ms.surface
-    chain_curves = {c for ch in chains for c in ch}
-    externals = [c.name for c in surface.curves if c.name not in chain_curves]
+    externals = [c.name for c in surface.curves if c.name not in ms.chain_index]
+    hits_of = {name: _chain_hits(ms, name) for name in externals}
 
     dead: dict[int, str] = {}
     for name in externals:
-        hits = _chain_hits(ms, name)
+        hits = hits_of[name]
         total_nodes = len(surface.nodes_at(name))
         hit_nodes = sum(len(v) for v in hits.values())
         if total_nodes != hit_nodes:
@@ -348,7 +353,7 @@ def pi1_verdict(ms: MarkedSurface) -> Pi1Report:
             exps = meridian_exponents(entries)
             imposed: list[tuple[int, str]] = []
             for name in externals:
-                hits = _chain_hits(ms, name)
+                hits = hits_of[name]
                 if len(hits.get(i, [])) != 1:
                     continue
                 if any(j != i and j not in dead for j in hits):

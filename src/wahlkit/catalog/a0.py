@@ -34,6 +34,8 @@ FIBERS: dict[str, tuple[str, ...]] = {
 }
 SECTIONS: tuple[str, ...] = ("A1", "A2", "A3", "A4", "D1", "D2", "D3", "D4")
 COMPONENTS: dict[str, str] = {c: f for f, comps in FIBERS.items() for c in comps}
+SOLUTION_CAP = 4096  # reconstruct_a0 stops after this many solutions
+EXPANSION_CAP = 20000  # and expands them into incidence maps up to this many
 
 
 class CatalogError(ValueError):
@@ -141,9 +143,7 @@ def _fixed_pairing(a: str, b: str) -> Optional[int]:
 
 
 def reconstruct_a0(constraints: A0Constraints,
-                   solution_cap: int = 4096,
-                   rank_cap: int = 20,
-                   expansion_cap: int = 20000) -> ReconstructionResult:
+                   rank_cap: Optional[int] = 20) -> ReconstructionResult:
     """Search all section incidence maps satisfying the constraints.
 
     Matrix entries and incidence facts reduce to unary domain restrictions;
@@ -274,7 +274,7 @@ def reconstruct_a0(constraints: A0Constraints,
     solutions: list[dict[tuple[str, str], tuple[str, ...]]] = []
 
     def search(idx: int, assignment: dict) -> None:
-        if len(solutions) >= solution_cap:
+        if len(solutions) >= SOLUTION_CAP:
             return
         if idx == len(relevant):
             solutions.append(dict(assignment))
@@ -300,7 +300,7 @@ def reconstruct_a0(constraints: A0Constraints,
         width = max((len(mem) for sol in solutions
                      for mem in [sol.get(cell, domains[cell])]), default=1)
         size *= max(width, 1)
-    if size <= expansion_cap:
+    if size <= EXPANSION_CAP:
         for sol in solutions:
             maps = [dict(base)]
             for cell in multi:

@@ -6,11 +6,12 @@ search.  Plan inference (`infer_plan`) and construction search
 (`search_constructions`) share one search core:
 
 - `_base_choices` enumerates the choices of base nodes to blow up, one per
-  multiset of curve pairs, counting each as one state.  It generates only
-  the canonical choice of each multiset: deciding the nodes in id order, a
-  node may be chosen only after the node before it on the same curve
-  pair.  That is the first of its multiset among the combinations of node
-  ids, so choices come in lexicographic order with no duplicate to drop;
+  multiset of curve pairs, counting each choice and each prefix it rejects
+  as one state.  It generates only the canonical choice of each multiset:
+  deciding the nodes in id order, a node may be chosen only after the node
+  before it on the same curve pair.  That is the first of its multiset
+  among the combinations of node ids, so choices come in lexicographic
+  order with no duplicate to drop;
 - `_leaves` distributes the blow-ups over the chosen nodes (one allocation
   at a time), branches over the nodes sitting on each tower's exceptional
   curves, and yields every completed search state with its graph.  It
@@ -43,10 +44,9 @@ base-node choice (`_PathPrefix`), and a state is dropped once such a curve
 has more than two final non-(-1) neighbours (the degree rule of
 `_leaves`).  A curve at -1 or above may end as a surviving (-1)-curve, so
 it is exempt from both.  Inference adds its chain-specific rules on top
-(`_ChoicePrefix`).  The choices below a failing prefix are counted as
-states in one step (a coefficient of a product of polynomials, see
-`_base_choices`) instead of being built, so the state counts equal those
-of checking every choice whole.  With `prune=False` a search runs no
+(`_ChoicePrefix`).  A failing prefix is not extended, and it counts as one
+state, as a yielded choice and a tower outcome do: every state counted is
+work done, so the budget bounds time.  With `prune=False` a search runs no
 rule: no depth bound, no substring pool and no deep curves.  Abstract
 tower outcomes depend only on the tower's size and limits; each search
 call memoises them in its own table.  In both searches each tower keeps
@@ -119,7 +119,7 @@ class InferenceResult:
     marked: Optional[MarkedSurface] = None
     report: Optional[SurfaceReport] = None
     states: int = 0
-    pruned: int = 0  # base-node choices rejected by a prefix, each also a state
+    pruned: int = 0  # failing base-choice prefixes, each also one state
     leaves: int = 0  # completed search states marked against the stated chains
     near_misses: list[str] = field(default_factory=list)
 
@@ -435,14 +435,16 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     Choices meeting the same multiset of curve pairs are isomorphic, so
     only the canonical one is generated: nodes are decided in id order, and
     a node may be chosen only if the node before it on the same curve pair
-    is.  Each choice counts as one state of `result`; the enumeration stops
-    once the states exceed `max_states`.
+    is.
 
     The decided nodes run through a `prefix` filter (`_PathPrefix`, or
     inference's `_ChoicePrefix`; by default the path rule over no curves,
-    which admits every choice).  A prefix that fails it is not extended:
-    its completions are counted as states (and as `result.pruned`) in one
-    step, and only feasible choices are yielded.
+    which admits every choice).  A prefix that fails it is not extended,
+    and only feasible choices are yielded.  Each yielded choice and each
+    rejected prefix (which has a completion: `room` stops the others)
+    counts as one state of `result`, a rejected prefix also in
+    `result.pruned`; the enumeration stops once the states exceed
+    `max_states`.
     """
     if prefix is None:
         prefix = _PathPrefix.of(frozenset())
@@ -452,25 +454,13 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     # left[i][pair]: the nodes of each curve pair at position i or later
     left = [Counter(pairs[i:]) for i in range(len(nodes) + 1)]
 
-    def count(n: int) -> bool:
-        """Count n choices as states; False once they exceed the budget."""
-        if result.states + n > max_states:
-            result.states = max(result.states + 1, max_states + 1)
+    def count(rejected: bool = False) -> bool:
+        """Count one state, a failing prefix if `rejected`; False once the
+        states exceed the budget."""
+        result.states += 1
+        if result.states > max_states:
             return False
-        result.states += n
-        return True
-
-    def reject(i: int, need: int, closed: frozenset) -> bool:
-        """Count the completions of a failing prefix decided up to i."""
-        # choose 0..r of the r undecided nodes of each open pair, need in all:
-        # the coefficient of x^need in the product of (1 + x + ... + x^r)
-        poly = [1] + [0] * need
-        for pair, r in left[i].items():
-            if pair not in closed:
-                poly = [sum(poly[max(0, k - r):k + 1]) for k in range(need + 1)]
-        if not count(poly[need]):
-            return False
-        result.pruned += poly[need]
+        result.pruned += rejected
         return True
 
     def extend(i: int, chosen: tuple, closed: frozenset, room: int, state
@@ -487,7 +477,7 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
             if need and pair not in closed:
                 nxt = state.chosen(nodes[i])
                 if nxt is None:
-                    if not reject(i + 1, need - 1, closed):
+                    if not count(rejected=True):
                         return True
                 elif (yield from extend(i + 1, chosen + (i,), closed, room - 1, nxt)):
                     return True
@@ -498,9 +488,9 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
                 closed = closed | {pair}
             state = state.unchosen(nodes[i])
             if state is None:
-                return not reject(i + 1, need, closed)
+                return not count(rejected=True)
             i += 1
-        if not count(1):
+        if not count():
             return True
         yield tuple(ids[j] for j in chosen), tuple(sorted([pairs[j] for j in chosen]))
         return False
@@ -880,7 +870,7 @@ class SearchResult:
     records: list[SurfaceRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     states: int = 0
-    pruned: int = 0  # base-node choices rejected by a prefix, each also a state
+    pruned: int = 0  # failing base-choice prefixes, each also one state
     leaves: int = 0  # completed search states handed to _harvest
     marked: int = 0  # leaves marked greedily into Wahl chains and no ADE chain
     exhausted: bool = False

@@ -407,8 +407,8 @@ class TestInference:
         assert result.near_misses
 
     def test_state_budget_bounds_base_node_choices(self, a0, records):
-        # free inference of (8.1) tries millions of base-node choices; each
-        # distinct choice counts as a state, so a small budget stops it
+        # free inference of (8.1) rejects over 25,000 base-choice prefixes;
+        # each counts as a state, so a small budget stops it
         record = dataclasses.replace(records["8.1"], steps=())
         result = infer_plan(record, a0.restrict(record.curves), max_states=2000)
         assert not result.success
@@ -425,52 +425,64 @@ class TestInference:
         assert "state budget exhausted" in result.near_misses
 
     # the eight cases of the benchmark's free_infer workload, with the
-    # base-node choices each rejects by a prefix and the states each takes
-    FREE_PRUNED = {"2.1": 6, "2.2": 11, "3.2": 6, "4.1": 54, "5.1": 11363,
-                   "6.1": 83629, "7.1": 163260, "main2": 13}
-    FREE_STATES = {"2.1": 3935, "2.2": 2463, "3.2": 3866, "4.1": 971, "5.1": 13396,
-                   "6.1": 83698, "7.1": 163409, "main2": 457}
+    # base-choice prefixes each rejects and the states each takes
+    FREE_PRUNED = {"2.1": 5, "2.2": 9, "3.2": 5, "4.1": 32, "5.1": 566,
+                   "6.1": 1775, "7.1": 3102, "main2": 11}
+    FREE_STATES = {"2.1": 3934, "2.2": 2461, "3.2": 3865, "4.1": 949, "5.1": 2599,
+                   "6.1": 1844, "7.1": 3251, "main2": 455}
+    # the state counts without the degree rule of `_leaves`, which finds the
+    # same plans
+    UNSHAPED = {"2.1": 5701, "2.2": 9039, "3.2": 7346, "4.1": 1571, "5.1": 5065,
+                "6.1": 1880, "7.1": 3355, "main2": 627}
+    FREE_PLANS = {
+        "2.1": "A2*B1, B1*E1, B1*E2, A3*C1, C1*E4, C1*C2, C2*D1",
+        "2.2": "A2*B1, A2*C1, A2*E2, A2*E3, E3*E4, E4*E5, E5*E6, A3*C1, C1*C2, C1*E9",
+        "3.2": "A1*B2, A1*C1, C1*E2, E2*E3, E2*E4, A1*C3, C3*E6, C3*E7, A2*C1, A4*B2",
+        "4.1": "A2*B1, A2*E1, A2*F1, A3*B1, C1*C2, C1*C2, C2*D4, C2*E7",
+        "5.1": "A2*B1, A2*C1, A2*F1, A3*B1, A3*C3, C3*E5, C3*E6, A4*C1, C1*C2",
+        "6.1": "A1*F15, A2*B1, A2*C1, A2*C3, A2*F1, A3*C1, A3*C3, A3*E7, C1*C2",
+        "7.1": "A2*B1, A3*B1, A3*C1, A4*C1, B4*D3, C1*C2, C1*C2, D3*F1, D3*E8, F1*F2",
+        "main2": "A2*B1, A2*C1, B1*D1, C1*C2, C2*E4, C2*E5",
+    }
 
-    # `unshaped` is the state count without the degree rule of `_leaves`,
-    # which finds the same plan
-    @pytest.mark.parametrize("rid, unshaped, plan", [
-        ("2.1", 5702, "A2*B1, B1*E1, B1*E2, A3*C1, C1*E4, C1*C2, C2*D1"),
-        ("2.2", 9041, "A2*B1, A2*C1, A2*E2, A2*E3, E3*E4, E4*E5, E5*E6, A3*C1, "
-                      "C1*C2, C1*E9"),
-        ("3.2", 7347, "A1*B2, A1*C1, C1*E2, E2*E3, E2*E4, A1*C3, C3*E6, C3*E7, "
-                      "A2*C1, A4*B2"),
-        ("4.1", 1593, "A2*B1, A2*E1, A2*F1, A3*B1, C1*C2, C1*C2, C2*D4, C2*E7"),
-        ("5.1", 15862, "A2*B1, A2*C1, A2*F1, A3*B1, A3*C3, C3*E5, C3*E6, A4*C1, "
-                       "C1*C2"),
-        ("6.1", 83734, "A1*F15, A2*B1, A2*C1, A2*C3, A2*F1, A3*C1, A3*C3, "
-                       "A3*E7, C1*C2"),
-        ("7.1", 163513, "A2*B1, A3*B1, A3*C1, A4*C1, B4*D3, C1*C2, C1*C2, "
-                        "D3*F1, D3*E8, F1*F2"),
-        ("main2", 629, "A2*B1, A2*C1, B1*D1, C1*C2, C2*E4, C2*E5"),
-    ])
-    def test_free_inference_golden(self, a0, records, monkeypatch, rid, unshaped, plan):
+    @pytest.mark.parametrize("rid", list(FREE_PLANS))
+    def test_free_inference_golden(self, a0, records, monkeypatch, rid):
         record = dataclasses.replace(records[rid], steps=())
         result = infer_plan(record, a0.restrict(record.curves))
         assert result.success
         assert result.states == self.FREE_STATES[rid]
-        assert str(result.plan) == plan
+        assert str(result.plan) == self.FREE_PLANS[rid]
         assert result.pruned == self.FREE_PRUNED[rid]
         assert 0 < result.pruned < result.states
         leaves = plans._leaves
         monkeypatch.setattr(plans, "_leaves",
                             lambda *args: leaves(*args[:-1], frozenset()))
         without = infer_plan(record, a0.restrict(record.curves))
-        assert (without.states, str(without.plan)) == (unshaped, plan)
+        assert (without.states, str(without.plan)) == (self.UNSHAPED[rid],
+                                                       self.FREE_PLANS[rid])
         assert without.marked.wahl_chains == result.marked.wahl_chains
 
+    @pytest.mark.parametrize("rid", ["main6", "main7", "8.1"])
+    def test_free_inference_within_the_default_budget(self, a0, records, rid):
+        # most of these searches' states are rejected base-choice prefixes,
+        # each counted once; mains 6 and 7 recover their frozen plans
+        record = dataclasses.replace(records[rid], steps=())
+        result = infer_plan(record, a0.restrict(record.curves))
+        assert result.success
+        assert result.report.k2 == record.k2
+        if rid.startswith("main"):
+            frozen = load_expected()["mains"][rid[len("main"):]]["recovered_plan"]
+            assert result.plan == BlowupPlan(tuple(PlanStep(a, b, occ)
+                                                   for a, b, occ in frozen))
+
     def test_free_inference_budget_counts(self, a0, records):
-        # the base-node choices rejected in bulk exhaust the budget
-        record = dataclasses.replace(records["7.1"], steps=())
+        # rejected base-choice prefixes exhaust the budget before any leaf
+        record = dataclasses.replace(records["8.1"], steps=())
         result = infer_plan(record, a0.restrict(record.curves), max_states=20000)
         assert not result.success
-        assert result.states == 20001
+        assert (result.states, result.pruned, result.leaves) == (20001, 20000, 0)
         assert "state budget exhausted" in result.near_misses
-        assert f"after 20001 states ({result.pruned} pruned)" in result.summary()
+        assert "after 20001 states (20000 pruned), 0 leaves" in result.summary()
         # towers exhaust the budget, then one more base-node choice counts
         record = dataclasses.replace(records["2.1"], steps=())
         result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
@@ -506,13 +518,13 @@ class TestInference:
         monkeypatch.setattr(Configuration, "blow_up", counted)
         record = dataclasses.replace(records["2.2"], steps=())
         result = infer_plan(record, a0.restrict(record.curves))
-        assert result.success and result.states == 2463
+        assert result.success and result.states == 2461
         assert 0 < result.leaves < result.states
         assert len(calls) == record.blowup_total
 
     def test_near_misses_name_each_allocation_once(self, a0, records):
         # every leaf of an allocation may fail, yet the allocation is named
-        # once; the search succeeds after 2,463 states
+        # once; the search succeeds after 2,461 states
         record = dataclasses.replace(records["2.2"], steps=())
         result = infer_plan(record, a0.restrict(record.curves), max_states=2000)
         assert not result.success
@@ -933,6 +945,7 @@ class TestBaseChoices:
     # records with at most 8 base nodes to blow up: the oracle enumerates
     # all combinations, 94,146 distinct choices for m = 8
     SMALL = [r.rid for r in load_records() if _nodes_to_blow_up(r) <= 8]
+    _UNLIMITED: dict = {}  # rid -> its unlimited walks, without and with the rules
 
     @pytest.mark.parametrize("rid", SMALL)
     @pytest.mark.parametrize("budget", [3000, sys.maxsize], ids=["3000", "unlimited"])
@@ -942,22 +955,51 @@ class TestBaseChoices:
         m = _nodes_to_blow_up(record)
         targets = [tuple(c.chain) for c in record.chains]
         bound = _DepthBound.of_chains(targets)
-        ref = _Counts()
-        every = [(combo, pairs, ref.states)
-                 for combo, pairs in _reference_choices(base, m, ref, budget)]
-        feasible = [x for x in every if _combo_feasible(base, x[0], targets, bound)]
-        for prefix, want in ((None, every),
-                             (_ChoicePrefix.of_chains(targets, bound, _deep_curves(base)),
-                              feasible)):
-            got = _Counts()
-            seq = [(combo, pairs, got.states)
-                   for combo, pairs in _base_choices(base, m, got, budget, prefix)]
-            assert seq == want
-            assert got.states == ref.states
-            if prefix is None:
-                assert got.pruned == 0
-            elif ref.states <= budget:
-                assert got.pruned == ref.states - len(feasible)
+        prefix = _ChoicePrefix.of_chains(targets, bound, _deep_curves(base))
+        if rid not in self._UNLIMITED:
+            # the oracle and the unlimited walks, shared by both budgets
+            every = list(_reference_choices(base, m, _Counts(), sys.maxsize))
+            feasible = [x for x in every if _combo_feasible(base, x[0], targets, bound)]
+            self._UNLIMITED[rid] = [self._unlimited_walk(base, m, None, every, every),
+                                    self._unlimited_walk(base, m, prefix, every, feasible)]
+        for rule, walk in zip((None, prefix), self._UNLIMITED[rid]):
+            self._check_budget(base, m, budget, rule, walk)
+
+    @staticmethod
+    def _unlimited_walk(cfg, m, prefix, every, feasible):
+        """`_base_choices` under `prefix`, unlimited, against the oracle.
+
+        `every` is the oracle's list of choices and `feasible` the ones the
+        prefix rules admit.  The walk yields exactly the feasible choices, in
+        order, and counts one state per yielded choice and per rejected
+        prefix.  Each rejected prefix stands for at least one rejected
+        choice, and some prefix is rejected whenever a choice is.  With no
+        prefix rule the walk is the oracle, state by state.  Returns the
+        yielded choices, each with the states counted by then, and the
+        final counts.
+        """
+        walk = _Counts()
+        full = [(combo, pairs, walk.states)
+                for combo, pairs in _base_choices(cfg, m, walk, sys.maxsize, prefix)]
+        assert [x[:2] for x in full] == feasible
+        assert walk.states == len(full) + walk.pruned
+        rejected = len(every) - len(feasible)
+        assert walk.pruned <= rejected and (walk.pruned > 0) == (rejected > 0)
+        if prefix is None:
+            assert [x[2] for x in full] == list(range(1, len(every) + 1))
+        return full, walk
+
+    @staticmethod
+    def _check_budget(cfg, m, budget, prefix, unlimited):
+        """Under a budget the walk stops after the first `budget` states of
+        its unlimited walk, counting one more."""
+        full, walk = unlimited
+        got = _Counts()
+        seq = [(combo, pairs, got.states)
+               for combo, pairs in _base_choices(cfg, m, got, budget, prefix)]
+        assert seq == [x for x in full if x[2] <= budget]
+        assert got.states == min(walk.states, budget + 1)
+        assert got.states == len(seq) + got.pruned + (got.states > budget)
 
     # A0 has neither self-nodes nor a pair meeting three times
     TANGLE = [("W", "X"), ("Y", "Y"), ("W", "X"), ("X", "Y"), ("Y", "Z"),
@@ -986,22 +1028,16 @@ class TestBaseChoices:
         cfg = Configuration.build([(c, self_ints.get(c, -2))
                                    for c in sorted({c for n in nodes for c in n})], nodes)
         bound = _DepthBound.of_chains(targets)
+        deep = _deep_curves(cfg)
         for m in range(len(cfg.nodes) + 1):
-            for budget in (5, sys.maxsize):
-                ref = _Counts()
-                every = [(combo, pairs, ref.states)
-                         for combo, pairs in _reference_choices(cfg, m, ref, budget)]
-                paths = [x for x in every if _combo_feasible(cfg, x[0])]
-                feasible = [x for x in paths
-                            if _combo_feasible(cfg, x[0], targets, bound)]
-                deep = _deep_curves(cfg)
-                for prefix, want in ((None, every), (_PathPrefix.of(deep), paths),
-                                     (_ChoicePrefix.of_chains(targets, bound, deep),
-                                      feasible)):
-                    got = _Counts()
-                    seq = [(combo, pairs, got.states) for combo, pairs
-                           in _base_choices(cfg, m, got, budget, prefix)]
-                    assert (seq, got.states) == (want, ref.states), (m, budget)
+            every = list(_reference_choices(cfg, m, _Counts(), sys.maxsize))
+            paths = [x for x in every if _combo_feasible(cfg, x[0])]
+            feasible = [x for x in paths if _combo_feasible(cfg, x[0], targets, bound)]
+            for prefix, want in ((None, every), (_PathPrefix.of(deep), paths),
+                                 (_ChoicePrefix.of_chains(targets, bound, deep), feasible)):
+                walk = TestBaseChoices._unlimited_walk(cfg, m, prefix, every, want)
+                for budget in (5, sys.maxsize):
+                    TestBaseChoices._check_budget(cfg, m, budget, prefix, walk)
 
     def test_too_few_nodes(self):
         cfg = Configuration.build([("A", -2), ("B", -2)], [("A", "B")])
@@ -1107,7 +1143,7 @@ class TestSearch:
         params = SearchParams(k2=2, max_chains=2, max_blowups=6,
                               curve_pool=("A2", "A3", "B1", "C1", "C2", "D1"))
         once = search_constructions(params, a0)
-        assert once.states == 2914 and once.leaves > 0
+        assert once.states == 2899 and once.leaves > 0
         for pool in (("A2", "A2", "A3", "B1", "C1", "C2", "D1"),
                      ("D1", "A2", "A3", "D1", "B1", "C1", "C2", "D1")):
             repeated = dataclasses.replace(params, curve_pool=pool)
@@ -1137,7 +1173,7 @@ class TestSearch:
         search_constructions(params, TestAbstractLeaves.TANGLE)
         assert restricted == [("W", "X", "Z")]
 
-    # the benchmark's search: 9,442 states, 2,019 leaves, 2 of them marked
+    # the benchmark's search: 9,427 states, 2,019 leaves, 2 of them marked
     BENCH = SearchParams(k2=2, max_chains=2, max_blowups=7,
                          curve_pool=("A2", "A3", "B1", "C1", "C2", "D1"))
 
@@ -1153,7 +1189,7 @@ class TestSearch:
 
         monkeypatch.setattr(Configuration, "blow_up", counted)
         result = search_constructions(self.BENCH, a0)
-        assert (result.states, result.leaves, result.marked) == (9442, 2019, 2)
+        assert (result.states, result.leaves, result.marked) == (9427, 2019, 2)
         assert len(result.records) == 1
         assert 0 < len(calls) <= result.marked * self.BENCH.max_blowups
 
