@@ -14,19 +14,27 @@ search.  Plan inference (`infer_plan`) and construction search
   order with no duplicate to drop;
 - `_leaves` distributes the blow-ups over the chosen nodes (one allocation
   at a time), branches over the nodes sitting on each tower's exceptional
-  curves, and yields every completed search state with its graph.  It
-  searches on integer states (`_State`): the depths of the base curves and
-  of the exceptional curves, which is all the depth bound reads.  A
-  tower's outcome (`_tower_scripts`) fixes its exceptional string, how much
-  it deepens its two base curves, its steps and its final local chain, all
+  curves, and yields every completed search state.  It searches on
+  integer states (`_State`): the depths of the base curves and of the
+  exceptional curves, which is all the depth bound reads.  A tower's
+  outcome (`_tower_scripts`) fixes its exceptional string, how much it
+  deepens its two base curves, its steps and its final local chain, all
   without a configuration.  A leaf's curves and nodes follow from these
-  integers (`_State.graph`);
+  integers, and its graph is built only on demand (`_State.graph`);
 - `_DepthBound` drops the states whose curves are already deeper than the
   chains sought allow, since blow-ups only deepen curves.
 
-Both searches mark a leaf on its graph: inference into the stated chains
-(`_chain_marking`, the search behind `mark_chains`), search greedily
-(`_greedy_mark`).  A configuration is built, by replaying the leaf's steps
+Inference marks each leaf on its graph into the stated chains
+(`_chain_marking`, the search behind `mark_chains`).  Search decides each
+leaf on its integers first (`_arm_test`).  A chain it keeps is L + M + R:
+M is a path of base curves joined by surviving base nodes, found once per
+base-node choice, and L and R are the runs of tower curves that hang off
+M's two ends, on either side of each tower's one (-1)-curve.  A leaf
+fails once one such string is not a Wahl chain (no ADE chain is one).
+Only a leaf that passes has its graph built and marked greedily
+(`_greedy_mark`), which names and orders its chains; the marking also
+decides the paths that meet a curve at -1 or above, which the arm test
+leaves alone.  A configuration is built, by replaying the leaf's steps
 with `BlowupPlan.execute`, only for a leaf that marks: inference keeps it
 if its marked surface is valid, search if it has Wahl chains and no ADE
 chain and its canonical class is ample.  Pruning only ever discards
@@ -47,13 +55,14 @@ it is exempt from both.  Inference adds its chain-specific rules on top
 (`_ChoicePrefix`).  A failing prefix is not extended, and it counts as one
 state, as a yielded choice and a tower outcome do: every state counted is
 work done, so the budget bounds time.  With `prune=False` a search runs no
-rule: no depth bound, no substring pool and no deep curves.  Abstract
-tower outcomes depend only on the tower's size and limits; each search
-call memoises them in its own table.  In both searches each tower keeps
-exactly one surviving (-1)-curve (`_tower_outcomes`), so every blow-up of
-the tower lands next to the newest curve, and the outcomes are walked
-forwards along it, dropping a word once its finished runs leave the
-chains.
+rule: no depth bound, no substring pool and no deep curves; the arm test
+then tests no path.  A tower's outcomes depend only on its size, its base
+node, the blow-ups before it and the search's limits; each search call
+memoises them, per depth bound, in its own table.  In both searches each
+tower keeps exactly one surviving (-1)-curve (`_tower_outcomes`), so
+every blow-up of the tower lands next to the newest curve, and the
+outcomes are walked forwards along it, dropping a word once its finished
+runs leave the chains.
 """
 from __future__ import annotations
 
@@ -61,7 +70,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .assembly import (AssemblyError, MarkedSurface, SurfaceReport, k_squared,
                        nef_ample_check, surface_report)
@@ -256,8 +265,11 @@ class _DepthBound:
                                 reverse=True)))
 
     def admits(self, depths: Iterable[int]) -> bool:
-        deep = sorted([d for d in depths if d >= 3], reverse=True)
-        return len(deep) <= len(self.caps) and all(map(operator.le, deep, self.caps))
+        deep = [d for d in depths if d >= 3]
+        if len(deep) > len(self.caps):
+            return False
+        deep.sort(reverse=True)
+        return all(map(operator.le, deep, self.caps))
 
 
 def _substring_pool(targets: Sequence[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
@@ -608,7 +620,10 @@ class _ChoicePrefix(_PathPrefix):
         inc[node.b] = inc.get(node.b, 0) + 1
         if not self.bound.admits([2 + k for k in inc.values()]):
             return None
-        if not all(self._dominated(inc, u, v) for u, v in self.surviving):
+        # only the surviving nodes on the two deepened curves can fail anew
+        ends = (node.a, node.b)
+        if not all(self._dominated(inc, u, v) for u, v in self.surviving
+                   if u in ends or v in ends):
             return None
         return _ChoicePrefix(self.deep, self.degree, self.ends, self.bound, self.reach,
                              inc, self.surviving)
@@ -656,15 +671,13 @@ class _State:
             return self.steps
         return self.parent.plan_steps() + self.steps
 
-    def graph(self, names: Sequence[str], surviving: Counter
-              ) -> tuple[dict[str, int], Counter]:
+    def graph(self) -> tuple[dict[str, int], Counter]:
         """The configuration's self-intersections and node counts, unbuilt.
 
-        `names` are the base curves, in base order, and `surviving` counts,
-        by curve pair, the base nodes that no tower blows up.  The result
-        maps each curve name to its self-intersection and each curve pair,
+        Maps each curve name to its self-intersection and each curve pair,
         ordered as `_pair` orders it, to the number of nodes between the two
-        curves.
+        curves.  The base curves and their surviving nodes come from the
+        root (`_Root`), the towers from the states on the way to it.
         """
         chains = []
         state = self
@@ -672,20 +685,28 @@ class _State:
             chains.append(state.chain)
             state = state.parent
         chains.reverse()
-        self_int = dict(zip(names, [-d for d in self.depths]))
+        self_int = dict(zip(state.names, [-d for d in self.depths]))
         exceptional = [name for chain in chains for name in chain[1:-1]]
         self_int.update(zip(exceptional, [-d for d in self.exceptional]))
-        meets = surviving.copy()
+        meets = state.surviving.copy()
         for chain in chains:
             meets.update(map(_pair, chain, chain[1:]))
         return self_int, meets
 
 
+class _Root(_State):
+    """The state before the first tower.  It also holds what every leaf's
+    graph reads: `names`, the base curves in base order, and `surviving`,
+    the base nodes that no tower blows up, counted by curve pair."""
+
+    __slots__ = ("names", "surviving")
+
+
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
             allocs: Iterable[tuple[int, ...]], bound: Optional[_DepthBound],
             pool, outcomes: dict, result, max_states: int, deep: frozenset = frozenset()
-            ) -> Iterator[tuple[tuple[int, ...], _State, tuple[dict[str, int], Counter]]]:
-    """Every completed search state, with its allocation and its graph.
+            ) -> Iterator[tuple[tuple[int, ...], _State]]:
+    """Every completed search state, with its allocation.
 
     For each allocation, blows alloc[i] times over the base node bases[i],
     depth first, one tower at a time, on integer states (`_State`).  Tower
@@ -693,11 +714,13 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     before it on that pair use up; the base nodes left over survive in
     every leaf.  Each outcome of a tower counts as one state of `result`;
     the search stops once the states exceed `max_states`.  States that
-    `bound` rejects are not expanded.  No configuration is built here: a
-    leaf's graph (`_State.graph`) is read off the integers, and its
-    configuration is `BlowupPlan(state.plan_steps()).execute(base)`.  Each
-    leaf counts in `result.leaves`.  `outcomes` is the caller's
-    tower-outcome memo (see `_tower_scripts`).
+    `bound` rejects are not expanded.  Neither a configuration nor a graph
+    is built here: a leaf's graph is `state.graph()`, read off the
+    integers, and its configuration `BlowupPlan(state.plan_steps()).execute(base)`.
+    Each leaf counts in `result.leaves`.  `outcomes` is the caller's tower
+    memo, which serves one `bound` and `pool`: it keeps each tower's named
+    outcomes by base node, blow-ups so far and size, and `_tower_scripts`
+    keeps the abstract ones there too.
 
     The degree rule drops a state once a curve of `deep` (the base curves
     at -2 or below, `_deep_curves`; empty for a search that does not prune)
@@ -727,31 +750,37 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
         if a != b and is_deep[ia] and is_deep[ib]:
             degree[ia] += k
             degree[ib] += k
-    root = _State(None, tuple(-c.self_int for c in base.curves), (), (), (), 0,
-                  base.blowup_count, tuple(degree))
-    towers: dict = {}  # (index, count, size) -> the tower's outcomes there
+    ends = [(position[step.a], position[step.b]) for step in bases]
+    nodes_at = [(step.a, step.b, step.occurrence) for step in bases]  # memo keys
+    # the tower's curves take the names blow_up gives, which it refuses
+    # where the base already has one
+    taken = {name for name in names if name.startswith("E")}
+    root = _Root(None, tuple(-c.self_int for c in base.curves), (), (), (), 0,
+                 base.blowup_count, tuple(degree))
+    root.names, root.surviving = names, surviving
     for alloc in allocs:
-        stack = [root]
+        stack: list[_State] = [root]
         while stack:
             state = stack.pop()
             idx = state.index
             if idx == len(bases):
                 result.leaves += 1
-                yield alloc, state, state.graph(names, surviving)
+                yield alloc, state
                 continue
             if not available[idx]:
                 continue
-            key = (idx, state.count, alloc[idx])
-            if key not in towers:
-                towers[key] = list(_tower_scripts(bases[idx], state.count, alloc[idx],
-                                                  bound, pool, outcomes))
-                # the tower's curves take the names blow_up gives, which it
-                # refuses where the base already has one
-                for k in range(state.count + 1, state.count + alloc[idx] + 1):
-                    if towers[key] and base.has_curve(f"E{k}"):
+            count, size = state.count, alloc[idx]
+            key = (nodes_at[idx], count, size)
+            towers = outcomes.get(key)
+            if towers is None:
+                towers = outcomes[key] = list(_tower_scripts(bases[idx], count, size,
+                                                             bound, pool, outcomes))
+            if towers and taken:
+                for k in range(count + 1, count + size + 1):
+                    if f"E{k}" in taken:
                         raise ConfigurationError(f"exceptional name E{k} already taken")
-            ia, ib = position[bases[idx].a], position[bases[idx].b]
-            for xs, deepen_a, deepen_b, steps, chain in towers[key]:
+            ia, ib = ends[idx]
+            for xs, deepen_a, deepen_b, steps, chain in towers:
                 result.states += 1
                 if result.states > max_states:
                     return
@@ -766,7 +795,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                 exceptional = state.exceptional + xs
                 if bound is None or bound.admits(depths + list(exceptional)):
                     stack.append(_State(state, tuple(depths), exceptional, steps, chain,
-                                        idx + 1, state.count + alloc[idx], tuple(degree)))
+                                        idx + 1, count + size, tuple(degree)))
 
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
@@ -805,10 +834,9 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
                   ) -> Optional[tuple[BlowupPlan, MarkedSurface]]:
         if len(bases) > min(b_total, ones_total):
             return None  # every tower takes a blow-up and keeps a (-1)-curve
-        for alloc, state, graph in _leaves(base, bases, _allocations(b_total, hints),
-                                           bound, pool, outcomes, result, max_states,
-                                           deep):
-            chains = _chain_marking(*graph, targets)
+        for alloc, state in _leaves(base, bases, _allocations(b_total, hints), bound,
+                                    pool, outcomes, result, max_states, deep):
+            chains = _chain_marking(*state.graph(), targets)
             if chains is not None:
                 plan = BlowupPlan(state.plan_steps())
                 marked = _marked(plan.execute(base), chains, ())
@@ -871,37 +899,32 @@ class SearchResult:
     notes: list[str] = field(default_factory=list)
     states: int = 0
     pruned: int = 0  # failing base-choice prefixes, each also one state
-    leaves: int = 0  # completed search states handed to _harvest
+    leaves: int = 0  # completed search states
     marked: int = 0  # leaves marked greedily into Wahl chains and no ADE chain
     exhausted: bool = False
 
 
-def _greedy_mark(self_int: dict[str, int], meets: Counter
-                 ) -> Optional[tuple[tuple[tuple[str, ...], ...], tuple[tuple[str, ...], ...]]]:
-    """Mark the components of the non-(-1) subgraph, if they are all chains.
+def _paths(names: Sequence[str], meets: Counter) -> Optional[list[tuple[str, ...]]]:
+    """The components of the graph on `names` (sorted) as paths, or None.
 
-    `self_int` maps each curve to its self-intersection and `meets` each
-    curve pair, ordered as `_pair` orders it, to its number of nodes.
-    Components that are paths of (-2)-curves become ADE chains; paths whose
-    string is a Wahl chain become Wahl chains; anything else fails (a curve
-    at self-intersection 0 or above is in no chain), as does
-    a self-node on a non-(-1)-curve or a pair of them meeting twice.  Each
-    path starts at its lexicographically smaller end.  Returns the Wahl and
-    the ADE chains, or None.
+    The edges are the nodes that `meets` counts by curve pair, ordered as
+    `_pair` orders it, between two of the curves; the other nodes are left
+    out.  A component fails if it is no simple path: a self-node, a pair
+    meeting twice, a branch point or a cycle.  Each path starts at its
+    lexicographically smaller end, and the paths come in the order of their
+    first curves in `names`.
     """
-    names = sorted(name for name, s in self_int.items() if s != -1)
     adjacency: dict[str, list[str]] = {name: [] for name in names}
     for (a, b), count in meets.items():
         if a in adjacency and b in adjacency:
             if a == b or count > 1:
-                return None  # no chain curve has a self-node or meets twice
+                return None
             adjacency[a].append(b)
             adjacency[b].append(a)
     if any(len(adjacent) > 2 for adjacent in adjacency.values()):
-        return None  # a branch point
+        return None
     seen: set[str] = set()
-    wahl: list[tuple[str, ...]] = []
-    ade: list[tuple[str, ...]] = []
+    paths = []
     for name in names:
         if name in seen:
             continue
@@ -916,19 +939,142 @@ def _greedy_mark(self_int: dict[str, int], meets: Counter
         seen |= comp
         ends = [n for n in comp if len(adjacency[n]) <= 1]
         if not ends:
-            return None  # a cycle
+            return None
         # every curve meets at most two others, so the walk never branches
         path = [min(ends)]
         while len(path) < len(comp):
             path += [x for x in adjacency[path[-1]] if x not in path]
+        paths.append(tuple(path))
+    return paths
+
+
+def _greedy_mark(self_int: dict[str, int], meets: Counter
+                 ) -> Optional[tuple[tuple[tuple[str, ...], ...], tuple[tuple[str, ...], ...]]]:
+    """Mark the components of the non-(-1) subgraph, if they are all chains.
+
+    `self_int` maps each curve to its self-intersection and `meets` each
+    curve pair, ordered as `_pair` orders it, to its number of nodes.
+    Components that are paths of (-2)-curves become ADE chains; paths whose
+    string is a Wahl chain become Wahl chains; anything else fails (a curve
+    at self-intersection 0 or above is in no chain), as does a component
+    that is no simple path (`_paths`).  Each path starts at its
+    lexicographically smaller end.  Returns the Wahl and the ADE chains, or
+    None.
+    """
+    paths = _paths(sorted(name for name, s in self_int.items() if s != -1), meets)
+    if paths is None:
+        return None
+    wahl: list[tuple[str, ...]] = []
+    ade: list[tuple[str, ...]] = []
+    for path in paths:
         entries = tuple(-self_int[c] for c in path)
         if all(b == 2 for b in entries):
-            ade.append(tuple(path))
+            ade.append(path)
         elif min(entries) >= 2 and wahl_singularity(entries) is not None:
-            wahl.append(tuple(path))
+            wahl.append(path)
         else:
             return None
     return tuple(wahl), tuple(ade)
+
+
+def _arm_test(base: Configuration, bases: Sequence[PlanStep], deep: frozenset,
+              wahl: dict) -> Callable[[tuple[int, ...], _State], bool]:
+    """The leaf verdict of one base choice, read off a leaf's integers.
+
+    Returns a test of a leaf (its allocation and state) that is False only
+    for leaves whose marking search rejects: `_greedy_mark` fails, or marks
+    an ADE chain.  The surviving nodes between base curves of `deep` form
+    simple paths; on a leaf each path is one non-(-1) component with the
+    tower arms that hang off its ends.  Tower i's string has exactly one 1,
+    at k (`_tower_outcomes`): the run before it, xs[:k], hangs off
+    `bases[i].a` and the run after it, read from the other end, xs[:k:-1],
+    off `bases[i].b`.  A component's string is the arm at the path's first
+    end reversed, the depths of the path's curves, then the arm at its last
+    end (a one-curve path may carry one at each side).  By the degree rule
+    of `_leaves`, run with the same `deep`, no other arm hangs off a path.
+    The test passes a leaf when every such string is a Wahl chain, which
+    no all-2 string (an ADE chain) is; `wahl` memoises the strings for the
+    calling search.  A leaf with a tower that keeps more than one 1 passes,
+    for `_greedy_mark` to decide.
+
+    A path that meets a curve at -1 or above is not tested: that curve may
+    end as a (-1)-curve or in the path's component.  So on a base whose
+    curves are all in `deep` the test passes exactly the leaves search
+    marks, and otherwise `_greedy_mark` decides the leaves it passes.  If
+    the curves of `deep` meet in anything but paths (no path rule has run),
+    no leaf passes: that shape stays in every leaf.
+    """
+    names = [c.name for c in base.curves]
+    position = {name: i for i, name in enumerate(names)}
+    surviving = (Counter(n.pair() for n in base.nodes)
+                 - Counter(_pair(step.a, step.b) for step in bases))
+    paths = _paths(sorted(deep), surviving)
+    if paths is None:
+        return lambda alloc, state: False
+    shallow = {c for a, b in surviving if (a in deep) != (b in deep) for c in (a, b)}
+    tested = [tuple(position[c] for c in path) for path in paths
+              if shallow.isdisjoint(path)]
+    ends = [(position[step.a], position[step.b]) for step in bases]
+
+    def passes(alloc: tuple[int, ...], state: _State) -> bool:
+        hanging: dict[int, list[tuple[int, ...]]] = {}
+        start = 0
+        for (ia, ib), size in zip(ends, alloc):
+            xs = state.exceptional[start:start + size]
+            start += size
+            k = xs.index(1)
+            if 1 in xs[k + 1:]:
+                return True  # not a tower `_tower_outcomes` walks: `_greedy_mark` decides
+            if k:
+                hanging.setdefault(ia, []).append(xs[:k])
+            if k < size - 1:
+                hanging.setdefault(ib, []).append(xs[:k:-1])
+        depths = state.depths
+        for path in tested:
+            first = hanging.get(path[0], ())
+            last = hanging.get(path[-1], ()) if len(path) > 1 else first[1:]
+            string = ((first[0][::-1] if first else ())
+                      + tuple(map(depths.__getitem__, path))
+                      + (last[0] if last else ()))
+            verdict = wahl.get(string)
+            if verdict is None:
+                # every Wahl chain [b_1, ..., b_l] has sum 3l + 1
+                verdict = wahl[string] = (sum(string) == 3 * len(string) + 1
+                                          and wahl_singularity(string) is not None)
+            if not verdict:
+                return False
+        return True
+    return passes
+
+
+def _subsets(pool: Sequence[str], r: int, meets: Counter, t2: int
+             ) -> Iterator[tuple[str, ...]]:
+    """The r-subsets of the sorted `pool` whose curves meet in t2 nodes.
+
+    Self-nodes count, and the subsets come in lexicographic order, as
+    `itertools.combinations` gives them.  A subset grows one curve at a
+    time with its node count; adding a curve only adds nodes, so a branch
+    stops once the count exceeds t2.
+    """
+    # table[j][i]: the nodes between pool[i] and pool[j], for i <= j; the
+    # pool is sorted, so each pair comes ordered as `Node.pair` orders it
+    table = [[meets.get((a, b), 0) for a in pool[:j + 1]] for j, b in enumerate(pool)]
+    chosen: list[int] = []
+
+    def extend(start: int, nodes: int) -> Iterator[tuple[str, ...]]:
+        if len(chosen) == r:
+            if nodes == t2:
+                yield tuple(pool[i] for i in chosen)
+            return
+        for j in range(start, len(pool) - r + len(chosen) + 1):
+            row = table[j]
+            more = nodes + row[j] + sum(map(row.__getitem__, chosen))
+            if more <= t2:
+                chosen.append(j)
+                yield from extend(j + 1, more)
+                chosen.pop()
+
+    yield from extend(0, 0)
 
 
 def search_constructions(params: SearchParams, a0: Configuration,
@@ -938,7 +1084,9 @@ def search_constructions(params: SearchParams, a0: Configuration,
     Deterministic: subsets, node choices and emitted records are all in
     canonical order.  A name repeated in the pool is searched once.  The
     search stops as soon as it holds `max_results` records.  Budget
-    exhaustion is reported, partial results are still returned.
+    exhaustion is reported, partial results are still returned.  Each leaf
+    is first decided on its integers (`_arm_test`); only a leaf that passes
+    has its graph built and marked (`_harvest`).
     """
     for name in ("max_chains", "max_blowups", "max_states", "max_results"):
         if getattr(params, name) < 0:
@@ -949,7 +1097,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
     for name in pool:
         a0.curve(name)
     found: set[tuple] = set()
-    outcomes: dict = {}
+    wahl: dict = {}  # component string -> whether it is a Wahl chain
     meets = Counter(n.pair() for n in a0.nodes)
 
     def full() -> bool:
@@ -972,12 +1120,8 @@ def search_constructions(params: SearchParams, a0: Configuration,
         # and no state has more than r + max_blowups curves
         bound = _DepthBound((4 * params.k2 + 4,) * (geo.r + params.max_blowups)) \
             if prune else None
-        for subset in itertools.combinations(pool, geo.r):
-            # count the subset's nodes before building it; the pool is sorted,
-            # so each pair comes ordered as `Node.pair` orders it
-            subset_pairs = itertools.combinations_with_replacement(subset, 2)
-            if sum(map(meets.__getitem__, subset_pairs)) != geo.t2:
-                continue
+        outcomes: dict = {}  # the tower memo of this bound
+        for subset in _subsets(pool, geo.r, meets, geo.t2):
             sub = a0.restrict(subset)
             base_det = det_exact(sub.intersection_matrix())
             if base_det == 0:
@@ -986,16 +1130,17 @@ def search_constructions(params: SearchParams, a0: Configuration,
             for _, pairs in _base_choices(sub, m, result, params.max_states,
                                           _PathPrefix.of(deep)):
                 bases = [PlanStep(a, b) for a, b in pairs]
+                passes = _arm_test(sub, bases, deep, wahl)
                 allocs = itertools.chain.from_iterable(
                     _allocations(total, [None] * m)
                     for total in range(m, params.max_blowups + 1))
-                for alloc, state, graph in _leaves(sub, bases, allocs, bound, None,
-                                                   outcomes, result, params.max_states,
-                                                   deep):
-                    _harvest(params, sub, state, graph, bases, alloc, subset, base_det,
-                             result, found)
-                    if full():
-                        return result
+                for alloc, state in _leaves(sub, bases, allocs, bound, None, outcomes,
+                                            result, params.max_states, deep):
+                    if passes(alloc, state):
+                        _harvest(params, sub, state, bases, alloc, subset, base_det,
+                                 result, found)
+                        if full():
+                            return result
             if result.states > params.max_states:
                 result.exhausted = True
                 result.notes.append("state budget exhausted")
@@ -1003,15 +1148,16 @@ def search_constructions(params: SearchParams, a0: Configuration,
     return result
 
 
-def _harvest(params: SearchParams, sub: Configuration, state: _State, graph, bases,
-             alloc, subset, base_det: int, result: SearchResult, found: set) -> None:
+def _harvest(params: SearchParams, sub: Configuration, state: _State, bases, alloc,
+             subset, base_det: int, result: SearchResult, found: set) -> None:
     """Keep the leaf as a record if it marks greedily into Wahl chains alone,
     with the stated K^2, an ample canonical class and new singularities.
 
-    The leaf is marked on its graph; its configuration is built from `sub`
-    only when that marking has Wahl chains and no ADE chain.
+    The leaf is marked on its graph (`_State.graph`); its configuration is
+    built from `sub` only when that marking has Wahl chains and no ADE
+    chain.
     """
-    marking = _greedy_mark(*graph)
+    marking = _greedy_mark(*state.graph())
     if marking is None or not marking[0] or marking[1]:
         return
     result.marked += 1

@@ -284,13 +284,13 @@ def _lockstep(leaves):
         ref = _Counts(states=result.states)
         want = _reference_leaves(base, bases, ref_allocs, bound, pool, ref, max_states,
                                  deep)
-        for alloc, state, graph in leaves(base, bases, allocs, bound, pool, outcomes,
-                                          result, max_states, deep):
+        for alloc, state in leaves(base, bases, allocs, bound, pool, outcomes, result,
+                                   max_states, deep):
             config = BlowupPlan(state.plan_steps()).execute(base)
             assert (alloc, config, state.plan_steps()) == next(want)
-            assert graph == _read_graph(config)
+            assert state.graph() == _read_graph(config)
             assert result.states == ref.states
-            yield alloc, state, graph
+            yield alloc, state
         assert next(want, None) is None
         assert result.states == ref.states
     return checked
@@ -818,9 +818,9 @@ class TestLeafGraph:
         [("W", "X"), ("W", "X"), ("X", "Y"), ("Y", "Z"), ("Z", "X")])
 
     @staticmethod
-    def _check(base, state, graph):
+    def _check(base, state):
         config = BlowupPlan(state.plan_steps()).execute(base)
-        read = _read_graph(config)
+        graph, read = state.graph(), _read_graph(config)
         assert plans._greedy_mark(*graph) == plans._greedy_mark(*read)
         assert graph == read
         return config
@@ -830,15 +830,17 @@ class TestLeafGraph:
         (1, ("W", "X", "Y", "Z"), 8),
     ], ids=["2.1", "fibre"])
     def test_matches_configuration_on_search(self, a0, monkeypatch, k2, pool, marked):
-        harvest = plans._harvest
+        # every leaf, whether or not it passes the arm test
+        leaves = plans._leaves
         checked = []
 
-        def checking(params, sub, state, graph, *rest):
-            self._check(sub, state, graph)
-            checked.append(state)
-            return harvest(params, sub, state, graph, *rest)
+        def checking(base, *args):
+            for alloc, state in leaves(base, *args):
+                self._check(base, state)
+                checked.append(state)
+                yield alloc, state
 
-        monkeypatch.setattr(plans, "_harvest", checking)
+        monkeypatch.setattr(plans, "_leaves", checking)
         base = a0 if k2 == 2 else self.FIBRE
         params = SearchParams(k2=k2, max_chains=2, max_blowups=5, curve_pool=pool)
         result = search_constructions(params, base)
@@ -856,14 +858,14 @@ class TestLeafGraph:
         marks = []
 
         def checking(base, *args):
-            for alloc, state, graph in leaves(base, *args):
-                config = self._check(base, state, graph)
-                chains = plans._chain_marking(*graph, targets)
+            for alloc, state in leaves(base, *args):
+                config = self._check(base, state)
+                chains = plans._chain_marking(*state.graph(), targets)
                 assert chains == _reference_mark_chains(config, targets)
                 assert mark_chains(config, targets) == \
                     (plans._marked(config, chains, ()) if chains else None)
                 marks.append(chains is not None)
-                yield alloc, state, graph
+                yield alloc, state
 
         monkeypatch.setattr(plans, "_leaves", checking)
         result = infer_plan(record, a0.restrict(record.curves))
@@ -880,9 +882,9 @@ class TestLeafGraph:
                 bases = [PlanStep(a, b) for a, b in pairs]
                 allocs = itertools.chain.from_iterable(
                     _allocations(total, [None] * m) for total in (m, m + 1))
-                for _, state, graph in plans._leaves(tangle, bases, allocs, None, None,
-                                                     {}, got, sys.maxsize):
-                    self._check(tangle, state, graph)
+                for _, state in plans._leaves(tangle, bases, allocs, None, None, {}, got,
+                                              sys.maxsize):
+                    self._check(tangle, state)
                     leaves += 1
         assert leaves > 0
 
@@ -909,7 +911,7 @@ class TestLeafGraph:
                     deep):
             allocs, mine = itertools.tee(allocs)
             for alloc in mine:
-                run = {d: [(state.plan_steps(), graph) for _, state, graph in leaves(
+                run = {d: [(state.plan_steps(), state.graph()) for _, state in leaves(
                     base, bases, [alloc], bound, pool, {}, _Counts(), sys.maxsize, d)]
                     for d in (deep, frozenset())}
                 ruled = {steps for steps, _ in run[deep]}
@@ -939,6 +941,86 @@ class TestLeafGraph:
             assert infer_plan(record, a0.restrict(record.curves)).success
             assert any(marks(*g) is not None for g in kept)
         assert dropped and all(marks(*g) is None for g in dropped)
+
+
+def _checked_arm_test(arm_test, seen):
+    """`arm_test`, checked leaf by leaf against the greedy marking of the
+    leaf's graph.
+
+    The test never fails a leaf that search marks (Wahl chains and no ADE
+    chain), and on a base whose curves are all deep it passes exactly those
+    leaves.  `seen` counts the leaves by (verdict, marked, all deep).
+    """
+    def checked(base, bases, deep, wahl):
+        passes = arm_test(base, bases, deep, wahl)
+        every = deep == {c.name for c in base.curves}
+
+        def check(alloc, state):
+            verdict = passes(alloc, state)
+            marking = plans._greedy_mark(*state.graph())
+            kept = marking is not None and bool(marking[0]) and not marking[1]
+            assert verdict or not kept
+            assert verdict == kept or not every
+            seen[verdict, kept, every] += 1
+            return verdict
+        return check
+    return checked
+
+
+class TestArmTest:
+    """The leaf verdict of search, on integers, against `_greedy_mark`."""
+
+    # by case: the leaves counted by (verdict, marked, all deep).  Off the
+    # deep curves _greedy_mark decides, and it rejects some leaves the arm
+    # test passes; on deep curves the test passes only marked leaves
+    SEARCHES = {
+        "bench": {(False, False, True): 2017, (True, True, True): 2},
+        "exempt": {(True, True, True): 1, (False, False, True): 6,
+                   (True, True, False): 3, (True, False, False): 805,
+                   (False, False, False): 862},
+        "fibre": {(False, False, True): 919, (True, True, True): 14},
+    }
+
+    @pytest.mark.parametrize("case", list(SEARCHES))
+    def test_search(self, a0, monkeypatch, case):
+        base, params = {
+            "bench": (a0, TestSearch.BENCH),
+            "exempt": (TestSearch.EXEMPT, SearchParams(k2=2, max_chains=1, max_blowups=6)),
+            "fibre": (TestLeafGraph.FIBRE, SearchParams(k2=1, max_chains=2, max_blowups=7,
+                                                        curve_pool=tuple("WXYZ"))),
+        }[case]
+        seen = Counter()
+        monkeypatch.setattr(plans, "_arm_test", _checked_arm_test(plans._arm_test, seen))
+        result = search_constructions(params, base)
+        assert result.records and sum(seen.values()) == result.leaves
+        assert seen == self.SEARCHES[case]
+
+    CHOICES = {
+        "fibre": {(False, False, True): 1553, (True, True, True): 14},
+        "exempt": {(True, False, False): 447, (False, False, False): 1200},
+        "tangle": {(False, False, True): 821},
+    }
+
+    @pytest.mark.parametrize("case", list(CHOICES))
+    def test_every_base_choice(self, case):
+        # every choice of base nodes, with no path rule, so that the deep
+        # curves may also meet in a cycle, twice or at a self-node
+        base, extra = {"fibre": (TestLeafGraph.FIBRE, 3),
+                       "exempt": (TestLeafGraph.EXEMPT, 2),
+                       "tangle": (TestAbstractLeaves.TANGLE, 1)}[case]
+        deep = _deep_curves(base)
+        seen = Counter()
+        test = _checked_arm_test(plans._arm_test, seen)
+        for m in range(1, len(base.nodes) + 1):
+            for _, pairs in _base_choices(base, m, _Counts(), sys.maxsize):
+                bases = [PlanStep(a, b) for a, b in pairs]
+                passes = test(base, bases, deep, {})
+                allocs = itertools.chain.from_iterable(
+                    _allocations(total, [None] * m) for total in range(m, m + extra + 1))
+                for alloc, state in plans._leaves(base, bases, allocs, None, None, {},
+                                                  _Counts(), sys.maxsize, deep):
+                    passes(alloc, state)
+        assert seen == self.CHOICES[case]
 
 
 class TestBaseChoices:
@@ -1172,6 +1254,22 @@ class TestSearch:
         params = SearchParams(k2=1, max_chains=1, max_blowups=4)
         search_constructions(params, TestAbstractLeaves.TANGLE)
         assert restricted == [("W", "X", "Z")]
+
+    @pytest.mark.parametrize("case", ["a0-12", "tangle"])
+    def test_subsets_match_the_node_count_filter(self, a0, case):
+        # every r and every node count, against the filter over all
+        # combinations that the depth-first walk replaced
+        base = a0 if case == "a0-12" else TestAbstractLeaves.TANGLE
+        pool = sorted(c.name for c in base.curves)[:12]
+        meets = Counter(n.pair() for n in base.nodes)
+        total = sum(meets.values())
+        for r in range(len(pool) + 1):
+            counted = [(subset, sum(meets[pair] for pair in
+                                    itertools.combinations_with_replacement(subset, 2)))
+                       for subset in itertools.combinations(pool, r)]
+            for t2 in range(total + 2):
+                want = [subset for subset, nodes in counted if nodes == t2]
+                assert list(plans._subsets(pool, r, meets, t2)) == want, (r, t2)
 
     # the benchmark's search: 9,427 states, 2,019 leaves, 2 of them marked
     BENCH = SearchParams(k2=2, max_chains=2, max_blowups=7,
