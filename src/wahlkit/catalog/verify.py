@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..chains import (CyclicQuotient, blow_down_compose, length_bound,
+from ..chains import (ChainError, CyclicQuotient, blow_down_compose, length_bound,
                       meridian_exponents, t_singularity, wahl_singularity)
 from ..configuration import Configuration, det_exact, geography_check
 from ..assembly import (MarkedSurface, k_squared, nef_ample_check, obstruction_dim,
@@ -78,9 +78,61 @@ def load_records(path: Optional[str] = None) -> list[SurfaceRecord]:
     return parse_records_file(text)
 
 
+# The shape of what the ledger reads from expected.json.  A dict lists the
+# keys an object must have ("?" marks an optional one), or, keyed by `int`,
+# the value of every key, which must be a decimal integer; [x] is a list of
+# x, and a tuple a list of exactly its entries.  `recovered_plan` is left to
+# the ledger, which reports a malformed plan as a failed check.
+_MAIN_SHAPE = {"curves": [str], "matrix": [[int]], "det": int,
+               "chains": [{"n": int, "a": int, "chain": [int]}], "duval": [[str]],
+               "ksba_dim": int, "pi1_witnesses?": [str]}
+_EXPECTED_SHAPE = {
+    "a0": {"r": int, "t2": int, "log_chern": [int], "obstruction_cap": int},
+    "mains": {int: _MAIN_SHAPE},
+    "tjoins": [{"record": str, "n": int, "a": int}],
+    "wormholes": [{"records": (str, str), "m": int, "q": int}],
+}
+
+
+def _check_shape(value, shape, where: str) -> None:
+    """Raise CatalogError, naming the place, where `value` departs from `shape`."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise CatalogError(f"{where} is not an object")
+        if int in shape:
+            for key, item in value.items():
+                if not key.isdigit():
+                    raise CatalogError(f"{where} has key {key!r}, not an integer")
+                _check_shape(item, shape[int], f"{where}.{key}")
+            return
+        for key, item_shape in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                _check_shape(value[name], item_shape, f"{where}.{name}")
+            elif name == key:
+                raise CatalogError(f"{where} lacks {name!r}")
+    elif isinstance(shape, (list, tuple)):
+        if not isinstance(value, list):
+            raise CatalogError(f"{where} is not a list")
+        shapes = shape if isinstance(shape, tuple) else shape * len(value)
+        if len(value) != len(shapes):
+            raise CatalogError(f"{where} has {len(value)} entries, not {len(shapes)}")
+        for i, (item, item_shape) in enumerate(zip(value, shapes)):
+            _check_shape(item, item_shape, f"{where}[{i}]")
+    elif type(value) is not shape:
+        raise CatalogError(f"{where} is not {'an integer' if shape is int else 'a string'}")
+
+
 def load_expected(path: Optional[str] = None) -> dict:
+    """The expected values, checked for the keys and types the ledger reads."""
     text = Path(path).read_text(encoding="utf-8") if path else _data_text("expected.json")
-    return json.loads(text)
+    expected = json.loads(text)
+    name = path or "expected.json"
+    try:
+        _check_shape(expected, _EXPECTED_SHAPE, "expected")
+    except CatalogError as exc:
+        raise CatalogError(f"{name}: {exc}") from None
+    return expected
 
 
 def ledger_constraints(expected: dict,
@@ -225,8 +277,7 @@ def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
                    and report.obstruction == 0,
                    f"pi1 {report.pi1.status}")
     else:
-        ledger.add(sec, "plan inference", not required,
-                   "ambiguity report: " + "; ".join(result.near_misses[:2]))
+        ledger.add(sec, "plan inference", not required, result.summary())
 
 
 def _record_chain(records: Sequence[SurfaceRecord], rid: str) -> SurfaceRecord:
@@ -234,6 +285,16 @@ def _record_chain(records: Sequence[SurfaceRecord], rid: str) -> SurfaceRecord:
         if record.rid == rid:
             return record
     raise CatalogError(f"record ({rid}) not in catalog")
+
+
+def _composed(record: SurfaceRecord) -> CyclicQuotient:
+    """The quotient the record's two chains compose to across a (-1)-curve."""
+    if len(record.chains) != 2:
+        raise CatalogError(f"record ({record.rid}) has {len(record.chains)} chains, not 2")
+    try:
+        return blow_down_compose(record.chains[0].chain, record.chains[1].chain)
+    except ChainError as exc:
+        raise CatalogError(f"record ({record.rid}): {exc}") from None
 
 
 def _verify_tjoins(ledger: Ledger, expected: dict,
@@ -246,11 +307,16 @@ def _verify_tjoins(ledger: Ledger, expected: dict,
             ledger.add(sec, "record present", False, str(exc))
             continue
         n, a = jn["n"], jn["a"]
-        first, second = record.chains
-        same = first.chain == second.chain
+        same = len(record.chains) == 2 and record.chains[0].chain == record.chains[1].chain
         ledger.add(sec, "record repeats one chain", same,
                    f"(n,a)=({n},{a})")
-        cq = blow_down_compose(first.chain, second.chain)
+        if not same:
+            continue
+        try:
+            cq = _composed(record)
+        except CatalogError as exc:
+            ledger.add(sec, "self-join composes", False, str(exc))
+            continue
         want = CyclicQuotient(2 * n * n, 2 * n * a - 1).normalize()
         ledger.add(sec, f"self-join is 1/{2 * n * n}(1,{2 * n * a - 1})",
                    cq == want, f"got {cq}")
@@ -266,14 +332,10 @@ def _verify_wormholes(ledger: Ledger, expected: dict,
         rid1, rid2 = wh["records"]
         sec = f"wormhole ({rid1})/({rid2})"
         want = CyclicQuotient(wh["m"], wh["q"]).normalize()
-        got = []
         try:
-            for rid in (rid1, rid2):
-                record = _record_chain(records, rid)
-                first, second = record.chains
-                got.append(blow_down_compose(first.chain, second.chain))
+            got = [_composed(_record_chain(records, rid)) for rid in (rid1, rid2)]
         except CatalogError as exc:
-            ledger.add(sec, "records present", False, str(exc))
+            ledger.add(sec, "records present and composable", False, str(exc))
             continue
         ledger.add(sec, f"both compose to 1/{wh['m']}(1,{wh['q']})",
                    got[0] == got[1] == want,
@@ -322,8 +384,8 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
     plan_steps = data.get("recovered_plan")
     if not plan_steps:
         ledger.add(sec, "blow-up plan", True,
-                   "not recovered within budget (figure-encoded); "
-                   "certificates above are plan-independent")
+                   "uncertified: no plan is frozen, so ampleness and pi1 are not "
+                   "checked; certificates above are plan-independent")
         return
     witnesses = data.get("pi1_witnesses", [])
     extended = a0.restrict(list(data["curves"]) +

@@ -249,31 +249,19 @@ def discrepancies(chain: Sequence[int]) -> tuple[Fraction, ...]:
 
     They are the unique solution of the tridiagonal system
     -b_i d_i + d_{i-1} + d_{i+1} = b_i - 2 with d_0 = d_{l+1} = 0,
-    and always lie in (-1, 0].
+    and always lie in (-1, 0].  In closed form d_i = -1 + (s_i + t_i)/m,
+    where m is the order, t the meridian exponents and s those of the
+    reversed chain, read back in chain order.
     """
     entries = _as_chain(chain)
-    l = len(entries)
-    # Thomas elimination: d_i = c_i + e_i * d_{i+1} with exact rationals.
-    coeffs: list[tuple[Fraction, Fraction]] = []
-    c_prev, e_prev = Fraction(0), Fraction(0)
-    for b in entries:
-        denom = Fraction(b) - e_prev
-        c_cur = (Fraction(2 - b) + c_prev) / denom
-        e_cur = Fraction(1) / denom
-        coeffs.append((c_cur, e_cur))
-        c_prev, e_prev = c_cur, e_cur
-    ds = [Fraction(0)] * l
-    nxt = Fraction(0)
-    for i in range(l - 1, -1, -1):
-        c_cur, e_cur = coeffs[i]
-        ds[i] = c_cur + e_cur * nxt
-        nxt = ds[i]
-    for i in range(l):
-        left = ds[i - 1] if i > 0 else Fraction(0)
-        right = ds[i + 1] if i < l - 1 else Fraction(0)
-        assert -entries[i] * ds[i] + left + right == entries[i] - 2
-        assert -1 < ds[i] <= 0, f"discrepancy {ds[i]} outside (-1,0]"
-    return tuple(ds)
+    m = hj_eval(entries)[0]
+    t = meridian_exponents(entries)
+    s = meridian_exponents(entries[::-1])[::-1]
+    w = [0] + [si + ti - m for si, ti in zip(s, t)] + [0]  # w_i = m d_i
+    for i, b in enumerate(entries, 1):
+        assert -b * w[i] + w[i - 1] + w[i + 1] == m * (b - 2)
+        assert -m < w[i] <= 0, f"discrepancy {Fraction(w[i], m)} outside (-1,0]"
+    return tuple(Fraction(wi, m) for wi in w[1:-1])
 
 
 def contract_ones(entries: Sequence[int]) -> tuple[int, ...]:

@@ -54,7 +54,9 @@ has more than two final non-(-1) neighbours (the degree rule of
 it is exempt from both.  Inference adds its chain-specific rules on top
 (`_ChoicePrefix`).  A failing prefix is not extended, and it counts as one
 state, as a yielded choice and a tower outcome do: every state counted is
-work done, so the budget bounds time.  With `prune=False` a search runs no
+work done, so the budget bounds time.  The state that goes over the budget
+raises `_Exhausted`, which each search catches once: it stops at exactly
+`max_states + 1` states, `exhausted`.  With `prune=False` a search runs no
 rule: no depth bound, no substring pool and no deep curves; the arm test
 then tests no path.  A tower's outcomes depend only on its size, its base
 node, the blow-ups before it and the search's limits; each search call
@@ -127,10 +129,10 @@ class InferenceResult:
     plan: Optional[BlowupPlan] = None
     marked: Optional[MarkedSurface] = None
     report: Optional[SurfaceReport] = None
-    states: int = 0
+    states: int = 0  # max_states + 1 when the budget stops the search
     pruned: int = 0  # failing base-choice prefixes, each also one state
     leaves: int = 0  # completed search states marked against the stated chains
-    near_misses: list[str] = field(default_factory=list)
+    exhausted: bool = False  # the state budget stopped the search
 
     @property
     def success(self) -> bool:
@@ -140,9 +142,9 @@ class InferenceResult:
         if self.success:
             return (f"({self.record.rid}) plan found after {self.states} states: "
                     f"{self.plan}")
-        misses = "; ".join(self.near_misses[:4]) or "no partial matches"
-        return (f"({self.record.rid}) ambiguous after {self.states} states "
-                f"({self.pruned} pruned), {self.leaves} leaves: {misses}")
+        why = "state budget exhausted" if self.exhausted else "search space exhausted"
+        return (f"({self.record.rid}) no plan after {self.states} states "
+                f"({self.pruned} pruned), {self.leaves} leaves: {why}")
 
 
 # -- chain marking ------------------------------------------------------------
@@ -245,6 +247,19 @@ def _marked(config: Configuration, wahl: Sequence[Sequence[str]],
 
 
 # -- the search core -----------------------------------------------------------
+
+class _Exhausted(Exception):
+    """A search's states went over its budget."""
+
+
+def _spend(result, max_states: int, rejected: bool = False) -> None:
+    """Count one state of `result`, a failing prefix also in `result.pruned`
+    if `rejected`; raise `_Exhausted` once the states exceed `max_states`."""
+    result.states += 1
+    if result.states > max_states:
+        raise _Exhausted
+    result.pruned += rejected
+
 
 @dataclass(frozen=True)
 class _DepthBound:
@@ -455,8 +470,8 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     and only feasible choices are yielded.  Each yielded choice and each
     rejected prefix (which has a completion: `room` stops the others)
     counts as one state of `result`, a rejected prefix also in
-    `result.pruned`; the enumeration stops once the states exceed
-    `max_states`.
+    `result.pruned` (`_spend`); the state that exceeds `max_states` raises
+    `_Exhausted`.
     """
     if prefix is None:
         prefix = _PathPrefix.of(frozenset())
@@ -466,18 +481,9 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     # left[i][pair]: the nodes of each curve pair at position i or later
     left = [Counter(pairs[i:]) for i in range(len(nodes) + 1)]
 
-    def count(rejected: bool = False) -> bool:
-        """Count one state, a failing prefix if `rejected`; False once the
-        states exceed the budget."""
-        result.states += 1
-        if result.states > max_states:
-            return False
-        result.pruned += rejected
-        return True
-
     def extend(i: int, chosen: tuple, closed: frozenset, room: int, state
                ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
-        """Complete a prefix decided up to i; returns True once the budget stops it.
+        """Complete a prefix decided up to i.
 
         `chosen` holds the positions chosen; `closed` holds the pairs with
         an unchosen node, whose later nodes stay unchosen; `room` counts
@@ -489,23 +495,21 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
             if need and pair not in closed:
                 nxt = state.chosen(nodes[i])
                 if nxt is None:
-                    if not count(rejected=True):
-                        return True
-                elif (yield from extend(i + 1, chosen + (i,), closed, room - 1, nxt)):
-                    return True
+                    _spend(result, max_states, rejected=True)
+                else:
+                    yield from extend(i + 1, chosen + (i,), closed, room - 1, nxt)
                 # leave node i unchosen, which closes its pair
                 room -= left[i][pair]
                 if room < need:
-                    return False
+                    return
                 closed = closed | {pair}
             state = state.unchosen(nodes[i])
             if state is None:
-                return not count(rejected=True)
+                _spend(result, max_states, rejected=True)
+                return
             i += 1
-        if not count():
-            return True
+        _spend(result, max_states)
         yield tuple(ids[j] for j in chosen), tuple(sorted([pairs[j] for j in chosen]))
-        return False
 
     if m <= len(nodes):
         yield from extend(0, (), frozenset(), len(nodes), prefix)
@@ -713,7 +717,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     i is there when its pair meets in `base` more often than the towers
     before it on that pair use up; the base nodes left over survive in
     every leaf.  Each outcome of a tower counts as one state of `result`;
-    the search stops once the states exceed `max_states`.  States that
+    the state that exceeds `max_states` raises `_Exhausted`.  States that
     `bound` rejects are not expanded.  Neither a configuration nor a graph
     is built here: a leaf's graph is `state.graph()`, read off the
     integers, and its configuration `BlowupPlan(state.plan_steps()).execute(base)`.
@@ -783,7 +787,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
             for xs, deepen_a, deepen_b, steps, chain in towers:
                 result.states += 1
                 if result.states > max_states:
-                    return
+                    raise _Exhausted
                 degree = list(state.degree)
                 degree[ia] += xs[0] != 1
                 degree[ib] += xs[-1] != 1
@@ -834,46 +838,40 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
                   ) -> Optional[tuple[BlowupPlan, MarkedSurface]]:
         if len(bases) > min(b_total, ones_total):
             return None  # every tower takes a blow-up and keeps a (-1)-curve
-        for alloc, state in _leaves(base, bases, _allocations(b_total, hints), bound,
-                                    pool, outcomes, result, max_states, deep):
+        for _, state in _leaves(base, bases, _allocations(b_total, hints), bound,
+                                pool, outcomes, result, max_states, deep):
             chains = _chain_marking(*state.graph(), targets)
             if chains is not None:
                 plan = BlowupPlan(state.plan_steps())
                 marked = _marked(plan.execute(base), chains, ())
                 if marked is not None:
                     return plan, marked
-            if len(result.near_misses) < 40:
-                miss = f"alloc {alloc}: no leaf marks the stated chains"
-                if miss not in result.near_misses:
-                    result.near_misses.append(miss)
         return None
 
     found = None
-    if record.steps:
-        # a step always blows the first surviving node of its pair: the two
-        # nodes of a doubly-meeting pair are interchangeable until one goes
-        bases = []
-        hints: list[Optional[int]] = []
-        for spec in record.steps:
-            bases.append(PlanStep(*_pair(spec.a, spec.b)))
-            hints.append(len(spec.pattern) if spec.pattern is not None else 1)
-        found = run_bases(bases, hints)
-    elif b_total == 0:
-        found = run_bases([], [])
-    else:
-        # free search over base-node choices of the forced size
-        m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
-        prefix = _ChoicePrefix.of_chains(targets, bound, deep) if prune else None
-        for _, pairs in _base_choices(base, m, result, max_states, prefix):
-            found = run_bases([PlanStep(a, b) for a, b in pairs], [None] * m)
-            if found is not None:
-                break
-
+    try:
+        if record.steps:
+            # a step always blows the first surviving node of its pair: the two
+            # nodes of a doubly-meeting pair are interchangeable until one goes
+            bases = []
+            hints: list[Optional[int]] = []
+            for spec in record.steps:
+                bases.append(PlanStep(*_pair(spec.a, spec.b)))
+                hints.append(len(spec.pattern) if spec.pattern is not None else 1)
+            found = run_bases(bases, hints)
+        elif b_total == 0:
+            found = run_bases([], [])
+        else:
+            # free search over base-node choices of the forced size
+            m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
+            prefix = _ChoicePrefix.of_chains(targets, bound, deep) if prune else None
+            for _, pairs in _base_choices(base, m, result, max_states, prefix):
+                found = run_bases([PlanStep(a, b) for a, b in pairs], [None] * m)
+                if found is not None:
+                    break
+    except _Exhausted:
+        result.exhausted = True
     if found is None:
-        if result.states > max_states:
-            result.near_misses.append("state budget exhausted")
-        elif not result.near_misses:
-            result.near_misses.append("search space exhausted without a match")
         return result
 
     result.plan, result.marked = found
@@ -1108,43 +1106,43 @@ def search_constructions(params: SearchParams, a0: Configuration,
 
     if full():
         return result
-    for p in range(1, params.max_chains + 1):
-        geo = geography_check(p, params.k2)
-        if not geo.admissible:
-            result.notes.append(f"P={p}, K^2={params.k2} inadmissible by geography")
-            continue
-        if geo.r > len(pool):
-            continue
-        m = geo.nodes_to_blow_up
-        # no Wahl chain of admissible length has an entry above 4K^2+4,
-        # and no state has more than r + max_blowups curves
-        bound = _DepthBound((4 * params.k2 + 4,) * (geo.r + params.max_blowups)) \
-            if prune else None
-        outcomes: dict = {}  # the tower memo of this bound
-        for subset in _subsets(pool, geo.r, meets, geo.t2):
-            sub = a0.restrict(subset)
-            base_det = det_exact(sub.intersection_matrix())
-            if base_det == 0:
+    try:
+        for p in range(1, params.max_chains + 1):
+            geo = geography_check(p, params.k2)
+            if not geo.admissible:
+                result.notes.append(f"P={p}, K^2={params.k2} inadmissible by geography")
                 continue
-            deep = _deep_curves(sub) if prune else frozenset()
-            for _, pairs in _base_choices(sub, m, result, params.max_states,
-                                          _PathPrefix.of(deep)):
-                bases = [PlanStep(a, b) for a, b in pairs]
-                passes = _arm_test(sub, bases, deep, wahl)
-                allocs = itertools.chain.from_iterable(
-                    _allocations(total, [None] * m)
-                    for total in range(m, params.max_blowups + 1))
-                for alloc, state in _leaves(sub, bases, allocs, bound, None, outcomes,
-                                            result, params.max_states, deep):
-                    if passes(alloc, state):
-                        _harvest(params, sub, state, bases, alloc, subset, base_det,
-                                 result, found)
-                        if full():
-                            return result
-            if result.states > params.max_states:
-                result.exhausted = True
-                result.notes.append("state budget exhausted")
-                return result
+            if geo.r > len(pool):
+                continue
+            m = geo.nodes_to_blow_up
+            # no Wahl chain of admissible length has an entry above 4K^2+4,
+            # and no state has more than r + max_blowups curves
+            bound = _DepthBound((4 * params.k2 + 4,) * (geo.r + params.max_blowups)) \
+                if prune else None
+            outcomes: dict = {}  # the tower memo of this bound
+            for subset in _subsets(pool, geo.r, meets, geo.t2):
+                sub = a0.restrict(subset)
+                base_det = det_exact(sub.intersection_matrix())
+                if base_det == 0:
+                    continue
+                deep = _deep_curves(sub) if prune else frozenset()
+                for _, pairs in _base_choices(sub, m, result, params.max_states,
+                                              _PathPrefix.of(deep)):
+                    bases = [PlanStep(a, b) for a, b in pairs]
+                    passes = _arm_test(sub, bases, deep, wahl)
+                    allocs = itertools.chain.from_iterable(
+                        _allocations(total, [None] * m)
+                        for total in range(m, params.max_blowups + 1))
+                    for alloc, state in _leaves(sub, bases, allocs, bound, None, outcomes,
+                                                result, params.max_states, deep):
+                        if passes(alloc, state):
+                            _harvest(params, sub, state, bases, alloc, subset, base_det,
+                                     result, found)
+                            if full():
+                                return result
+    except _Exhausted:
+        result.exhausted = True
+        result.notes.append("state budget exhausted")
     return result
 
 

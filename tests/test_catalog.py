@@ -75,11 +75,14 @@ class TestRecordGrammar:
         records.write_text("(9.9) K^2=2 - {C1} - det=-2 -  - (2,1):[4]\n",
                            encoding="utf-8")
         expected = tmp_path / "expected.json"
-        expected.write_text('{"mains": {}}', encoding="utf-8")
+        # the smallest file with every key the ledger reads
+        minimal = {"a0": {"r": 0, "t2": 0, "log_chern": [], "obstruction_cap": 0},
+                   "mains": {}, "tjoins": [], "wormholes": []}
+        expected.write_text(json.dumps(minimal), encoding="utf-8")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert [r.rid for r in load_records(str(records))] == ["9.9"]
-            assert load_expected(str(expected)) == {"mains": {}}
+            assert load_expected(str(expected)) == minimal
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_empty_steps_allowed(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wahlkit.catalog.verify import load_expected, load_records
 from wahlkit.chains import (ChainError, CyclicQuotient, blow_down_compose,
                             contract_ones, discrepancies, fibonacci, hj_eval,
                             hj_expand, is_wahl, length_bound,
@@ -25,6 +26,23 @@ def continued_fraction(chain):
     for b in reversed(chain[:-1]):
         value = b - 1 / value
     return value
+
+
+def solved_discrepancies(chain):
+    """-b_i d_i + d_{i-1} + d_{i+1} = b_i - 2, with d_0 = d_{l+1} = 0, solved
+    in Fractions by tridiagonal elimination: the reference for discrepancies.
+
+    Forward, d_i = c_i + e_i d_{i+1}; then back from d_{l+1} = 0.
+    """
+    coeffs = []
+    c, e = Fraction(0), Fraction(0)
+    for b in chain:
+        c, e = (2 - b + c) / (b - e), 1 / (b - e)
+        coeffs.append((c, e))
+    ds = [Fraction(0)]
+    for c, e in reversed(coeffs):
+        ds.append(c + e * ds[-1])
+    return tuple(ds[:0:-1])
 
 
 class TestHJ:
@@ -138,6 +156,18 @@ class TestDiscrepancies:
         for i, b in enumerate(chain, start=1):
             assert -b * padded[i] + padded[i - 1] + padded[i + 1] == b - 2
             assert -1 < padded[i] <= 0
+
+    def test_matches_the_solved_system(self):
+        # every chain of the catalog and its mains, then seeded random ones
+        catalog = [spec.chain for record in load_records() for spec in record.chains]
+        catalog += [tuple(c["chain"]) for main in load_expected()["mains"].values()
+                    for c in main["chains"]]
+        rng = random.Random(16)
+        randoms = [tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 14)))
+                   for _ in range(3000)]
+        assert len(catalog) > 60
+        for chain in catalog + randoms:
+            assert discrepancies(chain) == solved_discrepancies(chain), chain
 
     def test_wahl_chains_strictly_negative(self):
         for length in range(1, 9):

@@ -171,6 +171,56 @@ class TestVerifyAndSearch:
             "[FAIL] main K^2=3: recovered plan replays -- recovered_plan[1] is not "
             '[curve, curve, occurrence >= 0]: ["A2", "C3"]']
 
+    @pytest.mark.parametrize("edit, reason", [
+        (dict.clear, "expected lacks 'a0'"),
+        (lambda e: e["mains"]["2"].pop("chains"), "expected.mains.2 lacks 'chains'"),
+        (lambda e: e["mains"]["3"].update(duval=5), "expected.mains.3.duval is not a list"),
+        (lambda e: e["mains"].update(x=e["mains"]["3"]),
+         "expected.mains has key 'x', not an integer"),
+        (lambda e: e["wormholes"][0].update(records=["4.2"]),
+         "expected.wormholes[0].records has 1 entries, not 2"),
+        (lambda e: e["tjoins"][0].update(n="18"), "expected.tjoins[0].n is not an integer"),
+    ], ids=["empty", "main-without-chains", "duval-number", "main-key", "wormhole-pair",
+            "string-number"])
+    def test_malformed_expected_is_a_usage_error(self, capture, tmp_path, edit, reason):
+        data = resources.files("wahlkit.catalog") / "data"
+        expected = json.loads((data / "expected.json").read_text(encoding="utf-8"))
+        edit(expected)
+        path = tmp_path / "expected.json"
+        path.write_text(json.dumps(expected))
+        for argv in (["verify", "--no-infer"], ["reconstruct-a0"]):
+            code, out, err = capture(*argv, "--expected", str(path))
+            assert code == 2 and out == ""
+            assert err == f"error: {path}: {reason}"
+
+    def test_verify_reports_uncomposable_joins_as_failures(self, capture, tmp_path):
+        # (2.2) made to repeat [2], which does not compose with itself, and
+        # (2.1), whose two chains differ and do not compose: each join entry
+        # fails on its own line, and the rest of the ledger runs
+        data = resources.files("wahlkit.catalog") / "data"
+        records = tmp_path / "records.txt"
+        records.write_text((data / "records.txt").read_text(encoding="utf-8").replace(
+            "(18,7):[3,3,2,6,3,2] - (18,7):[3,3,2,6,3,2]", "(2,1):[2] - (2,1):[2]"),
+            encoding="utf-8")
+        expected = json.loads((data / "expected.json").read_text(encoding="utf-8"))
+        assert expected["tjoins"][0]["record"] == "2.2"
+        expected["tjoins"][1]["record"] = "2.1"
+        expected["wormholes"][0]["records"] = ["4.2", "2.1"]
+        path = tmp_path / "expected.json"
+        path.write_text(json.dumps(expected))
+        code, out, err = capture("verify", "--no-infer", "--records", str(records),
+                                 "--expected", str(path))
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert [line for line in lines
+                if line.startswith(("[FAIL] T-join", "[FAIL] wormhole"))] == [
+            "[FAIL] T-join (2.2): self-join composes -- record (2.2): contraction "
+            "produced a nonpositive entry in [0]",
+            "[FAIL] T-join (2.1): record repeats one chain -- (n,a)=(34,13)",
+            "[FAIL] wormhole (4.2)/(2.1): records present and composable -- record (2.1): "
+            "contraction produced a nonpositive entry in [4, 5, 2, 0, 5, 3, 2]"]
+        assert lines[-2].startswith("[pass] main K^2=9: ")
+
     def test_verify_negative_infer_budget_is_a_usage_error(self, capture):
         code, out, err = capture("verify", "--infer-budget", "-5")
         assert code == 2 and out == ""

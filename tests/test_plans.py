@@ -284,13 +284,19 @@ def _lockstep(leaves):
         ref = _Counts(states=result.states)
         want = _reference_leaves(base, bases, ref_allocs, bound, pool, ref, max_states,
                                  deep)
-        for alloc, state in leaves(base, bases, allocs, bound, pool, outcomes, result,
-                                   max_states, deep):
-            config = BlowupPlan(state.plan_steps()).execute(base)
-            assert (alloc, config, state.plan_steps()) == next(want)
-            assert state.graph() == _read_graph(config)
-            assert result.states == ref.states
-            yield alloc, state
+        try:
+            for alloc, state in leaves(base, bases, allocs, bound, pool, outcomes, result,
+                                       max_states, deep):
+                config = BlowupPlan(state.plan_steps()).execute(base)
+                assert (alloc, config, state.plan_steps()) == next(want)
+                assert state.graph() == _read_graph(config)
+                assert result.states == ref.states
+                yield alloc, state
+        except plans._Exhausted:
+            # the oracle stops at the same state, the one over the budget
+            assert next(want, None) is None
+            assert result.states == ref.states == max_states + 1
+            raise
         assert next(want, None) is None
         assert result.states == ref.states
     return checked
@@ -404,16 +410,15 @@ class TestInference:
         result = infer_plan(record, a0.restrict(record.curves),
                             max_states=20000)
         assert not result.success
-        assert result.near_misses
+        assert result.summary().startswith("(2.9) no plan after ")
 
     def test_state_budget_bounds_base_node_choices(self, a0, records):
         # free inference of (8.1) rejects over 25,000 base-choice prefixes;
         # each counts as a state, so a small budget stops it
         record = dataclasses.replace(records["8.1"], steps=())
         result = infer_plan(record, a0.restrict(record.curves), max_states=2000)
-        assert not result.success
-        assert "state budget exhausted" in result.near_misses
-        assert result.states <= 2001
+        assert not result.success and result.exhausted
+        assert result.states == 2001
 
     def test_negative_budget_rejected(self, a0, records):
         record = records["2.1"]
@@ -422,7 +427,7 @@ class TestInference:
         # a zero budget stops the search at its first state
         result = infer_plan(record, a0.restrict(record.curves), max_states=0)
         assert not result.success and result.states == 1
-        assert "state budget exhausted" in result.near_misses
+        assert result.exhausted
 
     # the eight cases of the benchmark's free_infer workload, with the
     # base-choice prefixes each rejects and the states each takes
@@ -449,7 +454,7 @@ class TestInference:
     def test_free_inference_golden(self, a0, records, monkeypatch, rid):
         record = dataclasses.replace(records[rid], steps=())
         result = infer_plan(record, a0.restrict(record.curves))
-        assert result.success
+        assert result.success and not result.exhausted
         assert result.states == self.FREE_STATES[rid]
         assert str(result.plan) == self.FREE_PLANS[rid]
         assert result.pruned == self.FREE_PRUNED[rid]
@@ -481,13 +486,56 @@ class TestInference:
         result = infer_plan(record, a0.restrict(record.curves), max_states=20000)
         assert not result.success
         assert (result.states, result.pruned, result.leaves) == (20001, 20000, 0)
-        assert "state budget exhausted" in result.near_misses
-        assert "after 20001 states (20000 pruned), 0 leaves" in result.summary()
-        # towers exhaust the budget, then one more base-node choice counts
+        assert result.summary() == ("(8.1) no plan after 20001 states (20000 pruned), "
+                                    "0 leaves: state budget exhausted")
+        # towers exhaust the budget, and no base-node choice counts after them
         record = dataclasses.replace(records["2.1"], steps=())
         result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
-        assert not result.success
-        assert result.states == 3002
+        assert not result.success and result.exhausted
+        assert result.states == 3001
+
+    @pytest.mark.parametrize("search, budget", [
+        ("8.1", 20000), ("2.1", 3000), ("5.1", 1000), ("2.1-hinted", 5),
+        ("bench", 1000), ("bench", 5000),
+    ], ids=["prefixes", "towers", "towers-5.1", "hinted", "search-1000", "search-5000"])
+    def test_budget_stops_one_state_over(self, a0, records, search, budget):
+        # whichever layer spends the last state, an exhausted search counts
+        # exactly one state over its budget and says so
+        if search == "bench":
+            params = dataclasses.replace(TestSearch.BENCH, max_states=budget)
+            result = search_constructions(params, a0)
+            assert result.notes[-1] == "state budget exhausted"
+        else:
+            record = records[search.split("-")[0]]
+            if not search.endswith("-hinted"):
+                record = dataclasses.replace(record, steps=())
+            result = infer_plan(record, a0.restrict(record.curves), max_states=budget)
+            assert not result.success
+            assert result.summary().endswith(": state budget exhausted")
+        assert result.exhausted and result.states == budget + 1
+
+    FROZEN = {k2: main for k2, main in load_expected()["mains"].items()
+              if "recovered_plan" in main}
+
+    @pytest.mark.parametrize("k2", list(FROZEN))
+    def test_frozen_plan_marks_on_the_bare_curves(self, a0, k2):
+        # each frozen plan replays on the main's own curves into its stated
+        # chains, and each of its towers keeps exactly one (-1)-curve
+        main = self.FROZEN[k2]
+        base = a0.restrict(main["curves"])
+        steps = main["recovered_plan"]
+        config = BlowupPlan(tuple(PlanStep(*step) for step in steps)).execute(base)
+        targets = [tuple(c["chain"]) for c in main["chains"]]
+        chains = plans._chain_marking(*_read_graph(config), targets)
+        assert [tuple(-config.curve(c).self_int for c in chain) for chain in chains] == \
+            targets
+        tower = {}  # exceptional curve -> its tower, numbered in plan order
+        for k, step in enumerate(steps, start=base.blowup_count + 1):
+            inside = {tower[c] for c in step[:2] if c in tower}
+            assert len(inside) <= 1
+            tower[f"E{k}"] = inside.pop() if inside else len(set(tower.values()))
+        ones = Counter(tower.get(c.name) for c in config.curves if c.self_int == -1)
+        assert ones == Counter(range(len(set(tower.values()))))
 
     def test_tower_outcomes_computed_once_per_call(self, a0, records, monkeypatch):
         calls = []
@@ -521,20 +569,6 @@ class TestInference:
         assert result.success and result.states == 2461
         assert 0 < result.leaves < result.states
         assert len(calls) == record.blowup_total
-
-    def test_near_misses_name_each_allocation_once(self, a0, records):
-        # every leaf of an allocation may fail, yet the allocation is named
-        # once; the search succeeds after 2,461 states
-        record = dataclasses.replace(records["2.2"], steps=())
-        result = infer_plan(record, a0.restrict(record.curves), max_states=2000)
-        assert not result.success
-        misses = result.near_misses[:-1]
-        assert result.leaves > len(misses)
-        assert result.near_misses[-1] == "state budget exhausted"
-        assert misses and len(misses) == len(set(misses))
-        assert all(m.startswith("alloc (") and m.endswith("): no leaf marks the stated chains")
-                   for m in misses)
-        assert "alloc (1, 1, 2, 6): no leaf marks the stated chains" in misses
 
     def test_failed_summary_counts_leaves(self, a0, records):
         record = dataclasses.replace(records["2.1"], steps=())
@@ -595,7 +629,7 @@ class TestAbstractLeaves:
         result = infer_plan(record, a0.restrict(record.curves),
                             max_states=200000 if prune else 2500, prune=prune)
         assert result.leaves > 0
-        assert result.success or "state budget exhausted" in result.near_misses
+        assert result.success != result.exhausted
 
     def test_taken_exceptional_name_raises_without_a_leaf(self):
         # blow_up names the first tower's curves E1 and E2, and E2 is a base
@@ -635,9 +669,14 @@ class TestAbstractLeaves:
         leaves = 0
         for total in range(len(steps), 8):
             got = _Counts()
-            yielded = list(_lockstep(plans._leaves)(
-                self.TANGLE, steps, _allocations(total, [None] * len(steps)), bound,
-                pool, {}, got, budget, deep))
+            yielded = []
+            try:
+                for leaf in _lockstep(plans._leaves)(
+                        self.TANGLE, steps, _allocations(total, [None] * len(steps)),
+                        bound, pool, {}, got, budget, deep):
+                    yielded.append(leaf)
+            except plans._Exhausted:
+                assert got.states == budget + 1
             assert got.states > 0 and got.leaves == len(yielded)
             leaves += len(yielded)
         assert (leaves > 0) == complete
@@ -1077,8 +1116,12 @@ class TestBaseChoices:
         its unlimited walk, counting one more."""
         full, walk = unlimited
         got = _Counts()
-        seq = [(combo, pairs, got.states)
-               for combo, pairs in _base_choices(cfg, m, got, budget, prefix)]
+        seq = []
+        try:
+            for combo, pairs in _base_choices(cfg, m, got, budget, prefix):
+                seq.append((combo, pairs, got.states))
+        except plans._Exhausted:
+            assert got.states == budget + 1
         assert seq == [x for x in full if x[2] <= budget]
         assert got.states == min(walk.states, budget + 1)
         assert got.states == len(seq) + got.pruned + (got.states > budget)
@@ -1288,6 +1331,7 @@ class TestSearch:
         monkeypatch.setattr(Configuration, "blow_up", counted)
         result = search_constructions(self.BENCH, a0)
         assert (result.states, result.leaves, result.marked) == (9427, 2019, 2)
+        assert not result.exhausted
         assert len(result.records) == 1
         assert 0 < len(calls) <= result.marked * self.BENCH.max_blowups
 
