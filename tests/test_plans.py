@@ -495,12 +495,11 @@ class TestInference:
         assert result.states == 3001
 
     @pytest.mark.parametrize("search, budget", [
-        ("8.1", 20000), ("2.1", 3000), ("5.1", 1000), ("2.1-hinted", 5),
-        ("bench", 1000), ("bench", 5000),
-    ], ids=["prefixes", "towers", "towers-5.1", "hinted", "search-1000", "search-5000"])
+        ("5.1", 1000), ("2.1-hinted", 5), ("bench", 1000), ("bench", 5000),
+    ], ids=["towers-5.1", "hinted", "search-1000", "search-5000"])
     def test_budget_stops_one_state_over(self, a0, records, search, budget):
-        # whichever layer spends the last state, an exhausted search counts
-        # exactly one state over its budget and says so
+        # as above: whichever layer spends the last state, an exhausted
+        # search counts exactly one state over its budget and says so
         if search == "bench":
             params = dataclasses.replace(TestSearch.BENCH, max_states=budget)
             result = search_constructions(params, a0)
