@@ -45,6 +45,7 @@ class Check:
 @dataclass
 class Ledger:
     checks: list[Check] = field(default_factory=list)
+    uncertified: list[int] = field(default_factory=list)  # K^2 of mains with no plan
 
     def add(self, section: str, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(Check(section, name, bool(ok), detail))
@@ -58,13 +59,19 @@ class Ledger:
 
     def lines(self) -> list[str]:
         out = [c.line() for c in self.checks]
-        out.append(f"{sum(c.ok for c in self.checks)}/{len(self.checks)} checks passed")
+        summary = f"{sum(c.ok for c in self.checks)}/{len(self.checks)} checks passed"
+        if self.uncertified:
+            mains = "main" if len(self.uncertified) == 1 else "mains"
+            summary += (f", {len(self.uncertified)} {mains} uncertified "
+                        f"(K^2={', '.join(map(str, self.uncertified))})")
+        out.append(summary)
         return out
 
     def to_json(self) -> dict:
         return {"ok": self.ok,
                 "passed": sum(c.ok for c in self.checks),
                 "total": len(self.checks),
+                "uncertified": list(self.uncertified),
                 "checks": [{"section": c.section, "name": c.name,
                             "ok": c.ok, "detail": c.detail} for c in self.checks]}
 
@@ -223,13 +230,13 @@ def _verify_a0(ledger: Ledger, a0: Configuration, expected: dict,
 
 
 def _verify_construction(ledger: Ledger, sec: str, a0: Configuration,
-                         record: SurfaceRecord) -> tuple[Configuration, bool]:
+                         record: SurfaceRecord) -> tuple[Configuration, bool, bool]:
     """The checks every construction gets: its chains, their length bound,
     the determinant, the geography identities and the obstruction.
 
-    Returns the configuration on the record's curves, whether its family
-    is admissible and unobstructed, and whether every stated chain is the
-    Wahl chain it claims to be.
+    Returns three values: the configuration on the record's curves, whether
+    its family is admissible and unobstructed, and whether every stated
+    chain is the Wahl chain it claims to be.
     """
     chains_ok = all([_check_chain(ledger, sec, spec) for spec in record.chains])
     bound = length_bound("K3", record.k2)
@@ -383,6 +390,7 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
 
     plan_steps = data.get("recovered_plan")
     if not plan_steps:
+        ledger.uncertified.append(k2)
         ledger.add(sec, "blow-up plan", True,
                    "uncertified: no plan is frozen, so ampleness and pi1 are not "
                    "checked; certificates above are plan-independent")

@@ -215,6 +215,8 @@ def _dispatch(args: argparse.Namespace, fmt: str) -> int:
         _nonnegative(args, "--max-blowups", "--max-chains", "--max-states",
                      "--max-results")
         a0 = a0mod.load_a0(args.a0) if args.a0 else a0mod.frozen_a0()
+        if args.pool is not None and not args.pool.strip():
+            raise ValueError("--pool must name at least one curve")
         pool = tuple(p.strip() for p in args.pool.split(",")) if args.pool else None
         params = SearchParams(k2=args.k2, max_chains=args.max_chains,
                               max_blowups=args.max_blowups, curve_pool=pool,

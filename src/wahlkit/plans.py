@@ -13,32 +13,32 @@ search.  Plan inference (`infer_plan`) and construction search
   among the combinations of node ids, so choices come in lexicographic
   order with no duplicate to drop;
 - `_leaves` distributes the blow-ups over the chosen nodes (one allocation
-  at a time), branches over the nodes sitting on each tower's exceptional
-  curves, and yields every completed search state.  It searches on
-  integer states (`_State`): the depths of the base curves and of the
-  exceptional curves, which is all the depth bound reads.  A tower's
-  outcome (`_tower_scripts`) fixes its exceptional string, how much it
-  deepens its two base curves, its steps and its final local chain, all
-  without a configuration.  A leaf's curves and nodes follow from these
-  integers, and its graph is built only on demand (`_State.graph`);
+  at a time), branches over the abstract outcomes of each tower
+  (`_tower_outcomes`), and yields every completed search state.  It
+  searches on integer states (`_State`): the depths of the base curves
+  and of the exceptional curves, which is all the depth bound reads, and
+  each tower's gap script;
 - `_DepthBound` drops the states whose curves are already deeper than the
   chains sought allow, since blow-ups only deepen curves.
 
-Inference marks each leaf on its graph into the stated chains
-(`_chain_marking`, the search behind `mark_chains`).  Search decides each
-leaf on its integers first (`_arm_test`).  A chain it keeps is L + M + R:
-M is a path of base curves joined by surviving base nodes, found once per
-base-node choice, and L and R are the runs of tower curves that hang off
-M's two ends, on either side of each tower's one (-1)-curve.  A leaf
-fails once one such string is not a Wahl chain (no ADE chain is one).
-Only a leaf that passes has its graph built and marked greedily
-(`_greedy_mark`), which names and orders its chains; the marking also
-decides the paths that meet a curve at -1 or above, which the arm test
-leaves alone.  A configuration is built, by replaying the leaf's steps
-with `BlowupPlan.execute`, only for a leaf that marks: inference keeps it
-if its marked surface is valid, search if it has Wahl chains and no ADE
-chain and its canonical class is ample.  Pruning only ever discards
-states that provably cannot reach the chains sought.
+Both searches then run one leaf pipeline, and differ only in the chains
+they accept.  First each leaf is decided on its integers (`_arm_test`).
+A chain that a search keeps is L + M + R: M is a path of base curves
+joined by surviving base nodes, found once per base-node choice, and L and
+R are the runs of tower curves that hang off M's two ends, on either side
+of each tower's one (-1)-curve.  A leaf fails once one such string is not
+a chain the search accepts: a Wahl chain in search (no ADE chain is one),
+a stated chain, either way round, in inference.  Only a leaf that passes
+has its towers named (`_tower_scripts`) and its graph built
+(`_State.graph`), and is marked on it: greedily in search
+(`_greedy_mark`), into the stated chains in inference (`_chain_marking`,
+the search behind `mark_chains`).  The marking names and orders the
+chains, and it also decides the paths that meet a curve at -1 or above,
+which the arm test leaves alone.  A configuration is built, by replaying
+the leaf's steps with `BlowupPlan.execute`, only for a leaf that marks:
+inference keeps it if its marked surface is valid, search if it has Wahl
+chains and no ADE chain and its canonical class is ample.  Pruning only
+ever discards states that provably cannot reach the chains sought.
 
 Both searches run the same chain-shape rules, on one premise: every
 curve of a kept leaf other than its (-1)-curves lies in a chain.  Search
@@ -50,21 +50,22 @@ chain is a path of curves.  So the surviving nodes between such curves
 must form disjoint simple paths, a rule checked on every prefix of a
 base-node choice (`_PathPrefix`), and a state is dropped once such a curve
 has more than two final non-(-1) neighbours (the degree rule of
-`_leaves`).  A curve at -1 or above may end as a surviving (-1)-curve, so
-it is exempt from both.  Inference adds its chain-specific rules on top
-(`_ChoicePrefix`).  A failing prefix is not extended, and it counts as one
-state, as a yielded choice and a tower outcome do: every state counted is
-work done, so the budget bounds time.  The state that goes over the budget
-raises `_Exhausted`, which each search catches once: it stops at exactly
-`max_states + 1` states, `exhausted`.  With `prune=False` a search runs no
-rule: no depth bound, no substring pool and no deep curves; the arm test
-then tests no path.  A tower's outcomes depend only on its size, its base
-node, the blow-ups before it and the search's limits; each search call
-memoises them, per depth bound, in its own table.  In both searches each
-tower keeps exactly one surviving (-1)-curve (`_tower_outcomes`), so
-every blow-up of the tower lands next to the newest curve, and the
-outcomes are walked forwards along it, dropping a word once its finished
-runs leave the chains.
+`_leaves`).  On the same premise each such path, with its arms, is one
+whole chain, which the arm test reads.  A curve at -1 or above may end as
+a surviving (-1)-curve, so it is exempt from all three.  Inference adds
+its chain-specific rules on top (`_ChoicePrefix`).  A failing prefix is
+not extended, and it counts as one state, as a yielded choice and a tower
+outcome do: every state counted is work done, so the budget bounds time.
+The state that goes over the budget raises `_Exhausted`, which each search
+catches once: it stops at exactly `max_states + 1` states, `exhausted`.
+With `prune=False` a search runs no rule: no depth bound, no substring
+pool and no deep curves; the arm test then tests no path, and every leaf
+is marked.  A tower's abstract outcomes depend only on its size and the
+search's limits; each search call memoises them, per depth bound, in its
+own table.  In both searches each tower keeps exactly one surviving
+(-1)-curve (`_tower_outcomes`), so every blow-up of the tower lands next
+to the newest curve, and the outcomes are walked forwards along it,
+dropping a word once its finished runs leave the chains.
 """
 from __future__ import annotations
 
@@ -131,7 +132,7 @@ class InferenceResult:
     report: Optional[SurfaceReport] = None
     states: int = 0  # max_states + 1 when the budget stops the search
     pruned: int = 0  # failing base-choice prefixes, each also one state
-    leaves: int = 0  # completed search states marked against the stated chains
+    leaves: int = 0  # completed search states, whether or not they are marked
     exhausted: bool = False  # the state budget stopped the search
 
     @property
@@ -298,22 +299,6 @@ def _substring_pool(targets: Sequence[tuple[int, ...]]) -> frozenset[tuple[int, 
     return frozenset(pool)
 
 
-def _runs_embed(xs: tuple[int, ...], pool: Optional[frozenset[tuple[int, ...]]]) -> bool:
-    """Completed-tower filter: maximal runs of non-(-1) exceptional curves
-    are final and must occur contiguously inside some stated chain."""
-    if pool is None:
-        return True
-    run: list[int] = []
-    for x in xs + (1,):
-        if x == 1:
-            if run and tuple(run) not in pool:
-                return False
-            run = []
-        else:
-            run.append(x)
-    return True
-
-
 def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool
                     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The towers of `size` curves that keep one (-1), with their scripts, sorted.
@@ -325,9 +310,10 @@ def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool
     and a tower that ends with one 1 has exactly one 1 throughout.  Each
     insertion therefore goes next to it, at gap k or k+1 for the 1 at k, a
     string has only one script, and every entry but the 1's two neighbours
-    is final.  The towers are walked depth first, and a word is dropped once
-    `bound` rejects it or its final runs leave the stated chains (`pool`,
-    closed under substrings; None admits every run).
+    is final, all of them once the tower is complete.  The towers are walked
+    depth first, and a word is dropped once `bound` rejects it or its final
+    runs leave the stated chains (`pool`, closed under substrings; None
+    admits every run).
 
     Every tower keeps at least one survivor: its newest curve stays a
     (-1)-curve, since later towers sit on other base nodes.  One each is
@@ -340,21 +326,23 @@ def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool
       at most r + B - sum(len) surviving (-1)s; for a record that fits the
       geography that is the number of towers, so the towers' (-1)s are
       all the curves a leaf leaves unmarked.  That fit is the premise of
-      both chain-shape rules (see the module docstring): a record outside
-      it gets only the plans in which each tower keeps one (-1) and the
-      unmarked (-2)-curves obey those rules too.
+      the chain-shape rules and the arm test (see the module docstring): a
+      record outside it gets only the plans in which each tower keeps one
+      (-1) and the unmarked (-2)-curves obey those rules too.
     """
     out = []
     stack: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((1,), 0, ())]
     while stack:
         xs, k, script = stack.pop()
         if len(xs) == size:
-            if _runs_embed(xs, pool):
-                out.append((xs, script))
+            out.append((xs, script))
             continue
         for gap in (k, k + 1):
             state = _insert(xs, gap)
-            left, right = state[:max(gap - 1, 0)], state[gap + 2:]
+            if len(state) == size:  # the runs beside the 1 are final
+                left, right = state[:gap], state[gap + 1:]
+            else:
+                left, right = state[:max(gap - 1, 0)], state[gap + 2:]
             if pool is not None and ((left and left not in pool) or
                                      (right and right not in pool)):
                 continue
@@ -375,44 +363,33 @@ def _insert(xs: tuple[int, ...], gap: int) -> tuple[int, ...]:
     return tuple(new)
 
 
-def _tower_scripts(base: PlanStep, count: int, size: int, bound, pool, outcomes: dict
-                   ) -> Iterator[tuple[tuple[int, ...], int, int, tuple[PlanStep, ...],
-                                       tuple[str, ...]]]:
-    """All inequivalent ways to blow `size` times over one base node, abstractly.
+def _tower_scripts(base: PlanStep, count: int, script: tuple[int, ...]
+                   ) -> tuple[tuple[PlanStep, ...], tuple[str, ...]]:
+    """One tower's steps and final local chain, named.
 
-    Yields, for each abstract outcome, its exceptional depth string, how
-    much it deepens the base curves `base.a` and `base.b`, its steps on a
-    configuration with `count` blow-ups so far, and its final local chain
-    [a, E..., b]: the names of the curves in the order of the depth string,
-    whose consecutive pairs are the tower's nodes.  Gap g of the local chain
-    is the surviving node between neighbours g and g+1, and the curves
-    there meet only inside the tower, so the steps follow from the local
-    names alone: the node blown up is the newest between its two curves,
-    occurrence (meetings - 1).  A self-node's base blow-up leaves (a, E)
-    meeting twice.  The abstract outcomes depend only on the tower
-    parameters, so `outcomes` memoises them, with their deepenings, for the
-    calling search.
+    The tower blows up the base node `base` on a configuration with `count`
+    blow-ups so far, then the gaps of `script` (`_tower_outcomes`).  Returns
+    its steps and its final local chain [a, E..., b]: the names of the
+    curves in the order of its depth string, whose consecutive pairs are the
+    tower's nodes.  Gap g of the local chain is the surviving node between
+    neighbours g and g+1, and the curves there meet only inside the tower,
+    so the steps follow from the local names alone: the node blown up is
+    the newest between its two curves, occurrence (meetings - 1).  A
+    self-node's base blow-up leaves (a, E) meeting twice.
     """
-    key = (size, bound, pool)
-    if key not in outcomes:
-        # a deepens once per gap 0; b once per last gap, t + 1 at step t
-        outcomes[key] = [(xs, script, 1 + script.count(0),
-                          1 + sum(gap == t + 1 for t, gap in enumerate(script)))
-                         for xs, script in _tower_outcomes(size, bound, pool)]
-    for xs, script, deepen_a, deepen_b in outcomes[key]:
-        local = [base.a, f"E{count + 1}", base.b]
-        meets = Counter(_pair(u, v) for u, v in zip(local, local[1:]))
-        steps = [base]
-        for t, gap in enumerate(script):
-            u, v = local[gap], local[gap + 1]
-            pair = _pair(u, v)
-            meets[pair] -= 1
-            new = f"E{count + t + 2}"
-            local.insert(gap + 1, new)
-            meets[_pair(u, new)] += 1
-            meets[_pair(new, v)] += 1
-            steps.append(PlanStep(pair[0], pair[1], meets[pair]))
-        yield xs, deepen_a, deepen_b, tuple(steps), tuple(local)
+    local = [base.a, f"E{count + 1}", base.b]
+    meets = Counter(_pair(u, v) for u, v in zip(local, local[1:]))
+    steps = [base]
+    for t, gap in enumerate(script):
+        u, v = local[gap], local[gap + 1]
+        pair = _pair(u, v)
+        meets[pair] -= 1
+        new = f"E{count + t + 2}"
+        local.insert(gap + 1, new)
+        meets[_pair(u, new)] += 1
+        meets[_pair(new, v)] += 1
+        steps.append(PlanStep(pair[0], pair[1], meets[pair]))
+    return tuple(steps), tuple(local)
 
 
 def _pair(a: str, b: str) -> tuple[str, str]:
@@ -647,33 +624,40 @@ class _State:
 
     `depths` are the depths (-C^2) of the base curves, in base order, and
     `exceptional` those of the exceptional curves so far, tower by tower;
-    `steps` are the blow-ups of the last tower placed and `chain` its final
-    local chain [a, E..., b]; `index` is the number of towers placed and
-    `count` the blow-ups so far.  `degree` counts, for each base curve, its
-    final non-(-1) neighbours so far among the ones the degree rule of
-    `_leaves` reads.
+    `script` is the gap script of the last tower placed (`_tower_outcomes`),
+    `index` the number of towers placed and `count` the blow-ups so far.
+    `degree` counts, for each base curve, its final non-(-1) neighbours so
+    far among the ones the degree rule of `_leaves` reads.  No tower is
+    named here: a leaf's steps and graph name the towers on its path
+    (`_tower_scripts`) when they are read.
     """
 
-    __slots__ = ("parent", "depths", "exceptional", "steps", "chain", "index", "count",
-                 "degree")
+    __slots__ = ("parent", "depths", "exceptional", "script", "index", "count", "degree")
 
     def __init__(self, parent: Optional["_State"], depths: tuple[int, ...],
-                 exceptional: tuple[int, ...], steps: tuple[PlanStep, ...],
-                 chain: tuple[str, ...], index: int, count: int,
-                 degree: tuple[int, ...]) -> None:
+                 exceptional: tuple[int, ...], script: tuple[int, ...], index: int,
+                 count: int, degree: tuple[int, ...]) -> None:
         self.parent = parent
         self.depths = depths
         self.exceptional = exceptional
-        self.steps = steps
-        self.chain = chain
+        self.script = script
         self.index = index
         self.count = count
         self.degree = degree
 
+    def _towers(self) -> tuple["_Root", list[tuple[tuple[PlanStep, ...], tuple[str, ...]]]]:
+        """The root, and the steps and final local chain of each tower, in order."""
+        path = []
+        state = self
+        while state.parent is not None:
+            path.append(state)
+            state = state.parent
+        return state, [_tower_scripts(state.bases[s.index - 1], s.parent.count, s.script)
+                       for s in reversed(path)]
+
     def plan_steps(self) -> tuple[PlanStep, ...]:
-        if self.parent is None:
-            return self.steps
-        return self.parent.plan_steps() + self.steps
+        _, towers = self._towers()
+        return tuple(step for steps, _ in towers for step in steps)
 
     def graph(self) -> tuple[dict[str, int], Counter]:
         """The configuration's self-intersections and node counts, unbuilt.
@@ -683,27 +667,23 @@ class _State:
         curves.  The base curves and their surviving nodes come from the
         root (`_Root`), the towers from the states on the way to it.
         """
-        chains = []
-        state = self
-        while state.parent is not None:
-            chains.append(state.chain)
-            state = state.parent
-        chains.reverse()
-        self_int = dict(zip(state.names, [-d for d in self.depths]))
-        exceptional = [name for chain in chains for name in chain[1:-1]]
+        root, towers = self._towers()
+        self_int = dict(zip(root.names, [-d for d in self.depths]))
+        exceptional = [name for _, chain in towers for name in chain[1:-1]]
         self_int.update(zip(exceptional, [-d for d in self.exceptional]))
-        meets = state.surviving.copy()
-        for chain in chains:
+        meets = root.surviving.copy()
+        for _, chain in towers:
             meets.update(map(_pair, chain, chain[1:]))
         return self_int, meets
 
 
 class _Root(_State):
     """The state before the first tower.  It also holds what every leaf's
-    graph reads: `names`, the base curves in base order, and `surviving`,
-    the base nodes that no tower blows up, counted by curve pair."""
+    steps and graph read: `bases`, the base node of each tower, `names`, the
+    base curves in base order, and `surviving`, the base nodes that no tower
+    blows up, counted by curve pair."""
 
-    __slots__ = ("names", "surviving")
+    __slots__ = ("bases", "names", "surviving")
 
 
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
@@ -718,13 +698,14 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     before it on that pair use up; the base nodes left over survive in
     every leaf.  Each outcome of a tower counts as one state of `result`;
     the state that exceeds `max_states` raises `_Exhausted`.  States that
-    `bound` rejects are not expanded.  Neither a configuration nor a graph
-    is built here: a leaf's graph is `state.graph()`, read off the
-    integers, and its configuration `BlowupPlan(state.plan_steps()).execute(base)`.
-    Each leaf counts in `result.leaves`.  `outcomes` is the caller's tower
-    memo, which serves one `bound` and `pool`: it keeps each tower's named
-    outcomes by base node, blow-ups so far and size, and `_tower_scripts`
-    keeps the abstract ones there too.
+    `bound` rejects are not expanded.  Every leaf counts in `result.leaves`.
+    Nothing is named or built here: a tower is placed by its depth string,
+    deepenings and gap script alone, a leaf's graph is `state.graph()` and
+    its configuration `BlowupPlan(state.plan_steps()).execute(base)`, both
+    naming the towers on the leaf's path only when they are read.
+    `outcomes` is the caller's tower memo, which serves one `bound` and
+    `pool`: it keeps the abstract outcomes of each tower size, with how
+    much each deepens its two base curves.
 
     The degree rule drops a state once a curve of `deep` (the base curves
     at -2 or below, `_deep_curves`; empty for a search that does not prune)
@@ -755,13 +736,12 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
             degree[ia] += k
             degree[ib] += k
     ends = [(position[step.a], position[step.b]) for step in bases]
-    nodes_at = [(step.a, step.b, step.occurrence) for step in bases]  # memo keys
     # the tower's curves take the names blow_up gives, which it refuses
     # where the base already has one
     taken = {name for name in names if name.startswith("E")}
-    root = _Root(None, tuple(-c.self_int for c in base.curves), (), (), (), 0,
+    root = _Root(None, tuple(-c.self_int for c in base.curves), (), (), 0,
                  base.blowup_count, tuple(degree))
-    root.names, root.surviving = names, surviving
+    root.bases, root.names, root.surviving = bases, names, surviving
     for alloc in allocs:
         stack: list[_State] = [root]
         while stack:
@@ -774,17 +754,19 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
             if not available[idx]:
                 continue
             count, size = state.count, alloc[idx]
-            key = (nodes_at[idx], count, size)
-            towers = outcomes.get(key)
+            towers = outcomes.get(size)
             if towers is None:
-                towers = outcomes[key] = list(_tower_scripts(bases[idx], count, size,
-                                                             bound, pool, outcomes))
+                # a deepens once per gap 0; b once per last gap, t + 1 at step t
+                towers = outcomes[size] = [
+                    (xs, script, 1 + script.count(0),
+                     1 + sum(gap == t + 1 for t, gap in enumerate(script)))
+                    for xs, script in _tower_outcomes(size, bound, pool)]
             if towers and taken:
                 for k in range(count + 1, count + size + 1):
                     if f"E{k}" in taken:
                         raise ConfigurationError(f"exceptional name E{k} already taken")
             ia, ib = ends[idx]
-            for xs, deepen_a, deepen_b, steps, chain in towers:
+            for xs, script, deepen_a, deepen_b in towers:
                 result.states += 1
                 if result.states > max_states:
                     raise _Exhausted
@@ -798,7 +780,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                 depths[ib] += deepen_b
                 exceptional = state.exceptional + xs
                 if bound is None or bound.admits(depths + list(exceptional)):
-                    stack.append(_State(state, tuple(depths), exceptional, steps, chain,
+                    stack.append(_State(state, tuple(depths), exceptional, script,
                                         idx + 1, count + size, tuple(degree)))
 
 
@@ -833,13 +815,17 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     # with all base curves available for chains this bounds the survivors
     ones_total = b_total - sum(len(t) for t in targets) + len(base.curves)
     outcomes: dict = {}
+    stated = {chain for t in targets for chain in (t, t[::-1])}
 
     def run_bases(bases: list[PlanStep], hints: list[Optional[int]]
                   ) -> Optional[tuple[BlowupPlan, MarkedSurface]]:
         if len(bases) > min(b_total, ones_total):
             return None  # every tower takes a blow-up and keeps a (-1)-curve
-        for _, state in _leaves(base, bases, _allocations(b_total, hints), bound,
-                                pool, outcomes, result, max_states, deep):
+        passes = _arm_test(base, bases, deep, stated.__contains__)
+        for alloc, state in _leaves(base, bases, _allocations(b_total, hints), bound,
+                                    pool, outcomes, result, max_states, deep):
+            if not passes(alloc, state):
+                continue
             chains = _chain_marking(*state.graph(), targets)
             if chains is not None:
                 plan = BlowupPlan(state.plan_steps())
@@ -976,31 +962,41 @@ def _greedy_mark(self_int: dict[str, int], meets: Counter
 
 
 def _arm_test(base: Configuration, bases: Sequence[PlanStep], deep: frozenset,
-              wahl: dict) -> Callable[[tuple[int, ...], _State], bool]:
+              accepts: Callable[[tuple[int, ...]], bool]
+              ) -> Callable[[tuple[int, ...], _State], bool]:
     """The leaf verdict of one base choice, read off a leaf's integers.
 
-    Returns a test of a leaf (its allocation and state) that is False only
-    for leaves whose marking search rejects: `_greedy_mark` fails, or marks
-    an ADE chain.  The surviving nodes between base curves of `deep` form
-    simple paths; on a leaf each path is one non-(-1) component with the
-    tower arms that hang off its ends.  Tower i's string has exactly one 1,
-    at k (`_tower_outcomes`): the run before it, xs[:k], hangs off
-    `bases[i].a` and the run after it, read from the other end, xs[:k:-1],
-    off `bases[i].b`.  A component's string is the arm at the path's first
-    end reversed, the depths of the path's curves, then the arm at its last
-    end (a one-curve path may carry one at each side).  By the degree rule
-    of `_leaves`, run with the same `deep`, no other arm hangs off a path.
-    The test passes a leaf when every such string is a Wahl chain, which
-    no all-2 string (an ADE chain) is; `wahl` memoises the strings for the
-    calling search.  A leaf with a tower that keeps more than one 1 passes,
-    for `_greedy_mark` to decide.
+    Returns a test of a leaf (its allocation and state) that both searches
+    run before they build its graph.  It is False only for leaves whose
+    marking the search rejects, on the premise of both searches (see the
+    module docstring): every non-(-1) component of a kept leaf is one chain
+    that the search accepts.  The surviving nodes between base curves of
+    `deep` form simple paths; on a leaf each path is one non-(-1) component
+    with the tower arms that hang off its ends.  Tower i's string has
+    exactly one 1, at k (`_tower_outcomes`): the run before it, xs[:k],
+    hangs off `bases[i].a` and the run after it, read from the other end,
+    xs[:k:-1], off `bases[i].b`.  A component's string is the arm at the
+    path's first end reversed, the depths of the path's curves, then the
+    arm at its last end (a one-curve path may carry one at each side).  By
+    the degree rule of `_leaves`, run with the same `deep`, no other arm
+    hangs off a path.  The test passes a leaf when `accepts` every such
+    string, in the orientation just read:
 
-    A path that meets a curve at -1 or above is not tested: that curve may
-    end as a (-1)-curve or in the path's component.  So on a base whose
-    curves are all in `deep` the test passes exactly the leaves search
-    marks, and otherwise `_greedy_mark` decides the leaves it passes.  If
-    the curves of `deep` meet in anything but paths (no path rule has run),
-    no leaf passes: that shape stays in every leaf.
+    - search accepts the Wahl chains, which no all-2 string (an ADE chain)
+      is, so the test fails the leaves whose `_greedy_mark` fails or marks
+      an ADE chain;
+    - inference accepts the stated chains, either way round, so the test
+      fails the leaves that `_chain_marking` cannot mark into them.
+
+    A leaf with a tower that keeps more than one 1 passes, for the marker
+    to decide.  A path that meets a curve at -1 or above is not tested:
+    that curve may end as a (-1)-curve or in the path's component.  So on a
+    base whose curves are all in `deep` the test passes exactly the leaves
+    search marks, and otherwise the marker decides the leaves it passes.
+    If the curves of `deep` meet in anything but paths (no path rule has
+    run), no leaf passes: that shape stays in every leaf.  With `deep`
+    empty, as when a search does not prune, no path is tested and every
+    leaf passes.
     """
     names = [c.name for c in base.curves]
     position = {name: i for i, name in enumerate(names)}
@@ -1034,12 +1030,7 @@ def _arm_test(base: Configuration, bases: Sequence[PlanStep], deep: frozenset,
             string = ((first[0][::-1] if first else ())
                       + tuple(map(depths.__getitem__, path))
                       + (last[0] if last else ()))
-            verdict = wahl.get(string)
-            if verdict is None:
-                # every Wahl chain [b_1, ..., b_l] has sum 3l + 1
-                verdict = wahl[string] = (sum(string) == 3 * len(string) + 1
-                                          and wahl_singularity(string) is not None)
-            if not verdict:
+            if not accepts(string):
                 return False
         return True
     return passes
@@ -1080,23 +1071,36 @@ def search_constructions(params: SearchParams, a0: Configuration,
     """Enumerate ample constructions over subsets of the configuration.
 
     Deterministic: subsets, node choices and emitted records are all in
-    canonical order.  A name repeated in the pool is searched once.  The
-    search stops as soon as it holds `max_results` records.  Budget
-    exhaustion is reported, partial results are still returned.  Each leaf
-    is first decided on its integers (`_arm_test`); only a leaf that passes
-    has its graph built and marked (`_harvest`).
+    canonical order.  With no pool (None) every curve is drawn from; an
+    empty pool raises `PlanError`.  A name repeated in the pool is searched
+    once.  The search stops as soon as it holds `max_results` records.
+    Budget exhaustion is reported, partial results are still returned.
+    Each leaf is first decided on its integers (`_arm_test`); only a leaf
+    that passes has its graph built and marked (`_harvest`).
     """
     for name in ("max_chains", "max_blowups", "max_states", "max_results"):
         if getattr(params, name) < 0:
             raise PlanError(f"{name} must be nonnegative, got {getattr(params, name)}")
+    if params.curve_pool is None:
+        pool = sorted(c.name for c in a0.curves)
+    elif params.curve_pool:
+        pool = sorted(set(params.curve_pool))
+    else:
+        raise PlanError("curve_pool must name at least one curve")
     result = SearchResult()
-    pool = sorted(set(params.curve_pool)) if params.curve_pool else \
-        sorted(c.name for c in a0.curves)
     for name in pool:
         a0.curve(name)
     found: set[tuple] = set()
     wahl: dict = {}  # component string -> whether it is a Wahl chain
     meets = Counter(n.pair() for n in a0.nodes)
+
+    def is_wahl(string: tuple[int, ...]) -> bool:
+        verdict = wahl.get(string)
+        if verdict is None:
+            # every Wahl chain [b_1, ..., b_l] has sum 3l + 1
+            verdict = wahl[string] = (sum(string) == 3 * len(string) + 1
+                                      and wahl_singularity(string) is not None)
+        return verdict
 
     def full() -> bool:
         if len(result.records) < params.max_results:
@@ -1129,7 +1133,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
                 for _, pairs in _base_choices(sub, m, result, params.max_states,
                                               _PathPrefix.of(deep)):
                     bases = [PlanStep(a, b) for a, b in pairs]
-                    passes = _arm_test(sub, bases, deep, wahl)
+                    passes = _arm_test(sub, bases, deep, is_wahl)
                     allocs = itertools.chain.from_iterable(
                         _allocations(total, [None] * m)
                         for total in range(m, params.max_blowups + 1))

@@ -192,6 +192,18 @@ class TestLedger:
         assert len(ledger.checks) > 300
         payload = ledger.to_json()
         assert payload["ok"] and payload["passed"] == payload["total"]
+        # main 9 has no frozen plan
+        assert payload["uncertified"] == [9]
+        assert ledger.lines()[-1] == (f"{payload['total']}/{payload['total']} checks "
+                                      f"passed, 1 main uncertified (K^2=9)")
+
+    def test_summary_counts_uncertified_mains(self, a0, records, expected):
+        unfrozen = json.loads(json.dumps(expected))
+        del unfrozen["mains"]["8"]["recovered_plan"]
+        ledger = verify_all(a0, records, unfrozen, with_inference=False)
+        assert ledger.ok and ledger.to_json()["uncertified"] == [8, 9]
+        assert ledger.lines()[-1].endswith(
+            " checks passed, 2 mains uncertified (K^2=8, 9)")
 
     def test_ledger_catches_breakage(self, a0, records, expected):
         broken = json.loads(json.dumps(expected))

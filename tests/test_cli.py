@@ -261,6 +261,13 @@ class TestVerifyAndSearch:
         assert code == 2 and out == ""
         assert err.startswith("error:") and f"{option} must be nonnegative" in err
 
+    @pytest.mark.parametrize("pool", ["", " "], ids=["empty", "blank"])
+    def test_search_empty_pool_is_a_usage_error(self, capture, pool):
+        code, out, err = capture("search", "--k2", "2", "--max-blowups", "6",
+                                 "--pool", pool)
+        assert code == 2 and out == ""
+        assert err.strip() == "error: --pool must name at least one curve"
+
     def test_reconstruct_summary(self, capture, tmp_path):
         out_path = tmp_path / "a0.json"
         code, out, _ = capture("reconstruct-a0", "--out", str(out_path))

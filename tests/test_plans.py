@@ -126,7 +126,14 @@ def _reference_towers(size, bound, pool):
                 nxt[state] = script + (gap,)
         level = nxt
     return [(xs, script) for xs, script in sorted(level.items())
-            if plans._runs_embed(xs, pool)]
+            if _runs_in_pool(xs, pool)]
+
+
+def _runs_in_pool(xs, pool):
+    """Oracle: every maximal run of entries other than 1 lies in `pool`, or
+    `pool` is None."""
+    return pool is None or all(tuple(run) in pool for one, run in
+                               itertools.groupby(xs, lambda x: x == 1) if not one)
 
 
 def _reference_tower_scripts(config, base, size, bound, pool, outcomes):
@@ -989,8 +996,8 @@ def _checked_arm_test(arm_test, seen):
     chain), and on a base whose curves are all deep it passes exactly those
     leaves.  `seen` counts the leaves by (verdict, marked, all deep).
     """
-    def checked(base, bases, deep, wahl):
-        passes = arm_test(base, bases, deep, wahl)
+    def checked(base, bases, deep, accepts):
+        passes = arm_test(base, bases, deep, accepts)
         every = deep == {c.name for c in base.curves}
 
         def check(alloc, state):
@@ -1006,7 +1013,7 @@ def _checked_arm_test(arm_test, seen):
 
 
 class TestArmTest:
-    """The leaf verdict of search, on integers, against `_greedy_mark`."""
+    """The leaf verdict, on integers, against the marker of each search."""
 
     # by case: the leaves counted by (verdict, marked, all deep).  Off the
     # deep curves _greedy_mark decides, and it rejects some leaves the arm
@@ -1033,6 +1040,38 @@ class TestArmTest:
         assert result.records and sum(seen.values()) == result.leaves
         assert seen == self.SEARCHES[case]
 
+    # every catalog record hinted; free, the records that free inference
+    # recovers at its default budget, and main K^2=2
+    INFERENCES = ([(r.rid, True) for r in load_records()]
+                  + [(rid, False) for rid in ("2.1", "2.2", "3.2", "4.1", "5.1", "6.1",
+                                              "7.1", "main2")])
+
+    @pytest.mark.parametrize("rid, hinted", INFERENCES,
+                             ids=[f"{rid}-{'hinted' if hinted else 'free'}"
+                                  for rid, hinted in INFERENCES])
+    def test_inference(self, a0, records, monkeypatch, rid, hinted):
+        # the test never fails a leaf that marks into the stated chains
+        record = records[rid] if hinted else dataclasses.replace(records[rid], steps=())
+        targets = [tuple(c.chain) for c in record.chains]
+        arm_test = plans._arm_test
+        seen = Counter()  # leaves by (verdict, marked)
+
+        def checked(base, bases, deep, accepts):
+            passes = arm_test(base, bases, deep, accepts)
+
+            def check(alloc, state):
+                verdict = passes(alloc, state)
+                marked = plans._chain_marking(*state.graph(), targets) is not None
+                assert verdict or not marked
+                seen[verdict, marked] += 1
+                return verdict
+            return check
+
+        monkeypatch.setattr(plans, "_arm_test", checked)
+        result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
+        assert sum(seen.values()) == result.leaves > 0
+        assert seen[True, True] or not result.success
+
     CHOICES = {
         "fibre": {(False, False, True): 1553, (True, True, True): 14},
         "exempt": {(True, False, False): 447, (False, False, False): 1200},
@@ -1052,7 +1091,8 @@ class TestArmTest:
         for m in range(1, len(base.nodes) + 1):
             for _, pairs in _base_choices(base, m, _Counts(), sys.maxsize):
                 bases = [PlanStep(a, b) for a, b in pairs]
-                passes = test(base, bases, deep, {})
+                passes = test(base, bases, deep,
+                              lambda string: wahl_singularity(string) is not None)
                 allocs = itertools.chain.from_iterable(
                     _allocations(total, [None] * m) for total in range(m, m + extra + 1))
                 for alloc, state in plans._leaves(base, bases, allocs, None, None, {},
@@ -1279,6 +1319,12 @@ class TestSearch:
         params = dataclasses.replace(SearchParams(k2=2, max_chains=2, max_blowups=6),
                                      **{field: -1})
         with pytest.raises(PlanError, match=field):
+            search_constructions(params, a0)
+
+    def test_empty_pool_rejected(self, a0):
+        # an empty pool is not the whole configuration
+        params = SearchParams(k2=2, max_chains=2, max_blowups=6, curve_pool=())
+        with pytest.raises(PlanError, match="curve_pool must name at least one curve"):
             search_constructions(params, a0)
 
     def test_restricts_only_subsets_with_the_node_count(self, monkeypatch):
