@@ -2,7 +2,7 @@
 the verification ledger (import wahlkit.catalog.verify for the latter)."""
 from .a0 import (A0Constraints, CatalogError, FIBERS, SECTIONS,
                  ReconstructionResult, build_a0, frozen_a0, incidences_of,
-                 load_a0, reconstruct_a0, validate_a0)
+                 load_a0, reconstruct_a0)
 from .records import (BlowupSpec, ChainSpec, RecordError, SurfaceRecord,
                       format_record, parse_record, parse_records_file)
 

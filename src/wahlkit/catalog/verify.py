@@ -1,13 +1,15 @@
 """The verification ledger: every numeric claim of the catalog re-checked.
 
-Each assertion becomes one pass/fail line: chain recognition, restriction
-matrices and determinants, log-geography identities, obstruction
-dimensions, T-joins and wormhole compositions, and (where a blow-up plan
-is known or recoverable) the full surface certificates.
+Each assertion becomes one pass/fail line: the A0 fibration skeleton,
+chain recognition, restriction matrices and determinants, log-geography
+identities, obstruction dimensions, T-joins and wormhole compositions, and
+(where a blow-up plan is known or recoverable) the full surface
+certificates.  The ledger is the only validator of an A0 model.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -19,7 +21,8 @@ from ..configuration import Configuration, det_exact, geography_check
 from ..assembly import (MarkedSurface, k_squared, nef_ample_check, obstruction_dim,
                         pi1_verdict, singularity_report)
 from ..plans import BlowupPlan, PlanError, PlanStep, infer_plan, mark_chains
-from .a0 import A0Constraints, CatalogError, frozen_a0
+from .a0 import (SECTIONS, A0Constraints, CatalogError, build_a0, frozen_a0,
+                 incidences_of)
 from .records import ChainSpec, SurfaceRecord, parse_records_file
 
 __all__ = ["Check", "Ledger", "load_records", "load_expected",
@@ -148,7 +151,7 @@ def ledger_constraints(expected: dict,
     cons = A0Constraints()
     for data in expected["mains"].values():
         cons.matrices.append((tuple(data["curves"]), data["matrix"]))
-        sections_in = [c for c in data["curves"] if c[0] in "AD"]
+        sections_in = [c for c in data["curves"] if c in SECTIONS]
         for chain in data["duval"]:
             for member in chain:
                 for s in sections_in:
@@ -202,6 +205,8 @@ def _verify_a0(ledger: Ledger, a0: Configuration, expected: dict,
     want = expected["a0"]
     ledger.add(sec, "curve count", a0.r == want["r"], f"r={a0.r}")
     ledger.add(sec, "node count", a0.t2 == want["t2"], f"t2={a0.t2}")
+    mismatch = _skeleton_mismatch(a0)
+    ledger.add(sec, "fibration skeleton", not mismatch, mismatch)
     c1, c2 = a0.log_chern()
     ledger.add(sec, "log Chern numbers", [c1, c2] == want["log_chern"],
                f"({c1},{c2})")
@@ -212,9 +217,15 @@ def _verify_a0(ledger: Ledger, a0: Configuration, expected: dict,
                obs == a0.r - cap, f"dim={obs}")
     cons = ledger_constraints(expected, records)
     for order, matrix in cons.matrices:
+        n = len(order)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            widths = "/".join(map(str, sorted({len(row) for row in matrix})))
+            ledger.add(sec, f"printed matrix on {n} curves", False,
+                       f"printed {len(matrix)}x{widths or 0}, expected {n}x{n}")
+            continue
         got = a0.intersection_matrix(order)
-        bad = [(order[i], order[j]) for i in range(len(order))
-               for j in range(len(order)) if got[i][j] != matrix[i][j]]
+        bad = [(order[i], order[j]) for i in range(n) for j in range(n)
+               if got[i][j] != matrix[i][j]]
         ledger.add(sec, f"printed matrix on {len(order)} curves", not bad,
                    f"first mismatch at {bad[0]}" if bad else "entry-for-entry")
     for pair in sorted(cons.incident):
@@ -227,6 +238,21 @@ def _verify_a0(ledger: Ledger, a0: Configuration, expected: dict,
                all(a0.pairing(*p) >= 1 for p in cons.incident) and
                all(a0.pairing(*p) == 0 for p in cons.disjoint),
                f"{len(cons.incident)} required, {len(cons.disjoint)} forbidden")
+
+
+def _skeleton_mismatch(a0: Configuration) -> str:
+    """Where `a0` departs, as a multigraph, from build_a0 of its own
+    incidences: the first differing curve or node pair; "" if nowhere."""
+    try:
+        want = build_a0(incidences_of(a0))
+    except CatalogError as exc:
+        return str(exc)
+    odd = sorted(c.name for c in set(a0.curves) ^ set(want.curves))
+    if odd:
+        return f"curve {odd[0]} differs from the skeleton's"
+    got, need = (Counter(node.pair() for node in c.nodes) for c in (a0, want))
+    bad = sorted((got - need) + (need - got))
+    return f"node count differs at {bad[0]}" if bad else ""
 
 
 def _verify_construction(ledger: Ledger, sec: str, a0: Configuration,

@@ -4,14 +4,14 @@ import warnings
 
 import pytest
 
-from wahlkit.catalog.a0 import (A0Constraints, CatalogError, FIBERS, SECTIONS,
-                                build_a0, frozen_a0, incidences_of,
-                                reconstruct_a0, validate_a0)
+from wahlkit.catalog.a0 import (COMPONENTS, A0Constraints, CatalogError, FIBERS,
+                                SECTIONS, build_a0, frozen_a0, incidences_of,
+                                reconstruct_a0)
 from wahlkit.catalog.records import (ChainSpec, RecordError, format_record, parse_record,
                                      parse_records_file)
 from wahlkit.catalog.verify import (ledger_constraints, load_expected,
                                     load_records, verify_all)
-from wahlkit.configuration import det_exact, rank_exact
+from wahlkit.configuration import Configuration, Curve, Node, det_exact, rank_exact
 
 
 @pytest.fixture(scope="module")
@@ -114,18 +114,22 @@ class TestA0Model:
                 assert a0.pairing(s, t) == 0
 
     def test_validate_passes(self, a0, expected, records):
-        constraints = ledger_constraints(expected, records)
-        checks = validate_a0(a0, constraints)
-        assert len(checks) > 30
+        # the ledger's A0 section is the model's validation
+        ledger = verify_all(a0, records, expected, with_inference=False)
+        names = [c.name for c in ledger.checks if c.section == "A0"]
+        assert "fibration skeleton" in names
+        assert sum(name.startswith("printed matrix") for name in names) == 8
+        assert ledger.ok, [c.line() for c in ledger.failures()]
 
     def test_validate_rejects_tampering(self, a0, expected, records):
-        constraints = ledger_constraints(expected, records)
         incidence = incidences_of(a0)
         wrong = dict(incidence)
         wrong[("A2", "C12")] = "C2"  # flips printed entries in the 6x6 matrix
         tampered = build_a0(wrong)
-        with pytest.raises(CatalogError):
-            validate_a0(tampered, constraints)
+        ledger = verify_all(tampered, records, expected, with_inference=False)
+        failed = [(c.section, c.name) for c in ledger.failures()]
+        assert ("A0", "printed matrix on 6 curves") in failed
+        assert ("A0", "fibration skeleton") not in failed
 
     def test_printed_matrix_example(self, a0, expected):
         data = expected["mains"]["3"]
@@ -152,12 +156,18 @@ class TestA0Model:
         assert sorted((c.n, c.a) for c in record.chains) == [(11, 3), (29, 8)]
 
 
+def _matrix_only(data: dict) -> A0Constraints:
+    constraints = A0Constraints()
+    constraints.matrices.append((tuple(data["curves"]), data["matrix"]))
+    return constraints
+
+
+ALL_CELLS = {(s, f) for s in SECTIONS for f in FIBERS}
+
+
 class TestReconstruction:
     def test_first_matrix_forces_incidences(self, expected):
-        constraints = A0Constraints()
-        data = expected["mains"]["2"]
-        constraints.matrices.append((tuple(data["curves"]), data["matrix"]))
-        result = reconstruct_a0(constraints, rank_cap=None)
+        result = reconstruct_a0(_matrix_only(expected["mains"]["2"]), rank_cap=None)
         assert result.incidence[("A2", "C12")] == "C1"
         assert result.incidence[("D1", "C12")] == "C2"
         assert result.incidence[("A2", "B12")] == "B1"
@@ -174,6 +184,46 @@ class TestReconstruction:
         result = reconstruct_a0(constraints, rank_cap=None)
         floating = set(result.undetermined) | set(result.free_cells)
         assert floating == {("A4", "I8B"), ("D4", "C34")}
+
+    def test_no_constraints_decide_no_cell(self):
+        # far past the cap: nothing is enumerated and nothing is claimed
+        result = reconstruct_a0(A0Constraints())
+        assert not result.unique
+        assert result.undetermined == {(s, f): tuple(sorted(FIBERS[f]))
+                                       for s, f in ALL_CELLS}
+        assert set(result.free_cells) == ALL_CELLS
+
+    def test_first_matrix_alone_leaves_every_other_cell_open(self, expected):
+        data = expected["mains"]["2"]
+        result = reconstruct_a0(_matrix_only(data))
+        assert not result.unique
+        # the matrix decides a cell exactly when it shows the section and a
+        # component of the (two-component) fiber
+        seen = {(s, COMPONENTS[c]) for s in data["curves"] if s in SECTIONS
+                for c in data["curves"] if c in COMPONENTS}
+        assert all(len(FIBERS[f]) == 2 for _, f in seen)
+        assert set(result.undetermined) == ALL_CELLS - seen
+        for s, f in ALL_CELLS - seen:
+            assert result.undetermined[(s, f)] == tuple(sorted(FIBERS[f]))
+        assert result.incidence[("A2", "C12")] == "C1"
+        assert result.incidence[("D1", "C12")] == "C2"
+        assert result.incidence[("A2", "B12")] == "B1"
+
+    def test_components_a_record_sees_are_searched_apart(self, a0):
+        # every cell pinned but (A3, I8A); the record sees the component A3
+        # meets (F5) and both its neighbours, and only the middle one gives
+        # its determinant, so the three must not be searched as one class
+        truth = incidences_of(a0)
+        cycle = FIBERS["I8A"]
+        i = cycle.index(truth[("A3", "I8A")])
+        order = ("A3", cycle[i - 1], cycle[i], cycle[i + 1])
+        constraints = A0Constraints()
+        for (section, fiber), comp in truth.items():
+            if (section, fiber) != ("A3", "I8A"):
+                constraints.add_incident(section, comp)
+        constraints.determinants.append((order, det_exact(a0.intersection_matrix(order))))
+        result = reconstruct_a0(constraints)
+        assert result.unique and result.incidence == truth
 
     def test_corrupted_determinant_unsatisfiable(self, expected, records):
         constraints = ledger_constraints(expected, records)
@@ -204,6 +254,33 @@ class TestLedger:
         assert ledger.ok and ledger.to_json()["uncertified"] == [8, 9]
         assert ledger.lines()[-1].endswith(
             " checks passed, 2 mains uncertified (K^2=8, 9)")
+
+    def test_ledger_rejects_a_model_that_is_not_a0(self, a0, records, expected):
+        # A4 misses the second I8 fiber; curve and node counts are unchanged
+        # and no printed matrix or record sees the moved node
+        nodes = tuple(Node(n.id, "F6", "F14") if n.pair() == ("A4", "F11") else n
+                      for n in a0.nodes)
+        tampered = Configuration(a0.curves, nodes)
+        assert (tampered.r, tampered.t2) == (32, 72) and nodes != a0.nodes
+        ledger = verify_all(tampered, records, expected, with_inference=False)
+        assert [c.line() for c in ledger.failures()] == [
+            "[FAIL] A0: fibration skeleton -- incidence missing for (A4,I8B)"]
+
+    @pytest.mark.parametrize("tamper, detail", [
+        (lambda a0: Configuration(a0.curves, tuple(
+            Node(n.id, "F1", "F3") if n.pair() == ("F1", "F2") else n for n in a0.nodes)),
+         "node count differs at ('F1', 'F2')"),
+        (lambda a0: Configuration(tuple(
+            Curve("F1", -3) if c.name == "F1" else c for c in a0.curves), a0.nodes),
+         "curve F1 differs from the skeleton's"),
+        (lambda a0: Configuration(a0.curves, a0.nodes + (Node(999, "A1", "D1"),)),
+         "section A1 meets non-fiber curve D1"),
+    ], ids=["fiber-node", "self-intersection", "sections-meet"])
+    def test_skeleton_check_names_the_difference(self, a0, records, expected, tamper,
+                                                 detail):
+        ledger = verify_all(tamper(a0), records, expected, with_inference=False)
+        skeleton = [c for c in ledger.checks if c.name == "fibration skeleton"]
+        assert [(c.ok, c.detail) for c in skeleton] == [(False, detail)]
 
     def test_ledger_catches_breakage(self, a0, records, expected):
         broken = json.loads(json.dumps(expected))

@@ -171,6 +171,24 @@ class TestVerifyAndSearch:
             "[FAIL] main K^2=3: recovered plan replays -- recovered_plan[1] is not "
             '[curve, curve, occurrence >= 0]: ["A2", "C3"]']
 
+    @pytest.mark.parametrize("edit, shape", [
+        (lambda m: [[1]], "1x1"),
+        (lambda m: [row + [0] for row in m] + [[0] * len(m) + [-2]], "9x9"),
+    ], ids=["1x1", "9x9"])
+    def test_verify_reports_misshapen_printed_matrix(self, capture, tmp_path, edit, shape):
+        # the 9x9 case keeps the true 8x8 matrix in its top left corner
+        data = resources.files("wahlkit.catalog") / "data"
+        expected = json.loads((data / "expected.json").read_text(encoding="utf-8"))
+        main = expected["mains"]["3"]
+        assert len(main["curves"]) == 8
+        main["matrix"] = edit(main["matrix"])
+        path = tmp_path / "expected.json"
+        path.write_text(json.dumps(expected))
+        code, out, err = capture("verify", "--no-infer", "--expected", str(path))
+        assert code == 1 and err == ""
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+            f"[FAIL] A0: printed matrix on 8 curves -- printed {shape}, expected 8x8"]
+
     @pytest.mark.parametrize("edit, reason", [
         (dict.clear, "expected lacks 'a0'"),
         (lambda e: e["mains"]["2"].pop("chains"), "expected.mains.2 lacks 'chains'"),
@@ -267,6 +285,20 @@ class TestVerifyAndSearch:
                                  "--pool", pool)
         assert code == 2 and out == ""
         assert err.strip() == "error: --pool must name at least one curve"
+
+    def test_reconstruct_without_constraints_is_not_unique(self, capture, tmp_path):
+        records = tmp_path / "records.txt"
+        records.write_text("", encoding="utf-8")
+        expected = tmp_path / "expected.json"
+        expected.write_text(json.dumps({
+            "a0": {"r": 32, "t2": 72, "log_chern": [80, 32], "obstruction_cap": 20},
+            "mains": {}, "tjoins": [], "wormholes": []}), encoding="utf-8")
+        code, out, err = capture("reconstruct-a0", "--records", str(records),
+                                 "--expected", str(expected))
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "solutions: 1 (unique: False)"
+        assert sum(line.startswith("undetermined ") for line in lines) == 48
 
     def test_reconstruct_summary(self, capture, tmp_path):
         out_path = tmp_path / "a0.json"
