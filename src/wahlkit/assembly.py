@@ -3,13 +3,16 @@ obstruction dimension, singularity reports and fundamental-group verdicts.
 
 A MarkedSurface is a blown-up configuration together with the Wahl chains
 to be contracted, the chains of (-2)-curves contracted to rational double
-points, and everything else left alone.  All certificates work through
+points, and everything else left alone.  One validator checks the marking
+rules, stated on MarkedSurface: among them, the marked chains are pairwise
+disjoint, ADE chains included.  All certificates work through
 exact discrepancy sums; nothing here ever reports more than the underlying
 sufficiency criteria allow (in particular the fundamental-group verdict is
 never "nontrivial").
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,6 +37,15 @@ class AssemblyError(ValueError):
 
 @dataclass(frozen=True)
 class MarkedSurface:
+    """A configuration with its marking.
+
+    The marking rules: every chain is nonempty and no curve is marked
+    twice; a Wahl chain's curves carry a Wahl string, an ADE chain's are
+    all (-2)-curves; consecutive curves of a chain share exactly one node,
+    and no other node joins two marked curves.  So no marked curve has a
+    self-node, and the chains, Wahl and ADE alike, are pairwise disjoint.
+    """
+
     surface: Configuration
     wahl_chains: tuple[tuple[str, ...], ...]
     ade_chains: tuple[tuple[str, ...], ...] = ()
@@ -50,39 +62,30 @@ class MarkedSurface:
         """Each Wahl chain curve -> the index of its chain."""
         return {c: i for i, ch in enumerate(self.wahl_chains) for c in ch}
 
+    @cached_property
+    def strings(self) -> tuple[tuple[int, ...], ...]:
+        """The entries (negated self-intersections) of each Wahl chain."""
+        return tuple(tuple(-self.surface.curve(c).self_int for c in chain)
+                     for chain in self.wahl_chains)
+
     def wahl_data(self) -> tuple[WahlSingularity, ...]:
-        out = []
-        for chain in self.wahl_chains:
-            entries = tuple(-self.surface.curve(c).self_int for c in chain)
-            sing = wahl_singularity(entries)
-            assert sing is not None  # _validate guarantees it
-            out.append(sing)
-        return tuple(out)
+        data = tuple(wahl_singularity(entries) for entries in self.strings)
+        assert None not in data  # _validate guarantees it
+        return data
 
     def _validate(self) -> None:
-        seen: set[str] = set()
-        for chain in self.wahl_chains + self.ade_chains:
+        """Check the marking rules in one pass over the nodes."""
+        chains = self.wahl_chains + self.ade_chains
+        place: dict[str, tuple[int, int]] = {}  # marked curve -> (chain, position)
+        for i, chain in enumerate(chains):
             if not chain:
                 raise AssemblyError("empty chain in marking")
-            for name in chain:
-                if name in seen:
+            for k, name in enumerate(chain):
+                if name in place:
                     raise AssemblyError(f"curve {name} marked twice")
-                seen.add(name)
-        for chain in self.wahl_chains + self.ade_chains:
-            for name in chain:
-                if self.surface.self_nodes(name):
-                    raise AssemblyError(f"chain curve {name} has a self-node")
-            for left, right in zip(chain, chain[1:]):
-                if self.surface.pairing(left, right) != 1:
-                    raise AssemblyError(f"consecutive chain curves {left},{right} must "
-                                        f"share exactly one node")
-            for i, a in enumerate(chain):
-                for b in chain[i + 2:]:
-                    if self.surface.pairing(a, b) != 0:
-                        raise AssemblyError(f"non-consecutive chain curves {a},{b} meet")
-        for chain in self.wahl_chains:
-            entries = tuple(-self.surface.curve(c).self_int for c in chain)
-            if wahl_singularity(entries) is None:
+                place[name] = (i, k)
+        for chain, entries in zip(self.wahl_chains, self.strings):
+            if min(entries) < 2 or wahl_singularity(entries) is None:
                 raise AssemblyError(f"marked chain {chain} has string {list(entries)}, "
                                     f"not a Wahl chain")
         for chain in self.ade_chains:
@@ -90,19 +93,19 @@ class MarkedSurface:
             if bad:
                 raise AssemblyError(f"ADE chain member {bad[0]} is not a (-2)-curve; "
                                     f"only A_k chains of (-2)-curves are supported")
-        for i, a in [(i, c) for i, ch in enumerate(self.wahl_chains) for c in ch]:
-            for chain in self.ade_chains:
-                for b in chain:
-                    if self.surface.pairing(a, b) != 0:
-                        raise AssemblyError(f"ADE chain through {b} meets Wahl chain "
-                                            f"curve {a}")
-        for i, chain in enumerate(self.wahl_chains):
-            for j in range(i + 1, len(self.wahl_chains)):
-                for a in chain:
-                    for b in self.wahl_chains[j]:
-                        if self.surface.pairing(a, b) != 0:
-                            raise AssemblyError(f"Wahl chains {i} and {j} meet at "
-                                                f"{a},{b}")
+        links: Counter = Counter()  # (chain, position) -> nodes to the next curve
+        for node in self.surface.nodes:
+            if node.a in place and node.b in place:
+                (i, k), (j, m) = place[node.a], place[node.b]
+                if i != j or abs(k - m) != 1:
+                    raise AssemblyError(f"marked curves {node.a},{node.b} meet but are "
+                                        f"not consecutive in one chain")
+                links[i, min(k, m)] += 1
+        for i, chain in enumerate(chains):
+            for k in range(len(chain) - 1):
+                if links[i, k] != 1:
+                    raise AssemblyError(f"consecutive chain curves {chain[k]},"
+                                        f"{chain[k + 1]} must share exactly one node")
 
 
 def k_squared(ms: MarkedSurface) -> int:
@@ -152,8 +155,7 @@ class NefAmpleReport:
 
 def _discrepancy_table(ms: MarkedSurface) -> dict[str, Fraction]:
     table: dict[str, Fraction] = {}
-    for chain in ms.wahl_chains:
-        entries = [-ms.surface.curve(c).self_int for c in chain]
+    for chain, entries in zip(ms.wahl_chains, ms.strings):
         for name, d in zip(chain, discrepancies(entries)):
             table[name] = d
     return table
@@ -242,15 +244,11 @@ def _contraction_for(ms: MarkedSurface, curve: str, meets: list[str]) -> Contrac
 
 def _oriented(ms: MarkedSurface, index: int, end_curve: str,
               end: str) -> Optional[tuple[int, ...]]:
-    chain = ms.wahl_chains[index]
+    chain, entries = ms.wahl_chains[index], ms.strings[index]
     if end_curve not in (chain[0], chain[-1]):
         return None
-    names = list(chain)
-    if end == "last" and end_curve == chain[0]:
-        names.reverse()
-    if end == "first" and end_curve == chain[-1]:
-        names.reverse()
-    return tuple(-ms.surface.curve(c).self_int for c in names)
+    flip = end_curve == (chain[0] if end == "last" else chain[-1])
+    return entries[::-1] if flip else entries
 
 
 def obstruction_dim(config: Configuration, ambient_rank_cap: Optional[int] = None) -> int:
@@ -349,8 +347,7 @@ def pi1_verdict(ms: MarkedSurface) -> Pi1Report:
         for i, chain in enumerate(chains):
             if i in dead:
                 continue
-            entries = [-surface.curve(c).self_int for c in chain]
-            exps = meridian_exponents(entries)
+            exps = meridian_exponents(ms.strings[i])
             imposed: list[tuple[int, str]] = []
             for name in externals:
                 hits = hits_of[name]

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterator, Optional
 
-from ..configuration import Configuration, det_exact, rank_exact
+from ..configuration import (Configuration, ConfigurationError, _pair, det_exact,
+                             rank_exact)
 
 __all__ = [
     "FIBERS", "SECTIONS", "COMPONENTS", "CatalogError",
@@ -107,10 +108,10 @@ class A0Constraints:
     disjoint: set[tuple[str, str]] = field(default_factory=set)
 
     def add_incident(self, a: str, b: str) -> None:
-        self.incident.add((a, b) if a <= b else (b, a))
+        self.incident.add(_pair(a, b))
 
     def add_disjoint(self, a: str, b: str) -> None:
-        self.disjoint.add((a, b) if a <= b else (b, a))
+        self.disjoint.add(_pair(a, b))
 
 
 @dataclass
@@ -310,7 +311,11 @@ def reconstruct_a0(constraints: A0Constraints,
 
 def load_a0(path) -> Configuration:
     with open(path, encoding="utf-8") as fh:
-        return Configuration.from_json(fh.read())
+        text = fh.read()
+    try:
+        return Configuration.from_json(text)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def frozen_a0() -> Configuration:

@@ -18,12 +18,12 @@ from typing import Optional, Sequence
 from ..chains import (ChainError, CyclicQuotient, blow_down_compose, length_bound,
                       meridian_exponents, t_singularity, wahl_singularity)
 from ..configuration import Configuration, det_exact, geography_check
-from ..assembly import (MarkedSurface, k_squared, nef_ample_check, obstruction_dim,
-                        pi1_verdict, singularity_report)
+from ..assembly import (AssemblyError, MarkedSurface, k_squared, nef_ample_check,
+                        obstruction_dim, pi1_verdict, singularity_report)
 from ..plans import BlowupPlan, PlanError, PlanStep, infer_plan, mark_chains
 from .a0 import (SECTIONS, A0Constraints, CatalogError, build_a0, frozen_a0,
                  incidences_of)
-from .records import ChainSpec, SurfaceRecord, parse_records_file
+from .records import ChainSpec, RecordError, SurfaceRecord, parse_records_file
 
 __all__ = ["Check", "Ledger", "load_records", "load_expected",
            "ledger_constraints", "verify_all", "REQUIRED_INFERENCE"]
@@ -85,7 +85,10 @@ def _data_text(name: str) -> str:
 
 def load_records(path: Optional[str] = None) -> list[SurfaceRecord]:
     text = Path(path).read_text(encoding="utf-8") if path else _data_text("records.txt")
-    return parse_records_file(text)
+    try:
+        return parse_records_file(text)
+    except RecordError as exc:
+        raise RecordError(f"{path or 'records.txt'}: {exc}") from None
 
 
 # The shape of what the ledger reads from expected.json.  A dict lists the
@@ -136,12 +139,11 @@ def _check_shape(value, shape, where: str) -> None:
 def load_expected(path: Optional[str] = None) -> dict:
     """The expected values, checked for the keys and types the ledger reads."""
     text = Path(path).read_text(encoding="utf-8") if path else _data_text("expected.json")
-    expected = json.loads(text)
-    name = path or "expected.json"
     try:
+        expected = json.loads(text)
         _check_shape(expected, _EXPECTED_SHAPE, "expected")
-    except CatalogError as exc:
-        raise CatalogError(f"{name}: {exc}") from None
+    except ValueError as exc:  # invalid JSON, or a CatalogError from the shape
+        raise CatalogError(f"{path or 'expected.json'}: {exc}") from None
     return expected
 
 
@@ -397,22 +399,17 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
         f"main{k2}", k2, tuple(data["curves"]), data["det"], (), chains))
     ledger.add(sec, f"KSBA family dimension {data['ksba_dim']}",
                data["ksba_dim"] == 20 - 2 * k2)
-    duval = [tuple(ch) for ch in data["duval"]]
-    duval_ok = True
-    for chain in duval:
-        for name in chain:
-            if a0.curve(name).self_int != -2:
-                duval_ok = False
-        for left, right in zip(chain, chain[1:]):
-            if a0.pairing(left, right) != 1:
-                duval_ok = False
-        for name in chain:
-            for other in data["curves"]:
-                if a0.pairing(name, other) != 0:
-                    duval_ok = False
+    duval = tuple(tuple(ch) for ch in data["duval"])
+    duval_curves = [c for ch in duval for c in ch]
     if duval:
-        ledger.add(sec, "Du Val chains disjoint from the configuration",
-                   duval_ok, f"{len(duval)} chains")
+        try:
+            MarkedSurface(a0.restrict(duval_curves), (), duval)
+            why = next((f"Du Val curve {name} meets {other}" for name in duval_curves
+                        for other in data["curves"] if a0.pairing(name, other)), "")
+        except AssemblyError as exc:
+            why = str(exc)
+        ledger.add(sec, "Du Val chains disjoint from the configuration", not why,
+                   why or f"{len(duval)} chains")
 
     plan_steps = data.get("recovered_plan")
     if not plan_steps:
@@ -422,8 +419,7 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
                    "checked; certificates above are plan-independent")
         return
     witnesses = data.get("pi1_witnesses", [])
-    extended = a0.restrict(list(data["curves"]) +
-                           [c for ch in duval for c in ch] + list(witnesses))
+    extended = a0.restrict(list(data["curves"]) + duval_curves + list(witnesses))
     try:
         plan = _plan_from_json(plan_steps)
         marked = mark_chains(plan.execute(extended), [tuple(c.chain) for c in chains],
@@ -457,8 +453,8 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
 
 def _verify_meridian_anchors(ledger: Ledger, sec: str, marked: MarkedSurface) -> None:
     """The two anchored loop exponents of the long K^2=7 chain."""
-    long_chain = max(marked.wahl_chains, key=len)
-    entries = [-marked.surface.curve(c).self_int for c in long_chain]
+    long_chain, entries = max(zip(marked.wahl_chains, marked.strings),
+                              key=lambda item: len(item[0]))
     exps = meridian_exponents(entries[::-1])[::-1]  # generator at the first curve
     spots = {}
     for name, exp in zip(long_chain, exps):

@@ -51,6 +51,11 @@ class Curve:
     self_int: int
 
 
+def _pair(a: str, b: str) -> tuple[str, str]:
+    """A curve pair in the one order every node-count table uses."""
+    return (a, b) if a <= b else (b, a)
+
+
 @dataclass(frozen=True)
 class Node:
     """One physical intersection point between two (branches of) curves."""
@@ -64,7 +69,7 @@ class Node:
         return self.a == self.b
 
     def pair(self) -> tuple[str, str]:
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+        return _pair(self.a, self.b)
 
     def other(self, name: str) -> str:
         if name == self.a:
@@ -136,13 +141,14 @@ class Configuration:
         raise ConfigurationError(f"unknown node {node_id}")
 
     def nodes_between(self, a: str, b: str) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if n.pair() == ((a, b) if a <= b else (b, a)))
+        pair = _pair(a, b)
+        return tuple(n for n in self.nodes if n.pair() == pair)
 
     def pairing(self, a: str, b: str) -> int:
         """Intersection number: self_int on the diagonal, node count off it."""
         if a == b:
             return self.curve(a).self_int
-        return self._meets[(a, b) if a <= b else (b, a)]
+        return self._meets[_pair(a, b)]
 
     @cached_property
     def _meets(self) -> Counter:

@@ -78,7 +78,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .assembly import (AssemblyError, MarkedSurface, SurfaceReport, k_squared,
                        nef_ample_check, surface_report)
 from .chains import wahl_singularity
-from .configuration import (Configuration, ConfigurationError, det_exact,
+from .configuration import (Configuration, ConfigurationError, _pair, det_exact,
                             geography_check)
 from .catalog.records import BlowupSpec, ChainSpec, SurfaceRecord
 
@@ -390,10 +390,6 @@ def _tower_scripts(base: PlanStep, count: int, script: tuple[int, ...]
         meets[_pair(new, v)] += 1
         steps.append(PlanStep(pair[0], pair[1], meets[pair]))
     return tuple(steps), tuple(local)
-
-
-def _pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 def _allocations(total: int, hints: Sequence[Optional[int]]) -> Iterable[tuple[int, ...]]:

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wahlkit.assembly import (AssemblyError, MarkedSurface, k_squared,
                               nef_ample_check, obstruction_dim, pi1_verdict,
                               singularity_report, surface_report)
-from wahlkit.configuration import Configuration, det_exact
+from wahlkit.chains import wahl_generate, wahl_singularity
+from wahlkit.configuration import Configuration, ConfigurationError, det_exact
 
 
 def chain_config(*chains, extra_curves=(), extra_nodes=()):
@@ -20,6 +23,64 @@ def chain_config(*chains, extra_curves=(), extra_nodes=()):
 
 def chain_names(config, ci):
     return tuple(c.name for c in config.curves if c.name.startswith(f"K{ci}_"))
+
+
+def _pairwise_valid(surface, wahl, ade):
+    """The marking rules checked pair by pair, as the validator once did,
+    with ADE chains also pairwise disjoint: the oracle for the one-pass
+    validator."""
+    chains = wahl + ade
+    names = [c for chain in chains for c in chain]
+    if not all(chains) or len(set(names)) != len(names):
+        return False
+    for chain in chains:
+        if any(surface.self_nodes(c) for c in chain):
+            return False
+        if any(surface.pairing(a, b) != 1 for a, b in zip(chain, chain[1:])):
+            return False
+        if any(surface.pairing(a, b) for i, a in enumerate(chain) for b in chain[i + 2:]):
+            return False
+    strings = [[-surface.curve(c).self_int for c in chain] for chain in wahl]
+    if any(min(s) < 2 or wahl_singularity(s) is None for s in strings):
+        return False
+    if any(surface.curve(c).self_int != -2 for chain in ade for c in chain):
+        return False
+    return not any(surface.pairing(a, b) for i, x in enumerate(chains)
+                   for y in chains[i + 1:] for a in x for b in y)
+
+
+@st.composite
+def _small_markings(draw):
+    """Up to six curves and a marking on them.
+
+    The chains are cut from an ordering of the curves, plus at most one
+    more chain that may be empty, repeat a curve or overlap the others.
+    Each consecutive pair gets a node (rarely left out), then up to four
+    random nodes are added (self-nodes and repeats allowed).  Chain curves
+    mostly carry a fitting string: a Wahl string, or all (-2) for ADE.
+    """
+    n = draw(st.integers(1, 6))
+    names = [f"C{i}" for i in range(n)]
+    order = draw(st.permutations(names))
+    bounds = [0] + sorted(draw(st.sets(st.integers(0, n), max_size=4)))
+    chains = [tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    chains += draw(st.lists(st.one_of(
+        st.tuples(st.integers(0, n), st.integers(0, n)).map(lambda ab: order[ab[0]:ab[1]]),
+        st.lists(st.sampled_from(names), max_size=3)).map(tuple), max_size=1))
+    wahl = [draw(st.booleans()) for _ in chains]
+    self_int = {name: -draw(st.integers(1, 5)) for name in names}
+    for chain, is_wahl in zip(chains, wahl):
+        if chain and draw(st.integers(0, 4)):
+            fit = (draw(st.sampled_from(sorted(wahl_generate(len(chain)))))
+                   if is_wahl else (2,) * len(chain))
+            self_int.update((c, -b) for c, b in zip(chain, fit))
+    nodes = [pair for chain in chains for pair in zip(chain, chain[1:])
+             if draw(st.integers(0, 9))]
+    nodes += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                           max_size=4))
+    return (list(self_int.items()), nodes,
+            tuple(c for c, w in zip(chains, wahl) if w),
+            tuple(c for c, w in zip(chains, wahl) if not w))
 
 
 class TestMarking:
@@ -44,6 +105,11 @@ class TestMarking:
         with pytest.raises(AssemblyError):
             MarkedSurface(cfg, (("A", "B", "C", "D"),))
 
+    def test_minus_one_curve_is_no_wahl_chain(self):
+        cfg = chain_config((4,), extra_curves=[("G", -1)])
+        with pytest.raises(AssemblyError):
+            MarkedSurface(cfg, (("G",),))
+
     def test_ade_only_minus_two(self):
         cfg = chain_config((4,), extra_curves=[("R", -3)])
         with pytest.raises(AssemblyError):
@@ -54,6 +120,43 @@ class TestMarking:
                            extra_nodes=[("R", "K0_0")])
         with pytest.raises(AssemblyError):
             MarkedSurface(cfg, (chain_names(cfg, 0),), (("R",),))
+
+
+    def test_ade_chains_that_meet_rejected(self):
+        cfg = Configuration.build([("X", -2), ("Y", -2)], [("X", "Y")])
+        with pytest.raises(AssemblyError):
+            MarkedSurface(cfg, (), (("X",), ("Y",)))
+
+    @pytest.mark.parametrize("wahl, ade", [
+        ((("K0_0", "U"),), ()), ((("U",),), ()), ((), (("U", "R"),)), ((), (("U",),)),
+    ])
+    def test_unknown_curve_is_a_configuration_error(self, wahl, ade):
+        cfg = chain_config((4,), extra_curves=[("R", -2)])
+        with pytest.raises(ConfigurationError):
+            MarkedSurface(cfg, wahl, ade)
+
+    @settings(max_examples=400)
+    @given(_small_markings())
+    # one marking that passes, then one that breaks each rule on nodes
+    @example(([("C0", -4), ("C1", -2), ("C2", -2)], [("C1", "C2")],
+              (("C0",),), (("C1", "C2"),)))
+    @example(([("C0", -2), ("C1", -2)], [("C0", "C1")], (), (("C0",), ("C1",))))
+    @example(([("C0", -2), ("C1", -2), ("C2", -2)], [("C0", "C1"), ("C2", "C1")],
+              (), (("C0", "C1"), ("C2",))))
+    @example(([("C0", -2), ("C1", -2)], [("C0", "C1"), ("C0", "C1")], (), (("C0", "C1"),)))
+    @example(([("C0", -2), ("C1", -2), ("C2", -2)], [("C0", "C1"), ("C1", "C2"), ("C0", "C2")],
+              (), (("C0", "C1", "C2"),)))
+    @example(([("C0", -4)], [("C0", "C0")], (("C0",),), ()))
+    @example(([("C0", -2)], [], (), (("C0",), ("C0",))))
+    def test_one_pass_matches_pairwise_rules(self, marking):
+        curves, nodes, wahl, ade = marking
+        cfg = Configuration.build(curves, nodes)
+        try:
+            MarkedSurface(cfg, wahl, ade)
+            accepted = True
+        except AssemblyError:
+            accepted = False
+        assert accepted == _pairwise_valid(cfg, wahl, ade)
 
 
 class TestNefAmple:

@@ -257,14 +257,19 @@ class TestLedger:
 
     def test_ledger_rejects_a_model_that_is_not_a0(self, a0, records, expected):
         # A4 misses the second I8 fiber; curve and node counts are unchanged
-        # and no printed matrix or record sees the moved node
+        # and no printed matrix or record sees the moved node, but it joins
+        # two Du Val chains of mains 2-5, so their markings fail too
         nodes = tuple(Node(n.id, "F6", "F14") if n.pair() == ("A4", "F11") else n
                       for n in a0.nodes)
         tampered = Configuration(a0.curves, nodes)
         assert (tampered.r, tampered.t2) == (32, 72) and nodes != a0.nodes
         ledger = verify_all(tampered, records, expected, with_inference=False)
         assert [c.line() for c in ledger.failures()] == [
-            "[FAIL] A0: fibration skeleton -- incidence missing for (A4,I8B)"]
+            "[FAIL] A0: fibration skeleton -- incidence missing for (A4,I8B)"] + [
+            line for k2 in (2, 3, 4, 5) for line in (
+                f"[FAIL] main K^2={k2}: Du Val chains disjoint from the configuration "
+                f"-- marked curves F6,F14 meet but are not consecutive in one chain",
+                f"[FAIL] main K^2={k2}: recovered plan replays -- marking failed")]
 
     @pytest.mark.parametrize("tamper, detail", [
         (lambda a0: Configuration(a0.curves, tuple(

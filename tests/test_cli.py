@@ -139,6 +139,14 @@ class TestVerifyAndSearch:
         assert code == 2
         assert err.startswith("error:") and "missing.txt" in err
 
+    @pytest.mark.parametrize("option", ["--a0", "--records", "--expected"])
+    def test_unparseable_input_file_names_it(self, capture, tmp_path, option):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("{not json, not a record\n")
+        code, _, err = capture("verify", option, str(bad), "--no-infer")
+        assert code == 2
+        assert err.startswith(f"error: {bad}: ") and "\n" not in err
+
     def test_verify_reports_bad_claims_as_failures(self, capture, tmp_path):
         # a stated chain that is not a Wahl chain, and a main plan naming a
         # missing node: FAIL lines and exit code 1, not an error
