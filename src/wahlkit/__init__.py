@@ -9,9 +9,8 @@ from .chains import (ChainError, CyclicQuotient, TSingularity, WahlSingularity,
                      blow_down_compose, discrepancies, hj_eval, hj_expand,
                      is_wahl, length_bound, meridian_exponents, meridian_order,
                      t_singularity, wahl_generate, wahl_singularity)
-from .configuration import (Ambient, Configuration, ConfigurationError, Curve,
-                            GeographyReport, K3, Node, det_exact, geography_check,
-                            rank_exact)
+from .configuration import (Configuration, ConfigurationError, Curve, GeographyReport,
+                            Node, det_exact, geography_check, rank_exact)
 from .assembly import (AssemblyError, MarkedSurface, NefAmpleReport, Pi1Report,
                        SurfaceReport, k_squared, nef_ample_check,
                        obstruction_dim, pi1_verdict, singularity_report,

@@ -190,11 +190,10 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
             continue
         meets: list[str] = []
         s = Fraction(0)
-        for node in surface.nodes_at(curve.name):
-            other = node.other(curve.name)
+        for other, k in surface.neighbors(curve.name).items():
             if other in table:
-                s += table[other]
-                meets.append(other)
+                s += k * table[other]
+                meets += [other] * k
         if s > -1:
             witnesses.append(Witness("negative-curve", curve.name,
                                      f"discrepancy sum {s} > -1"))
@@ -212,8 +211,7 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
         touches_wahl = any(n in chain_index for n in surface.neighbors(curve.name))
         if touches_wahl:
             continue
-        touches_exc = any(surface.curve(n).self_int == -1
-                          for n in surface.neighbors(curve.name))
+        touches_exc = any(surface.self_int[n] == -1 for n in surface.neighbors(curve.name))
         kind = "free-two-meets-exceptional" if touches_exc else "free-two-isolated"
         zero_curves.append(Witness(kind, curve.name,
                                    "(-2)-curve away from every Wahl chain is a zero "
@@ -297,10 +295,9 @@ def _chain_hits(ms: MarkedSurface, curve: str) -> dict[int, list[str]]:
     """Wahl chain index -> chain curves this curve meets (with multiplicity)."""
     hits: dict[int, list[str]] = {}
     chain_index = ms.chain_index
-    for node in ms.surface.nodes_at(curve):
-        other = node.other(curve)
+    for other, k in ms.surface.neighbors(curve).items():
         if other in chain_index:
-            hits.setdefault(chain_index[other], []).append(other)
+            hits.setdefault(chain_index[other], []).extend([other] * k)
     return hits
 
 
@@ -325,9 +322,8 @@ def pi1_verdict(ms: MarkedSurface) -> Pi1Report:
     dead: dict[int, str] = {}
     for name in externals:
         hits = hits_of[name]
-        total_nodes = len(surface.nodes_at(name))
-        hit_nodes = sum(len(v) for v in hits.values())
-        if total_nodes != hit_nodes:
+        if surface.self_nodes(name) or any(c not in ms.chain_index
+                                           for c in surface.neighbors(name)):
             continue  # meets something outside the chains: not condition I/II
         ends = {i: hit[0] for i, hit in hits.items()
                 if len(hit) == 1 and hit[0] in (chains[i][0], chains[i][-1])}

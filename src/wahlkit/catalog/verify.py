@@ -9,7 +9,6 @@ certificates.  The ledger is the only validator of an A0 model.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -252,8 +251,7 @@ def _skeleton_mismatch(a0: Configuration) -> str:
     odd = sorted(c.name for c in set(a0.curves) ^ set(want.curves))
     if odd:
         return f"curve {odd[0]} differs from the skeleton's"
-    got, need = (Counter(node.pair() for node in c.nodes) for c in (a0, want))
-    bad = sorted((got - need) + (need - got))
+    bad = sorted((a0.meets - want.meets) + (want.meets - a0.meets))
     return f"node count differs at {bad[0]}" if bad else ""
 
 

@@ -14,16 +14,15 @@ import sys
 from typing import Optional, Sequence
 
 from . import chains as cf
-from .assembly import AssemblyError
-from .configuration import ConfigurationError, geography_check
+from .configuration import geography_check
 from .catalog import a0 as a0mod
-from .catalog.records import RecordError, format_record
+from .catalog.records import format_record
 from .catalog.verify import (ledger_constraints, load_expected, load_records,
                              verify_all)
-from .plans import PlanError, SearchParams, search_constructions
+from .plans import SearchParams, search_constructions
 
-_ERRORS = (cf.ChainError, ConfigurationError, AssemblyError, RecordError,
-           PlanError, a0mod.CatalogError, ValueError, OSError)
+# every wahlkit error class subclasses ValueError
+_ERRORS = (ValueError, OSError)
 
 
 def _chain_arg(text: str) -> tuple[int, ...]:

@@ -1,13 +1,16 @@
-"""Nodal configurations of rational curves and the blow-up engine.
+"""Nodal configurations of rational curves on a K3 surface and the blow-up
+engine.
 
 A configuration is a multigraph: curves with self-intersections, plus one
 explicit node per physical intersection point (a pair of curves meeting
 twice contributes two distinct nodes; a nodal irreducible curve carries
-self-nodes).  All derived linear algebra is exact over the integers.
+self-nodes).  The ambient surface is always a K3 (chi_top = 24, K^2 = 0).
+All derived linear algebra is exact over the integers.
 
-A configuration is immutable, so the node count of each curve pair, which
-`pairing` reads, is tabulated the first time it is asked for and kept with
-the instance.
+A configuration is immutable, so every query reads one graph built the
+first time it is asked for and kept with the instance: `self_int`, each
+curve's self-intersection, and `meets`, each curve pair's node count.  The
+blow-up engine and plan replay read the nodes themselves and build no graph.
 """
 from __future__ import annotations
 
@@ -19,8 +22,6 @@ from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "ConfigurationError",
-    "Ambient",
-    "K3",
     "Curve",
     "Node",
     "Configuration",
@@ -33,16 +34,6 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """Raised for malformed configurations or unknown curve/node references."""
-
-
-@dataclass(frozen=True)
-class Ambient:
-    name: str
-    k_sq: int
-    chi_top: int
-
-
-K3 = Ambient("K3", 0, 24)
 
 
 @dataclass(frozen=True)
@@ -86,7 +77,6 @@ class Node:
 class Configuration:
     curves: tuple[Curve, ...]
     nodes: tuple[Node, ...]
-    ambient: Ambient = K3
     blowup_count: int = 0  # blow-ups so far; the next one creates E{blowup_count + 1}
 
     def __post_init__(self) -> None:
@@ -105,15 +95,42 @@ class Configuration:
 
     @staticmethod
     def build(curves: Iterable[tuple[str, int]],
-              nodes: Iterable[tuple[str, str]],
-              ambient: Ambient = K3) -> "Configuration":
+              nodes: Iterable[tuple[str, str]]) -> "Configuration":
         """Build from (name, self_int) pairs and (nameA, nameB) node pairs.
 
         Duplicate node pairs denote multiple intersection points.
         """
         cs = tuple(Curve(name, int(s)) for name, s in curves)
         ns = tuple(Node(i, a, b) for i, (a, b) in enumerate(nodes))
-        return Configuration(cs, ns, ambient)
+        return Configuration(cs, ns)
+
+    # -- the graph ----------------------------------------------------------
+
+    @cached_property
+    def self_int(self) -> dict[str, int]:
+        """Each curve's name -> its self-intersection, in curve order.
+
+        With `meets`, the graph every query reads.  Both are built on first
+        use and kept with the instance, shared by every reader, who must not
+        modify them; they are not fields, so equality, hashing and
+        serialisation do not see them.
+        """
+        return {c.name: c.self_int for c in self.curves}
+
+    @cached_property
+    def meets(self) -> Counter:
+        """Each curve pair, as `Node.pair` orders it, -> its number of nodes."""
+        return Counter(n.pair() for n in self.nodes)
+
+    @cached_property
+    def _around(self) -> dict[str, dict[str, int]]:
+        """`meets` by curve: each curve -> each other curve it meets -> nodes."""
+        out: dict[str, dict[str, int]] = {}
+        for (a, b), k in self.meets.items():
+            if a != b:
+                out.setdefault(a, {})[b] = k
+                out.setdefault(b, {})[a] = k
+        return out
 
     # -- basic queries -----------------------------------------------------
 
@@ -126,13 +143,9 @@ class Configuration:
         return len(self.nodes)
 
     def curve(self, name: str) -> Curve:
-        for c in self.curves:
-            if c.name == name:
-                return c
-        raise ConfigurationError(f"unknown curve {name!r}")
-
-    def has_curve(self, name: str) -> bool:
-        return any(c.name == name for c in self.curves)
+        if name not in self.self_int:
+            raise ConfigurationError(f"unknown curve {name!r}")
+        return Curve(name, self.self_int[name])
 
     def node(self, node_id: int) -> Node:
         for n in self.nodes:
@@ -148,31 +161,21 @@ class Configuration:
         """Intersection number: self_int on the diagonal, node count off it."""
         if a == b:
             return self.curve(a).self_int
-        return self._meets[_pair(a, b)]
-
-    @cached_property
-    def _meets(self) -> Counter:
-        """The number of nodes of each curve pair, as `Node.pair` orders it.
-
-        Built on first use and kept with the instance; not a field, so
-        equality, hashing and serialisation do not see it.
-        """
-        return Counter(n.pair() for n in self.nodes)
+        return self.meets[_pair(a, b)]
 
     def nodes_at(self, name: str) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.touches(name))
 
     def self_nodes(self, name: str) -> int:
-        return sum(1 for n in self.nodes if n.is_self_node and n.a == name)
+        """The curve's number of self-nodes; 0 for an unknown name."""
+        return self.meets[name, name]
 
-    def neighbors(self, name: str) -> set[str]:
-        out = set()
-        for n in self.nodes:
-            if n.touches(name):
-                other = n.other(name)
-                if other != name:
-                    out.add(other)
-        return out
+    def neighbors(self, name: str) -> dict[str, int]:
+        """Each other curve that meets this one -> their number of nodes, in
+        the order of their first nodes; self-nodes are left out (`self_nodes`).
+        Empty for an unknown name.  Shared with the instance: do not modify.
+        """
+        return self._around.get(name, {})
 
     # -- derived invariants --------------------------------------------------
 
@@ -182,28 +185,30 @@ class Configuration:
         `order` may be a subset of the curves (restriction); default is the
         configuration's own curve order.
         """
-        names = list(order) if order is not None else [c.name for c in self.curves]
+        names = list(order) if order is not None else list(self.self_int)
         for name in names:
             self.curve(name)
-        return [[self.pairing(a, b) for b in names] for a in names]
+        self_int, meets = self.self_int, self.meets
+        return [[self_int[a] if a == b else meets[_pair(a, b)] for b in names]
+                for a in names]
 
     def log_chern(self) -> tuple[int, int]:
-        """Log Chern numbers (c1bar^2, c2bar) of the pair (ambient, curves)."""
+        """Log Chern numbers (c1bar^2, c2bar) of the pair (K3, curves); K3's
+        topological Euler number is 24."""
         c1 = 2 * self.t2 - 2 * self.r
-        c2 = self.ambient.chi_top + self.t2 - 2 * self.r
+        c2 = 24 + self.t2 - 2 * self.r
         return c1, c2
 
     def pk_invariants(self) -> tuple[int, int]:
         """(P, K): P = sum C_i^2 + 5r - 2*t2, K = K_S^2 + 2r - t2 - P.
 
-        K_S^2 here is the ambient value minus one per recorded blow-up.
+        K_S^2 here is K3's K^2 = 0 minus one per recorded blow-up.
         Both invariants are preserved by blow_up; on a completed
         construction P counts the Wahl chains and K equals K_X^2.
         """
         total = sum(c.self_int for c in self.curves)
         p = total + 5 * self.r - 2 * self.t2
-        k_ambient = self.ambient.k_sq - self.blowup_count
-        k = k_ambient + 2 * self.r - self.t2 - p
+        k = -self.blowup_count + 2 * self.r - self.t2 - p
         return p, k
 
     # -- blow-up engine ---------------------------------------------------
@@ -218,11 +223,13 @@ class Configuration:
         The result is not validated again: its names stay distinct because
         the new name is checked against the curves, its node ids because
         the new ones are past every existing id, and both new nodes name
-        known curves (the new one and the blown-up node's).
+        known curves (the new one and the blown-up node's).  Neither
+        configuration's graph is built: a plan replays blow-ups on
+        configurations that are never queried.
         """
         target = self.node(node_id)
         exc_name = f"E{self.blowup_count + 1}"
-        if self.has_curve(exc_name):
+        if any(c.name == exc_name for c in self.curves):
             raise ConfigurationError(f"exceptional name {exc_name} already taken")
         new_curves = []
         for c in self.curves:
@@ -235,7 +242,6 @@ class Configuration:
         out = object.__new__(Configuration)  # no __post_init__, see above
         object.__setattr__(out, "curves", tuple(new_curves))
         object.__setattr__(out, "nodes", kept + added)
-        object.__setattr__(out, "ambient", self.ambient)
         object.__setattr__(out, "blowup_count", self.blowup_count + 1)
         return out
 
@@ -246,7 +252,7 @@ class Configuration:
             self.curve(name)
         curves = tuple(c for c in self.curves if c.name in keep)
         nodes = tuple(n for n in self.nodes if n.a in keep and n.b in keep)
-        return Configuration(curves, nodes, self.ambient)
+        return Configuration(curves, nodes)
 
     # -- serialization ------------------------------------------------------
 
@@ -255,9 +261,6 @@ class Configuration:
             "curves": [{"name": c.name, "self_int": c.self_int} for c in self.curves],
             "nodes": [[n.a, n.b] for n in self.nodes],
         }
-        if self.ambient is not K3:
-            payload["ambient"] = {"name": self.ambient.name, "k_sq": self.ambient.k_sq,
-                                  "chi_top": self.ambient.chi_top}
         return json.dumps(payload, indent=1)
 
     @staticmethod
@@ -268,14 +271,9 @@ class Configuration:
             raise ConfigurationError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigurationError("top level must be an object")
-        unknown = set(payload) - {"curves", "nodes", "ambient"}
+        unknown = set(payload) - {"curves", "nodes"}
         if unknown:
             raise ConfigurationError(f"unknown fields: {sorted(unknown)}")
-        ambient = K3
-        if "ambient" in payload:
-            amb = _json_object(payload["ambient"], "ambient", {"name": str, "k_sq": int,
-                                                               "chi_top": int})
-            ambient = Ambient(amb["name"], amb["k_sq"], amb["chi_top"])
         curves = []
         for entry in _json_list(payload.get("curves", []), "curves"):
             entry = _json_object(entry, "curve", {"name": str, "self_int": int})
@@ -287,7 +285,7 @@ class Configuration:
                 raise ConfigurationError(f"node entry must be a pair of curve names, "
                                          f"got {entry!r}")
             nodes.append((entry[0], entry[1]))
-        return Configuration.build(curves, nodes, ambient)
+        return Configuration.build(curves, nodes)
 
 
 def _json_list(value, what: str) -> list:
@@ -364,8 +362,6 @@ def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class GeographyReport:
-    p: int
-    k2: int
     admissible: bool
     r: int
     t2: int
@@ -383,4 +379,4 @@ def geography_check(p: int, k2: int) -> GeographyReport:
     if k2 < 1:
         raise ConfigurationError("K^2 must be >= 1")
     admissible = 5 * k2 + 3 * p <= 72  # k2 <= 14 - (3p-2)/5, cleared of fractions
-    return GeographyReport(p, k2, admissible, p + 2 * k2, 3 * k2 + p, p + k2)
+    return GeographyReport(admissible, p + 2 * k2, 3 * k2 + p, p + k2)

@@ -231,8 +231,7 @@ def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
     marking must leave only (-1)- and (-2)-curves unmarked; if none does,
     or the marked surface is invalid, the result is None.
     """
-    chains = _chain_marking({c.name: c.self_int for c in config.curves},
-                            Counter(n.pair() for n in config.nodes), targets,
+    chains = _chain_marking(config.self_int, config.meets, targets,
                             [c for chain in ade for c in chain])
     return None if chains is None else _marked(config, chains, ade)
 
@@ -716,14 +715,13 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     """
     names = [c.name for c in base.curves]
     position = {name: i for i, name in enumerate(names)}
-    nodes = Counter(n.pair() for n in base.nodes)
     placed: Counter = Counter()
     available = []
     for step in bases:
         pair = _pair(step.a, step.b)
-        available.append(step.occurrence < nodes[pair] - placed[pair])
+        available.append(step.occurrence < base.meets[pair] - placed[pair])
         placed[pair] += 1
-    surviving = nodes - placed
+    surviving = base.meets - placed
     is_deep = [name in deep for name in names]
     degree = [0] * len(names)
     for (a, b), k in surviving.items():
@@ -996,8 +994,7 @@ def _arm_test(base: Configuration, bases: Sequence[PlanStep], deep: frozenset,
     """
     names = [c.name for c in base.curves]
     position = {name: i for i, name in enumerate(names)}
-    surviving = (Counter(n.pair() for n in base.nodes)
-                 - Counter(_pair(step.a, step.b) for step in bases))
+    surviving = base.meets - Counter(_pair(step.a, step.b) for step in bases)
     paths = _paths(sorted(deep), surviving)
     if paths is None:
         return lambda alloc, state: False
@@ -1088,7 +1085,6 @@ def search_constructions(params: SearchParams, a0: Configuration,
         a0.curve(name)
     found: set[tuple] = set()
     wahl: dict = {}  # component string -> whether it is a Wahl chain
-    meets = Counter(n.pair() for n in a0.nodes)
 
     def is_wahl(string: tuple[int, ...]) -> bool:
         verdict = wahl.get(string)
@@ -1120,7 +1116,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
             bound = _DepthBound((4 * params.k2 + 4,) * (geo.r + params.max_blowups)) \
                 if prune else None
             outcomes: dict = {}  # the tower memo of this bound
-            for subset in _subsets(pool, geo.r, meets, geo.t2):
+            for subset in _subsets(pool, geo.r, a0.meets, geo.t2):
                 sub = a0.restrict(subset)
                 base_det = det_exact(sub.intersection_matrix())
                 if base_det == 0:

@@ -1,10 +1,14 @@
+import importlib
 import itertools
 import json
+import pkgutil
 from importlib import resources
 
 import pytest
 
-from wahlkit.cli import run
+import wahlkit
+from wahlkit.catalog.a0 import frozen_a0
+from wahlkit.cli import _ERRORS, run
 
 
 @pytest.fixture
@@ -104,15 +108,11 @@ class TestVerifyAndSearch:
 
     @pytest.mark.parametrize("text, reason", [
         ('{"curves":[{"name":"A"}],"nodes":[]}', "self_int"),
-        ('{"curves":[],"nodes":[],"ambient":{"name":"K3","k_sq":null,"chi_top":24}}',
-         "k_sq"),
-        ('{"curves":[],"nodes":[],"ambient":{"name":"K3","k_sq":[1],"chi_top":24}}',
-         "k_sq"),
         ('{"curves":[3],"nodes":[]}', "curve must be an object"),
         ('{"curves":5,"nodes":[]}', "curves must be a list"),
         ('{"curves":[],"nodes":5}', "nodes must be a list"),
-    ], ids=["curve-lacks-self_int", "k_sq-null", "k_sq-list", "curve-not-object",
-            "curves-not-list", "nodes-not-list"])
+    ], ids=["curve-lacks-self_int", "curve-not-object", "curves-not-list",
+            "nodes-not-list"])
     def test_malformed_a0_is_a_usage_error(self, capture, tmp_path, text, reason):
         bad = tmp_path / "a0.json"
         bad.write_text(text)
@@ -120,17 +120,28 @@ class TestVerifyAndSearch:
         assert code == 2
         assert err.startswith("error:") and reason in err
 
-    @pytest.mark.parametrize("ambient, reason", [
-        ('{"name":"K3"}', "lacks"),
-        ('24', "must be an object"),
-    ])
-    def test_malformed_ambient_is_a_usage_error(self, capture, tmp_path,
-                                                ambient, reason):
+    @pytest.mark.parametrize("ambient", [
+        '{"name":"K3","k_sq":0,"chi_top":24}',
+        '{"name":"K3","k_sq":null,"chi_top":24}',
+        '{"name":"K3","k_sq":[1],"chi_top":24}',
+        '{"name":"K3"}',
+        '24',
+    ], ids=["k3", "k_sq-null", "k_sq-list", "lacks-fields", "not-object"])
+    def test_ambient_key_is_a_usage_error(self, capture, tmp_path, ambient):
+        # the ambient surface is always a K3: no input names it
         bad = tmp_path / "a0.json"
         bad.write_text('{"curves":[],"nodes":[],"ambient":%s}' % ambient)
         code, _, err = capture("verify", "--a0", str(bad), "--no-infer")
-        assert code == 2
-        assert err.startswith("error:") and reason in err
+        assert (code, err) == (2, f"error: {bad}: unknown fields: ['ambient']")
+
+    def test_a0_missing_a_curve_is_a_usage_error(self, capture, tmp_path):
+        payload = json.loads(frozen_a0().to_json())
+        payload["curves"] = [c for c in payload["curves"] if c["name"] != "D4"]
+        payload["nodes"] = [n for n in payload["nodes"] if "D4" not in n]
+        bad = tmp_path / "a0.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = capture("verify", "--a0", str(bad))
+        assert (code, err) == (2, "error: unknown curve 'D4'")
 
     @pytest.mark.parametrize("option", ["--a0", "--records", "--expected"])
     def test_missing_input_file_is_a_usage_error(self, capture, tmp_path, option):
@@ -315,3 +326,19 @@ class TestVerifyAndSearch:
         assert "solutions: 1 (unique: True)" in out
         from wahlkit.catalog.a0 import frozen_a0, incidences_of, load_a0
         assert incidences_of(load_a0(out_path)) == incidences_of(frozen_a0())
+
+
+def test_every_error_class_is_a_usage_error():
+    """Every wahlkit error class is a ValueError, so the CLI turns it into an
+    `error:` line with exit code 2 instead of a traceback."""
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.walk_packages(wahlkit.__path__, "wahlkit.")
+               if info.name != "wahlkit.__main__"]
+    classes = {obj for module in modules for name, obj in vars(module).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__.startswith("wahlkit") and not name.startswith("_")}
+    assert {c.__name__ for c in classes} == {"AssemblyError", "CatalogError", "ChainError",
+                                             "ConfigurationError", "PlanError",
+                                             "RecordError"}
+    for cls in classes:
+        assert issubclass(cls, ValueError) and issubclass(cls, _ERRORS), cls

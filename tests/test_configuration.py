@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from wahlkit.catalog.a0 import frozen_a0
 from wahlkit.configuration import (Configuration, ConfigurationError, det_exact,
                                    geography_check, rank_exact)
+from wahlkit.plans import BlowupPlan, PlanStep
 
 
 def cofactor_det(matrix):
@@ -56,6 +58,25 @@ class TestStructure:
         assert cfg.pairing("A", "B") == 2
         assert cfg.self_nodes("A") == 1
         assert cfg.t2 == 3
+
+    @pytest.mark.parametrize("query", [
+        lambda cfg: cfg.curve("X"),
+        lambda cfg: cfg.pairing("X", "X"),
+        lambda cfg: cfg.intersection_matrix(["A", "X"]),
+        lambda cfg: cfg.restrict(["A", "X"]),
+    ], ids=["curve", "pairing", "intersection_matrix", "restrict"])
+    @pytest.mark.parametrize("built", [False, True], ids=["cold", "warm"])
+    def test_unknown_curve_is_a_configuration_error(self, query, built):
+        cfg = Configuration.build([("A", -2), ("B", -2)], [("A", "B")])
+        if built:
+            cfg.intersection_matrix()
+        with pytest.raises(ConfigurationError, match="unknown curve 'X'"):
+            query(cfg)
+
+    def test_unknown_curve_has_no_neighbors_or_self_nodes(self):
+        cfg = Configuration.build([("A", -2), ("B", -2)], [("A", "B"), ("A", "A")])
+        assert cfg.neighbors("X") == {} and cfg.self_nodes("X") == 0
+        assert cfg.neighbors("A") == {"B": 1} and cfg.self_nodes("A") == 1
 
     def test_json_round_trip(self):
         cfg = Configuration.build([("A", -2), ("B", -3)], [("A", "B"), ("A", "A")])
@@ -196,16 +217,27 @@ class TestBlowUp:
 
 
 class TestPairTable:
-    """`pairing` off the diagonal reads a node-count table built on first use."""
+    """Every query reads one graph (`self_int`, `meets`) built on first use."""
 
     @staticmethod
     def _check(cfg):
+        """The queries against a plain scan of the curves and the nodes."""
         for a in cfg.curves:
+            assert cfg.curve(a.name) == a
             assert cfg.pairing(a.name, a.name) == a.self_int
+            others = [node.other(a.name) for node in cfg.nodes_at(a.name)]
+            assert cfg.self_nodes(a.name) == others.count(a.name)
+            around = Counter(other for other in others if other != a.name)
+            # in the order of their first nodes, as Counter counts them
+            assert list(cfg.neighbors(a.name).items()) == list(around.items())
             for b in cfg.curves:
                 if a != b:
                     assert cfg.pairing(a.name, b.name) == \
                         len(cfg.nodes_between(a.name, b.name)), (a, b)
+        names = [c.name for c in cfg.curves]
+        assert cfg.intersection_matrix() == [
+            [c.self_int if c.name == b else len(cfg.nodes_between(c.name, b))
+             for b in names] for c in cfg.curves]
 
     def test_matches_node_scan_on_a0(self):
         a0 = frozen_a0()
@@ -237,11 +269,25 @@ class TestPairTable:
         sub = sub.blow_up(sub.nodes[0].id)
         for cfg in (a0, sub):
             text = cfg.to_json()
-            fresh = Configuration(cfg.curves, cfg.nodes, cfg.ambient, cfg.blowup_count)
+            fresh = Configuration(cfg.curves, cfg.nodes, cfg.blowup_count)
+            for c in cfg.curves:
+                cfg.curve(c.name), cfg.neighbors(c.name), cfg.self_nodes(c.name)
             cfg.intersection_matrix()
+            assert {"self_int", "meets", "_around"} <= vars(cfg).keys()
             assert cfg == fresh and hash(cfg) == hash(fresh)
             assert repr(cfg) == repr(fresh)
             assert cfg.to_json() == fresh.to_json() == text
+
+
+    def test_replay_builds_no_graph(self):
+        # plan replay blows up configurations nobody queries: building their
+        # graph would cost every replayed step
+        cfg = Configuration.build([("G", -2), ("H", -2)], [("G", "H"), ("G", "H")])
+        plan = BlowupPlan((PlanStep("G", "H"), PlanStep("E1", "G"), PlanStep("G", "H")))
+        out = plan.execute(cfg)
+        for config in (cfg, cfg.blow_up(0), out):
+            assert not {"self_int", "meets", "_around"} & vars(config).keys()
+        assert out.blowup_count == 3
 
 
 class TestInvariants:
