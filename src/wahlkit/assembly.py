@@ -21,7 +21,7 @@ from typing import Optional
 
 from .chains import (CyclicQuotient, TSingularity, WahlSingularity, blow_down_compose,
                      discrepancies, meridian_exponents, t_singularity, wahl_singularity)
-from .configuration import Configuration, rank_exact
+from .configuration import Configuration
 
 __all__ = [
     "AssemblyError", "MarkedSurface", "Witness", "NefAmpleReport",
@@ -253,10 +253,10 @@ def obstruction_dim(config: Configuration, ambient_rank_cap: Optional[int] = Non
     """dim H^2(X, T_X) = r minus the (capped) rank of the Gram matrix.
 
     Zero exactly when the Gram matrix is invertible; the cap models the
-    Picard number of the ambient surface.
+    Picard number of the ambient surface.  The rank is the one kept with
+    the configuration (`Configuration.rank_det`).
     """
-    matrix = config.intersection_matrix()
-    rank = rank_exact(matrix)
+    rank = config.rank_det[0]
     if ambient_rank_cap is not None:
         rank = min(rank, ambient_rank_cap)
     return config.r - rank

@@ -9,7 +9,9 @@ multiplier as U+00D7 (ASCII 'n'/'x' are accepted).  Sections, separated by
 " - ": header with K^2, curve set in braces, determinant, comma-separated
 blow-up steps (possibly empty), then one section per expected Wahl chain.
 Bracket groups mark points blown up more than once; their patterns are
-stored verbatim and interpreted only by plan search.
+stored verbatim, so a record prints as it was read, and no computation
+reads them: plan inference takes only each step's base pair, and the
+stated chains fix the tower sizes.
 """
 from __future__ import annotations
 

@@ -10,7 +10,9 @@ All derived linear algebra is exact over the integers.
 A configuration is immutable, so every query reads one graph built the
 first time it is asked for and kept with the instance: `self_int`, each
 curve's self-intersection, and `meets`, each curve pair's node count.  The
-blow-up engine and plan replay read the nodes themselves and build no graph.
+rank and determinant of its intersection matrix (`rank_det`) are kept the
+same way, from one elimination.  The blow-up engine and plan replay read
+the nodes themselves and build no graph.
 """
 from __future__ import annotations
 
@@ -121,6 +123,12 @@ class Configuration:
     def meets(self) -> Counter:
         """Each curve pair, as `Node.pair` orders it, -> its number of nodes."""
         return Counter(n.pair() for n in self.nodes)
+
+    @cached_property
+    def rank_det(self) -> tuple[int, int]:
+        """(rank, det) of the intersection matrix in curve order, from one
+        elimination (`_bareiss`), kept with the instance like the graph."""
+        return _bareiss(self.intersection_matrix())
 
     @cached_property
     def _around(self) -> dict[str, dict[str, int]]:
@@ -246,13 +254,17 @@ class Configuration:
         return out
 
     def restrict(self, names: Sequence[str]) -> "Configuration":
-        """Sub-configuration on the named curves (keeps only internal nodes)."""
+        """Sub-configuration on the named curves (keeps only internal nodes).
+
+        It keeps the blow-ups so far, so K stays as `pk_invariants` counts it
+        and the next blow-up's curve is named after the last one.
+        """
         keep = set(names)
         for name in names:
             self.curve(name)
         curves = tuple(c for c in self.curves if c.name in keep)
         nodes = tuple(n for n in self.nodes if n.a in keep and n.b in keep)
-        return Configuration(curves, nodes)
+        return Configuration(curves, nodes, self.blowup_count)
 
     # -- serialization ------------------------------------------------------
 

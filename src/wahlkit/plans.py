@@ -12,6 +12,9 @@ search.  Plan inference (`infer_plan`) and construction search
   before it on the same curve pair.  That is the first of its multiset
   among the combinations of node ids, so choices come in lexicographic
   order with no duplicate to drop;
+- `_allocations` gives the tower sizes of a choice, as compositions of
+  the blow-ups: all of them in search, those the stated chains pin
+  (`_pins`) in inference;
 - `_leaves` distributes the blow-ups over the chosen nodes (one allocation
   at a time), branches over the abstract outcomes of each tower
   (`_tower_outcomes`), and yields every completed search state.  It
@@ -24,21 +27,22 @@ search.  Plan inference (`infer_plan`) and construction search
 Both searches then run one leaf pipeline, and differ only in the chains
 they accept.  First each leaf is decided on its integers (`_arm_test`).
 A chain that a search keeps is L + M + R: M is a path of base curves
-joined by surviving base nodes, found once per base-node choice, and L and
-R are the runs of tower curves that hang off M's two ends, on either side
-of each tower's one (-1)-curve.  A leaf fails once one such string is not
-a chain the search accepts: a Wahl chain in search (no ADE chain is one),
-a stated chain, either way round, in inference.  Only a leaf that passes
-has its towers named (`_tower_scripts`) and its graph built
-(`_State.graph`), and is marked on it: greedily in search
-(`_greedy_mark`), into the stated chains in inference (`_chain_marking`,
-the search behind `mark_chains`).  The marking names and orders the
-chains, and it also decides the paths that meet a curve at -1 or above,
-which the arm test leaves alone.  A configuration is built, by replaying
-the leaf's steps with `BlowupPlan.execute`, only for a leaf that marks:
-inference keeps it if its marked surface is valid, search if it has Wahl
-chains and no ADE chain and its canonical class is ample.  Pruning only
-ever discards states that provably cannot reach the chains sought.
+joined by surviving base nodes, found once per base-node choice
+(`_tested_paths`), and L and R are the runs of tower curves that hang off
+M's two ends, on either side of each tower's one (-1)-curve.  A leaf fails
+once one such string is not a chain the search accepts: a Wahl chain in
+search (no ADE chain is one), a stated chain, either way round, in
+inference.  Only a leaf that passes has its towers named (`_tower_scripts`)
+and its graph built (`_State.graph`), and is marked on it: greedily in
+search (`_greedy_mark`), into the stated chains in inference
+(`_chain_marking`, the search behind `mark_chains`).  The marking names
+and orders the chains, and it also decides the paths that meet a curve at
+-1 or above, which the arm test leaves alone.  A configuration is built,
+by replaying the leaf's steps with `BlowupPlan.execute`, only for a leaf
+that marks: inference keeps it if its marked surface is valid, search if
+it has Wahl chains and no ADE chain and its canonical class is ample.
+Pruning only ever discards states that provably cannot reach the chains
+sought.
 
 Both searches run the same chain-shape rules, on one premise: every
 curve of a kept leaf other than its (-1)-curves lies in a chain.  Search
@@ -52,15 +56,19 @@ base-node choice (`_PathPrefix`), and a state is dropped once such a curve
 has more than two final non-(-1) neighbours (the degree rule of
 `_leaves`).  On the same premise each such path, with its arms, is one
 whole chain, which the arm test reads.  A curve at -1 or above may end as
-a surviving (-1)-curve, so it is exempt from all three.  Inference adds
-its chain-specific rules on top (`_ChoicePrefix`).  A failing prefix is
-not extended, and it counts as one state, as a yielded choice and a tower
-outcome do: every state counted is work done, so the budget bounds time.
-The state that goes over the budget raises `_Exhausted`, which each search
-catches once: it stops at exactly `max_states + 1` states, `exhausted`.
-With `prune=False` a search runs no rule: no depth bound, no substring
-pool and no deep curves; the arm test then tests no path, and every leaf
-is marked.  A tower's abstract outcomes depend only on its size and the
+a surviving (-1)-curve, so it is exempt from all three.  Inference reads
+the same paths once more, before any tower is placed: each must lie in a
+distinct stated chain, and the rest of that chain beyond each end of the
+path is the arm one tower holds there, so the stated chains fix the size
+of every tower whose sides are all at tested paths (`_pins`).  A
+failing prefix is not extended, and it counts as one state, as a yielded
+choice and a tower outcome do: every state counted is work done, so the
+budget bounds time.  The state that goes over the budget raises
+`_Exhausted`, which each search catches once: it stops at exactly
+`max_states + 1` states, `exhausted`.  With `prune=False` a search runs
+no rule: no depth bound, no substring pool and no deep curves; the arm
+test then tests no path, no tower size is pinned, and every leaf is
+marked.  A tower's abstract outcomes depend only on its size and the
 search's limits; each search call memoises them, per depth bound, in its
 own table.  In both searches each tower keeps exactly one surviving
 (-1)-curve (`_tower_outcomes`), so every blow-up of the tower lands next
@@ -69,6 +77,7 @@ dropping a word once its finished runs leave the chains.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from collections import Counter
@@ -78,8 +87,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .assembly import (AssemblyError, MarkedSurface, SurfaceReport, k_squared,
                        nef_ample_check, surface_report)
 from .chains import wahl_singularity
-from .configuration import (Configuration, ConfigurationError, _pair, det_exact,
-                            geography_check)
+from .configuration import Configuration, ConfigurationError, _pair, geography_check
 from .catalog.records import BlowupSpec, ChainSpec, SurfaceRecord
 
 __all__ = [
@@ -325,9 +333,10 @@ def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool
       at most r + B - sum(len) surviving (-1)s; for a record that fits the
       geography that is the number of towers, so the towers' (-1)s are
       all the curves a leaf leaves unmarked.  That fit is the premise of
-      the chain-shape rules and the arm test (see the module docstring): a
-      record outside it gets only the plans in which each tower keeps one
-      (-1) and the unmarked (-2)-curves obey those rules too.
+      the chain-shape rules, the arm test and the pins (see the module
+      docstring): a record outside it gets only the plans in which each
+      tower keeps one (-1) and the unmarked (-2)-curves obey those rules
+      too.
     """
     out = []
     stack: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((1,), 0, ())]
@@ -391,39 +400,42 @@ def _tower_scripts(base: PlanStep, count: int, script: tuple[int, ...]
     return tuple(steps), tuple(local)
 
 
-def _allocations(total: int, hints: Sequence[Optional[int]]) -> Iterable[tuple[int, ...]]:
-    """Compositions of `total` into len(hints) positive sizes, hinted sizes first.
+def _allocations(total: int, pins: Iterable[tuple[Optional[int], ...]]
+                 ) -> Iterator[tuple[int, ...]]:
+    """The tower sizes summing to `total` that some pin admits, each once, in
+    lexicographic order.
 
-    Lazily yields allocations by increasing total deviation from the hints
-    (bracket-pattern lengths), so the hinted allocation comes out first
-    without materializing the composition space.
+    A pin gives each tower side its arm length (`_pins`: side 2i at
+    `bases[i].a`, 2i + 1 at `.b`), or None where the side is free.  Tower
+    i then has |L'| + 1 + |R'| curves: exactly that many if both its sides
+    are pinned, and at least that many otherwise.  The pin with every side
+    free admits every composition of `total` into positive sizes, and
+    search uses only that one.  Lazy, so no composition space is built.
     """
-    n = len(hints)
+    # per pin, each tower's least size and whether it may be larger
+    spans = {tuple((1 + (a or 0) + (b or 0), None in (a, b))
+                   for a, b in zip(pin[::2], pin[1::2])) for pin in pins}
 
-    def layer(deviation: Optional[int]) -> Iterable[tuple[int, ...]]:
-        def rec(i: int, left: int, bad_left: Optional[int], acc: list[int]):
-            if i == n:
-                if left == 0 and (bad_left is None or bad_left == 0):
+    def compositions(span: tuple[tuple[int, bool], ...]) -> Iterator[tuple[int, ...]]:
+        least = [sum(low for low, _ in span[i:]) for i in range(len(span) + 1)]
+        acc: list[int] = []
+
+        def rec(i: int, left: int) -> Iterator[tuple[int, ...]]:
+            if i == len(span):
+                if left == 0:
                     yield tuple(acc)
                 return
-            for s in range(1, left - (n - i - 1) + 1):
-                if bad_left is None:
-                    b = None
-                else:
-                    b = bad_left - (abs(s - hints[i]) if hints[i] is not None else 0)
-                    if b < 0:
-                        continue
+            low, free = span[i]
+            for s in range(low, (left - least[i + 1] if free else low) + 1):
                 acc.append(s)
-                yield from rec(i + 1, left - s, b, acc)
+                yield from rec(i + 1, left - s)
                 acc.pop()
-        yield from rec(0, total, deviation, [])
+        return rec(0, total)
 
-    if all(h is None for h in hints):
-        yield from layer(None)
-        return
-    max_bad = total + sum(h for h in hints if h is not None)
-    for deviation in range(max_bad + 1):
-        yield from layer(deviation)
+    if len(spans) == 1:  # as in search: nothing to merge
+        return compositions(spans.pop())
+    merged = heapq.merge(*map(compositions, spans))
+    return (alloc for alloc, _ in itertools.groupby(merged))
 
 
 def _base_choices(base: Configuration, m: int, result, max_states: int,
@@ -436,12 +448,11 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     a node may be chosen only if the node before it on the same curve pair
     is.
 
-    The decided nodes run through a `prefix` filter (`_PathPrefix`, or
-    inference's `_ChoicePrefix`; by default the path rule over no curves,
-    which admits every choice).  A prefix that fails it is not extended,
-    and only feasible choices are yielded.  Each yielded choice and each
-    rejected prefix (which has a completion: `room` stops the others)
-    counts as one state of `result`, a rejected prefix also in
+    The nodes left unchosen run through the path rule `prefix` (by default
+    over no curves, which admits every choice).  A prefix that fails it is
+    not extended, and only feasible choices are yielded.  Each yielded
+    choice and each rejected prefix (which has a completion: `room` stops
+    the others) counts as one state of `result`, a rejected prefix also in
     `result.pruned` (`_spend`); the state that exceeds `max_states` raises
     `_Exhausted`.
     """
@@ -465,11 +476,7 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
         while i < len(nodes):
             pair = pairs[i]
             if need and pair not in closed:
-                nxt = state.chosen(nodes[i])
-                if nxt is None:
-                    _spend(result, max_states, rejected=True)
-                else:
-                    yield from extend(i + 1, chosen + (i,), closed, room - 1, nxt)
+                yield from extend(i + 1, chosen + (i,), closed, room - 1, state)
                 # leave node i unchosen, which closes its pair
                 room -= left[i][pair]
                 if room < need:
@@ -505,8 +512,9 @@ class _PathPrefix:
     cycle.  A curve at -1 or above may end as a (-1)-curve outside every
     chain, so its nodes are exempt; over no deep curves the rule admits
     every choice.  Deciding more nodes only adds edges, so a prefix that
-    fails has no feasible completion.  `chosen` and `unchosen` return the
-    extended prefix, or None when it fails.
+    fails has no feasible completion.  A chosen node adds no edge, so only
+    `unchosen` extends the prefix: it returns the extended prefix, or None
+    when it fails.
     """
 
     __slots__ = ("deep", "degree", "ends")
@@ -521,21 +529,10 @@ class _PathPrefix:
         """The prefix with no node decided, over the curves `deep`."""
         return cls(deep, {}, {})
 
-    def chosen(self, node) -> "_PathPrefix":
-        return self
-
     def unchosen(self, node) -> Optional["_PathPrefix"]:
-        joined = self._join(node)
-        if joined is None:
-            return None
-        # an exempt node leaves the prefix as it is
-        return self if joined[0] is self.degree else _PathPrefix(self.deep, *joined)
-
-    def _join(self, node) -> Optional[tuple[dict, dict]]:
-        """The degrees and path ends once `node` survives, or None."""
         a, b = node.a, node.b
         if node.is_self_node or a not in self.deep or b not in self.deep:
-            return self.degree, self.ends
+            return self  # an exempt node leaves the prefix as it is
         degree = dict(self.degree)
         degree[a] = degree.get(a, 0) + 1
         degree[b] = degree.get(b, 0) + 1
@@ -549,69 +546,7 @@ class _PathPrefix:
         ends = dict(self.ends)
         ends[end_a] = end_b
         ends[end_b] = end_a
-        return degree, ends
-
-
-class _ChoicePrefix(_PathPrefix):
-    """Inference's rules on the base nodes decided so far, in id order.
-
-    - The path rule it inherits from `_PathPrefix`, which search runs alone.
-    - Every incident chosen node sinks its curve one step, so the depths
-      2 + incidences must pass the depth bound.
-    - A surviving node's endpoint depths must be dominated by some
-      adjacent entry pair of a stated chain.
-
-    Deciding more nodes only adds incidences and surviving nodes, so a
-    prefix that fails a rule has no feasible completion.  `chosen` and
-    `unchosen` return the extended prefix, or None when it fails.
-    """
-
-    __slots__ = ("bound", "reach", "inc", "surviving")
-
-    def __init__(self, deep: frozenset, degree: dict, ends: dict, bound: _DepthBound,
-                 reach: tuple[int, ...], inc: dict, surviving: tuple) -> None:
-        super().__init__(deep, degree, ends)
-        self.bound = bound
-        self.reach = reach
-        self.inc = inc
-        self.surviving = surviving
-
-    @classmethod
-    def of_chains(cls, targets: Sequence[tuple[int, ...]], bound: _DepthBound,
-                  deep: frozenset) -> "_ChoicePrefix":
-        adjacent = {(t[i], t[i + 1]) for t in targets for i in range(len(t) - 1)}
-        adjacent |= {(y, x) for x, y in adjacent}
-        top = max((x for x, _ in adjacent), default=-1)
-        # reach[d]: the deepest partner of an adjacent entry at least d deep
-        reach = tuple(max(y for x, y in adjacent if x >= d) for d in range(top + 1))
-        return cls(deep, {}, {}, bound, reach, {}, ())
-
-    def _dominated(self, inc: dict, u: str, v: str) -> bool:
-        du, dv = 2 + inc.get(u, 0), 2 + inc.get(v, 0)
-        return du < len(self.reach) and dv <= self.reach[du]
-
-    def chosen(self, node) -> Optional["_ChoicePrefix"]:
-        inc = dict(self.inc)
-        inc[node.a] = inc.get(node.a, 0) + 1
-        inc[node.b] = inc.get(node.b, 0) + 1
-        if not self.bound.admits([2 + k for k in inc.values()]):
-            return None
-        # only the surviving nodes on the two deepened curves can fail anew
-        ends = (node.a, node.b)
-        if not all(self._dominated(inc, u, v) for u, v in self.surviving
-                   if u in ends or v in ends):
-            return None
-        return _ChoicePrefix(self.deep, self.degree, self.ends, self.bound, self.reach,
-                             inc, self.surviving)
-
-    def unchosen(self, node) -> Optional["_ChoicePrefix"]:
-        if node.is_self_node:
-            return self  # its curve can only survive as a free nodal curve
-        joined = self._join(node)
-        if joined is None or not self._dominated(self.inc, node.a, node.b):
-            return None
-        return _ChoicePrefix(self.deep, *joined, self.bound, self.reach, self.inc,
-                             self.surviving + ((node.a, node.b),))
+        return _PathPrefix(self.deep, degree, ends)
 
 
 class _State:
@@ -782,10 +717,13 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
                max_states: int = 200000, prune: bool = True) -> InferenceResult:
     """Recover a concrete blow-up plan realizing the record, by search.
 
-    The number of blow-ups is forced by K^2; bracket patterns only rank the
-    size allocations tried first.  Succeeds when some interpretation yields
-    a marked surface whose chains are exactly the stated ones; the survivor
-    is re-certified (ample check, K^2, obstruction) in the result report.
+    The number of blow-ups is forced by K^2.  The record's steps, if it
+    has any, fix the base nodes blown up; otherwise every choice of
+    P + K^2 base nodes is walked (`_base_choices`).  For each choice the
+    stated chains pin the tower sizes (`_pins`); bracket patterns are not
+    read.  Succeeds when some interpretation yields a marked surface whose
+    chains are exactly the stated ones; the survivor is re-certified
+    (ample check, K^2, obstruction) in the result report.
     """
     if max_states < 0:
         raise PlanError(f"max_states must be nonnegative, got {max_states}")
@@ -805,18 +743,16 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     b_total = record.blowup_total
     if b_total < 0:
         raise PlanError(f"({record.rid}): negative blow-up count")
-    # every exceptional curve ends inside a chain or as a surviving (-1);
-    # with all base curves available for chains this bounds the survivors
-    ones_total = b_total - sum(len(t) for t in targets) + len(base.curves)
     outcomes: dict = {}
     stated = {chain for t in targets for chain in (t, t[::-1])}
 
-    def run_bases(bases: list[PlanStep], hints: list[Optional[int]]
-                  ) -> Optional[tuple[BlowupPlan, MarkedSurface]]:
-        if len(bases) > min(b_total, ones_total):
-            return None  # every tower takes a blow-up and keeps a (-1)-curve
-        passes = _arm_test(base, bases, deep, stated.__contains__)
-        for alloc, state in _leaves(base, bases, _allocations(b_total, hints), bound,
+    def run_bases(bases: list[PlanStep]) -> Optional[tuple[BlowupPlan, MarkedSurface]]:
+        tested = _tested_paths(base, bases, deep)
+        pins = _pins(base, bases, tested, targets) if tested is not None else ()
+        if not pins:
+            return None  # no leaf passes the arm test and the degree rule
+        passes = _arm_test(base, bases, tested, stated.__contains__)
+        for alloc, state in _leaves(base, bases, _allocations(b_total, pins), bound,
                                     pool, outcomes, result, max_states, deep):
             if not passes(alloc, state):
                 continue
@@ -833,20 +769,14 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         if record.steps:
             # a step always blows the first surviving node of its pair: the two
             # nodes of a doubly-meeting pair are interchangeable until one goes
-            bases = []
-            hints: list[Optional[int]] = []
-            for spec in record.steps:
-                bases.append(PlanStep(*_pair(spec.a, spec.b)))
-                hints.append(len(spec.pattern) if spec.pattern is not None else 1)
-            found = run_bases(bases, hints)
+            found = run_bases([PlanStep(*_pair(spec.a, spec.b)) for spec in record.steps])
         elif b_total == 0:
-            found = run_bases([], [])
+            found = run_bases([])
         else:
             # free search over base-node choices of the forced size
             m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
-            prefix = _ChoicePrefix.of_chains(targets, bound, deep) if prune else None
-            for _, pairs in _base_choices(base, m, result, max_states, prefix):
-                found = run_bases([PlanStep(a, b) for a, b in pairs], [None] * m)
+            for _, pairs in _base_choices(base, m, result, max_states, _PathPrefix.of(deep)):
+                found = run_bases([PlanStep(a, b) for a, b in pairs])
                 if found is not None:
                     break
     except _Exhausted:
@@ -955,7 +885,88 @@ def _greedy_mark(self_int: dict[str, int], meets: Counter
     return tuple(wahl), tuple(ade)
 
 
-def _arm_test(base: Configuration, bases: Sequence[PlanStep], deep: frozenset,
+def _tested_paths(base: Configuration, bases: Sequence[PlanStep], deep: frozenset
+                  ) -> Optional[list[tuple[str, ...]]]:
+    """The paths of one base choice that the arm test reads, or None.
+
+    The surviving nodes between base curves of `deep` form paths (`_paths`),
+    found once per base-node choice.  A path that meets a curve at -1 or
+    above through a surviving node is left out: that curve may end as a
+    (-1)-curve or in the path's component.  None if the curves of `deep`
+    meet in anything but paths (no path rule has run); with `deep` empty,
+    as when a search does not prune, there is no path.
+    """
+    surviving = base.meets - Counter(_pair(step.a, step.b) for step in bases)
+    paths = _paths(sorted(deep), surviving)
+    if paths is None:
+        return None
+    shallow = {c for a, b in surviving if (a in deep) != (b in deep) for c in (a, b)}
+    return [path for path in paths if shallow.isdisjoint(path)]
+
+
+def _pins(base: Configuration, bases: Sequence[PlanStep],
+          tested: Sequence[tuple[str, ...]], targets: Sequence[tuple[int, ...]]
+          ) -> set[tuple[Optional[int], ...]]:
+    """The tower arms that the stated chains leave one base choice.
+
+    On the premise of both searches (see the module docstring) each tested
+    path (`_tested_paths`) is the middle M of one chain L + M + R, and the
+    arms L and R hang off its two ends, each held by one tower
+    (`_arm_test`).  So each tested path is laid as a contiguous run of a
+    stated chain, a distinct one per path, either way round, with every
+    entry at least the depth its curve reaches once blown up: its depth in
+    `base` plus one per tower side on it.  The remainder beyond each end of the run, if not empty,
+    goes to one tower side at that end.  Every other side at a tested
+    path's curve holds no arm, and a side at any other curve is free.
+
+    Returns one pin per way to do this, each giving tower side 2i (at
+    `bases[i].a`) and side 2i + 1 (at `.b`) its arm length, or None where
+    it is free; `_allocations` reads them as tower sizes.  A leaf that
+    passes the arm test and the degree rule of `_leaves` lays its tested
+    paths so, and so has a size allocation some pin admits.  No tested
+    path (no pruning) leaves one pin with every side free.
+    """
+    sides: dict[str, list[int]] = {}
+    for i, step in enumerate(bases):
+        sides.setdefault(step.a, []).append(2 * i)
+        sides.setdefault(step.b, []).append(2 * i + 1)
+    floor = {name: len(sides.get(name, ())) - s for name, s in base.self_int.items()}
+    unlaid: list[Optional[int]] = [None] * (2 * len(bases))
+    for c in itertools.chain.from_iterable(tested):
+        for side in sides.get(c, ()):
+            unlaid[side] = 0
+    pins: set[tuple[Optional[int], ...]] = set()
+
+    def lay(k: int, used: frozenset, pin: list[Optional[int]]) -> None:
+        if k == len(tested):
+            pins.add(tuple(pin))
+            return
+        path = tested[k]
+        for j, target in enumerate(targets):
+            if j in used:
+                continue
+            for chain in (target, target[::-1]):
+                for start in range(len(chain) - len(path) + 1):
+                    if any(chain[start + x] < floor[c] for x, c in enumerate(path)):
+                        continue
+                    left, right = start, len(chain) - start - len(path)
+                    for a in sides.get(path[0], ()) if left else (None,):
+                        for b in sides.get(path[-1], ()) if right else (None,):
+                            if a is not None and a == b:
+                                continue
+                            laid = list(pin)
+                            if a is not None:
+                                laid[a] = left
+                            if b is not None:
+                                laid[b] = right
+                            lay(k + 1, used | {j}, laid)
+
+    lay(0, frozenset(), unlaid)
+    return pins
+
+
+def _arm_test(base: Configuration, bases: Sequence[PlanStep],
+              tested: Optional[Sequence[tuple[str, ...]]],
               accepts: Callable[[tuple[int, ...]], bool]
               ) -> Callable[[tuple[int, ...], _State], bool]:
     """The leaf verdict of one base choice, read off a leaf's integers.
@@ -964,16 +975,17 @@ def _arm_test(base: Configuration, bases: Sequence[PlanStep], deep: frozenset,
     run before they build its graph.  It is False only for leaves whose
     marking the search rejects, on the premise of both searches (see the
     module docstring): every non-(-1) component of a kept leaf is one chain
-    that the search accepts.  The surviving nodes between base curves of
-    `deep` form simple paths; on a leaf each path is one non-(-1) component
+    that the search accepts.  The surviving nodes between deep base curves
+    form simple paths, and `tested` holds those the test reads
+    (`_tested_paths`); on a leaf each path is one non-(-1) component
     with the tower arms that hang off its ends.  Tower i's string has
     exactly one 1, at k (`_tower_outcomes`): the run before it, xs[:k],
     hangs off `bases[i].a` and the run after it, read from the other end,
     xs[:k:-1], off `bases[i].b`.  A component's string is the arm at the
     path's first end reversed, the depths of the path's curves, then the
     arm at its last end (a one-curve path may carry one at each side).  By
-    the degree rule of `_leaves`, run with the same `deep`, no other arm
-    hangs off a path.  The test passes a leaf when `accepts` every such
+    the degree rule of `_leaves`, run with the same deep curves, no other
+    arm hangs off a path.  The test passes a leaf when `accepts` every such
     string, in the orientation just read:
 
     - search accepts the Wahl chains, which no all-2 string (an ADE chain)
@@ -983,24 +995,17 @@ def _arm_test(base: Configuration, bases: Sequence[PlanStep], deep: frozenset,
       fails the leaves that `_chain_marking` cannot mark into them.
 
     A leaf with a tower that keeps more than one 1 passes, for the marker
-    to decide.  A path that meets a curve at -1 or above is not tested:
-    that curve may end as a (-1)-curve or in the path's component.  So on a
-    base whose curves are all in `deep` the test passes exactly the leaves
-    search marks, and otherwise the marker decides the leaves it passes.
-    If the curves of `deep` meet in anything but paths (no path rule has
-    run), no leaf passes: that shape stays in every leaf.  With `deep`
-    empty, as when a search does not prune, no path is tested and every
-    leaf passes.
+    to decide.  A path that meets a curve at -1 or above is not tested.
+    So on a base whose curves are all deep the test passes exactly the
+    leaves search marks, and otherwise the marker decides the leaves it
+    passes.  If `tested` is None (the deep curves meet in anything but
+    paths), no leaf passes: that shape stays in every leaf.  With no path
+    tested, as when a search does not prune, every leaf passes.
     """
-    names = [c.name for c in base.curves]
-    position = {name: i for i, name in enumerate(names)}
-    surviving = base.meets - Counter(_pair(step.a, step.b) for step in bases)
-    paths = _paths(sorted(deep), surviving)
-    if paths is None:
+    if tested is None:
         return lambda alloc, state: False
-    shallow = {c for a, b in surviving if (a in deep) != (b in deep) for c in (a, b)}
-    tested = [tuple(position[c] for c in path) for path in paths
-              if shallow.isdisjoint(path)]
+    position = {c.name: i for i, c in enumerate(base.curves)}
+    tested = [tuple(position[c] for c in path) for path in tested]
     ends = [(position[step.a], position[step.b]) for step in bases]
 
     def passes(alloc: tuple[int, ...], state: _State) -> bool:
@@ -1118,16 +1123,17 @@ def search_constructions(params: SearchParams, a0: Configuration,
             outcomes: dict = {}  # the tower memo of this bound
             for subset in _subsets(pool, geo.r, a0.meets, geo.t2):
                 sub = a0.restrict(subset)
-                base_det = det_exact(sub.intersection_matrix())
+                base_det = sub.rank_det[1]
                 if base_det == 0:
                     continue
                 deep = _deep_curves(sub) if prune else frozenset()
                 for _, pairs in _base_choices(sub, m, result, params.max_states,
                                               _PathPrefix.of(deep)):
                     bases = [PlanStep(a, b) for a, b in pairs]
-                    passes = _arm_test(sub, bases, deep, is_wahl)
+                    passes = _arm_test(sub, bases, _tested_paths(sub, bases, deep),
+                                       is_wahl)
                     allocs = itertools.chain.from_iterable(
-                        _allocations(total, [None] * m)
+                        _allocations(total, [(None,) * (2 * m)])
                         for total in range(m, params.max_blowups + 1))
                     for alloc, state in _leaves(sub, bases, allocs, bound, None, outcomes,
                                                 result, params.max_states, deep):

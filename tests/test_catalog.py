@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -239,21 +240,35 @@ class TestLedger:
     def test_full_ledger_passes(self, a0, records, expected):
         ledger = verify_all(a0, records, expected, infer_budget=250000)
         assert ledger.ok, [c.line() for c in ledger.failures()]
-        assert len(ledger.checks) > 300
         payload = ledger.to_json()
-        assert payload["ok"] and payload["passed"] == payload["total"]
-        # main 9 has no frozen plan
-        assert payload["uncertified"] == [9]
-        assert ledger.lines()[-1] == (f"{payload['total']}/{payload['total']} checks "
-                                      f"passed, 1 main uncertified (K^2=9)")
+        assert payload["ok"] and payload["passed"] == payload["total"] == 403
+        assert ledger.lines()[-1] == "403/403 checks passed"
+        # every record's plan is inferred, and every main's frozen plan replays
+        names = Counter((c.section.split(" ")[0], c.name) for c in ledger.checks)
+        assert names["record", "plan inference"] == len(records)
+        assert names["main", "recovered plan replays"] == len(expected["mains"]) == 8
 
     def test_summary_counts_uncertified_mains(self, a0, records, expected):
+        # a main with no frozen plan is a failure, not an uncertified pass
         unfrozen = json.loads(json.dumps(expected))
         del unfrozen["mains"]["8"]["recovered_plan"]
         ledger = verify_all(a0, records, unfrozen, with_inference=False)
-        assert ledger.ok and ledger.to_json()["uncertified"] == [8, 9]
-        assert ledger.lines()[-1].endswith(
-            " checks passed, 2 mains uncertified (K^2=8, 9)")
+        assert [c.line() for c in ledger.failures()] == [
+            "[FAIL] main K^2=8: recovered plan replays -- no recovered_plan is frozen"]
+        total = len(ledger.checks)
+        assert ledger.lines()[-1] == f"{total - 1}/{total} checks passed"
+        assert not ledger.to_json()["ok"] and "uncertified" not in ledger.to_json()
+
+    def test_failed_inference_fails_the_ledger(self, a0, records, expected):
+        # every hinted inference takes more than 5 states: each record fails,
+        # and says which it is and why
+        ledger = verify_all(a0, records, expected, infer_budget=5)
+        failures = ledger.failures()
+        assert [(c.section, c.name) for c in failures] == [
+            (f"record ({r.rid})", "plan inference") for r in records]
+        assert all(c.detail.startswith(f"({r.rid}) no plan after 6 states")
+                   and c.detail.endswith(": state budget exhausted")
+                   for c, r in zip(failures, records))
 
     def test_ledger_rejects_a_model_that_is_not_a0(self, a0, records, expected):
         # A4 misses the second I8 fiber; curve and node counts are unchanged

@@ -6,6 +6,8 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wahlkit import configuration
+from wahlkit.assembly import obstruction_dim
 from wahlkit.catalog.a0 import frozen_a0
 from wahlkit.configuration import (Configuration, ConfigurationError, det_exact,
                                    geography_check, rank_exact)
@@ -103,6 +105,15 @@ class TestMatrices:
         cfg = Configuration.build([("A", -2)], [])
         assert cfg.intersection_matrix([]) == []
         assert det_exact([]) == 1
+
+    def test_rank_det_is_kept(self, monkeypatch):
+        # one elimination, which obstruction_dim, the ledger and search read
+        cfg = Configuration.build([("B1", -2), ("B2", -2), ("C", -3)],
+                                  [("B1", "B2"), ("B1", "B2"), ("B2", "C")])
+        matrix = cfg.intersection_matrix()
+        assert cfg.rank_det == (rank_exact(matrix), det_exact(matrix)) == (3, 2)
+        monkeypatch.setattr(configuration, "_bareiss", None)
+        assert obstruction_dim(cfg) == 0 and obstruction_dim(cfg, 2) == 1
 
     @given(small_matrices)
     def test_det_matches_cofactor_oracle(self, rows):
@@ -214,6 +225,12 @@ class TestBlowUp:
         cfg = Configuration.build([("A", -2)], [])
         with pytest.raises(ConfigurationError):
             cfg.blow_up(0)
+
+    def test_restrict_keeps_the_blow_ups(self):
+        out = Configuration.build([("A", -2), ("B", -2)], [("A", "B")]).blow_up(0)
+        kept = out.restrict([c.name for c in out.curves])
+        assert kept == out and kept.pk_invariants() == out.pk_invariants() == (4, -1)
+        assert kept.blow_up(kept.nodes_between("A", "E1")[0].id).curve("E2").self_int == -1
 
 
 class TestPairTable:

@@ -17,7 +17,7 @@ from wahlkit.chains import wahl_singularity
 from wahlkit.configuration import Configuration, ConfigurationError, geography_check
 from wahlkit import plans
 from wahlkit.plans import (BlowupPlan, PlanError, PlanStep, SearchParams,
-                           _allocations, _base_choices, _ChoicePrefix, _deep_curves,
+                           _allocations, _base_choices, _deep_curves,
                            _DepthBound, _PathPrefix, _substring_pool, infer_plan,
                            mark_chains, search_constructions)
 
@@ -41,19 +41,14 @@ def _nodes_to_blow_up(record):
     return geography_check(len(record.chains), record.k2).nodes_to_blow_up
 
 
-def _combo_feasible(base, combo, targets=None, bound=None):
-    """Oracle: the rules of `_ChoicePrefix`, on a whole choice of base nodes.
+def _combo_feasible(base, combo):
+    """Oracle: the rule of `_PathPrefix`, on a whole choice of base nodes.
 
     Unblown non-self nodes between curves at -2 or below survive as edges
-    of every leaf's non-(-1) graph, so they must form simple disjoint
-    paths; with no targets, that rule of `_PathPrefix` is all that is
-    checked.  Every incident chosen node sinks its curve at least one step,
-    so the forced depths must embed into the stated chain entries, and the
-    endpoints of a surviving node must fit some adjacent pair of entries.
+    of every leaf's non-(-1) graph, so they must form simple disjoint paths.
     """
     deep = {c.name for c in base.curves if c.self_int <= -2}
     chosen = set(combo)
-    inc = {}
     degree = {}
     parent = {}
 
@@ -63,33 +58,19 @@ def _combo_feasible(base, combo, targets=None, bound=None):
             x = parent[x]
         return x
 
-    surviving = []
     for node in base.nodes:
-        if node.id in chosen:
-            inc[node.a] = inc.get(node.a, 0) + 1
-            inc[node.b] = inc.get(node.b, 0) + 1
-        elif not node.is_self_node:
-            surviving.append((node.a, node.b))
-            if node.a not in deep or node.b not in deep:
-                continue
-            degree[node.a] = degree.get(node.a, 0) + 1
-            degree[node.b] = degree.get(node.b, 0) + 1
-            if degree[node.a] > 2 or degree[node.b] > 2:
-                return False
-            ra, rb = find(node.a), find(node.b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-    if targets is None:
-        return True
-    if not bound.admits([2 + k for k in inc.values()]):
-        return False
-    adjacent = {(t[i], t[i + 1]) for t in targets for i in range(len(t) - 1)}
-    adjacent |= {(y, x) for x, y in adjacent}
-    for u, v in surviving:
-        du, dv = 2 + inc.get(u, 0), 2 + inc.get(v, 0)
-        if not any(x >= du and y >= dv for x, y in adjacent):
+        if node.id in chosen or node.is_self_node:
+            continue
+        if node.a not in deep or node.b not in deep:
+            continue
+        degree[node.a] = degree.get(node.a, 0) + 1
+        degree[node.b] = degree.get(node.b, 0) + 1
+        if degree[node.a] > 2 or degree[node.b] > 2:
             return False
+        ra, rb = find(node.a), find(node.b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
     return True
 
 
@@ -420,7 +401,7 @@ class TestInference:
         assert result.summary().startswith("(2.9) no plan after ")
 
     def test_state_budget_bounds_base_node_choices(self, a0, records):
-        # free inference of (8.1) rejects over 25,000 base-choice prefixes;
+        # free inference of (8.1) rejects over 75,000 base-choice prefixes;
         # each counts as a state, so a small budget stops it
         record = dataclasses.replace(records["8.1"], steps=())
         result = infer_plan(record, a0.restrict(record.curves), max_states=2000)
@@ -438,14 +419,14 @@ class TestInference:
 
     # the eight cases of the benchmark's free_infer workload, with the
     # base-choice prefixes each rejects and the states each takes
-    FREE_PRUNED = {"2.1": 5, "2.2": 9, "3.2": 5, "4.1": 32, "5.1": 566,
-                   "6.1": 1775, "7.1": 3102, "main2": 11}
-    FREE_STATES = {"2.1": 3934, "2.2": 2461, "3.2": 3865, "4.1": 949, "5.1": 2599,
-                   "6.1": 1844, "7.1": 3251, "main2": 455}
+    FREE_PRUNED = {"2.1": 5, "2.2": 8, "3.2": 5, "4.1": 26, "5.1": 684,
+                   "6.1": 2604, "7.1": 4577, "main2": 6}
+    FREE_STATES = {"2.1": 39, "2.2": 50, "3.2": 55, "4.1": 56, "5.1": 772,
+                   "6.1": 2621, "7.1": 4608, "main2": 25}
     # the state counts without the degree rule of `_leaves`, which finds the
     # same plans
-    UNSHAPED = {"2.1": 5701, "2.2": 9039, "3.2": 7346, "4.1": 1571, "5.1": 5065,
-                "6.1": 1880, "7.1": 3355, "main2": 627}
+    UNSHAPED = {"2.1": 57, "2.2": 56, "3.2": 66, "4.1": 62, "5.1": 784,
+                "6.1": 2622, "7.1": 4609, "main2": 25}
     FREE_PLANS = {
         "2.1": "A2*B1, B1*E1, B1*E2, A3*C1, C1*E4, C1*C2, C2*D1",
         "2.2": "A2*B1, A2*C1, A2*E2, A2*E3, E3*E4, E4*E5, E5*E6, A3*C1, C1*C2, C1*E9",
@@ -474,12 +455,19 @@ class TestInference:
                                                        self.FREE_PLANS[rid])
         assert without.marked.wahl_chains == result.marked.wahl_chains
 
-    @pytest.mark.parametrize("rid", ["main6", "main7", "8.1"])
+    # every record up to K^2=8, and every main; the stated chains pin the
+    # tower sizes of each base choice (`_pins`)
+    SOLVED = [r.rid for r in load_records() if r.k2 <= 8] + [f"main{k2}"
+                                                             for k2 in range(2, 10)]
+
+    @pytest.mark.parametrize("rid", SOLVED)
     def test_free_inference_within_the_default_budget(self, a0, records, rid):
         # most of these searches' states are rejected base-choice prefixes,
-        # each counted once; mains 6 and 7 recover their frozen plans
+        # each counted once; each main recovers its frozen plan, main 9
+        # after 418,685 states
         record = dataclasses.replace(records[rid], steps=())
-        result = infer_plan(record, a0.restrict(record.curves))
+        budget = 500000 if rid == "main9" else 200000
+        result = infer_plan(record, a0.restrict(record.curves), max_states=budget)
         assert result.success
         assert result.report.k2 == record.k2
         if rid.startswith("main"):
@@ -488,21 +476,22 @@ class TestInference:
                                                    for a, b, occ in frozen))
 
     def test_free_inference_budget_counts(self, a0, records):
-        # rejected base-choice prefixes exhaust the budget before any leaf
+        # rejected base-choice prefixes, and 9 choices that no pin admits,
+        # exhaust the budget before any leaf
         record = dataclasses.replace(records["8.1"], steps=())
         result = infer_plan(record, a0.restrict(record.curves), max_states=20000)
         assert not result.success
-        assert (result.states, result.pruned, result.leaves) == (20001, 20000, 0)
-        assert result.summary() == ("(8.1) no plan after 20001 states (20000 pruned), "
+        assert (result.states, result.pruned, result.leaves) == (20001, 19992, 0)
+        assert result.summary() == ("(8.1) no plan after 20001 states (19992 pruned), "
                                     "0 leaves: state budget exhausted")
         # towers exhaust the budget, and no base-node choice counts after them
         record = dataclasses.replace(records["2.1"], steps=())
-        result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
+        result = infer_plan(record, a0.restrict(record.curves), max_states=30)
         assert not result.success and result.exhausted
-        assert result.states == 3001
+        assert result.states == 31
 
     @pytest.mark.parametrize("search, budget", [
-        ("5.1", 1000), ("2.1-hinted", 5), ("bench", 1000), ("bench", 5000),
+        ("5.1", 770), ("2.1-hinted", 5), ("bench", 1000), ("bench", 5000),
     ], ids=["towers-5.1", "hinted", "search-1000", "search-5000"])
     def test_budget_stops_one_state_over(self, a0, records, search, budget):
         # as above: whichever layer spends the last state, an exhausted
@@ -561,7 +550,7 @@ class TestInference:
 
     def test_blow_ups_only_for_the_marked_leaf(self, a0, records, monkeypatch):
         # leaves are marked on their graphs, and only the leaf that marks is
-        # built: its 10 blow-ups (778 when the paths to all 79 leaves were)
+        # built: its 10 blow-ups
         calls = []
         blow_up = Configuration.blow_up
 
@@ -572,13 +561,13 @@ class TestInference:
         monkeypatch.setattr(Configuration, "blow_up", counted)
         record = dataclasses.replace(records["2.2"], steps=())
         result = infer_plan(record, a0.restrict(record.curves))
-        assert result.success and result.states == 2461
+        assert result.success and result.states == 50
         assert 0 < result.leaves < result.states
         assert len(calls) == record.blowup_total
 
     def test_failed_summary_counts_leaves(self, a0, records):
         record = dataclasses.replace(records["2.1"], steps=())
-        result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
+        result = infer_plan(record, a0.restrict(record.curves), max_states=35)
         assert not result.success and result.leaves > 0
         assert f", {result.leaves} leaves: " in result.summary()
 
@@ -639,12 +628,14 @@ class TestAbstractLeaves:
 
     def test_taken_exceptional_name_raises_without_a_leaf(self):
         # blow_up names the first tower's curves E1 and E2, and E2 is a base
-        # curve; the second tower finds no A-B node left, so no leaf is built
+        # curve; the second tower finds no A-B node left, so no leaf is built.
+        # Paths (A) and (B, E2) survive, and each lies in a [5, 2], so the
+        # stated chains admit sizes (2, 1) and a first tower of two curves
         cfg = Configuration.build([("A", -2), ("B", -2), ("E2", -2)],
                                   [("A", "B"), ("B", "E2")])
-        record = SurfaceRecord("0.9", -2, ("A", "B", "E2"), 0,
+        record = SurfaceRecord("0.9", 1, ("A", "B", "E2"), 0,
                                (BlowupSpec("A", "B", (2, 1)), BlowupSpec("A", "B", None)),
-                               (ChainSpec(3, 1, (5, 2)),))
+                               (ChainSpec(3, 1, (5, 2)), ChainSpec(3, 1, (5, 2))))
         for prune in (True, False):
             with pytest.raises(ConfigurationError, match="E2 already taken"):
                 infer_plan(record, cfg, prune=prune)
@@ -678,7 +669,7 @@ class TestAbstractLeaves:
             yielded = []
             try:
                 for leaf in _lockstep(plans._leaves)(
-                        self.TANGLE, steps, _allocations(total, [None] * len(steps)),
+                        self.TANGLE, steps, _allocations(total, [(None,) * (2 * len(steps))]),
                         bound, pool, {}, got, budget, deep):
                     yielded.append(leaf)
             except plans._Exhausted:
@@ -926,7 +917,7 @@ class TestLeafGraph:
             for _, pairs in _base_choices(tangle, m, got, sys.maxsize):
                 bases = [PlanStep(a, b) for a, b in pairs]
                 allocs = itertools.chain.from_iterable(
-                    _allocations(total, [None] * m) for total in (m, m + 1))
+                    _allocations(total, [(None,) * (2 * m)]) for total in (m, m + 1))
                 for _, state in plans._leaves(tangle, bases, allocs, None, None, {}, got,
                                               sys.maxsize):
                     self._check(tangle, state)
@@ -940,10 +931,11 @@ class TestLeafGraph:
         [("V", 2), ("X", -1)] + [(c, -2) for c in "ABC"],
         [("A", "V"), ("B", "V"), ("C", "V"), ("A", "X"), ("A", "X"), ("B", "X")])
 
+    # free, main 2's pinned tower sizes leave the rule no leaf to drop
     @pytest.mark.parametrize("rid, hinted", [(None, None), ("4.1", True), ("7.1", True),
-                                             ("main2", False)],
+                                             ("2.1", False)],
                              ids=["search-exempt", "4.1-hinted", "7.1-hinted",
-                                  "main2-free"])
+                                  "2.1-free"])
     def test_degree_rule_drops_only_rejected_leaves(self, a0, records, monkeypatch,
                                                     rid, hinted):
         # every leaf the rule drops is one the search's marker rejects:
@@ -973,7 +965,7 @@ class TestLeafGraph:
             for m in range(1, len(self.EXEMPT.nodes) + 1):
                 for _, pairs in _base_choices(self.EXEMPT, m, _Counts(), sys.maxsize):
                     allocs = itertools.chain.from_iterable(
-                        _allocations(total, [None] * m) for total in range(m, 7))
+                        _allocations(total, [(None,) * (2 * m)]) for total in range(m, 7))
                     list(plans._leaves(self.EXEMPT, [PlanStep(a, b) for a, b in pairs],
                                        allocs, None, None, {}, _Counts(), sys.maxsize,
                                        _deep_curves(self.EXEMPT)))
@@ -996,9 +988,9 @@ def _checked_arm_test(arm_test, seen):
     chain), and on a base whose curves are all deep it passes exactly those
     leaves.  `seen` counts the leaves by (verdict, marked, all deep).
     """
-    def checked(base, bases, deep, accepts):
-        passes = arm_test(base, bases, deep, accepts)
-        every = deep == {c.name for c in base.curves}
+    def checked(base, bases, tested, accepts):
+        passes = arm_test(base, bases, tested, accepts)
+        every = _deep_curves(base) == {c.name for c in base.curves}
 
         def check(alloc, state):
             verdict = passes(alloc, state)
@@ -1056,8 +1048,8 @@ class TestArmTest:
         arm_test = plans._arm_test
         seen = Counter()  # leaves by (verdict, marked)
 
-        def checked(base, bases, deep, accepts):
-            passes = arm_test(base, bases, deep, accepts)
+        def checked(base, bases, tested, accepts):
+            passes = arm_test(base, bases, tested, accepts)
 
             def check(alloc, state):
                 verdict = passes(alloc, state)
@@ -1068,7 +1060,7 @@ class TestArmTest:
             return check
 
         monkeypatch.setattr(plans, "_arm_test", checked)
-        result = infer_plan(record, a0.restrict(record.curves), max_states=3000)
+        result = infer_plan(record, a0.restrict(record.curves))
         assert sum(seen.values()) == result.leaves > 0
         assert seen[True, True] or not result.success
 
@@ -1091,10 +1083,11 @@ class TestArmTest:
         for m in range(1, len(base.nodes) + 1):
             for _, pairs in _base_choices(base, m, _Counts(), sys.maxsize):
                 bases = [PlanStep(a, b) for a, b in pairs]
-                passes = test(base, bases, deep,
+                passes = test(base, bases, plans._tested_paths(base, bases, deep),
                               lambda string: wahl_singularity(string) is not None)
                 allocs = itertools.chain.from_iterable(
-                    _allocations(total, [None] * m) for total in range(m, m + extra + 1))
+                    _allocations(total, [(None,) * (2 * m)])
+                    for total in range(m, m + extra + 1))
                 for alloc, state in plans._leaves(base, bases, allocs, None, None, {},
                                                   _Counts(), sys.maxsize, deep):
                     passes(alloc, state)
@@ -1105,7 +1098,7 @@ class TestBaseChoices:
     # records with at most 8 base nodes to blow up: the oracle enumerates
     # all combinations, 94,146 distinct choices for m = 8
     SMALL = [r.rid for r in load_records() if _nodes_to_blow_up(r) <= 8]
-    _UNLIMITED: dict = {}  # rid -> its unlimited walks, without and with the rules
+    _UNLIMITED: dict = {}  # rid -> its unlimited walks, without and with the path rule
 
     @pytest.mark.parametrize("rid", SMALL)
     @pytest.mark.parametrize("budget", [3000, sys.maxsize], ids=["3000", "unlimited"])
@@ -1113,13 +1106,11 @@ class TestBaseChoices:
         record = records[rid]
         base = a0.restrict(record.curves)
         m = _nodes_to_blow_up(record)
-        targets = [tuple(c.chain) for c in record.chains]
-        bound = _DepthBound.of_chains(targets)
-        prefix = _ChoicePrefix.of_chains(targets, bound, _deep_curves(base))
+        prefix = _PathPrefix.of(_deep_curves(base))
         if rid not in self._UNLIMITED:
             # the oracle and the unlimited walks, shared by both budgets
             every = list(_reference_choices(base, m, _Counts(), sys.maxsize))
-            feasible = [x for x in every if _combo_feasible(base, x[0], targets, bound)]
+            feasible = [x for x in every if _combo_feasible(base, x[0])]
             self._UNLIMITED[rid] = [self._unlimited_walk(base, m, None, every, every),
                                     self._unlimited_walk(base, m, prefix, every, feasible)]
         for rule, walk in zip((None, prefix), self._UNLIMITED[rid]):
@@ -1184,24 +1175,44 @@ class TestBaseChoices:
         ([(2, 5), (4,)], {"Y": 1}),
     ], ids=["minus-one-and-zero", "plus-one"])
     def test_path_rule_exempts_curves_above_minus_two(self, targets, self_ints):
-        self._check_prefixes(self.TANGLE, targets, self_ints)
+        # some leaves pass the arm test here, none on the all-(-2) tangle
+        assert self._check_prefixes(self.TANGLE, targets, self_ints) > 0
 
     @staticmethod
     def _check_prefixes(nodes, targets, self_ints):
-        """Both prefix filters against the oracle, every m and two budgets."""
+        """The path rule and no rule against the oracle, every m and two
+        budgets; then the pins of each choice the path rule admits.
+
+        Every leaf of up to two extra blow-ups that passes the arm test
+        (into the targets) and the degree rule has an allocation that the
+        choice's pins admit (`_pins`).  Returns the number of such leaves.
+        """
         cfg = Configuration.build([(c, self_ints.get(c, -2))
                                    for c in sorted({c for n in nodes for c in n})], nodes)
-        bound = _DepthBound.of_chains(targets)
         deep = _deep_curves(cfg)
+        stated = {chain for t in targets for chain in (t, t[::-1])}
+        passed = 0
         for m in range(len(cfg.nodes) + 1):
             every = list(_reference_choices(cfg, m, _Counts(), sys.maxsize))
             paths = [x for x in every if _combo_feasible(cfg, x[0])]
-            feasible = [x for x in paths if _combo_feasible(cfg, x[0], targets, bound)]
-            for prefix, want in ((None, every), (_PathPrefix.of(deep), paths),
-                                 (_ChoicePrefix.of_chains(targets, bound, deep), feasible)):
+            for prefix, want in ((None, every), (_PathPrefix.of(deep), paths)):
                 walk = TestBaseChoices._unlimited_walk(cfg, m, prefix, every, want)
                 for budget in (5, sys.maxsize):
                     TestBaseChoices._check_budget(cfg, m, budget, prefix, walk)
+            for _, pairs in paths:
+                bases = [PlanStep(a, b) for a, b in pairs]
+                tested = plans._tested_paths(cfg, bases, deep)
+                pins = plans._pins(cfg, bases, tested, targets) if tested is not None else ()
+                passes = plans._arm_test(cfg, bases, tested, stated.__contains__)
+                for total in range(m, m + 3):
+                    admitted = set(_allocations(total, pins))
+                    for alloc, state in plans._leaves(
+                            cfg, bases, _allocations(total, [(None,) * (2 * m)]), None,
+                            None, {}, _Counts(), sys.maxsize, deep):
+                        if passes(alloc, state):
+                            assert alloc in admitted, (pairs, alloc)
+                            passed += 1
+        return passed
 
     def test_too_few_nodes(self):
         cfg = Configuration.build([("A", -2), ("B", -2)], [("A", "B")])
@@ -1430,3 +1441,77 @@ class TestSearch:
             (c.n, min(c.a, c.n - c.a)) for c in r.chains)))
         assert {key(r) for r in with_prune.records} == \
             {key(r) for r in without.records}
+
+
+def _wahl_data(chain):
+    sing = wahl_singularity(chain)
+    return sing.n, sing.a
+
+
+def _marked_records(config, most, extra):
+    """Hinted records on the curve subsets of `config`, with their own
+    search's verdicts still unknown.
+
+    For each subset, each choice of up to `most` base nodes and each total
+    of up to `extra` blow-ups more than nodes, the leaves of the unpruned
+    walk that `_greedy_mark` marks into Wahl chains alone give chain sets.
+    A choice gets a record with each chain set that one of its own leaves
+    marks, and with each chain set of another choice of the same total that
+    fits the geography: r - K^2 towers, each keeping the one (-1)-curve a
+    marking leaves.
+    """
+    names = [c.name for c in config.curves]
+    for r in range(1, len(names) + 1):
+        for subset in itertools.combinations(names, r):
+            sub = config.restrict(subset)
+            own = {}  # choice -> the (total, chains) its leaves mark
+            for m in range(1, min(len(sub.nodes), most) + 1):
+                for _, pairs in _base_choices(sub, m, _Counts(), sys.maxsize):
+                    bases = [PlanStep(a, b) for a, b in pairs]
+                    allocs = itertools.chain.from_iterable(
+                        _allocations(total, [(None,) * (2 * m)])
+                        for total in range(m, m + extra + 1))
+                    own[pairs] = set()
+                    for alloc, state in plans._leaves(sub, bases, allocs, None, None, {},
+                                                      _Counts(), sys.maxsize):
+                        self_int, meets = state.graph()
+                        marking = plans._greedy_mark(self_int, meets)
+                        if marking is not None and marking[0] and not marking[1]:
+                            own[pairs].add((sum(alloc), tuple(sorted(
+                                tuple(-self_int[c] for c in chain) for chain in marking[0]))))
+            every = set().union(*own.values())
+            for pairs, marked in own.items():
+                for total, chains in sorted(every):
+                    k2 = sum(map(len, chains)) - total
+                    if (total, chains) in marked or (
+                            total - len(pairs) <= extra and r - k2 == len(pairs)):
+                        yield sub, SurfaceRecord(
+                            "0.0", k2, subset, 0, tuple(BlowupSpec(a, b) for a, b in pairs),
+                            tuple(ChainSpec(*_wahl_data(chain), chain) for chain in chains))
+
+
+class TestPins:
+    """The tower sizes the stated chains pin (`_pins`), off A0."""
+
+    # a curve at -1 or above is exempt from the pins, as from the path and
+    # degree rules; the tangle has self-nodes and a pair meeting thrice.
+    # By case: the configuration, the most base nodes and extra blow-ups
+    # of `_marked_records`, and the records, those found, and those found
+    # in fewer states
+    CASES = {"tangle": (TestAbstractLeaves.TANGLE, 3, 3, (28, 28, 21)),
+             "leaf-exempt": (TestLeafGraph.EXEMPT, 6, 3, (3, 3, 3)),
+             "search-exempt": (TestSearch.EXEMPT, 3, 2, (56, 25, 41))}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_finds_a_plan_exactly_when_unpruned_does(self, case):
+        config, most, extra, want = self.CASES[case]
+        found = faster = 0
+        records = list(_marked_records(config, most, extra))
+        for sub, record in records:
+            pinned = infer_plan(record, sub)
+            unpruned = infer_plan(record, sub, prune=False)
+            assert not (pinned.exhausted or unpruned.exhausted)
+            assert pinned.success == unpruned.success, format_record(record)
+            found += pinned.success
+            faster += pinned.states < unpruned.states
+        assert (len(records), found, faster) == want
