@@ -3,10 +3,14 @@
 Each assertion becomes one pass/fail line: the A0 fibration skeleton,
 chain recognition, restriction matrices and determinants, log-geography
 identities, obstruction dimensions, T-joins and wormhole compositions, and
-the full surface certificates: each record's from the plan that inference
-recovers, each main's from its frozen `recovered_plan`.  A plan that is not
-found, or not frozen, is a failed check, so the ledger passes only what it
-proved.  The ledger is the only validator of an A0 model.
+the surface certificates: each record's from the plan that inference
+recovers, each main's from its frozen `recovered_plan`.  A record's surface
+is checked for K^2, an ample canonical model and zero obstruction; its pi1
+verdict is reported in the detail but not checked.  A main's surface is
+checked for K^2, its singularity list, an ample canonical class and a
+trivial pi1 verdict.  A plan that is not found, or not frozen, is a failed
+check, so the ledger passes only what it proved.  The ledger is the only
+validator of an A0 model.
 """
 from __future__ import annotations
 
@@ -296,7 +300,8 @@ def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
                    f"{result.states} states; K^2={report.k2}, "
                    f"{report.ample.status}"
                    f"{' (canonical model ample)' if report.ample.canonical_ample else ''}")
-        ledger.add(sec, "inferred surface certified",
+        ledger.add(sec,
+                   "inferred surface: K^2, ample canonical model, zero obstruction",
                    report.k2 == record.k2 and report.ample.canonical_ample
                    and report.obstruction == 0,
                    f"pi1 {report.pi1.status}")

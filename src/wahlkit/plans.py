@@ -19,10 +19,7 @@ search.  Plan inference (`infer_plan`) and construction search
   at a time), branches over the abstract outcomes of each tower
   (`_tower_outcomes`), and yields every completed search state.  It
   searches on integer states (`_State`): the depths of the base curves
-  and of the exceptional curves, which is all the depth bound reads, and
-  each tower's gap script;
-- `_DepthBound` drops the states whose curves are already deeper than the
-  chains sought allow, since blow-ups only deepen curves.
+  and of the exceptional curves, and each tower's gap script.
 
 Both searches then run one leaf pipeline, and differ only in the chains
 they accept.  First each leaf is decided on its integers (`_arm_test`).
@@ -66,14 +63,14 @@ choice and a tower outcome do: every state counted is work done, so the
 budget bounds time.  The state that goes over the budget raises
 `_Exhausted`, which each search catches once: it stops at exactly
 `max_states + 1` states, `exhausted`.  With `prune=False` a search runs
-no rule: no depth bound, no substring pool and no deep curves; the arm
-test then tests no path, no tower size is pinned, and every leaf is
-marked.  A tower's abstract outcomes depend only on its size and the
-search's limits; each search call memoises them, per depth bound, in its
-own table.  In both searches each tower keeps exactly one surviving
-(-1)-curve (`_tower_outcomes`), so every blow-up of the tower lands next
-to the newest curve, and the outcomes are walked forwards along it,
-dropping a word once its finished runs leave the chains.
+no rule: no substring pool and no deep curves; the arm test then tests no
+path, no tower size is pinned, and every leaf is marked.  A tower's
+abstract outcomes depend only on its size and the substring pool; each
+search call memoises them in its own table.  In both searches each tower
+keeps exactly one surviving (-1)-curve (`_tower_outcomes`), so every
+blow-up of the tower lands next to the newest curve, and the outcomes are
+walked forwards along it, dropping a word once its finished runs leave
+the chains.
 """
 from __future__ import annotations
 
@@ -269,32 +266,6 @@ def _spend(result, max_states: int, rejected: bool = False) -> None:
     result.pruned += rejected
 
 
-@dataclass(frozen=True)
-class _DepthBound:
-    """Caps on curve depths (-C^2) that a search state may reach.
-
-    A state passes when its depths >= 3, sorted, are dominated entry by
-    entry by `caps` (sorted descending): equivalently, for every k >= 3 it
-    has at most as many curves at depth >= k as `caps` has entries >= k.
-    Blow-ups only deepen curves, so a state that fails can never finish.
-    """
-
-    caps: tuple[int, ...]
-
-    @classmethod
-    def of_chains(cls, targets: Sequence[tuple[int, ...]]) -> "_DepthBound":
-        """Every curve deeper than 2 must end as an entry of a stated chain."""
-        return cls(tuple(sorted((b for t in targets for b in t if b >= 3),
-                                reverse=True)))
-
-    def admits(self, depths: Iterable[int]) -> bool:
-        deep = [d for d in depths if d >= 3]
-        if len(deep) > len(self.caps):
-            return False
-        deep.sort(reverse=True)
-        return all(map(operator.le, deep, self.caps))
-
-
 def _substring_pool(targets: Sequence[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     """All contiguous substrings of the stated chains, both orientations."""
     pool: set[tuple[int, ...]] = set()
@@ -306,8 +277,7 @@ def _substring_pool(targets: Sequence[tuple[int, ...]]) -> frozenset[tuple[int, 
     return frozenset(pool)
 
 
-def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool
-                    ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _tower_outcomes(size: int, pool) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The towers of `size` curves that keep one (-1), with their scripts, sorted.
 
     A tower lives on the local chain [c1', E..., c2']; a blow-up picks a
@@ -318,9 +288,8 @@ def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool
     insertion therefore goes next to it, at gap k or k+1 for the 1 at k, a
     string has only one script, and every entry but the 1's two neighbours
     is final, all of them once the tower is complete.  The towers are walked
-    depth first, and a word is dropped once `bound` rejects it or its final
-    runs leave the stated chains (`pool`, closed under substrings; None
-    admits every run).
+    depth first, and a word is dropped once its final runs leave the stated
+    chains (`pool`, closed under substrings; None admits every run).
 
     Every tower keeps at least one survivor: its newest curve stays a
     (-1)-curve, since later towers sit on other base nodes.  One each is
@@ -353,8 +322,6 @@ def _tower_outcomes(size: int, bound: Optional[_DepthBound], pool
                 left, right = state[:max(gap - 1, 0)], state[gap + 2:]
             if pool is not None and ((left and left not in pool) or
                                      (right and right not in pool)):
-                continue
-            if bound is not None and not bound.admits(state):
                 continue
             stack.append((state, gap, script + (gap,)))
     return sorted(out)
@@ -439,7 +406,7 @@ def _allocations(total: int, pins: Iterable[tuple[Optional[int], ...]]
 
 
 def _base_choices(base: Configuration, m: int, result, max_states: int,
-                  prefix: Optional["_PathPrefix"] = None
+                  deep: frozenset = frozenset()
                   ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
     """Each choice of m base nodes to blow up, as node ids and curve pairs.
 
@@ -448,16 +415,14 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     a node may be chosen only if the node before it on the same curve pair
     is.
 
-    The nodes left unchosen run through the path rule `prefix` (by default
-    over no curves, which admits every choice).  A prefix that fails it is
-    not extended, and only feasible choices are yielded.  Each yielded
-    choice and each rejected prefix (which has a completion: `room` stops
-    the others) counts as one state of `result`, a rejected prefix also in
-    `result.pruned` (`_spend`); the state that exceeds `max_states` raises
-    `_Exhausted`.
+    The nodes left unchosen run through the path rule (`_PathPrefix`) over
+    the curves `deep` (by default none, which admits every choice).  A
+    prefix that fails it is not extended, and only feasible choices are
+    yielded.  Each yielded choice and each rejected prefix (which has a
+    completion: `room` stops the others) counts as one state of `result`, a
+    rejected prefix also in `result.pruned` (`_spend`); the state that
+    exceeds `max_states` raises `_Exhausted`.
     """
-    if prefix is None:
-        prefix = _PathPrefix.of(frozenset())
     nodes = sorted(base.nodes, key=operator.attrgetter("id"))
     ids = [n.id for n in nodes]
     pairs = [n.pair() for n in nodes]
@@ -491,7 +456,7 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
         yield tuple(ids[j] for j in chosen), tuple(sorted([pairs[j] for j in chosen]))
 
     if m <= len(nodes):
-        yield from extend(0, (), frozenset(), len(nodes), prefix)
+        yield from extend(0, (), frozenset(), len(nodes), _PathPrefix(deep, {}, {}))
 
 
 def _deep_curves(base: Configuration) -> frozenset[str]:
@@ -524,11 +489,6 @@ class _PathPrefix:
         self.degree = degree
         self.ends = ends  # a path end -> the other end of its path
 
-    @classmethod
-    def of(cls, deep: frozenset) -> "_PathPrefix":
-        """The prefix with no node decided, over the curves `deep`."""
-        return cls(deep, {}, {})
-
     def unchosen(self, node) -> Optional["_PathPrefix"]:
         a, b = node.a, node.b
         if node.is_self_node or a not in self.deep or b not in self.deep:
@@ -557,9 +517,10 @@ class _State:
     `script` is the gap script of the last tower placed (`_tower_outcomes`),
     `index` the number of towers placed and `count` the blow-ups so far.
     `degree` counts, for each base curve, its final non-(-1) neighbours so
-    far among the ones the degree rule of `_leaves` reads.  No tower is
-    named here: a leaf's steps and graph name the towers on its path
-    (`_tower_scripts`) when they are read.
+    far among the ones the degree rule of `_leaves` reads.  The depths are
+    read only at a leaf, by the arm test (`_arm_test`) and the graph.  No
+    tower is named here: a leaf's steps and graph name the towers on its
+    path (`_tower_scripts`) when they are read.
     """
 
     __slots__ = ("parent", "depths", "exceptional", "script", "index", "count", "degree")
@@ -617,8 +578,8 @@ class _Root(_State):
 
 
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
-            allocs: Iterable[tuple[int, ...]], bound: Optional[_DepthBound],
-            pool, outcomes: dict, result, max_states: int, deep: frozenset = frozenset()
+            allocs: Iterable[tuple[int, ...]], pool, outcomes: dict, result,
+            max_states: int, deep: frozenset = frozenset()
             ) -> Iterator[tuple[tuple[int, ...], _State]]:
     """Every completed search state, with its allocation.
 
@@ -627,15 +588,15 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     i is there when its pair meets in `base` more often than the towers
     before it on that pair use up; the base nodes left over survive in
     every leaf.  Each outcome of a tower counts as one state of `result`;
-    the state that exceeds `max_states` raises `_Exhausted`.  States that
-    `bound` rejects are not expanded.  Every leaf counts in `result.leaves`.
+    the state that exceeds `max_states` raises `_Exhausted`.  Every leaf
+    counts in `result.leaves`.
     Nothing is named or built here: a tower is placed by its depth string,
     deepenings and gap script alone, a leaf's graph is `state.graph()` and
     its configuration `BlowupPlan(state.plan_steps()).execute(base)`, both
     naming the towers on the leaf's path only when they are read.
-    `outcomes` is the caller's tower memo, which serves one `bound` and
-    `pool`: it keeps the abstract outcomes of each tower size, with how
-    much each deepens its two base curves.
+    `outcomes` is the caller's tower memo, which serves one `pool`: it
+    keeps the abstract outcomes of each tower size, with how much each
+    deepens its two base curves.
 
     The degree rule drops a state once a curve of `deep` (the base curves
     at -2 or below, `_deep_curves`; empty for a search that does not prune)
@@ -689,7 +650,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                 towers = outcomes[size] = [
                     (xs, script, 1 + script.count(0),
                      1 + sum(gap == t + 1 for t, gap in enumerate(script)))
-                    for xs, script in _tower_outcomes(size, bound, pool)]
+                    for xs, script in _tower_outcomes(size, pool)]
             if towers and taken:
                 for k in range(count + 1, count + size + 1):
                     if f"E{k}" in taken:
@@ -707,10 +668,8 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                 depths = list(state.depths)
                 depths[ia] += deepen_a
                 depths[ib] += deepen_b
-                exceptional = state.exceptional + xs
-                if bound is None or bound.admits(depths + list(exceptional)):
-                    stack.append(_State(state, tuple(depths), exceptional, script,
-                                        idx + 1, count + size, tuple(degree)))
+                stack.append(_State(state, tuple(depths), state.exceptional + xs, script,
+                                    idx + 1, count + size, tuple(degree)))
 
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
@@ -737,7 +696,6 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         if sing.n != spec.n or spec.a not in (sing.a, sing.n - sing.a):
             raise PlanError(f"({record.rid}): stated ({spec.n},{spec.a}) does not "
                             f"match chain {list(spec.chain)} = ({sing.n},{sing.a})")
-    bound = _DepthBound.of_chains(targets) if prune else None
     pool = _substring_pool(targets) if prune else None
     deep = _deep_curves(base) if prune else frozenset()
     b_total = record.blowup_total
@@ -752,8 +710,8 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         if not pins:
             return None  # no leaf passes the arm test and the degree rule
         passes = _arm_test(base, bases, tested, stated.__contains__)
-        for alloc, state in _leaves(base, bases, _allocations(b_total, pins), bound,
-                                    pool, outcomes, result, max_states, deep):
+        for alloc, state in _leaves(base, bases, _allocations(b_total, pins), pool,
+                                    outcomes, result, max_states, deep):
             if not passes(alloc, state):
                 continue
             chains = _chain_marking(*state.graph(), targets)
@@ -775,7 +733,7 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         else:
             # free search over base-node choices of the forced size
             m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
-            for _, pairs in _base_choices(base, m, result, max_states, _PathPrefix.of(deep)):
+            for _, pairs in _base_choices(base, m, result, max_states, deep):
                 found = run_bases([PlanStep(a, b) for a, b in pairs])
                 if found is not None:
                     break
@@ -1090,6 +1048,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
         a0.curve(name)
     found: set[tuple] = set()
     wahl: dict = {}  # component string -> whether it is a Wahl chain
+    outcomes: dict = {}  # the tower memo
 
     def is_wahl(string: tuple[int, ...]) -> bool:
         verdict = wahl.get(string)
@@ -1116,26 +1075,20 @@ def search_constructions(params: SearchParams, a0: Configuration,
             if geo.r > len(pool):
                 continue
             m = geo.nodes_to_blow_up
-            # no Wahl chain of admissible length has an entry above 4K^2+4,
-            # and no state has more than r + max_blowups curves
-            bound = _DepthBound((4 * params.k2 + 4,) * (geo.r + params.max_blowups)) \
-                if prune else None
-            outcomes: dict = {}  # the tower memo of this bound
             for subset in _subsets(pool, geo.r, a0.meets, geo.t2):
                 sub = a0.restrict(subset)
                 base_det = sub.rank_det[1]
                 if base_det == 0:
                     continue
                 deep = _deep_curves(sub) if prune else frozenset()
-                for _, pairs in _base_choices(sub, m, result, params.max_states,
-                                              _PathPrefix.of(deep)):
+                for _, pairs in _base_choices(sub, m, result, params.max_states, deep):
                     bases = [PlanStep(a, b) for a, b in pairs]
                     passes = _arm_test(sub, bases, _tested_paths(sub, bases, deep),
                                        is_wahl)
                     allocs = itertools.chain.from_iterable(
                         _allocations(total, [(None,) * (2 * m)])
                         for total in range(m, params.max_blowups + 1))
-                    for alloc, state in _leaves(sub, bases, allocs, bound, None, outcomes,
+                    for alloc, state in _leaves(sub, bases, allocs, None, outcomes,
                                                 result, params.max_states, deep):
                         if passes(alloc, state):
                             _harvest(params, sub, state, bases, alloc, subset, base_det,

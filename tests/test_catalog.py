@@ -248,6 +248,17 @@ class TestLedger:
         assert names["record", "plan inference"] == len(records)
         assert names["main", "recovered plan replays"] == len(expected["mains"]) == 8
 
+    def test_record_check_names_only_what_it_checks(self, a0, records, expected):
+        # a record's surface check proves K^2, an ample canonical model and
+        # zero obstruction; its pi1 verdict is reported, not checked, so no
+        # record check claims a certificate
+        ledger = verify_all(a0, records, expected)
+        names = {c.name for c in ledger.checks if c.section.startswith("record (")}
+        assert not [name for name in names if "certified" in name]
+        surface = [c for c in ledger.checks if c.section == "record (2.2)"
+                   and c.name.startswith("inferred surface")]
+        assert [(c.ok, c.detail) for c in surface] == [(True, "pi1 inconclusive")]
+
     def test_summary_counts_uncertified_mains(self, a0, records, expected):
         # a main with no frozen plan is a failure, not an uncertified pass
         unfrozen = json.loads(json.dumps(expected))
