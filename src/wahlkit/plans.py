@@ -62,15 +62,19 @@ failing prefix is not extended, and it counts as one state, as a yielded
 choice and a tower outcome do: every state counted is work done, so the
 budget bounds time.  The state that goes over the budget raises
 `_Exhausted`, which each search catches once: it stops at exactly
-`max_states + 1` states, `exhausted`.  With `prune=False` a search runs
-no rule: no substring pool and no deep curves; the arm test then tests no
-path, no tower size is pinned, and every leaf is marked.  A tower's
-abstract outcomes depend only on its size and the substring pool; each
-search call memoises them in its own table.  In both searches each tower
-keeps exactly one surviving (-1)-curve (`_tower_outcomes`), so every
-blow-up of the tower lands next to the newest curve, and the outcomes are
-walked forwards along it, dropping a word once its finished runs leave
-the chains.
+`max_states + 1` states, `exhausted`.  Search also caps every curve's
+depth at 4K^2+4 in `_leaves`, since no Wahl chain of admissible length
+has a deeper entry.  Inference has no cap: the substring pool keeps tower
+curves at stated entries, and a leaf with a base curve deeper than every
+stated entry fails the arm test or the marking.  With `prune=False` a
+search runs no rule: no substring pool, no deep curves and no depth cap;
+the arm test then tests no path, no tower size is pinned, and every leaf
+is marked.  A tower's abstract outcomes depend only on its size, the
+substring pool and the depth cap; each search call memoises them in its
+own table.  In both searches each tower keeps exactly one surviving
+(-1)-curve (`_tower_outcomes`), so every blow-up of the tower lands next
+to the newest curve, and the outcomes are walked forwards along it,
+dropping a word once its finished runs leave the chains.
 """
 from __future__ import annotations
 
@@ -518,9 +522,10 @@ class _State:
     `index` the number of towers placed and `count` the blow-ups so far.
     `degree` counts, for each base curve, its final non-(-1) neighbours so
     far among the ones the degree rule of `_leaves` reads.  The depths are
-    read only at a leaf, by the arm test (`_arm_test`) and the graph.  No
-    tower is named here: a leaf's steps and graph name the towers on its
-    path (`_tower_scripts`) when they are read.
+    read by search's depth cap in `_leaves`, and at a leaf by the arm test
+    (`_arm_test`) and the graph.  No tower is named here: a leaf's steps
+    and graph name the towers on its path (`_tower_scripts`) when they are
+    read.
     """
 
     __slots__ = ("parent", "depths", "exceptional", "script", "index", "count", "degree")
@@ -579,7 +584,7 @@ class _Root(_State):
 
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
             allocs: Iterable[tuple[int, ...]], pool, outcomes: dict, result,
-            max_states: int, deep: frozenset = frozenset()
+            max_states: int, deep: frozenset = frozenset(), cap: Optional[int] = None
             ) -> Iterator[tuple[tuple[int, ...], _State]]:
     """Every completed search state, with its allocation.
 
@@ -589,14 +594,16 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     before it on that pair use up; the base nodes left over survive in
     every leaf.  Each outcome of a tower counts as one state of `result`;
     the state that exceeds `max_states` raises `_Exhausted`.  Every leaf
-    counts in `result.leaves`.
+    counts in `result.leaves`.  With a `cap`, no curve gets deeper than it:
+    a tower with a deeper curve is no outcome, and a state with a deeper
+    base curve is dropped, counted as a state (blow-ups only deepen curves).
     Nothing is named or built here: a tower is placed by its depth string,
     deepenings and gap script alone, a leaf's graph is `state.graph()` and
     its configuration `BlowupPlan(state.plan_steps()).execute(base)`, both
     naming the towers on the leaf's path only when they are read.
-    `outcomes` is the caller's tower memo, which serves one `pool`: it
-    keeps the abstract outcomes of each tower size, with how much each
-    deepens its two base curves.
+    `outcomes` is the caller's tower memo, which serves one `pool` and
+    `cap`: it keeps the abstract outcomes of each tower size, with how much
+    each deepens its two base curves.
 
     The degree rule drops a state once a curve of `deep` (the base curves
     at -2 or below, `_deep_curves`; empty for a search that does not prune)
@@ -650,7 +657,8 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                 towers = outcomes[size] = [
                     (xs, script, 1 + script.count(0),
                      1 + sum(gap == t + 1 for t, gap in enumerate(script)))
-                    for xs, script in _tower_outcomes(size, pool)]
+                    for xs, script in _tower_outcomes(size, pool)
+                    if cap is None or max(xs) <= cap]
             if towers and taken:
                 for k in range(count + 1, count + size + 1):
                     if f"E{k}" in taken:
@@ -668,8 +676,9 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
                 depths = list(state.depths)
                 depths[ia] += deepen_a
                 depths[ib] += deepen_b
-                stack.append(_State(state, tuple(depths), state.exceptional + xs, script,
-                                    idx + 1, count + size, tuple(degree)))
+                if cap is None or max(depths) <= cap:
+                    stack.append(_State(state, tuple(depths), state.exceptional + xs,
+                                        script, idx + 1, count + size, tuple(degree)))
 
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
@@ -1049,6 +1058,8 @@ def search_constructions(params: SearchParams, a0: Configuration,
     found: set[tuple] = set()
     wahl: dict = {}  # component string -> whether it is a Wahl chain
     outcomes: dict = {}  # the tower memo
+    # no Wahl chain of admissible length has an entry above 4K^2+4
+    cap = 4 * params.k2 + 4 if prune else None
 
     def is_wahl(string: tuple[int, ...]) -> bool:
         verdict = wahl.get(string)
@@ -1089,7 +1100,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
                         _allocations(total, [(None,) * (2 * m)])
                         for total in range(m, params.max_blowups + 1))
                     for alloc, state in _leaves(sub, bases, allocs, None, outcomes,
-                                                result, params.max_states, deep):
+                                                result, params.max_states, deep, cap):
                         if passes(alloc, state):
                             _harvest(params, sub, state, bases, alloc, subset, base_det,
                                      result, found)

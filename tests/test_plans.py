@@ -214,8 +214,13 @@ def _reference_one_survivor(size, pool):
     return sorted(out)
 
 
-def _reference_leaves(base, bases, allocs, pool, result, max_states, deep=frozenset()):
-    """Oracle: `_leaves` on concrete configurations, one per state."""
+def _reference_leaves(base, bases, allocs, pool, result, max_states, deep=frozenset(),
+                      cap=None):
+    """Oracle: `_leaves` on concrete configurations, one per state.
+
+    With a `cap`, a tower with a curve deeper than it is skipped uncounted,
+    and a counted state with such a curve is not extended.
+    """
     outcomes = {}
     base_names = {c.name for c in base.curves}
     # the base nodes that no tower blows up, by curve pair
@@ -230,9 +235,15 @@ def _reference_leaves(base, bases, allocs, pool, result, max_states, deep=frozen
                 continue
             for state, tower_steps in _reference_tower_scripts(
                     config, bases[idx], alloc[idx], pool, outcomes):
+                depths = {c.name: -c.self_int for c in state.curves}
+                if cap is not None and any(depths[c.name] > cap for c in state.curves
+                                           if c.name not in config.self_int):
+                    continue
                 result.states += 1
                 if result.states > max_states:
                     return
+                if cap is not None and max(depths.values()) > cap:
+                    continue
                 if _degree_admits(state, base_names, deep, final):
                     stack.append((state, steps + tower_steps, idx + 1))
 
@@ -262,13 +273,14 @@ def _degree_admits(config, base_names, deep, final):
 def _lockstep(leaves):
     """`leaves`, checked leaf by leaf and count by count against the oracle."""
     def checked(base, bases, allocs, pool, outcomes, result, max_states,
-                deep=frozenset()):
+                deep=frozenset(), cap=None):
         allocs, ref_allocs = itertools.tee(allocs)
         ref = _Counts(states=result.states)
-        want = _reference_leaves(base, bases, ref_allocs, pool, ref, max_states, deep)
+        want = _reference_leaves(base, bases, ref_allocs, pool, ref, max_states, deep,
+                                 cap)
         try:
             for alloc, state in leaves(base, bases, allocs, pool, outcomes, result,
-                                       max_states, deep):
+                                       max_states, deep, cap):
                 config = BlowupPlan(state.plan_steps()).execute(base)
                 assert (alloc, config, state.plan_steps()) == next(want)
                 assert state.graph() == _read_graph(config)
@@ -661,9 +673,11 @@ class TestInference:
         seen = []
         leaves, base_choices = plans._leaves, plans._base_choices
 
-        def recording_leaves(*args):
-            seen.append((args[0], args[-1]))
-            return leaves(*args)
+        def recording_leaves(base, bases, allocs, pool, outcomes, result, max_states,
+                             deep=frozenset(), cap=None):
+            seen.append((base, deep))
+            return leaves(base, bases, allocs, pool, outcomes, result, max_states, deep,
+                          cap)
 
         def recording_choices(base, m, result, max_states, deep=frozenset()):
             seen.append((base, deep))
@@ -724,10 +738,13 @@ class TestAbstractLeaves:
         ([("W", "X", 0), ("W", "X", 0), ("W", "X", 0)], False),
         ([("X", "W", 0), ("Z", "Z", 0)], False),  # Z has no self-node
     ], ids=["self-node", "thrice", "occurrence", "used-up", "absent"])
-    @pytest.mark.parametrize("limits", ["none", "targeted", "degree"])
+    @pytest.mark.parametrize("limits", ["none", "bound", "targeted", "degree"])
     @pytest.mark.parametrize("budget", [400, sys.maxsize], ids=["400", "unlimited"])
     def test_matches_replay_on_tangle(self, bases, complete, limits, budget):
         pool = _substring_pool(self.TARGETS) if limits == "targeted" else None
+        # search's depth cap: seven blow-ups take a tower of six curves, or
+        # a base curve, deeper than 5
+        cap = 5 if limits == "bound" else None
         # the degree rule on W, X and Y, as if Z were at -1: it drops some
         # but not all leaves of both complete cases
         deep = frozenset("WXY") if limits == "degree" else frozenset()
@@ -739,7 +756,7 @@ class TestAbstractLeaves:
             try:
                 for leaf in _lockstep(plans._leaves)(
                         self.TANGLE, steps, _allocations(total, [(None,) * (2 * len(steps))]),
-                        pool, {}, got, budget, deep):
+                        pool, {}, got, budget, deep, cap):
                     yielded.append(leaf)
             except plans._Exhausted:
                 assert got.states == budget + 1
@@ -1010,18 +1027,20 @@ class TestLeafGraph:
         leaves = plans._leaves
         kept, dropped = [], []
 
-        def compare(base, bases, allocs, pool, outcomes, result, max_states, deep):
+        def compare(base, bases, allocs, pool, outcomes, result, max_states, deep,
+                    cap=None):
             allocs, mine = itertools.tee(allocs)
             for alloc in mine:
                 run = {d: [(state.plan_steps(), state.graph()) for _, state in leaves(
-                    base, bases, [alloc], pool, {}, _Counts(), sys.maxsize, d)]
+                    base, bases, [alloc], pool, {}, _Counts(), sys.maxsize, d, cap)]
                     for d in (deep, frozenset())}
                 ruled = {steps for steps, _ in run[deep]}
                 assert run[deep] == [x for x in run[frozenset()] if x[0] in ruled]
                 kept.extend(graph for _, graph in run[deep])
                 dropped.extend(graph for steps, graph in run[frozenset()]
                                if steps not in ruled)
-            return leaves(base, bases, allocs, pool, outcomes, result, max_states, deep)
+            return leaves(base, bases, allocs, pool, outcomes, result, max_states, deep,
+                          cap)
 
         monkeypatch.setattr(plans, "_leaves", compare)
         if rid is None:
@@ -1079,7 +1098,7 @@ class TestArmTest:
         "exempt": {(True, True, True): 1, (False, False, True): 6,
                    (True, True, False): 3, (True, False, False): 805,
                    (False, False, False): 862},
-        "fibre": {(False, False, True): 964, (True, True, True): 14},
+        "fibre": {(False, False, True): 919, (True, True, True): 14},
     }
 
     @pytest.mark.parametrize("case", list(SEARCHES))
@@ -1315,6 +1334,15 @@ class TestSearch:
             "(2.1) K^2=2 - {A2, A3, B1, C1, C2, D1} - det=-40 - "
             "[2,2,1] × A2∩B1, [2,1] × A3∩C1, C1∩C2, C2∩D1 - "
             "(11,3):[4,5,3,2,2] - (8,3):[3,5,3,2]")
+
+    def test_depth_cap_binds_at_k2_1(self, a0):
+        # eight blow-ups take a base curve from -2 past -(4K^2+4) = -8, and
+        # the cap drops such states; without it the same budget reaches
+        # 18,640 leaves
+        params = SearchParams(k2=1, max_chains=3, max_blowups=8, max_states=50000)
+        result = search_constructions(params, a0)
+        assert (result.states, result.leaves, result.marked, len(result.records)) == \
+            (50001, 18431, 4, 2)
 
     def test_geography_violating_params_empty(self, a0):
         params = SearchParams(k2=14, max_chains=2, max_blowups=4)
