@@ -141,6 +141,8 @@ def parse_record(text: str) -> SurfaceRecord:
     if not hm:
         raise RecordError(f"record must start with '(id) K^2=k', got {head[:40]!r}")
     rid, k2 = hm.group(1), int(hm.group(2))
+    if k2 < 1:
+        raise RecordError(f"({rid}): K^2 must be at least 1, got {k2}")
     if len(rest) < 4:
         raise RecordError(f"({rid}): expected curves, det, steps and >=1 chain")
     curves_sec, det_sec, steps_sec, *chain_secs = rest

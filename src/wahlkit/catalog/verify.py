@@ -293,7 +293,11 @@ def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
         ledger.add(sec, "plan inference", False,
                    "not run: a stated chain is not the Wahl chain it claims")
         return
-    result = infer_plan(record, sub, max_states=infer_budget)
+    try:
+        result = infer_plan(record, sub, max_states=infer_budget)
+    except PlanError as exc:
+        ledger.add(sec, "plan inference", False, str(exc))
+        return
     if result.success:
         report = result.report
         ledger.add(sec, "plan inference", True,

@@ -30,16 +30,15 @@ M's two ends, on either side of each tower's one (-1)-curve.  A leaf fails
 once one such string is not a chain the search accepts: a Wahl chain in
 search (no ADE chain is one), a stated chain, either way round, in
 inference.  Only a leaf that passes has its towers named (`_tower_scripts`)
-and its graph built (`_State.graph`), and is marked on it: greedily in
-search (`_greedy_mark`), into the stated chains in inference
-(`_chain_marking`, the search behind `mark_chains`).  The marking names
-and orders the chains, and it also decides the paths that meet a curve at
--1 or above, which the arm test leaves alone.  A configuration is built,
-by replaying the leaf's steps with `BlowupPlan.execute`, only for a leaf
-that marks: inference keeps it if its marked surface is valid, search if
-it has Wahl chains and no ADE chain and its canonical class is ample.
-Pruning only ever discards states that provably cannot reach the chains
-sought.
+and its configuration built, by replaying its steps with
+`BlowupPlan.execute`, and is marked on it: greedily in search
+(`_greedy_mark`), into the stated chains in inference (`mark_chains`, the
+marker the ledger runs on its frozen plans too).  The marking names and
+orders the chains, and it also decides the paths that meet a curve at -1
+or above, which the arm test leaves alone.  Inference keeps a leaf if its
+marked surface is valid, search if it has Wahl chains and no ADE chain and
+its canonical class is ample.  Pruning only ever discards states that
+provably cannot reach the chains sought.
 
 Both searches run the same chain-shape rules, on one premise: every
 curve of a kept leaf other than its (-1)-curves lies in a chain.  Search
@@ -159,20 +158,19 @@ class InferenceResult:
 
 # -- chain marking ------------------------------------------------------------
 
-def _chain_marking(self_int: dict[str, int], meets: Counter,
-                   targets: Sequence[tuple[int, ...]], used: Iterable[str] = ()
-                   ) -> Optional[list[tuple[str, ...]]]:
-    """Disjoint chains matching the target strings exactly, or None.
+def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
+                ade: Sequence[tuple[str, ...]] = ()) -> Optional[MarkedSurface]:
+    """Mark disjoint chains matching the target strings exactly, or None.
 
-    Reads the graph `_greedy_mark` reads: `self_int` maps each curve to its
-    self-intersection and `meets` each curve pair, ordered as `_pair` orders
-    it, to its number of nodes.  A chain is a simple path whose consecutive
-    curves share exactly one node and whose other curves are disjoint; curves
-    in `used` are left out.  Targets are matched longest first, trying the
+    Reads the graph `_greedy_mark` reads, `config.self_int` and
+    `config.meets`.  A chain is a simple path whose consecutive curves share
+    exactly one node and whose other curves are disjoint; the curves of the
+    ADE chains are left out.  Targets are matched longest first, trying the
     paths in name order, and the marking must leave only (-1)- and
-    (-2)-curves unmarked.  Returns the chains in target order, each oriented
-    as its target.
+    (-2)-curves unmarked.  Each chain is oriented as its target.  If no
+    marking does, or the marked surface is invalid, the result is None.
     """
+    self_int, meets = config.self_int, config.meets
     adjacency: dict[str, list[str]] = {name: [] for name in self_int}
     for a, b in meets:
         if a != b:
@@ -221,7 +219,7 @@ def _chain_marking(self_int: dict[str, int], meets: Counter,
             del chosen[idx]
         return False
 
-    if not assign(0, set(used)):
+    if not assign(0, {c for chain in ade for c in chain}):
         return None
     oriented = []
     for idx, target in enumerate(targets):
@@ -229,20 +227,7 @@ def _chain_marking(self_int: dict[str, int], meets: Counter,
         if tuple(-self_int[c] for c in path) != tuple(target):
             path = tuple(reversed(path))
         oriented.append(path)
-    return oriented
-
-
-def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
-                ade: Sequence[tuple[str, ...]] = ()) -> Optional[MarkedSurface]:
-    """Mark disjoint chains matching the target strings exactly, or None.
-
-    Targets are matched longest first, off the curves of the ADE chains.  A
-    marking must leave only (-1)- and (-2)-curves unmarked; if none does,
-    or the marked surface is invalid, the result is None.
-    """
-    chains = _chain_marking(config.self_int, config.meets, targets,
-                            [c for chain in ade for c in chain])
-    return None if chains is None else _marked(config, chains, ade)
+    return _marked(config, oriented, ade)
 
 
 def _marked(config: Configuration, wahl: Sequence[Sequence[str]],
@@ -343,18 +328,18 @@ def _insert(xs: tuple[int, ...], gap: int) -> tuple[int, ...]:
 
 
 def _tower_scripts(base: PlanStep, count: int, script: tuple[int, ...]
-                   ) -> tuple[tuple[PlanStep, ...], tuple[str, ...]]:
-    """One tower's steps and final local chain, named.
+                   ) -> tuple[PlanStep, ...]:
+    """One tower's steps, named.
 
     The tower blows up the base node `base` on a configuration with `count`
-    blow-ups so far, then the gaps of `script` (`_tower_outcomes`).  Returns
-    its steps and its final local chain [a, E..., b]: the names of the
-    curves in the order of its depth string, whose consecutive pairs are the
-    tower's nodes.  Gap g of the local chain is the surviving node between
-    neighbours g and g+1, and the curves there meet only inside the tower,
-    so the steps follow from the local names alone: the node blown up is
-    the newest between its two curves, occurrence (meetings - 1).  A
-    self-node's base blow-up leaves (a, E) meeting twice.
+    blow-ups so far, then the gaps of `script` (`_tower_outcomes`).  Its
+    local chain [a, E..., b] names the curves in the order of its depth
+    string, and its consecutive pairs are the tower's nodes.  Gap g of the
+    local chain is the surviving node between neighbours g and g+1, and the
+    curves there meet only inside the tower, so the steps follow from the
+    local names alone: the node blown up is the newest between its two
+    curves, occurrence (meetings - 1).  A self-node's base blow-up leaves
+    (a, E) meeting twice.
     """
     local = [base.a, f"E{count + 1}", base.b]
     meets = Counter(_pair(u, v) for u, v in zip(local, local[1:]))
@@ -368,7 +353,7 @@ def _tower_scripts(base: PlanStep, count: int, script: tuple[int, ...]
         meets[_pair(u, new)] += 1
         meets[_pair(new, v)] += 1
         steps.append(PlanStep(pair[0], pair[1], meets[pair]))
-    return tuple(steps), tuple(local)
+    return tuple(steps)
 
 
 def _allocations(total: int, pins: Iterable[tuple[Optional[int], ...]]
@@ -523,9 +508,9 @@ class _State:
     `degree` counts, for each base curve, its final non-(-1) neighbours so
     far among the ones the degree rule of `_leaves` reads.  The depths are
     read by search's depth cap in `_leaves`, and at a leaf by the arm test
-    (`_arm_test`) and the graph.  No tower is named here: a leaf's steps
-    and graph name the towers on its path (`_tower_scripts`) when they are
-    read.
+    (`_arm_test`).  No tower is named here: a leaf's steps name the towers
+    on its path (`_tower_scripts`) when they are read, and replaying them
+    on the base builds its configuration.
     """
 
     __slots__ = ("parent", "depths", "exceptional", "script", "index", "count", "degree")
@@ -541,45 +526,16 @@ class _State:
         self.count = count
         self.degree = degree
 
-    def _towers(self) -> tuple["_Root", list[tuple[tuple[PlanStep, ...], tuple[str, ...]]]]:
-        """The root, and the steps and final local chain of each tower, in order."""
+    def plan_steps(self, bases: Sequence[PlanStep]) -> tuple[PlanStep, ...]:
+        """The steps of the towers on the way from the root, tower i on
+        `bases[i]`, as `_leaves` placed them."""
         path = []
         state = self
         while state.parent is not None:
             path.append(state)
             state = state.parent
-        return state, [_tower_scripts(state.bases[s.index - 1], s.parent.count, s.script)
-                       for s in reversed(path)]
-
-    def plan_steps(self) -> tuple[PlanStep, ...]:
-        _, towers = self._towers()
-        return tuple(step for steps, _ in towers for step in steps)
-
-    def graph(self) -> tuple[dict[str, int], Counter]:
-        """The configuration's self-intersections and node counts, unbuilt.
-
-        Maps each curve name to its self-intersection and each curve pair,
-        ordered as `_pair` orders it, to the number of nodes between the two
-        curves.  The base curves and their surviving nodes come from the
-        root (`_Root`), the towers from the states on the way to it.
-        """
-        root, towers = self._towers()
-        self_int = dict(zip(root.names, [-d for d in self.depths]))
-        exceptional = [name for _, chain in towers for name in chain[1:-1]]
-        self_int.update(zip(exceptional, [-d for d in self.exceptional]))
-        meets = root.surviving.copy()
-        for _, chain in towers:
-            meets.update(map(_pair, chain, chain[1:]))
-        return self_int, meets
-
-
-class _Root(_State):
-    """The state before the first tower.  It also holds what every leaf's
-    steps and graph read: `bases`, the base node of each tower, `names`, the
-    base curves in base order, and `surviving`, the base nodes that no tower
-    blows up, counted by curve pair."""
-
-    __slots__ = ("bases", "names", "surviving")
+        return tuple(step for s in reversed(path) for step in
+                     _tower_scripts(bases[s.index - 1], s.parent.count, s.script))
 
 
 def _leaves(base: Configuration, bases: Sequence[PlanStep],
@@ -598,9 +554,9 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     a tower with a deeper curve is no outcome, and a state with a deeper
     base curve is dropped, counted as a state (blow-ups only deepen curves).
     Nothing is named or built here: a tower is placed by its depth string,
-    deepenings and gap script alone, a leaf's graph is `state.graph()` and
-    its configuration `BlowupPlan(state.plan_steps()).execute(base)`, both
-    naming the towers on the leaf's path only when they are read.
+    deepenings and gap script alone, and a leaf's configuration is
+    `BlowupPlan(state.plan_steps(bases)).execute(base)`, which names the
+    towers on the leaf's path only when it is read.
     `outcomes` is the caller's tower memo, which serves one `pool` and
     `cap`: it keeps the abstract outcomes of each tower size, with how much
     each deepens its two base curves.
@@ -636,9 +592,8 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     # the tower's curves take the names blow_up gives, which it refuses
     # where the base already has one
     taken = {name for name in names if name.startswith("E")}
-    root = _Root(None, tuple(-c.self_int for c in base.curves), (), (), 0,
-                 base.blowup_count, tuple(degree))
-    root.bases, root.names, root.surviving = bases, names, surviving
+    root = _State(None, tuple(-c.self_int for c in base.curves), (), (), 0,
+                  base.blowup_count, tuple(degree))
     for alloc in allocs:
         stack: list[_State] = [root]
         while stack:
@@ -721,12 +676,9 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         passes = _arm_test(base, bases, tested, stated.__contains__)
         for alloc, state in _leaves(base, bases, _allocations(b_total, pins), pool,
                                     outcomes, result, max_states, deep):
-            if not passes(alloc, state):
-                continue
-            chains = _chain_marking(*state.graph(), targets)
-            if chains is not None:
-                plan = BlowupPlan(state.plan_steps())
-                marked = _marked(plan.execute(base), chains, ())
+            if passes(alloc, state):
+                plan = BlowupPlan(state.plan_steps(bases))
+                marked = mark_chains(plan.execute(base), targets)
                 if marked is not None:
                     return plan, marked
         return None
@@ -939,7 +891,7 @@ def _arm_test(base: Configuration, bases: Sequence[PlanStep],
     """The leaf verdict of one base choice, read off a leaf's integers.
 
     Returns a test of a leaf (its allocation and state) that both searches
-    run before they build its graph.  It is False only for leaves whose
+    run before they replay it.  It is False only for leaves whose
     marking the search rejects, on the premise of both searches (see the
     module docstring): every non-(-1) component of a kept leaf is one chain
     that the search accepts.  The surviving nodes between deep base curves
@@ -959,7 +911,7 @@ def _arm_test(base: Configuration, bases: Sequence[PlanStep],
       is, so the test fails the leaves whose `_greedy_mark` fails or marks
       an ADE chain;
     - inference accepts the stated chains, either way round, so the test
-      fails the leaves that `_chain_marking` cannot mark into them.
+      fails the leaves that `mark_chains` cannot mark into them.
 
     A leaf with a tower that keeps more than one 1 passes, for the marker
     to decide.  A path that meets a curve at -1 or above is not tested.
@@ -1041,7 +993,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
     once.  The search stops as soon as it holds `max_results` records.
     Budget exhaustion is reported, partial results are still returned.
     Each leaf is first decided on its integers (`_arm_test`); only a leaf
-    that passes has its graph built and marked (`_harvest`).
+    that passes is replayed and marked (`_harvest`).
     """
     for name in ("max_chains", "max_blowups", "max_states", "max_results"):
         if getattr(params, name) < 0:
@@ -1117,15 +1069,14 @@ def _harvest(params: SearchParams, sub: Configuration, state: _State, bases, all
     """Keep the leaf as a record if it marks greedily into Wahl chains alone,
     with the stated K^2, an ample canonical class and new singularities.
 
-    The leaf is marked on its graph (`_State.graph`); its configuration is
-    built from `sub` only when that marking has Wahl chains and no ADE
-    chain.
+    The leaf is replayed on `sub` and marked on its configuration; a
+    marking with Wahl chains and no ADE chain counts in `result.marked`.
     """
-    marking = _greedy_mark(*state.graph())
+    config = BlowupPlan(state.plan_steps(bases)).execute(sub)
+    marking = _greedy_mark(config.self_int, config.meets)
     if marking is None or not marking[0] or marking[1]:
         return
     result.marked += 1
-    config = BlowupPlan(state.plan_steps()).execute(sub)
     marked = _marked(config, *marking)
     if marked is None:
         return

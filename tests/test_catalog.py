@@ -70,6 +70,8 @@ class TestRecordGrammar:
             parse_record("(2.1) K^2=2 - {C1, C1} - det=-2 -  - (2,1):[4]")
         with pytest.raises(RecordError):
             parse_record("(2.1) K^2=2 - {C1} - det=-2 - C1∩C9 - (2,1):[4]")
+        with pytest.raises(RecordError, match="K\\^2 must be at least 1"):
+            parse_record("(2.1) K^2=0 - {C1} - det=-2 -  - (2,1):[4]")
 
     def test_loading_a_file_closes_it(self, tmp_path):
         records = tmp_path / "records.txt"
@@ -329,6 +331,17 @@ class TestLedger:
         assert failures == [("record (3.0)", "chain [3, 5, 3, 3] is a Wahl chain"),
                             ("record (3.0)", "plan inference")]
         assert "not the Wahl chain" in ledger.failures()[1].detail
+
+    def test_inference_error_is_a_failure(self, a0, records, expected):
+        # a stated chain shorter than K^2 forces a negative blow-up count:
+        # inference raises, and the ledger reports it and goes on
+        bad = [dataclasses.replace(r, k2=5, chains=(ChainSpec(2, 1, (4,)),))
+               if r.rid == "2.1" else r for r in records]
+        ledger = verify_all(a0, bad, expected)
+        assert [c.line() for c in ledger.failures()] == [
+            "[FAIL] record (2.1): geography identities -- P=2 K=2 r=6 t2=8 c1^2=4 c2=20",
+            "[FAIL] record (2.1): plan inference -- (2.1): negative blow-up count"]
+        assert len(ledger.checks) == 401 and ledger.checks[-1].section == "main K^2=9"
 
     @pytest.mark.parametrize("step, shown", [
         (["A2", "C3"], '["A2", "C3"]'),

@@ -281,9 +281,8 @@ def _lockstep(leaves):
         try:
             for alloc, state in leaves(base, bases, allocs, pool, outcomes, result,
                                        max_states, deep, cap):
-                config = BlowupPlan(state.plan_steps()).execute(base)
-                assert (alloc, config, state.plan_steps()) == next(want)
-                assert state.graph() == _read_graph(config)
+                steps = state.plan_steps(bases)
+                assert (alloc, BlowupPlan(steps).execute(base), steps) == next(want)
                 assert result.states == ref.states
                 yield alloc, state
         except plans._Exhausted:
@@ -603,7 +602,7 @@ class TestInference:
         steps = main["recovered_plan"]
         config = BlowupPlan(tuple(PlanStep(*step) for step in steps)).execute(base)
         targets = [tuple(c["chain"]) for c in main["chains"]]
-        chains = plans._chain_marking(*_read_graph(config), targets)
+        chains = mark_chains(config, targets).wahl_chains
         assert [tuple(-config.curve(c).self_int for c in chain) for chain in chains] == \
             targets
         tower = {}  # exceptional curve -> its tower, numbered in plan order
@@ -631,8 +630,8 @@ class TestInference:
             assert calls and len(calls) == len(set(calls))
 
     def test_blow_ups_only_for_the_marked_leaf(self, a0, records, monkeypatch):
-        # leaves are marked on their graphs, and only the leaf that marks is
-        # built: its 10 blow-ups
+        # leaves are decided on their integers, and only the leaf that passes
+        # the arm test is replayed and marked: its 10 blow-ups
         calls = []
         blow_up = Configuration.blow_up
 
@@ -878,6 +877,11 @@ def _read_graph(config):
             Counter(n.pair() for n in config.nodes))
 
 
+def _leaf_graph(base, bases, state):
+    """Oracle: the graph of a leaf's configuration, replayed from its steps."""
+    return _read_graph(BlowupPlan(state.plan_steps(bases)).execute(base))
+
+
 def _reference_mark_chains(config, targets):
     """Oracle: the target marking searched on the configuration's own queries.
 
@@ -929,7 +933,7 @@ def _reference_mark_chains(config, targets):
 
 
 class TestLeafGraph:
-    """`_State.graph` against the graph of the leaf's built configuration."""
+    """Each leaf's replayed configuration against the leaf's integers."""
 
     # a doubly-meeting pair with a two-curve tail, as in the K^2=1 tests
     FIBRE = Configuration.build(
@@ -937,11 +941,13 @@ class TestLeafGraph:
         [("W", "X"), ("W", "X"), ("X", "Y"), ("Y", "Z"), ("Z", "X")])
 
     @staticmethod
-    def _check(base, state):
-        config = BlowupPlan(state.plan_steps()).execute(base)
-        graph, read = state.graph(), _read_graph(config)
-        assert plans._greedy_mark(*graph) == plans._greedy_mark(*read)
-        assert graph == read
+    def _check(base, bases, state):
+        # the steps replay, onto the depths the state holds: the base
+        # curves' in base order, the exceptional curves' as a multiset
+        config = BlowupPlan(state.plan_steps(bases)).execute(base)
+        depths = {name: -s for name, s in _read_graph(config)[0].items()}
+        assert state.depths == tuple(depths.pop(c.name) for c in base.curves)
+        assert sorted(state.exceptional) == sorted(depths.values())
         return config
 
     @pytest.mark.parametrize("k2, pool, marked", [
@@ -953,9 +959,9 @@ class TestLeafGraph:
         leaves = plans._leaves
         checked = []
 
-        def checking(base, *args):
-            for alloc, state in leaves(base, *args):
-                self._check(base, state)
+        def checking(base, bases, *args):
+            for alloc, state in leaves(base, bases, *args):
+                self._check(base, bases, state)
                 checked.append(state)
                 yield alloc, state
 
@@ -976,14 +982,13 @@ class TestLeafGraph:
         leaves = plans._leaves
         marks = []
 
-        def checking(base, *args):
-            for alloc, state in leaves(base, *args):
-                config = self._check(base, state)
-                chains = plans._chain_marking(*state.graph(), targets)
-                assert chains == _reference_mark_chains(config, targets)
-                assert mark_chains(config, targets) == \
-                    (plans._marked(config, chains, ()) if chains else None)
-                marks.append(chains is not None)
+        def checking(base, bases, *args):
+            for alloc, state in leaves(base, bases, *args):
+                config = self._check(base, bases, state)
+                chains = _reference_mark_chains(config, targets)
+                marked = mark_chains(config, targets)
+                assert marked == (plans._marked(config, chains, ()) if chains else None)
+                marks.append(marked is not None)
                 yield alloc, state
 
         monkeypatch.setattr(plans, "_leaves", checking)
@@ -1003,7 +1008,7 @@ class TestLeafGraph:
                     _allocations(total, [(None,) * (2 * m)]) for total in (m, m + 1))
                 for _, state in plans._leaves(tangle, bases, allocs, None, {}, got,
                                               sys.maxsize):
-                    self._check(tangle, state)
+                    self._check(tangle, bases, state)
                     leaves += 1
         assert leaves > 0
 
@@ -1022,7 +1027,7 @@ class TestLeafGraph:
     def test_degree_rule_drops_only_rejected_leaves(self, a0, records, monkeypatch,
                                                     rid, hinted):
         # every leaf the rule drops is one the search's marker rejects:
-        # _greedy_mark in search, _chain_marking against the stated chains in
+        # _greedy_mark in search, mark_chains against the stated chains in
         # inference
         leaves = plans._leaves
         kept, dropped = [], []
@@ -1031,20 +1036,20 @@ class TestLeafGraph:
                     cap=None):
             allocs, mine = itertools.tee(allocs)
             for alloc in mine:
-                run = {d: [(state.plan_steps(), state.graph()) for _, state in leaves(
+                run = {d: [state.plan_steps(bases) for _, state in leaves(
                     base, bases, [alloc], pool, {}, _Counts(), sys.maxsize, d, cap)]
                     for d in (deep, frozenset())}
-                ruled = {steps for steps, _ in run[deep]}
-                assert run[deep] == [x for x in run[frozenset()] if x[0] in ruled]
-                kept.extend(graph for _, graph in run[deep])
-                dropped.extend(graph for steps, graph in run[frozenset()]
+                ruled = set(run[deep])
+                assert run[deep] == [steps for steps in run[frozenset()] if steps in ruled]
+                kept.extend(BlowupPlan(steps).execute(base) for steps in run[deep])
+                dropped.extend(BlowupPlan(steps).execute(base) for steps in run[frozenset()]
                                if steps not in ruled)
             return leaves(base, bases, allocs, pool, outcomes, result, max_states, deep,
                           cap)
 
         monkeypatch.setattr(plans, "_leaves", compare)
         if rid is None:
-            marks = plans._greedy_mark
+            marks = lambda config: plans._greedy_mark(*_read_graph(config))
             for m in range(1, len(self.EXEMPT.nodes) + 1):
                 for _, pairs in _base_choices(self.EXEMPT, m, _Counts(), sys.maxsize):
                     allocs = itertools.chain.from_iterable(
@@ -1052,15 +1057,15 @@ class TestLeafGraph:
                     list(plans._leaves(self.EXEMPT, [PlanStep(a, b) for a, b in pairs],
                                        allocs, None, {}, _Counts(), sys.maxsize,
                                        _deep_curves(self.EXEMPT)))
-            assert len([g for g in kept if marks(*g) is not None]) == 2
+            assert len([c for c in kept if marks(c) is not None]) == 2
         else:
             record = records[rid] if hinted else dataclasses.replace(records[rid],
                                                                      steps=())
             targets = [tuple(c.chain) for c in record.chains]
-            marks = lambda *graph: plans._chain_marking(*graph, targets)
+            marks = lambda config: mark_chains(config, targets)
             assert infer_plan(record, a0.restrict(record.curves)).success
-            assert any(marks(*g) is not None for g in kept)
-        assert dropped and all(marks(*g) is None for g in dropped)
+            assert any(marks(c) is not None for c in kept)
+        assert dropped and all(marks(c) is None for c in dropped)
 
 
 def _checked_arm_test(arm_test, seen):
@@ -1077,7 +1082,7 @@ def _checked_arm_test(arm_test, seen):
 
         def check(alloc, state):
             verdict = passes(alloc, state)
-            marking = plans._greedy_mark(*state.graph())
+            marking = plans._greedy_mark(*_leaf_graph(base, bases, state))
             kept = marking is not None and bool(marking[0]) and not marking[1]
             assert verdict or not kept
             assert verdict == kept or not every
@@ -1136,7 +1141,8 @@ class TestArmTest:
 
             def check(alloc, state):
                 verdict = passes(alloc, state)
-                marked = plans._chain_marking(*state.graph(), targets) is not None
+                config = BlowupPlan(state.plan_steps(bases)).execute(base)
+                marked = mark_chains(config, targets) is not None
                 assert verdict or not marked
                 seen[verdict, marked] += 1
                 return verdict
@@ -1567,7 +1573,7 @@ def _marked_records(config, most, extra):
                     own[pairs] = set()
                     for alloc, state in plans._leaves(sub, bases, allocs, None, {},
                                                       _Counts(), sys.maxsize):
-                        self_int, meets = state.graph()
+                        self_int, meets = _leaf_graph(sub, bases, state)
                         marking = plans._greedy_mark(self_int, meets)
                         if marking is not None and marking[0] and not marking[1]:
                             own[pairs].add((sum(alloc), tuple(sorted(

@@ -19,3 +19,16 @@ def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     run = subprocess.run([sys.executable, str(TOOLS / "code_lines.py"), str(source)],
                          capture_output=True, text=True, check=True)
     assert run.stdout.split() == ["5", str(source)]
+
+
+def test_snapshot_prints_the_named_cases():
+    # hinted (3.0) as the hinted golden of test_plans pins it; an unknown
+    # case is named on stderr, with exit code 2
+    run = subprocess.run([sys.executable, str(TOOLS / "snapshot.py"), "hinted (3.0)",
+                          "hinted (0.0)"], capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr == "no such case: hinted (0.0)\n"
+    assert run.stdout == (
+        "hinted (3.0): states=9 pruned=0 leaves=1 exhausted=False "
+        "plan=[C1*C2, C1*C2, A3*C1, A3*E3, A3*E4, A2*C3, A2*B1, A2*E7] "
+        "marked=(('C3', 'A3', 'B1', 'E7'), ('C2', 'D3', 'F1', 'A2', 'C1', 'E3', 'E4'))\n")
