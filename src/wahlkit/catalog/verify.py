@@ -257,8 +257,9 @@ def _verify_construction(ledger: Ledger, sec: str, a0: Configuration,
     the determinant, the geography identities and the obstruction.
 
     Returns three values: the configuration on the record's curves, whether
-    its family is admissible and unobstructed, and whether every stated
-    chain is the Wahl chain it claims to be.
+    its family is unobstructed and its curves meet the geography identities
+    (admissibility included), and whether every stated chain is the Wahl
+    chain it claims to be.
     """
     chains_ok = all([_check_chain(ledger, sec, spec) for spec in record.chains])
     bound = length_bound("K3", record.k2)
@@ -279,7 +280,7 @@ def _verify_construction(ledger: Ledger, sec: str, a0: Configuration,
                f"P={p} K={k} r={sub.r} t2={sub.t2} c1^2={c1} c2={c2}")
     obs = obstruction_dim(sub)
     ledger.add(sec, "no local-to-global obstruction", obs == 0, f"dim={obs}")
-    return sub, obs == 0 and geo.admissible, chains_ok
+    return sub, obs == 0 and identities, chains_ok
 
 
 def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,

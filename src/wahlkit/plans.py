@@ -6,7 +6,7 @@ search.  Plan inference (`infer_plan`) and construction search
 (`search_constructions`) share one search core:
 
 - `_base_choices` enumerates the choices of base nodes to blow up, one per
-  multiset of curve pairs, counting each choice and each prefix it rejects
+  multiset of curve pairs, counting each choice and each prefix it cuts
   as one state.  It generates only the canonical choice of each multiset:
   deciding the nodes in id order, a node may be chosen only after the node
   before it on the same curve pair.  That is the first of its multiset
@@ -50,9 +50,12 @@ chain is a path of curves.  So the surviving nodes between such curves
 must form disjoint simple paths, a rule checked on every prefix of a
 base-node choice (`_PathPrefix`), and a state is dropped once such a curve
 has more than two final non-(-1) neighbours (the degree rule of
-`_leaves`).  On the same premise each such path, with its arms, is one
-whole chain, which the arm test reads.  A curve at -1 or above may end as
-a surviving (-1)-curve, so it is exempt from all three.  Inference reads
+`_leaves`).  The path rule also looks ahead: a prefix is cut once the
+nodes still to be chosen cannot bring every such curve down to two
+surviving nodes, since each chosen node relieves at most two curves.  On
+the same premise each such path, with its arms, is one whole chain, which
+the arm test reads.  A curve at -1 or above may end as a surviving
+(-1)-curve, so it is exempt from all three.  Inference reads
 the same paths once more, before any tower is placed: each must lie in a
 distinct stated chain, and the rest of that chain beyond each end of the
 path is the arm one tower holds there, so the stated chains fix the size
@@ -404,13 +407,18 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     a node may be chosen only if the node before it on the same curve pair
     is.
 
-    The nodes left unchosen run through the path rule (`_PathPrefix`) over
-    the curves `deep` (by default none, which admits every choice).  A
-    prefix that fails it is not extended, and only feasible choices are
-    yielded.  Each yielded choice and each rejected prefix (which has a
-    completion: `room` stops the others) counts as one state of `result`, a
-    rejected prefix also in `result.pruned` (`_spend`); the state that
-    exceeds `max_states` raises `_Exhausted`.
+    Each prefix runs through the path rule over the curves `deep` (by
+    default none, which admits every choice) and its degree look-ahead
+    (`_PathPrefix`): the nodes left unchosen must form paths, and the nodes
+    still to be chosen must be able to bring every deep curve down to two
+    of them.  A prefix cut by either is not extended, and exactly the
+    choices the path rule admits are yielded, in the same order as without
+    the look-ahead.  The look-ahead runs at the root and after each chosen
+    node, since leaving a node unchosen changes no excess.  Each yielded
+    choice and each cut prefix (which has a completion: `room` stops the
+    others) counts as one state of `result`, a cut prefix also in
+    `result.pruned` (`_spend`); the state that exceeds `max_states` raises
+    `_Exhausted`.
     """
     nodes = sorted(base.nodes, key=operator.attrgetter("id"))
     ids = [n.id for n in nodes]
@@ -427,10 +435,14 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
         the undecided nodes of the other pairs.
         """
         need = m - len(chosen)
+        if not state.fits(need):
+            _spend(result, max_states, rejected=True)
+            return
         while i < len(nodes):
             pair = pairs[i]
             if need and pair not in closed:
-                yield from extend(i + 1, chosen + (i,), closed, room - 1, state)
+                yield from extend(i + 1, chosen + (i,), closed, room - 1,
+                                  state.chosen(nodes[i]))
                 # leave node i unchosen, which closes its pair
                 room -= left[i][pair]
                 if room < need:
@@ -445,7 +457,7 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
         yield tuple(ids[j] for j in chosen), tuple(sorted([pairs[j] for j in chosen]))
 
     if m <= len(nodes):
-        yield from extend(0, (), frozenset(), len(nodes), _PathPrefix(deep, {}, {}))
+        yield from extend(0, (), frozenset(), len(nodes), _PathPrefix.of(deep, nodes))
 
 
 def _deep_curves(base: Configuration) -> frozenset[str]:
@@ -455,7 +467,8 @@ def _deep_curves(base: Configuration) -> frozenset[str]:
 
 
 class _PathPrefix:
-    """The path rule on the base nodes decided so far, in id order.
+    """The path rule on the base nodes decided so far, in id order, with its
+    degree look-ahead.
 
     An unchosen non-self node survives into every leaf.  Between two curves
     of `deep` (the base curves at -2 or below, `_deep_curves`) it is an edge
@@ -467,20 +480,61 @@ class _PathPrefix:
     chain, so its nodes are exempt; over no deep curves the rule admits
     every choice.  Deciding more nodes only adds edges, so a prefix that
     fails has no feasible completion.  A chosen node adds no edge, so only
-    `unchosen` extends the prefix: it returns the extended prefix, or None
-    when it fails.
+    `unchosen` extends the path rule: it returns the extended prefix, or
+    None when it fails.
+
+    The look-ahead (`fits`) cuts a prefix that no choice of the nodes still
+    to be chosen brings to degree at most 2.  A curve's final degree is its
+    nodes under the rule less those chosen, so `excess` maps each curve
+    with more than two such nodes to how many of them must still be
+    chosen: `chosen` lowers it at the node's two curves, and leaving a node
+    unchosen changes none.  A completion chooses `need` more nodes and each
+    relieves at most two curves, so a prefix fits only if no excess exceeds
+    `need` and the excesses sum to at most 2 `need`.
     """
 
-    __slots__ = ("deep", "degree", "ends")
+    __slots__ = ("deep", "degree", "ends", "excess")
 
-    def __init__(self, deep: frozenset, degree: dict, ends: dict) -> None:
+    def __init__(self, deep: frozenset, degree: dict, ends: dict, excess: dict) -> None:
         self.deep = deep  # the base curves at -2 or below
         self.degree = degree
         self.ends = ends  # a path end -> the other end of its path
+        self.excess = excess  # a curve -> its nodes still to be chosen, if any
+
+    @classmethod
+    def of(cls, deep: frozenset, nodes) -> "_PathPrefix":
+        """The empty prefix over the base nodes `nodes`."""
+        total = Counter(c for node in nodes if cls._ruled(node, deep)
+                        for c in (node.a, node.b))
+        return cls(deep, {}, {}, {c: k - 2 for c, k in total.items() if k > 2})
+
+    @staticmethod
+    def _ruled(node, deep: frozenset) -> bool:
+        """Whether the rule reads `node`: a non-self node between deep curves."""
+        return not node.is_self_node and node.a in deep and node.b in deep
+
+    def fits(self, need: int) -> bool:
+        """Whether choosing `need` more nodes can leave every degree at most 2."""
+        excess = self.excess
+        return not excess or (max(excess.values()) <= need
+                              and sum(excess.values()) <= 2 * need)
+
+    def chosen(self, node) -> "_PathPrefix":
+        """The prefix with `node` chosen, which relieves its two curves."""
+        if ((node.a not in self.excess and node.b not in self.excess)
+                or not self._ruled(node, self.deep)):
+            return self
+        excess = dict(self.excess)
+        for c in (node.a, node.b):
+            if c in excess:
+                excess[c] -= 1
+                if not excess[c]:
+                    del excess[c]
+        return _PathPrefix(self.deep, self.degree, self.ends, excess)
 
     def unchosen(self, node) -> Optional["_PathPrefix"]:
         a, b = node.a, node.b
-        if node.is_self_node or a not in self.deep or b not in self.deep:
+        if not self._ruled(node, self.deep):
             return self  # an exempt node leaves the prefix as it is
         degree = dict(self.degree)
         degree[a] = degree.get(a, 0) + 1
@@ -495,7 +549,7 @@ class _PathPrefix:
         ends = dict(self.ends)
         ends[end_a] = end_b
         ends[end_b] = end_a
-        return _PathPrefix(self.deep, degree, ends)
+        return _PathPrefix(self.deep, degree, ends, self.excess)
 
 
 class _State:
@@ -641,8 +695,9 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     """Recover a concrete blow-up plan realizing the record, by search.
 
     The number of blow-ups is forced by K^2.  The record's steps, if it
-    has any, fix the base nodes blown up; otherwise every choice of
-    P + K^2 base nodes is walked (`_base_choices`).  For each choice the
+    has any, fix the base nodes blown up; otherwise the choices of P + K^2
+    base nodes are walked (`_base_choices`), a prefix cut once the path
+    rule or its degree look-ahead fails (`_PathPrefix`).  For each choice the
     stated chains pin the tower sizes (`_pins`); bracket patterns are not
     read.  Succeeds when some interpretation yields a marked surface whose
     chains are exactly the stated ones; the survivor is re-certified

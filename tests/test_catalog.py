@@ -261,6 +261,20 @@ class TestLedger:
                    and c.name.startswith("inferred surface")]
         assert [(c.ok, c.detail) for c in surface] == [(True, "pi1 inconclusive")]
 
+    @pytest.mark.parametrize("line", [
+        "(2.1) K^2=5 - {C1, C2, B1, A2, A3, D1} - det=-40 - C1∩B1 - (2,1):[4]",
+        "(2.1) K^2=2 - {A1} - det=-2 -  - (2,1):[4] - (2,1):[4] - (2,1):[4]",
+    ], ids=["wrong-k2", "one-curve"])
+    def test_family_dimension_fails_with_the_geography(self, a0, expected, line):
+        # the family verdict reads the record's curves, not only its stated
+        # counts: admissible counts on curves that break the identities fail
+        ledger = verify_all(a0, [parse_record(line)], expected, with_inference=False)
+        verdicts = {c.name: c.ok for c in ledger.checks if c.section == "record (2.1)"}
+        assert verdicts["no local-to-global obstruction"]
+        assert not verdicts["geography identities"]
+        family = [name for name in verdicts if name.startswith("family dimension")]
+        assert len(family) == 1 and not verdicts[family[0]]
+
     def test_summary_counts_uncertified_mains(self, a0, records, expected):
         # a main with no frozen plan is a failure, not an uncertified pass
         unfrozen = json.loads(json.dumps(expected))
@@ -334,12 +348,14 @@ class TestLedger:
 
     def test_inference_error_is_a_failure(self, a0, records, expected):
         # a stated chain shorter than K^2 forces a negative blow-up count:
-        # inference raises, and the ledger reports it and goes on
+        # inference raises, and the ledger reports it and goes on; the family
+        # verdict fails with the geography of the curves
         bad = [dataclasses.replace(r, k2=5, chains=(ChainSpec(2, 1, (4,)),))
                if r.rid == "2.1" else r for r in records]
         ledger = verify_all(a0, bad, expected)
         assert [c.line() for c in ledger.failures()] == [
             "[FAIL] record (2.1): geography identities -- P=2 K=2 r=6 t2=8 c1^2=4 c2=20",
+            "[FAIL] record (2.1): family dimension 10",
             "[FAIL] record (2.1): plan inference -- (2.1): negative blow-up count"]
         assert len(ledger.checks) == 401 and ledger.checks[-1].section == "main K^2=9"
 

@@ -406,8 +406,8 @@ class TestInference:
         assert result.summary().startswith("(2.9) no plan after ")
 
     def test_state_budget_bounds_base_node_choices(self, a0, records):
-        # free inference of (8.1) rejects over 75,000 base-choice prefixes;
-        # each counts as a state, so a small budget stops it
+        # free inference of (8.1) rejects 4,235 base-choice prefixes; each
+        # counts as a state, so a small budget stops it
         record = dataclasses.replace(records["8.1"], steps=())
         result = infer_plan(record, a0.restrict(record.curves), max_states=2000)
         assert not result.success and result.exhausted
@@ -500,14 +500,14 @@ class TestInference:
 
     # the eight cases of the benchmark's free_infer workload, with the
     # base-choice prefixes each rejects and the states each takes
-    FREE_PRUNED = {"2.1": 5, "2.2": 8, "3.2": 5, "4.1": 26, "5.1": 684,
-                   "6.1": 2604, "7.1": 4577, "main2": 6}
-    FREE_STATES = {"2.1": 39, "2.2": 50, "3.2": 71, "4.1": 58, "5.1": 777,
-                   "6.1": 2621, "7.1": 4608, "main2": 25}
+    FREE_PRUNED = {"2.1": 5, "2.2": 8, "3.2": 5, "4.1": 26, "5.1": 381,
+                   "6.1": 428, "7.1": 305, "main2": 6}
+    FREE_STATES = {"2.1": 39, "2.2": 50, "3.2": 71, "4.1": 58, "5.1": 474,
+                   "6.1": 445, "7.1": 336, "main2": 25}
     # the state counts without the degree rule of `_leaves`, which finds the
     # same plans
-    UNSHAPED = {"2.1": 57, "2.2": 66, "3.2": 175, "4.1": 64, "5.1": 800,
-                "6.1": 2622, "7.1": 4609, "main2": 25}
+    UNSHAPED = {"2.1": 57, "2.2": 66, "3.2": 175, "4.1": 64, "5.1": 497,
+                "6.1": 446, "7.1": 337, "main2": 25}
     FREE_PLANS = {
         "2.1": "A2*B1, B1*E1, B1*E2, A3*C1, C1*E4, C1*C2, C2*D1",
         "2.2": "A2*B1, A2*C1, A2*E2, A2*E3, E3*E4, E4*E5, E5*E6, A3*C1, C1*C2, C1*E9",
@@ -536,19 +536,16 @@ class TestInference:
                                                        self.FREE_PLANS[rid])
         assert without.marked.wahl_chains == result.marked.wahl_chains
 
-    # every record up to K^2=8, and every main; the stated chains pin the
-    # tower sizes of each base choice (`_pins`)
-    SOLVED = [r.rid for r in load_records() if r.k2 <= 8] + [f"main{k2}"
-                                                             for k2 in range(2, 10)]
+    # every record and every main; the stated chains pin the tower sizes of
+    # each base choice (`_pins`)
+    SOLVED = [r.rid for r in load_records()] + [f"main{k2}" for k2 in range(2, 10)]
 
     @pytest.mark.parametrize("rid", SOLVED)
     def test_free_inference_within_the_default_budget(self, a0, records, rid):
         # most of these searches' states are rejected base-choice prefixes,
-        # each counted once; each main recovers its frozen plan, main 9
-        # after 418,685 states
+        # each counted once; each main recovers its frozen plan
         record = dataclasses.replace(records[rid], steps=())
-        budget = 500000 if rid == "main9" else 200000
-        result = infer_plan(record, a0.restrict(record.curves), max_states=budget)
+        result = infer_plan(record, a0.restrict(record.curves))
         assert result.success
         assert result.report.k2 == record.k2
         if rid.startswith("main"):
@@ -557,13 +554,14 @@ class TestInference:
                                                    for a, b, occ in frozen))
 
     def test_free_inference_budget_counts(self, a0, records):
-        # rejected base-choice prefixes, and 9 choices that no pin admits,
-        # exhaust the budget before any leaf
+        # rejected base-choice prefixes, and 225 choices that no pin admits,
+        # exhaust the budget before any leaf (the first comes after 4,523
+        # states)
         record = dataclasses.replace(records["8.1"], steps=())
-        result = infer_plan(record, a0.restrict(record.curves), max_states=20000)
+        result = infer_plan(record, a0.restrict(record.curves), max_states=4000)
         assert not result.success
-        assert (result.states, result.pruned, result.leaves) == (20001, 19992, 0)
-        assert result.summary() == ("(8.1) no plan after 20001 states (19992 pruned), "
+        assert (result.states, result.pruned, result.leaves) == (4001, 3775, 0)
+        assert result.summary() == ("(8.1) no plan after 4001 states (3775 pruned), "
                                     "0 leaves: state budget exhausted")
         # towers exhaust the budget, and no base-node choice counts after them
         record = dataclasses.replace(records["2.1"], steps=())
@@ -572,7 +570,7 @@ class TestInference:
         assert result.states == 31
 
     @pytest.mark.parametrize("search, budget", [
-        ("5.1", 770), ("2.1-hinted", 5), ("bench", 1000), ("bench", 5000),
+        ("5.1", 467), ("2.1-hinted", 5), ("bench", 1000), ("bench", 5000),
     ], ids=["towers-5.1", "hinted", "search-1000", "search-5000"])
     def test_budget_stops_one_state_over(self, a0, records, search, budget):
         # as above: whichever layer spends the last state, an exhausted
@@ -1304,6 +1302,35 @@ class TestBaseChoices:
                             assert alloc in admitted, (pairs, alloc)
                             passed += 1
         return passed
+
+    @staticmethod
+    def _cut_at_the_root(nodes, m):
+        """A walk over the all-(-2) configuration on `nodes` that its degree
+        look-ahead cuts at the root: no choice, one state, one pruned; the
+        oracle agrees that no choice is feasible."""
+        cfg = Configuration.build([(c, -2) for c in sorted({c for n in nodes for c in n})],
+                                  nodes)
+        deep = _deep_curves(cfg)
+        every = list(_reference_choices(cfg, m, _Counts(), sys.maxsize))
+        assert every and not [x for x in every if _combo_feasible(cfg, x[0])]
+        full, walk = TestBaseChoices._unlimited_walk(cfg, m, deep, every, [])
+        assert (full, walk.states, walk.pruned) == ([], 1, 1)
+        return plans._PathPrefix.of(deep, cfg.nodes)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_look_ahead_cuts_a_curve_with_too_many_neighbours(self, m):
+        # H meets five curves: choosing m nodes leaves it degree 5 - m > 2;
+        # with m = 2 the bound on H alone cuts, its excess 3 exceeding 2
+        root = self._cut_at_the_root([("H", c) for c in "ABCDE"], m)
+        assert root.excess == {"H": 3}
+
+    def test_look_ahead_cuts_by_the_sum_of_excesses(self):
+        # three disjoint curves, each one node over: each excess fits the one
+        # node still to choose, but that node relieves at most two of them
+        root = self._cut_at_the_root(
+            [(x, f"{x}{k}") for x in "XYZ" for k in range(3)], 1)
+        assert root.excess == {"X": 1, "Y": 1, "Z": 1}
+        assert root.fits(2) and not root.fits(1)
 
     def test_too_few_nodes(self):
         cfg = Configuration.build([("A", -2), ("B", -2)], [("A", "B")])
