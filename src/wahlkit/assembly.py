@@ -65,16 +65,16 @@ class MarkedSurface:
     @cached_property
     def strings(self) -> tuple[tuple[int, ...], ...]:
         """The entries (negated self-intersections) of each Wahl chain."""
-        return tuple(tuple(-self.surface.curve(c).self_int for c in chain)
+        return tuple(tuple(-s for s in self.surface.self_ints(chain))
                      for chain in self.wahl_chains)
 
     def wahl_data(self) -> tuple[WahlSingularity, ...]:
-        data = tuple(wahl_singularity(entries) for entries in self.strings)
-        assert None not in data  # _validate guarantees it
-        return data
+        """Each Wahl chain's singularity, recognized once by `_validate`."""
+        return self._wahl_data
 
     def _validate(self) -> None:
-        """Check the marking rules in one pass over the nodes."""
+        """Check the marking rules in one pass over the nodes, keeping each
+        Wahl chain's singularity for `wahl_data`."""
         chains = self.wahl_chains + self.ade_chains
         place: dict[str, tuple[int, int]] = {}  # marked curve -> (chain, position)
         for i, chain in enumerate(chains):
@@ -84,12 +84,16 @@ class MarkedSurface:
                 if name in place:
                     raise AssemblyError(f"curve {name} marked twice")
                 place[name] = (i, k)
+        data = []
         for chain, entries in zip(self.wahl_chains, self.strings):
-            if min(entries) < 2 or wahl_singularity(entries) is None:
+            sing = wahl_singularity(entries) if min(entries) >= 2 else None
+            if sing is None:
                 raise AssemblyError(f"marked chain {chain} has string {list(entries)}, "
                                     f"not a Wahl chain")
+            data.append(sing)
+        object.__setattr__(self, "_wahl_data", tuple(data))  # not a field
         for chain in self.ade_chains:
-            bad = [c for c in chain if self.surface.curve(c).self_int != -2]
+            bad = [c for c, s in zip(chain, self.surface.self_ints(chain)) if s != -2]
             if bad:
                 raise AssemblyError(f"ADE chain member {bad[0]} is not a (-2)-curve; "
                                     f"only A_k chains of (-2)-curves are supported")

@@ -11,8 +11,9 @@ A configuration is immutable, so every query reads one graph built the
 first time it is asked for and kept with the instance: `self_int`, each
 curve's self-intersection, and `meets`, each curve pair's node count.  The
 rank and determinant of its intersection matrix (`rank_det`) are kept the
-same way, from one elimination.  The blow-up engine and plan replay read
-the nodes themselves and build no graph.
+same way, from one elimination.  The blow-up engine (`blow_ups`), which
+both `blow_up` and plan replay run, reads the curves and nodes themselves
+and builds no graph.
 """
 from __future__ import annotations
 
@@ -151,9 +152,16 @@ class Configuration:
         return len(self.nodes)
 
     def curve(self, name: str) -> Curve:
-        if name not in self.self_int:
-            raise ConfigurationError(f"unknown curve {name!r}")
-        return Curve(name, self.self_int[name])
+        return Curve(name, self.self_ints((name,))[0])
+
+    def self_ints(self, names: Iterable[str]) -> tuple[int, ...]:
+        """The named curves' self-intersections, in order; an unknown name
+        raises ConfigurationError."""
+        self_int = self.self_int
+        try:
+            return tuple(self_int[name] for name in names)
+        except KeyError as exc:
+            raise ConfigurationError(f"unknown curve {exc.args[0]!r}") from None
 
     def node(self, node_id: int) -> Node:
         for n in self.nodes:
@@ -168,7 +176,7 @@ class Configuration:
     def pairing(self, a: str, b: str) -> int:
         """Intersection number: self_int on the diagonal, node count off it."""
         if a == b:
-            return self.curve(a).self_int
+            return self.self_ints((a,))[0]
         return self.meets[_pair(a, b)]
 
     def nodes_at(self, name: str) -> tuple[Node, ...]:
@@ -194,8 +202,7 @@ class Configuration:
         configuration's own curve order.
         """
         names = list(order) if order is not None else list(self.self_int)
-        for name in names:
-            self.curve(name)
+        self.self_ints(names)
         self_int, meets = self.self_int, self.meets
         return [[self_int[a] if a == b else meets[_pair(a, b)] for b in names]
                 for a in names]
@@ -222,35 +229,50 @@ class Configuration:
     # -- blow-up engine ---------------------------------------------------
 
     def blow_up(self, node_id: int) -> "Configuration":
-        """Blow up one node: both incident branches' curves drop by one and
-        the new (-1)-curve, named E{blowup_count + 1}, meets each branch once.
+        """Blow up one node, the one-step case of `blow_ups`."""
+        pair = self.node(node_id).pair()
+        ids = [n.id for n in self.nodes if n.pair() == pair]
+        return self.blow_ups([(*pair, ids.index(node_id))])
 
-        A self-node decrements its curve twice and the exceptional curve
-        meets it twice.
+    def blow_ups(self, steps: Iterable[tuple[str, str, int]],
+                 missing: type[Exception] = ConfigurationError) -> "Configuration":
+        """Blow up in turn, for each step (a, b, k), the k-th node between a
+        and b in node order; `missing` is raised when there is none.
 
-        The result is not validated again: its names stay distinct because
-        the new name is checked against the curves, its node ids because
-        the new ones are past every existing id, and both new nodes name
-        known curves (the new one and the blown-up node's).  Neither
-        configuration's graph is built: a plan replays blow-ups on
-        configurations that are never queried.
+        Each branch's curve drops by one (a self-node's twice) and the new
+        (-1)-curve E{blowup_count + 1} meets each branch once; the two new
+        nodes go at the end, with ids past every id so far.  The result is
+        built once and not validated again (each new name is checked), and
+        no graph is read or built.
         """
-        target = self.node(node_id)
-        exc_name = f"E{self.blowup_count + 1}"
-        if any(c.name == exc_name for c in self.curves):
-            raise ConfigurationError(f"exceptional name {exc_name} already taken")
-        new_curves = []
-        for c in self.curves:
-            drop = (1 if c.name == target.a else 0) + (1 if c.name == target.b else 0)
-            new_curves.append(Curve(c.name, c.self_int - drop) if drop else c)
-        new_curves.append(Curve(exc_name, -1))
-        next_id = max((n.id for n in self.nodes), default=-1) + 1
-        kept = tuple(n for n in self.nodes if n.id != node_id)
-        added = (Node(next_id, exc_name, target.a), Node(next_id + 1, exc_name, target.b))
-        out = object.__new__(Configuration)  # no __post_init__, see above
-        object.__setattr__(out, "curves", tuple(new_curves))
-        object.__setattr__(out, "nodes", kept + added)
-        object.__setattr__(out, "blowup_count", self.blowup_count + 1)
+        self_int = {c.name: c.self_int for c in self.curves}
+        nodes: dict[int, Node] = {}  # id -> node, in node order
+        between: dict[tuple[str, str], list[int]] = {}  # pair -> ids, in node order
+        for node in self.nodes:
+            nodes[node.id] = node
+            between.setdefault(node.pair(), []).append(node.id)
+        count = self.blowup_count
+        top = max(nodes, default=-1)
+        for a, b, k in steps:
+            ids = between.get(_pair(a, b), [])
+            if k >= len(ids):
+                raise missing(f"no node #{k} between {a} and {b}")
+            target = nodes.pop(ids.pop(k))
+            count += 1
+            exc = f"E{count}"
+            if exc in self_int:
+                raise ConfigurationError(f"exceptional name {exc} already taken")
+            self_int[target.a] -= 1
+            self_int[target.b] -= 1
+            self_int[exc] = -1
+            for other in (target.a, target.b):
+                top += 1
+                nodes[top] = Node(top, exc, other)
+                between.setdefault(_pair(exc, other), []).append(top)
+        out = object.__new__(Configuration)  # no __post_init__
+        object.__setattr__(out, "curves", tuple(Curve(n, s) for n, s in self_int.items()))
+        object.__setattr__(out, "nodes", tuple(nodes.values()))
+        object.__setattr__(out, "blowup_count", count)
         return out
 
     def restrict(self, names: Sequence[str]) -> "Configuration":
@@ -259,9 +281,8 @@ class Configuration:
         It keeps the blow-ups so far, so K stays as `pk_invariants` counts it
         and the next blow-up's curve is named after the last one.
         """
+        self.self_ints(names)
         keep = set(names)
-        for name in names:
-            self.curve(name)
         curves = tuple(c for c in self.curves if c.name in keep)
         nodes = tuple(n for n in self.nodes if n.a in keep and n.b in keep)
         return Configuration(curves, nodes, self.blowup_count)

@@ -122,14 +122,9 @@ class BlowupPlan:
     steps: tuple[PlanStep, ...]
 
     def execute(self, base: Configuration) -> Configuration:
-        config = base
-        for step in self.steps:
-            nodes = config.nodes_between(step.a, step.b)
-            if step.occurrence >= len(nodes):
-                raise PlanError(f"no node #{step.occurrence} between "
-                                f"{step.a} and {step.b}")
-            config = config.blow_up(nodes[step.occurrence].id)
-        return config
+        """The steps blown up in turn on `base` (`Configuration.blow_ups`);
+        PlanError names the first step whose node is missing."""
+        return base.blow_ups([(s.a, s.b, s.occurrence) for s in self.steps], PlanError)
 
     def __str__(self) -> str:
         return ", ".join(str(s) for s in self.steps)
@@ -173,12 +168,17 @@ def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
     (-2)-curves unmarked.  Each chain is oriented as its target.  If no
     marking does, or the marked surface is invalid, the result is None.
     """
-    self_int, meets = config.self_int, config.meets
-    adjacency: dict[str, list[str]] = {name: [] for name in self_int}
-    for a, b in meets:
+    self_int = config.self_int
+    around: dict[str, set[str]] = {name: set() for name in self_int}  # other curves met
+    once: dict[str, list[str]] = {name: [] for name in self_int}  # ... at one node
+    for (a, b), k in config.meets.items():
         if a != b:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
+            around[a].add(b)
+            around[b].add(a)
+            if k == 1:
+                once[a].append(b)
+                once[b].append(a)
+    by_name = sorted(self_int.items())
 
     def paths(target: tuple[int, ...], used: set[str]) -> list[tuple[str, ...]]:
         """The matching paths, a string and its reverse counted once."""
@@ -188,19 +188,16 @@ def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
             if pos == len(target):
                 out.add(min(tuple(path), tuple(reversed(path))))
                 return
-            last = path[-1]
-            for nxt in adjacency[last]:
+            for nxt in once[path[-1]]:
                 if nxt in used or nxt in path or self_int[nxt] != -target[pos]:
                     continue
-                if meets[_pair(last, nxt)] != 1:
-                    continue
-                if any(meets[_pair(nxt, earlier)] for earlier in path[:-1]):
+                if not around[nxt].isdisjoint(path[:-1]):
                     continue
                 path.append(nxt)
                 extend(path, pos + 1)
                 path.pop()
 
-        for name, s in sorted(self_int.items()):
+        for name, s in by_name:
             if name not in used and s == -target[0]:
                 extend([name], 1)
         return sorted(out)
@@ -208,21 +205,21 @@ def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
     order = sorted(range(len(targets)), key=lambda i: -len(targets[i]))
     chosen: dict[int, tuple[str, ...]] = {}
 
-    def assign(k: int, used: set[str]) -> bool:
+    def assign(k: int, used: set[str], near: set[str]) -> bool:
+        """`near`: the curves that meet a chosen chain."""
         if k == len(order):
             return all(s in (-1, -2) for name, s in self_int.items() if name not in used)
         idx = order[k]
         for path in paths(targets[idx], used):
-            if any(meets[_pair(a, b)]
-                   for a in path for other in chosen.values() for b in other):
+            if not near.isdisjoint(path):
                 continue
             chosen[idx] = path
-            if assign(k + 1, used | set(path)):
+            if assign(k + 1, used.union(path), near.union(*map(around.get, path))):
                 return True
             del chosen[idx]
         return False
 
-    if not assign(0, {c for chain in ade for c in chain}):
+    if not assign(0, {c for chain in ade for c in chain}, set()):
         return None
     oriented = []
     for idx, target in enumerate(targets):
@@ -968,8 +965,7 @@ def _arm_test(base: Configuration, bases: Sequence[PlanStep],
     - inference accepts the stated chains, either way round, so the test
       fails the leaves that `mark_chains` cannot mark into them.
 
-    A leaf with a tower that keeps more than one 1 passes, for the marker
-    to decide.  A path that meets a curve at -1 or above is not tested.
+    A path that meets a curve at -1 or above is not tested.
     So on a base whose curves are all deep the test passes exactly the
     leaves search marks, and otherwise the marker decides the leaves it
     passes.  If `tested` is None (the deep curves meet in anything but
@@ -989,8 +985,6 @@ def _arm_test(base: Configuration, bases: Sequence[PlanStep],
             xs = state.exceptional[start:start + size]
             start += size
             k = xs.index(1)
-            if 1 in xs[k + 1:]:
-                return True  # not a tower `_tower_outcomes` walks: `_greedy_mark` decides
             if k:
                 hanging.setdefault(ia, []).append(xs[:k])
             if k < size - 1:
@@ -1060,8 +1054,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
     else:
         raise PlanError("curve_pool must name at least one curve")
     result = SearchResult()
-    for name in pool:
-        a0.curve(name)
+    a0.self_ints(pool)
     found: set[tuple] = set()
     wahl: dict = {}  # component string -> whether it is a Wahl chain
     outcomes: dict = {}  # the tower memo
@@ -1071,8 +1064,9 @@ def search_constructions(params: SearchParams, a0: Configuration,
     def is_wahl(string: tuple[int, ...]) -> bool:
         verdict = wahl.get(string)
         if verdict is None:
-            # every Wahl chain [b_1, ..., b_l] has sum 3l + 1
-            verdict = wahl[string] = (sum(string) == 3 * len(string) + 1
+            # every Wahl chain [b_1, ..., b_l] has entries >= 2 and sum 3l + 1
+            verdict = wahl[string] = (min(string) >= 2
+                                      and sum(string) == 3 * len(string) + 1
                                       and wahl_singularity(string) is not None)
         return verdict
 
@@ -1153,8 +1147,7 @@ def _harvest(params: SearchParams, sub: Configuration, state: _State, bases, all
         if size == 1:
             specs.append(BlowupSpec(base_step.a, base_step.b, None))
         else:
-            pattern = tuple(-config.curve(f"E{start + j + 1}").self_int
-                            for j in range(size))
+            pattern = tuple(-config.self_int[f"E{start + j + 1}"] for j in range(size))
             specs.append(BlowupSpec(base_step.a, base_step.b, pattern))
         start += size
     rid = f"{params.k2}.{len(found)}"

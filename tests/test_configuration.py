@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from wahlkit import configuration
 from wahlkit.assembly import obstruction_dim
 from wahlkit.catalog.a0 import frozen_a0
-from wahlkit.configuration import (Configuration, ConfigurationError, det_exact,
-                                   geography_check, rank_exact)
-from wahlkit.plans import BlowupPlan, PlanStep
+from wahlkit.catalog.verify import load_expected, load_records
+from wahlkit.configuration import (Configuration, ConfigurationError, Curve, Node,
+                                   det_exact, geography_check, rank_exact)
+from wahlkit.plans import BlowupPlan, PlanError, PlanStep, infer_plan
 
 
 def cofactor_det(matrix):
@@ -231,6 +232,101 @@ class TestBlowUp:
         kept = out.restrict([c.name for c in out.curves])
         assert kept == out and kept.pk_invariants() == out.pk_invariants() == (4, -1)
         assert kept.blow_up(kept.nodes_between("A", "E1")[0].id).curve("E2").self_int == -1
+
+
+def stepwise_blow_ups(config, steps, missing=ConfigurationError):
+    """Oracle: the steps blown up one at a time, each on a new configuration
+    built from all the curves and nodes of the last."""
+    for a, b, k in steps:
+        pair = tuple(sorted((a, b)))
+        between = [n for n in config.nodes if tuple(sorted((n.a, n.b))) == pair]
+        if k >= len(between):
+            raise missing(f"no node #{k} between {a} and {b}")
+        target = between[k]
+        name = f"E{config.blowup_count + 1}"
+        if any(c.name == name for c in config.curves):
+            raise ConfigurationError(f"exceptional name {name} already taken")
+        curves = tuple(Curve(c.name, c.self_int - (c.name == target.a) - (c.name == target.b))
+                       for c in config.curves) + (Curve(name, -1),)
+        next_id = max(n.id for n in config.nodes) + 1
+        nodes = tuple(n for n in config.nodes if n is not target) + (
+            Node(next_id, name, target.a), Node(next_id + 1, name, target.b))
+        config = Configuration(curves, nodes, config.blowup_count + 1)
+    return config
+
+
+def outcome(run, *args):
+    """What a run returns, or the type and message of what it raises."""
+    try:
+        return run(*args)
+    except (ConfigurationError, PlanError) as exc:
+        return type(exc), str(exc)
+
+
+# E1, E2 and E4 may already be taken by the time a blow-up names its curve
+NAMES = ("A", "B", "C", "E1", "E2", "E4")
+
+
+@st.composite
+def small_configurations(draw):
+    """A few curves, doubled pairs and self-nodes among them, and distinct
+    node ids in any order."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          max_size=8))
+    ids = draw(st.permutations(range(len(pairs) + 2)))
+    return Configuration(tuple(Curve(name, draw(st.integers(-4, 0))) for name in names),
+                         tuple(Node(i, a, b) for i, (a, b) in zip(ids, pairs)),
+                         draw(st.integers(0, 6)))
+
+
+class TestBlowUpEngine:
+    """`Configuration.blow_ups` against the step-by-step oracle: curves, node
+    ids and order, `blowup_count` and raised errors."""
+
+    @given(small_configurations(), st.data())
+    def test_matches_stepwise(self, base, data):
+        # most steps name a node of the configuration so far, in either order
+        names = [c.name for c in base.curves] + ["E3", "E5", "E6"]
+        config, steps = base, []
+        for _ in range(data.draw(st.integers(1, 6))):
+            if config.nodes and data.draw(st.integers(0, 5)):
+                node = data.draw(st.sampled_from(config.nodes))
+                step = data.draw(st.sampled_from([(node.a, node.b), (node.b, node.a)]))
+                step += ([n for n in config.nodes if {n.a, n.b} == set(step)].index(node),)
+            else:
+                step = data.draw(st.tuples(st.sampled_from(names), st.sampled_from(names),
+                                           st.integers(0, 2)))
+            steps.append(step)
+            config = outcome(stepwise_blow_ups, config, [step])
+            if not isinstance(config, Configuration):
+                break
+        plan = BlowupPlan(tuple(PlanStep(*step) for step in steps))
+        assert outcome(base.blow_ups, steps) == outcome(stepwise_blow_ups, base, steps)
+        assert outcome(plan.execute, base) == \
+            outcome(stepwise_blow_ups, base, steps, PlanError)
+
+    @given(small_configurations(), st.integers(0, 9))
+    def test_one_step(self, base, node_id):
+        node = next((n for n in base.nodes if n.id == node_id), None)
+        want = (ConfigurationError, f"unknown node {node_id}") if node is None else \
+            outcome(stepwise_blow_ups, base, [(node.a, node.b, [
+                n.id for n in base.nodes if {n.a, n.b} == {node.a, node.b}
+            ].index(node_id))])
+        assert outcome(base.blow_up, node_id) == want
+
+    def test_matches_stepwise_on_the_catalog(self):
+        a0 = frozen_a0()
+        cases = [(main["curves"], [tuple(step) for step in main["recovered_plan"]])
+                 for main in load_expected()["mains"].values() if "recovered_plan" in main]
+        for record in load_records():
+            base = a0.restrict(record.curves)
+            plan = infer_plan(record, base).plan
+            cases.append((record.curves, [(s.a, s.b, s.occurrence) for s in plan.steps]))
+        assert len(cases) == 37
+        for curves, steps in cases:
+            base = a0.restrict(curves)
+            assert base.blow_ups(steps) == stepwise_blow_ups(base, steps)
 
 
 class TestPairTable:

@@ -117,6 +117,20 @@ def _runs_in_pool(xs, pool):
                                itertools.groupby(xs, lambda x: x == 1) if not one)
 
 
+def _count_blow_ups(monkeypatch) -> list:
+    """The steps every run of the blow-up engine replays, from now on."""
+    calls = []
+    blow_ups = Configuration.blow_ups
+
+    def counted(config, steps, *args):
+        steps = list(steps)
+        calls.extend(steps)
+        return blow_ups(config, steps, *args)
+
+    monkeypatch.setattr(Configuration, "blow_ups", counted)
+    return calls
+
+
 def _reference_tower_scripts(config, base, size, pool, outcomes):
     """Oracle: replay each abstract tower outcome's script with `blow_up`.
 
@@ -572,9 +586,23 @@ class TestInference:
     @pytest.mark.parametrize("search, budget", [
         ("5.1", 467), ("2.1-hinted", 5), ("bench", 1000), ("bench", 5000),
     ], ids=["towers-5.1", "hinted", "search-1000", "search-5000"])
-    def test_budget_stops_one_state_over(self, a0, records, search, budget):
+    def test_budget_stops_one_state_over(self, a0, records, monkeypatch, search,
+                                         budget):
         # as above: whichever layer spends the last state, an exhausted
         # search counts exactly one state over its budget and says so
+        stops = []
+        if search == "5.1":
+            # the budget must run out in a tower, not in the base-choice walk
+            leaves = plans._leaves
+
+            def watched(*args):
+                try:
+                    yield from leaves(*args)
+                except plans._Exhausted:
+                    stops.append("towers")
+                    raise
+
+            monkeypatch.setattr(plans, "_leaves", watched)
         if search == "bench":
             params = dataclasses.replace(TestSearch.BENCH, max_states=budget)
             result = search_constructions(params, a0)
@@ -587,6 +615,7 @@ class TestInference:
             assert not result.success
             assert result.summary().endswith(": state budget exhausted")
         assert result.exhausted and result.states == budget + 1
+        assert stops == (["towers"] if search == "5.1" else [])
 
     FROZEN = {k2: main for k2, main in load_expected()["mains"].items()
               if "recovered_plan" in main}
@@ -630,14 +659,7 @@ class TestInference:
     def test_blow_ups_only_for_the_marked_leaf(self, a0, records, monkeypatch):
         # leaves are decided on their integers, and only the leaf that passes
         # the arm test is replayed and marked: its 10 blow-ups
-        calls = []
-        blow_up = Configuration.blow_up
-
-        def counted(config, node_id):
-            calls.append(node_id)
-            return blow_up(config, node_id)
-
-        monkeypatch.setattr(Configuration, "blow_up", counted)
+        calls = _count_blow_ups(monkeypatch)
         record = dataclasses.replace(records["2.2"], steps=())
         result = infer_plan(record, a0.restrict(record.curves))
         assert result.success and result.states == 50
@@ -1504,14 +1526,7 @@ class TestSearch:
     def test_search_blows_up_only_marked_leaves(self, a0, monkeypatch):
         # a leaf is marked on its integer graph; only a marked leaf and the
         # states on its path are built (60,250 blow-ups when every leaf was)
-        calls = []
-        blow_up = Configuration.blow_up
-
-        def counted(config, node_id):
-            calls.append(node_id)
-            return blow_up(config, node_id)
-
-        monkeypatch.setattr(Configuration, "blow_up", counted)
+        calls = _count_blow_ups(monkeypatch)
         result = search_constructions(self.BENCH, a0)
         assert (result.states, result.leaves, result.marked) == (9427, 2019, 2)
         assert not result.exhausted
