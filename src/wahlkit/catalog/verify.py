@@ -25,7 +25,7 @@ from ..chains import (ChainError, CyclicQuotient, blow_down_compose, length_boun
 from ..configuration import Configuration, geography_check
 from ..assembly import (AssemblyError, MarkedSurface, k_squared, nef_ample_check,
                         obstruction_dim, pi1_verdict, singularity_report)
-from ..plans import BlowupPlan, PlanError, PlanStep, infer_plan, mark_chains
+from ..plans import BlowupPlan, PlanError, PlanStep, _stated_marking, infer_plan
 from .a0 import (SECTIONS, A0Constraints, CatalogError, build_a0, frozen_a0,
                  incidences_of)
 from .records import ChainSpec, RecordError, SurfaceRecord, parse_records_file
@@ -394,6 +394,10 @@ def _plan_from_json(steps) -> BlowupPlan:
 
 
 def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None:
+    """A main's checks: the construction's, then its frozen plan replayed
+    with its Du Val curves and pi1 witnesses, marked without the witnesses
+    (the ADE chains found must be the Du Val chains), and certified with
+    the witnesses as unmarked (-2)-curves."""
     sec = f"main K^2={k2}"
     chains = tuple(ChainSpec(c["n"], c["a"], tuple(c["chain"])) for c in data["chains"])
     _verify_construction(ledger, sec, a0, SurfaceRecord(
@@ -414,13 +418,18 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
 
     witnesses = data.get("pi1_witnesses", [])
     extended = a0.restrict(list(data["curves"]) + duval_curves + list(witnesses))
+    marked, why = None, "marking failed"
     try:
         plan = _plan_from_json(data.get("recovered_plan"))
-        marked = mark_chains(plan.execute(extended), [tuple(c.chain) for c in chains],
-                             ade=duval)
-        why = "marking failed"
-    except PlanError as exc:
-        marked, why = None, str(exc)
+        replayed = plan.execute(extended)
+        marking = _stated_marking(replayed.restrict(
+            [c for c in replayed.self_int if c not in witnesses]),
+            [tuple(c.chain) for c in chains])
+        if marking is not None and (sorted(min(ch, ch[::-1]) for ch in marking[1])
+                                    == sorted(min(ch, ch[::-1]) for ch in duval)):
+            marked = MarkedSurface(replayed, marking[0], duval)
+    except (PlanError, AssemblyError) as exc:
+        why = str(exc)
     if marked is None:
         ledger.add(sec, "recovered plan replays", False, why)
         return

@@ -31,52 +31,50 @@ once one such string is not a chain the search accepts: a Wahl chain in
 search (no ADE chain is one), a stated chain, either way round, in
 inference.  Only a leaf that passes has its towers named (`_tower_scripts`)
 and its configuration built, by replaying its steps with
-`BlowupPlan.execute`, and is marked on it: greedily in search
-(`_greedy_mark`), into the stated chains in inference (`mark_chains`, the
-marker the ledger runs on its frozen plans too).  The marking names and
-orders the chains, and it also decides the paths that meet a curve at -1
-or above, which the arm test leaves alone.  Inference keeps a leaf if its
-marked surface is valid, search if it has Wahl chains and no ADE chain and
-its canonical class is ample.  Pruning only ever discards states that
-provably cannot reach the chains sought.
+`BlowupPlan.execute`, and is marked on it by the one marker,
+`_greedy_mark`, which marks each component of the non-(-1) graph as one
+chain.  The marking names and orders the chains, and it also decides the
+paths that meet a curve at -1 or above, which the arm test leaves alone.
+Search keeps a leaf marked into Wahl chains and no ADE chain whose
+canonical class is ample; inference keeps a leaf marked into the stated
+chains (`mark_chains`, which the ledger runs on its frozen plans too).
+Pruning only ever discards states that provably cannot reach the chains
+sought.
 
-Both searches run the same chain-shape rules, on one premise: every
-curve of a kept leaf other than its (-1)-curves lies in a chain.  Search
-keeps only such leaves (`_greedy_mark`), and in inference it holds for
-every record that fits the geography, whose leaves leave only the towers'
-(-1)-curves unmarked (`_tower_outcomes` says why).  A base curve at -2 or
-below (`_deep_curves`) only gets deeper, so it lies in a chain, and a
-chain is a path of curves.  So the surviving nodes between such curves
-must form disjoint simple paths, a rule checked on every prefix of a
-base-node choice (`_PathPrefix`), and a state is dropped once such a curve
-has more than two final non-(-1) neighbours (the degree rule of
-`_leaves`).  The path rule also looks ahead: a prefix is cut once the
-nodes still to be chosen cannot bring every such curve down to two
-surviving nodes, since each chosen node relieves at most two curves.  On
-the same premise each such path, with its arms, is one whole chain, which
-the arm test reads.  A curve at -1 or above may end as a surviving
-(-1)-curve, so it is exempt from all three.  Inference reads
-the same paths once more, before any tower is placed: each must lie in a
+Both searches run the same chain-shape rules, on one premise: every curve
+of a kept leaf other than its (-1)-curves lies in a chain, as the marker
+makes it.  A base curve at -2 or below (`_deep_curves`) only gets deeper,
+so it lies in a chain, and a chain is a path of curves.  So the surviving
+nodes between such curves must form disjoint simple paths, a rule checked
+on every prefix of a base-node choice (`_PathPrefix`), and a state is
+dropped once such a curve has more than two final non-(-1) neighbours (the
+degree rule of `_leaves`).  The path rule also looks ahead: a prefix is
+cut once the nodes still to be chosen cannot bring every such curve down
+to two surviving nodes, since each chosen node relieves at most two
+curves.  On the same premise each such path, with its arms, is one whole
+chain, which the arm test reads.  A curve at -1 or above may end as a
+surviving (-1)-curve, so it is exempt from all three.  Inference reads the
+same paths once more, before any tower is placed: each must lie in a
 distinct stated chain, and the rest of that chain beyond each end of the
 path is the arm one tower holds there, so the stated chains fix the size
-of every tower whose sides are all at tested paths (`_pins`).  A
-failing prefix is not extended, and it counts as one state, as a yielded
-choice and a tower outcome do: every state counted is work done, so the
-budget bounds time.  The state that goes over the budget raises
-`_Exhausted`, which each search catches once: it stops at exactly
-`max_states + 1` states, `exhausted`.  Search also caps every curve's
-depth at 4K^2+4 in `_leaves`, since no Wahl chain of admissible length
-has a deeper entry.  Inference has no cap: the substring pool keeps tower
-curves at stated entries, and a leaf with a base curve deeper than every
-stated entry fails the arm test or the marking.  With `prune=False` a
-search runs no rule: no substring pool, no deep curves and no depth cap;
-the arm test then tests no path, no tower size is pinned, and every leaf
-is marked.  A tower's abstract outcomes depend only on its size, the
-substring pool and the depth cap; each search call memoises them in its
-own table.  In both searches each tower keeps exactly one surviving
-(-1)-curve (`_tower_outcomes`), so every blow-up of the tower lands next
-to the newest curve, and the outcomes are walked forwards along it,
-dropping a word once its finished runs leave the chains.
+of every tower whose sides are all at tested paths (`_pins`).  A failing
+prefix is not extended, and it counts as one state, as a yielded choice
+and a tower outcome do: every state counted is work done, so the budget
+bounds time.  The state that goes over the budget raises `_Exhausted`,
+which each search catches once: it stops at exactly `max_states + 1`
+states, `exhausted`.  Search also caps every curve's depth at 4K^2+4 in
+`_leaves`, since no Wahl chain of admissible length has a deeper entry.
+Inference has no cap: the substring pool keeps tower curves at stated
+entries, and a leaf with a base curve deeper than every stated entry fails
+the arm test or the marking.  With `prune=False` a search runs no rule: no
+substring pool, no deep curves and no depth cap; the arm test then tests
+no path, no tower size is pinned, and every leaf is marked.  A tower's
+abstract outcomes depend only on its size, the substring pool and the
+depth cap; each search call memoises them in its own table.  In both
+searches each tower keeps exactly one surviving (-1)-curve
+(`_tower_outcomes`), so every blow-up of the tower lands next to the
+newest curve, and the outcomes are walked forwards along it, dropping a
+word once its finished runs leave the chains.
 """
 from __future__ import annotations
 
@@ -156,86 +154,50 @@ class InferenceResult:
 
 # -- chain marking ------------------------------------------------------------
 
-def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]],
-                ade: Sequence[tuple[str, ...]] = ()) -> Optional[MarkedSurface]:
-    """Mark disjoint chains matching the target strings exactly, or None.
+def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]]
+                ) -> Optional[MarkedSurface]:
+    """The greedy marking (`_greedy_mark`) as the stated chains, or None.
 
-    Reads the graph `_greedy_mark` reads, `config.self_int` and
-    `config.meets`.  A chain is a simple path whose consecutive curves share
-    exactly one node and whose other curves are disjoint; the curves of the
-    ADE chains are left out.  Targets are matched longest first, trying the
-    paths in name order, and the marking must leave only (-1)- and
-    (-2)-curves unmarked.  Each chain is oriented as its target.  If no
-    marking does, or the marked surface is invalid, the result is None.
+    The marking must have Wahl chains only, no ADE chain, and their
+    strings must be the targets as a multiset, either way round.  Each
+    chain is oriented as its target, equal targets taking their paths in
+    the order of min(path, path[::-1]).  None as well if the marked
+    surface is invalid.
     """
-    self_int = config.self_int
-    around: dict[str, set[str]] = {name: set() for name in self_int}  # other curves met
-    once: dict[str, list[str]] = {name: [] for name in self_int}  # ... at one node
-    for (a, b), k in config.meets.items():
-        if a != b:
-            around[a].add(b)
-            around[b].add(a)
-            if k == 1:
-                once[a].append(b)
-                once[b].append(a)
-    by_name = sorted(self_int.items())
-
-    def paths(target: tuple[int, ...], used: set[str]) -> list[tuple[str, ...]]:
-        """The matching paths, a string and its reverse counted once."""
-        out: set[tuple[str, ...]] = set()
-
-        def extend(path: list[str], pos: int) -> None:
-            if pos == len(target):
-                out.add(min(tuple(path), tuple(reversed(path))))
-                return
-            for nxt in once[path[-1]]:
-                if nxt in used or nxt in path or self_int[nxt] != -target[pos]:
-                    continue
-                if not around[nxt].isdisjoint(path[:-1]):
-                    continue
-                path.append(nxt)
-                extend(path, pos + 1)
-                path.pop()
-
-        for name, s in by_name:
-            if name not in used and s == -target[0]:
-                extend([name], 1)
-        return sorted(out)
-
-    order = sorted(range(len(targets)), key=lambda i: -len(targets[i]))
-    chosen: dict[int, tuple[str, ...]] = {}
-
-    def assign(k: int, used: set[str], near: set[str]) -> bool:
-        """`near`: the curves that meet a chosen chain."""
-        if k == len(order):
-            return all(s in (-1, -2) for name, s in self_int.items() if name not in used)
-        idx = order[k]
-        for path in paths(targets[idx], used):
-            if not near.isdisjoint(path):
-                continue
-            chosen[idx] = path
-            if assign(k + 1, used.union(path), near.union(*map(around.get, path))):
-                return True
-            del chosen[idx]
-        return False
-
-    if not assign(0, {c for chain in ade for c in chain}, set()):
+    marking = _stated_marking(config, targets)
+    if marking is None or marking[1]:
         return None
+    return _marked(config, marking[0])
+
+
+def _stated_marking(config: Configuration, targets: Sequence[tuple[int, ...]]
+                    ) -> Optional[tuple[tuple[tuple[str, ...], ...], ...]]:
+    """The greedy marking's Wahl chains matched to the targets and oriented
+    as them, with its ADE chains; None if the marker fails or the Wahl
+    strings are not the targets as a multiset, either way round."""
+    marking = _greedy_mark(config.self_int, config.meets)
+    if marking is None or len(marking[0]) != len(targets):
+        return None
+    free = sorted(marking[0])  # each path starts at its smaller end
     oriented = []
-    for idx, target in enumerate(targets):
-        path = chosen[idx]
-        if tuple(-self_int[c] for c in path) != tuple(target):
-            path = tuple(reversed(path))
-        oriented.append(path)
-    return _marked(config, oriented, ade)
+    for target in map(tuple, targets):
+        for path in free:
+            string = tuple(-config.self_int[c] for c in path)
+            if target in (string, string[::-1]):
+                free.remove(path)
+                oriented.append(path if string == target else path[::-1])
+                break
+        else:
+            return None
+    return tuple(oriented), marking[1]
 
 
-def _marked(config: Configuration, wahl: Sequence[Sequence[str]],
-            ade: Sequence[Sequence[str]]) -> Optional[MarkedSurface]:
-    """The surface with these chains marked, or None if the marking is invalid."""
+def _marked(config: Configuration, wahl: Sequence[Sequence[str]]
+            ) -> Optional[MarkedSurface]:
+    """The surface with these Wahl chains marked, and no ADE chain, or None
+    if the marking is invalid."""
     try:
-        return MarkedSurface(config, tuple(tuple(c) for c in wahl),
-                             tuple(tuple(c) for c in ade))
+        return MarkedSurface(config, tuple(tuple(c) for c in wahl))
     except AssemblyError:
         return None
 
@@ -287,14 +249,11 @@ def _tower_outcomes(size: int, pool) -> list[tuple[tuple[int, ...], tuple[int, .
     - `search_constructions` keeps a leaf only if its non-(-1) curves all
       lie in Wahl chains and K^2 = k2.  Such a leaf has r + B - sum(len) =
       r - K^2 = P + K^2 (-1)-curves, one per tower.
-    - `infer_plan` leaves only (-1)- and (-2)-curves unmarked, so a leaf has
-      at most r + B - sum(len) surviving (-1)s; for a record that fits the
-      geography that is the number of towers, so the towers' (-1)s are
-      all the curves a leaf leaves unmarked.  That fit is the premise of
-      the chain-shape rules, the arm test and the pins (see the module
-      docstring): a record outside it gets only the plans in which each
-      tower keeps one (-1) and the unmarked (-2)-curves obey those rules
-      too.
+    - `infer_plan` keeps a leaf only if its non-(-1) curves all lie in
+      the stated chains (`mark_chains`), so a leaf has r + B - sum(len)
+      (-1)-curves; for a record that fits the geography that is one per
+      tower.  A record outside that fit gets only the plans in which each
+      tower keeps one (-1).
     """
     out = []
     stack: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((1,), 0, ())]
@@ -791,7 +750,7 @@ def _paths(names: Sequence[str], meets: Counter) -> Optional[list[tuple[str, ...
     out.  A component fails if it is no simple path: a self-node, a pair
     meeting twice, a branch point or a cycle.  Each path starts at its
     lexicographically smaller end, and the paths come in the order of their
-    first curves in `names`.
+    components' first curves in `names`.
     """
     adjacency: dict[str, list[str]] = {name: [] for name in names}
     for (a, b), count in meets.items():
@@ -963,7 +922,8 @@ def _arm_test(base: Configuration, bases: Sequence[PlanStep],
       is, so the test fails the leaves whose `_greedy_mark` fails or marks
       an ADE chain;
     - inference accepts the stated chains, either way round, so the test
-      fails the leaves that `mark_chains` cannot mark into them.
+      fails the leaves whose marking is not the stated chains
+      (`mark_chains`).
 
     A path that meets a curve at -1 or above is not tested.
     So on a base whose curves are all deep the test passes exactly the
@@ -1126,7 +1086,7 @@ def _harvest(params: SearchParams, sub: Configuration, state: _State, bases, all
     if marking is None or not marking[0] or marking[1]:
         return
     result.marked += 1
-    marked = _marked(config, *marking)
+    marked = _marked(config, marking[0])
     if marked is None:
         return
     if k_squared(marked) != params.k2:

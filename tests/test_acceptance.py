@@ -20,7 +20,7 @@ from wahlkit.configuration import Configuration, det_exact, geography_check
 from wahlkit.catalog.a0 import frozen_a0
 from wahlkit.catalog.records import ChainSpec, SurfaceRecord
 from wahlkit.catalog.verify import _plan_from_json, load_expected, load_records
-from wahlkit.plans import infer_plan, mark_chains
+from wahlkit.plans import _stated_marking, infer_plan
 
 
 @pytest.fixture(scope="module")
@@ -289,15 +289,24 @@ def test_criterion_7_plan_inference(a0, records):
                  "impossible claims produce failure reports")
 
 
+def _certified_main(a0, data):
+    """A main's frozen plan, marked and certified as the ledger does it:
+    replayed with its Du Val curves and pi1 witnesses, marked without the
+    witnesses, which stay in the surface as unmarked (-2)-curves."""
+    duval = tuple(tuple(ch) for ch in data["duval"])
+    wits = data.get("pi1_witnesses", [])
+    replayed = _plan_from_json(data["recovered_plan"]).execute(
+        a0.restrict(list(data["curves"]) + [c for ch in duval for c in ch] + wits))
+    wahl, ade = _stated_marking(
+        replayed.restrict([c for c in replayed.self_int if c not in wits]),
+        [tuple(c["chain"]) for c in data["chains"]])
+    assert {frozenset(ch) for ch in ade} == {frozenset(ch) for ch in duval}
+    return MarkedSurface(replayed, wahl, duval)
+
+
 def test_criterion_8_pi1_suite(a0, records, expected):
     # the coprime condition of the first construction
-    data = expected["mains"]["2"]
-    duval = [tuple(ch) for ch in data["duval"]]
-    ext = a0.restrict(list(data["curves"]) + [c for ch in duval for c in ch])
-    plan = _plan_from_json(data["recovered_plan"])
-    ms = mark_chains(plan.execute(ext),
-                     [tuple(c["chain"]) for c in data["chains"]], ade=duval)
-    verdict = pi1_verdict(ms)
+    verdict = pi1_verdict(_certified_main(a0, expected["mains"]["2"]))
     assert verdict.status == "trivial"
     assert any("gcd(2,27)=1" in note for note in verdict.per_chain)
 
@@ -313,13 +322,7 @@ def test_criterion_8_pi1_suite(a0, records, expected):
     data7 = expected["mains"]["7"]
     recovered = "recovered_plan" in data7
     if recovered:
-        duval7 = [tuple(ch) for ch in data7["duval"]]
-        wits = data7.get("pi1_witnesses", [])
-        ext7 = a0.restrict(list(data7["curves"]) +
-                           [c for ch in duval7 for c in ch] + list(wits))
-        ms7 = mark_chains(_plan_from_json(data7["recovered_plan"]).execute(ext7),
-                          [tuple(c["chain"]) for c in data7["chains"]],
-                          ade=duval7)
+        ms7 = _certified_main(a0, data7)
         long_chain = max(ms7.wahl_chains, key=len)
         entries = [-ms7.surface.curve(c).self_int for c in long_chain]
         anchored = meridian_exponents(entries[::-1])[::-1]

@@ -8,12 +8,14 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wahlkit.catalog.a0 import frozen_a0
 from wahlkit.catalog.records import (BlowupSpec, ChainSpec, SurfaceRecord,
                                      format_record, parse_record)
 from wahlkit.catalog.verify import load_expected, load_records
-from wahlkit.chains import wahl_singularity
+from wahlkit.chains import wahl_generate, wahl_singularity
 from wahlkit.configuration import Configuration, ConfigurationError, geography_check
 from wahlkit import plans
 from wahlkit.plans import (BlowupPlan, PlanError, PlanStep, SearchParams,
@@ -316,6 +318,38 @@ class _Counts:
     leaves: int = 0
 
 
+# the Wahl strings with no entry above 6, by length
+_WAHL_UP_TO_6 = {n: sorted(w for w in wahl_generate(n) if max(w) <= 6) for n in range(1, 7)}
+
+
+@st.composite
+def _small_stated(draw):
+    """Up to six curves at -1 to -6, and one or two target strings.
+
+    One or two chains are cut from an ordering of the curves; each gets a
+    Wahl string of its length as its target, and mostly carries it.  Each
+    target may be stated reversed.  Consecutive chain curves get a node (rarely left out), then
+    up to four random nodes are added (self-nodes and repeats allowed).
+    The curves past the last chain are mostly (-1)-curves.
+    """
+    n = draw(st.integers(1, 6))
+    names = draw(st.permutations([f"C{i}" for i in range(n)]))
+    self_int = {name: -draw(st.sampled_from((1, 1, 1, 2, 3, 4, 5, 6))) for name in names}
+    cuts = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=2)))
+    chains = [names[a:b] for a, b in zip([0] + cuts, cuts)]
+    targets = []
+    for chain in chains:
+        string = draw(st.sampled_from(_WAHL_UP_TO_6[len(chain)]))
+        if draw(st.integers(0, 4)):
+            self_int.update((c, -b) for c, b in zip(chain, string))
+        targets.append(string[::-1] if draw(st.booleans()) else string)
+    nodes = [pair for chain in chains for pair in zip(chain, chain[1:])
+             if draw(st.integers(0, 9))]
+    nodes += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                           max_size=4))
+    return list(self_int.items()), nodes, targets
+
+
 class TestPlanExecution:
     def test_execute_and_missing_node(self):
         cfg = Configuration.build([("A", -2), ("B", -2)], [("A", "B")])
@@ -330,22 +364,16 @@ class TestPlanExecution:
         assert ms.wahl_chains == (("Q", "P"),)
         assert mark_chains(cfg, [(6, 2)]) is None
 
-    @pytest.mark.parametrize("curves, nodes, target, want", [
-        # P meets Q twice, so only P-R is a chain
-        ([("P", -5), ("Q", -2), ("R", -2)], [("P", "Q"), ("P", "Q"), ("P", "R")],
-         (5, 2), ("P", "R")),
-        # P-Q-R closes up through R-P, so only S-Q-R is a chain
-        ([("P", -2), ("Q", -5), ("R", -3), ("S", -2)],
-         [("P", "Q"), ("Q", "R"), ("R", "P"), ("S", "Q")], (2, 5, 3), ("S", "Q", "R")),
-    ], ids=["meets-twice", "closes-up"])
-    def test_mark_chains_takes_only_simple_paths(self, curves, nodes, target, want):
-        cfg = Configuration.build(curves, nodes)
-        assert mark_chains(cfg, [target]).wahl_chains == (want,)
-
     def test_mark_chains_leaves_only_minus_one_and_two_curves(self):
         cfg = Configuration.build([("P", -2), ("Q", -5), ("R", -3)], [("P", "Q")])
         assert mark_chains(cfg, [(5, 2)]) is None
         assert mark_chains(cfg.restrict(["P", "Q"]), [(5, 2)]) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(_small_stated())
+    def test_mark_chains_matches_the_reference_marker(self, case):
+        curves, nodes, targets = case
+        _checked_marking(Configuration.build(curves, nodes), targets)
 
 
 class TestInference:
@@ -952,6 +980,23 @@ def _reference_mark_chains(config, targets):
             else tuple(reversed(chosen[i])) for i, t in enumerate(targets)]
 
 
+def _checked_marking(config, targets):
+    """`mark_chains(config, targets)`, checked against the oracle.
+
+    Where the oracle marks and leaves only (-1)-curves unmarked, the marker
+    marks the same chains; where the marker marks, the oracle marks the
+    same set of chains.
+    """
+    chains = _reference_mark_chains(config, targets)
+    marked = mark_chains(config, targets)
+    if chains is not None and all(config.self_int[c] == -1 for c in config.self_int
+                                  if not any(c in chain for chain in chains)):
+        assert marked == plans._marked(config, chains)
+    if marked is not None:
+        assert chains is not None and set(chains) == set(marked.wahl_chains)
+    return marked
+
+
 class TestLeafGraph:
     """Each leaf's replayed configuration against the leaf's integers."""
 
@@ -991,10 +1036,13 @@ class TestLeafGraph:
         result = search_constructions(params, base)
         assert result.leaves == len(checked) > result.marked == marked
 
-    # (4.1) and (7.1) blow up C1*C2 twice, on a doubly-meeting pair
-    @pytest.mark.parametrize("rid, hinted", [("4.1", True), ("7.1", True),
-                                             ("main2", False)],
-                             ids=["4.1-hinted", "7.1-hinted", "main2-free"])
+    # every catalog record hinted, (4.1) and (7.1) blowing up C1*C2 twice,
+    # on a doubly-meeting pair; main K^2=2 free
+    INFERENCES = [(r.rid, True) for r in load_records()] + [("main2", False)]
+
+    @pytest.mark.parametrize("rid, hinted", INFERENCES,
+                             ids=[f"{rid}-{'hinted' if hinted else 'free'}"
+                                  for rid, hinted in INFERENCES])
     def test_matches_configuration_on_inference(self, a0, records, monkeypatch,
                                                 rid, hinted):
         record = records[rid] if hinted else dataclasses.replace(records[rid], steps=())
@@ -1005,10 +1053,7 @@ class TestLeafGraph:
         def checking(base, bases, *args):
             for alloc, state in leaves(base, bases, *args):
                 config = self._check(base, bases, state)
-                chains = _reference_mark_chains(config, targets)
-                marked = mark_chains(config, targets)
-                assert marked == (plans._marked(config, chains, ()) if chains else None)
-                marks.append(marked is not None)
+                marks.append(_checked_marking(config, targets) is not None)
                 yield alloc, state
 
         monkeypatch.setattr(plans, "_leaves", checking)
@@ -1457,11 +1502,25 @@ class TestSearch:
         # a curve at 0 or above is in no chain (no Wahl string has such an entry)
         ([("P", -2), ("Q", -5), ("W", 0)], [("P", "Q"), ("Q", "W")], None),
         ([("W", 1)], [], None),
+        # a chain cut out of a larger component is no chain
+        ([("P", -5), ("Q", -2), ("R", -2)], [("P", "Q"), ("P", "Q"), ("P", "R")], None),
+        ([("P", -2), ("Q", -5), ("R", -3), ("S", -2)],
+         [("P", "Q"), ("Q", "R"), ("R", "P"), ("S", "Q")], None),
+        # a stray (-2)-curve is an ADE chain
+        ([("P", -2), ("Q", -5), ("S", -2)], [("P", "Q")], ((("P", "Q"),), (("S",),))),
     ], ids=["wahl", "single", "ade", "minus-one", "twice", "self-node", "lone-self-node",
-            "cycle", "branch", "not-wahl", "zero-curve", "positive-curve"])
+            "cycle", "branch", "not-wahl", "zero-curve", "positive-curve", "meets-twice",
+            "closes-up", "stray-minus-two"])
     def test_greedy_mark(self, curves, nodes, want):
         cfg = Configuration.build(curves, nodes)
         assert plans._greedy_mark(*_read_graph(cfg)) == want
+        # mark_chains takes this marking if it has Wahl chains and no ADE chain
+        if want and want[0] and not want[1]:
+            strings = [tuple(-cfg.self_int[c] for c in path) for path in want[0]]
+            assert mark_chains(cfg, strings).wahl_chains == want[0]
+        else:
+            for target in [(4,), (5, 2), (2, 5, 3)]:
+                assert mark_chains(cfg, [target]) is None
 
     def test_repeated_pool_names_searched_once(self, a0):
         params = SearchParams(k2=2, max_chains=2, max_blowups=6,

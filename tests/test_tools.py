@@ -21,6 +21,29 @@ def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     assert run.stdout.split() == ["5", str(source)]
 
 
+def test_code_lines_counts_every_python_file_under_a_directory(tmp_path):
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "pkg" / "sub" / "a.py").write_text("# comment\nz = 3\n")
+    (tmp_path / "pkg" / "notes.txt").write_text("not python\n")
+    run = subprocess.run([sys.executable, str(TOOLS / "code_lines.py"),
+                          str(tmp_path / "pkg")], capture_output=True, text=True,
+                         check=True)
+    assert [line.split() for line in run.stdout.splitlines()] == [
+        ["2", str(tmp_path / "pkg" / "b.py")],
+        ["1", str(tmp_path / "pkg" / "sub" / "a.py")],
+        ["3", "total"]]
+
+
+def test_code_lines_names_a_missing_path(tmp_path):
+    missing = tmp_path / "missing.py"
+    run = subprocess.run([sys.executable, str(TOOLS / "code_lines.py"), str(missing)],
+                         capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == f"error: no such file or directory: {missing}\n"
+
+
 def test_snapshot_prints_the_named_cases():
     # hinted (3.0) as the hinted golden of test_plans pins it; an unknown
     # case is named on stderr, with exit code 2

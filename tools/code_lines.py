@@ -5,13 +5,15 @@ and the lines of docstrings (the string that opens a module, class or
 function body) do not count.  A statement that spans several lines counts
 each of them.
 
-Run as `python tools/code_lines.py FILE...`: prints each file's count and,
-for more than one file, the total.
+Run as `python tools/code_lines.py PATH...`: prints each file's count and,
+for more than one file, the total.  A directory stands for every `.py`
+file under it, in sorted order; a missing path is an error (exit code 2).
 """
 import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -39,10 +41,17 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
-def main(paths: list[str]) -> int:
-    if not paths:
-        print("usage: python tools/code_lines.py FILE...", file=sys.stderr)
+def main(args: list[str]) -> int:
+    if not args:
+        print("usage: python tools/code_lines.py PATH...", file=sys.stderr)
         return 2
+    paths = []
+    for arg in args:
+        path = Path(arg)
+        if not path.exists():
+            print(f"error: no such file or directory: {arg}", file=sys.stderr)
+            return 2
+        paths += sorted(path.rglob("*.py")) if path.is_dir() else [path]
     total = 0
     for path in paths:
         with open(path, encoding="utf-8") as f:
