@@ -57,27 +57,31 @@ surviving (-1)-curve, so it is exempt from all three.  Inference reads the
 same paths once more, before any tower is placed: each must lie in a
 distinct stated chain, and the rest of that chain beyond each end of the
 path is the arm one tower holds there, so the stated chains fix the size
-of every tower whose sides are all at tested paths (`_pins`).  A failing
-prefix is not extended, and it counts as one state, as a yielded choice
-and a tower outcome do: every state counted is work done, so the budget
-bounds time.  The state that goes over the budget raises `_Exhausted`,
-which each search catches once: it stops at exactly `max_states + 1`
-states, `exhausted`.  Search also caps every curve's depth at 4K^2+4 in
-`_leaves`, since no Wahl chain of admissible length has a deeper entry.
-Inference has no cap: the substring pool keeps tower curves at stated
-entries, and a leaf with a base curve deeper than every stated entry fails
-the arm test or the marking.  With `prune=False` a search runs no rule: no
-substring pool, no deep curves and no depth cap; the arm test then tests
-no path, no tower size is pinned, and every leaf is marked.  A tower's
-abstract outcomes depend only on its size, the substring pool and the
-depth cap; each search call memoises them in its own table.  In both
-searches each tower keeps exactly one surviving (-1)-curve
-(`_tower_outcomes`), so every blow-up of the tower lands next to the
-newest curve, and the outcomes are walked forwards along it, dropping a
-word once its finished runs leave the chains.
+of every tower whose sides are all at tested paths (`_pins`).  So its free
+walk also cuts a prefix once a path it forms fits no stated chain, with
+every entry at least its curve's depth plus the chosen nodes on it, unless
+the path may still grow to meet a curve at -1 or above (`_PathPrefix`).  A
+failing prefix is not extended, and it counts as one state, as a yielded
+choice and a tower outcome do: every state counted is work done, so the
+budget bounds time.  The state that goes over the budget raises
+`_Exhausted`, which each search catches once: it stops at exactly
+`max_states + 1` states, `exhausted`.  Search also caps every curve's
+depth at 4K^2+4 in `_leaves`, since no Wahl chain of admissible length has
+a deeper entry.  Inference has no cap: the substring pool keeps tower
+curves at stated entries, and a leaf with a base curve deeper than every
+stated entry fails the arm test or the marking.  With `prune=False` a
+search runs no rule: no substring pool, no deep curves and no depth cap;
+the arm test then tests no path, no tower size is pinned, and every leaf
+is marked.  A tower's abstract outcomes depend only on its size, the
+substring pool and the depth cap; each search call memoises them in its
+own table.  In both searches each tower keeps exactly one surviving
+(-1)-curve (`_tower_outcomes`), so every blow-up of the tower lands next
+to the newest curve, and the outcomes are walked forwards along it,
+dropping a word once its finished runs leave the chains.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import operator
@@ -354,7 +358,7 @@ def _allocations(total: int, pins: Iterable[tuple[Optional[int], ...]]
 
 
 def _base_choices(base: Configuration, m: int, result, max_states: int,
-                  deep: frozenset = frozenset()
+                  deep: frozenset = frozenset(), stated: Optional[set] = None
                   ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
     """Each choice of m base nodes to blow up, as node ids and curve pairs.
 
@@ -369,8 +373,11 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     still to be chosen must be able to bring every deep curve down to two
     of them.  A prefix cut by either is not extended, and exactly the
     choices the path rule admits are yielded, in the same order as without
-    the look-ahead.  The look-ahead runs at the root and after each chosen
-    node, since leaving a node unchosen changes no excess.  Each yielded
+    the look-ahead.  Given the stated chains, both ways round (`stated`, as
+    inference has them), a prefix is also cut once a path it forms fits
+    none of them, which drops only choices that `_pins` leaves no pin.  The
+    look-ahead runs at the root and after each chosen node, since leaving a
+    node unchosen changes no excess.  Each yielded
     choice and each cut prefix (which has a completion: `room` stops the
     others) counts as one state of `result`, a cut prefix also in
     `result.pruned` (`_spend`); the state that exceeds `max_states` raises
@@ -413,7 +420,8 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
         yield tuple(ids[j] for j in chosen), tuple(sorted([pairs[j] for j in chosen]))
 
     if m <= len(nodes):
-        yield from extend(0, (), frozenset(), len(nodes), _PathPrefix.of(deep, nodes))
+        yield from extend(0, (), frozenset(), len(nodes),
+                          _PathPrefix.of(base, deep, stated))
 
 
 def _deep_curves(base: Configuration) -> frozenset[str]:
@@ -424,7 +432,7 @@ def _deep_curves(base: Configuration) -> frozenset[str]:
 
 class _PathPrefix:
     """The path rule on the base nodes decided so far, in id order, with its
-    degree look-ahead.
+    degree look-ahead and, in inference, its fit to the stated chains.
 
     An unchosen non-self node survives into every leaf.  Between two curves
     of `deep` (the base curves at -2 or below, `_deep_curves`) it is an edge
@@ -447,22 +455,48 @@ class _PathPrefix:
     unchosen changes none.  A completion chooses `need` more nodes and each
     relieves at most two curves, so a prefix fits only if no excess exceeds
     `need` and the excesses sum to at most 2 `need`.
+
+    Given the stated chains, both ways round (`stated`), each path that
+    `unchosen` forms must also lie in one of them as a contiguous run
+    (`_starts`), every entry at least its curve's `floor`: its depth plus
+    one per side of a chosen node on it.  That is what `_pins` asks of the
+    final tested paths (`_tested_paths`), into which the paths only grow,
+    while the floors only rise.  A path that may still grow into a curve
+    that meets a curve at -1 or above through a base node may end
+    untested, so the curves of its component under the rule are exempt:
+    `floor` holds only the others.
     """
 
-    __slots__ = ("deep", "degree", "ends", "excess")
+    __slots__ = ("deep", "degree", "runs", "excess", "floor", "fit")
 
-    def __init__(self, deep: frozenset, degree: dict, ends: dict, excess: dict) -> None:
+    def __init__(self, deep: frozenset, degree: dict, runs: dict, excess: dict,
+                 floor: dict, fit: Optional[Callable]) -> None:
         self.deep = deep  # the base curves at -2 or below
         self.degree = degree
-        self.ends = ends  # a path end -> the other end of its path
+        self.runs = runs  # a path end -> its path, read from that end
         self.excess = excess  # a curve -> its nodes still to be chosen, if any
+        self.floor = floor  # a curve -> the least entry it can take
+        self.fit = fit  # whether a run of floors lies in a stated chain, memoised
 
     @classmethod
-    def of(cls, deep: frozenset, nodes) -> "_PathPrefix":
-        """The empty prefix over the base nodes `nodes`."""
-        total = Counter(c for node in nodes if cls._ruled(node, deep)
-                        for c in (node.a, node.b))
-        return cls(deep, {}, {}, {c: k - 2 for c, k in total.items() if k > 2})
+    def of(cls, base: Configuration, deep: frozenset, stated: Optional[set] = None
+           ) -> "_PathPrefix":
+        """The empty prefix over the nodes of `base`, its paths fit to
+        `stated` if given."""
+        ruled = [node for node in base.nodes if cls._ruled(node, deep)]
+        total = Counter(c for node in ruled for c in (node.a, node.b))
+        floor, fit = {}, None
+        if stated is not None:
+            exempt = {c for node in base.nodes if (node.a in deep) != (node.b in deep)
+                      for c in (node.a, node.b)}
+            grown = None
+            while grown != exempt:  # the whole components under the rule
+                grown, exempt = exempt, exempt | {
+                    c for node in ruled if node.a in exempt or node.b in exempt
+                    for c in (node.a, node.b)}
+            floor = {c: -base.self_int[c] for c in deep - exempt}
+            fit = functools.cache(lambda floors: any(_starts(floors, c) for c in stated))
+        return cls(deep, {}, {}, {c: k - 2 for c, k in total.items() if k > 2}, floor, fit)
 
     @staticmethod
     def _ruled(node, deep: frozenset) -> bool:
@@ -476,17 +510,25 @@ class _PathPrefix:
                               and sum(excess.values()) <= 2 * need)
 
     def chosen(self, node) -> "_PathPrefix":
-        """The prefix with `node` chosen, which relieves its two curves."""
-        if ((node.a not in self.excess and node.b not in self.excess)
-                or not self._ruled(node, self.deep)):
+        """The prefix with `node` chosen, which relieves its two curves and
+        raises their floors."""
+        a, b = node.a, node.b
+        excess, floor = self.excess, self.floor
+        if (a in excess or b in excess) and self._ruled(node, self.deep):
+            excess = dict(excess)
+            for c in (a, b):
+                if c in excess:
+                    excess[c] -= 1
+                    if not excess[c]:
+                        del excess[c]
+        if a in floor or b in floor:
+            floor = dict(floor)
+            for c in (a, b):
+                if c in floor:
+                    floor[c] += 1
+        elif excess is self.excess:
             return self
-        excess = dict(self.excess)
-        for c in (node.a, node.b):
-            if c in excess:
-                excess[c] -= 1
-                if not excess[c]:
-                    del excess[c]
-        return _PathPrefix(self.deep, self.degree, self.ends, excess)
+        return _PathPrefix(self.deep, self.degree, self.runs, excess, floor, self.fit)
 
     def unchosen(self, node) -> Optional["_PathPrefix"]:
         a, b = node.a, node.b
@@ -499,13 +541,16 @@ class _PathPrefix:
             return None
         # a and b are ends of paths (or isolated): joining them closes a
         # cycle exactly when they end the same path
-        end_a, end_b = self.ends.get(a, a), self.ends.get(b, b)
-        if end_a == b:
+        run_a, run_b = self.runs.get(a, (a,)), self.runs.get(b, (b,))
+        if run_a[-1] == b:
             return None
-        ends = dict(self.ends)
-        ends[end_a] = end_b
-        ends[end_b] = end_a
-        return _PathPrefix(self.deep, degree, ends, self.excess)
+        path = run_a[::-1] + run_b
+        if a in self.floor and not self.fit(tuple(map(self.floor.__getitem__, path))):
+            return None
+        runs = dict(self.runs)
+        runs[path[0]] = path
+        runs[path[-1]] = path[::-1]
+        return _PathPrefix(self.deep, degree, runs, self.excess, self.floor, self.fit)
 
 
 class _State:
@@ -653,7 +698,8 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     The number of blow-ups is forced by K^2.  The record's steps, if it
     has any, fix the base nodes blown up; otherwise the choices of P + K^2
     base nodes are walked (`_base_choices`), a prefix cut once the path
-    rule or its degree look-ahead fails (`_PathPrefix`).  For each choice the
+    rule or its degree look-ahead fails, or a path it forms fits no stated
+    chain (`_PathPrefix`).  For each choice the
     stated chains pin the tower sizes (`_pins`); bracket patterns are not
     read.  Succeeds when some interpretation yields a marked surface whose
     chains are exactly the stated ones; the survivor is re-certified
@@ -673,11 +719,11 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
                             f"match chain {list(spec.chain)} = ({sing.n},{sing.a})")
     pool = _substring_pool(targets) if prune else None
     deep = _deep_curves(base) if prune else frozenset()
+    stated = {chain for t in targets for chain in (t, t[::-1])}
     b_total = record.blowup_total
     if b_total < 0:
         raise PlanError(f"({record.rid}): negative blow-up count")
     outcomes: dict = {}
-    stated = {chain for t in targets for chain in (t, t[::-1])}
 
     def run_bases(bases: list[PlanStep]) -> Optional[tuple[BlowupPlan, MarkedSurface]]:
         tested = _tested_paths(base, bases, deep)
@@ -705,7 +751,7 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         else:
             # free search over base-node choices of the forced size
             m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
-            for _, pairs in _base_choices(base, m, result, max_states, deep):
+            for _, pairs in _base_choices(base, m, result, max_states, deep, stated):
                 found = run_bases([PlanStep(a, b) for a, b in pairs])
                 if found is not None:
                     break
@@ -872,13 +918,12 @@ def _pins(base: Configuration, bases: Sequence[PlanStep],
             pins.add(tuple(pin))
             return
         path = tested[k]
+        floors = [floor[c] for c in path]
         for j, target in enumerate(targets):
             if j in used:
                 continue
             for chain in (target, target[::-1]):
-                for start in range(len(chain) - len(path) + 1):
-                    if any(chain[start + x] < floor[c] for x, c in enumerate(path)):
-                        continue
+                for start in _starts(floors, chain):
                     left, right = start, len(chain) - start - len(path)
                     for a in sides.get(path[0], ()) if left else (None,):
                         for b in sides.get(path[-1], ()) if right else (None,):
@@ -893,6 +938,13 @@ def _pins(base: Configuration, bases: Sequence[PlanStep],
 
     lay(0, frozenset(), unlaid)
     return pins
+
+
+def _starts(floors: Sequence[int], chain: Sequence[int]) -> list[int]:
+    """Where `floors` lies in `chain` as a contiguous run, each entry at
+    least its floor: the positions of the run's first entry."""
+    return [start for start in range(len(chain) - len(floors) + 1)
+            if all(map(operator.ge, chain[start:], floors))]
 
 
 def _arm_test(base: Configuration, bases: Sequence[PlanStep],

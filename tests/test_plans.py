@@ -16,7 +16,8 @@ from wahlkit.catalog.records import (BlowupSpec, ChainSpec, SurfaceRecord,
                                      format_record, parse_record)
 from wahlkit.catalog.verify import load_expected, load_records
 from wahlkit.chains import wahl_generate, wahl_singularity
-from wahlkit.configuration import Configuration, ConfigurationError, geography_check
+from wahlkit.configuration import (Configuration, ConfigurationError, _pair,
+                                   geography_check)
 from wahlkit import plans
 from wahlkit.plans import (BlowupPlan, PlanError, PlanStep, SearchParams,
                            _allocations, _base_choices, _deep_curves,
@@ -448,12 +449,12 @@ class TestInference:
         assert result.summary().startswith("(2.9) no plan after ")
 
     def test_state_budget_bounds_base_node_choices(self, a0, records):
-        # free inference of (8.1) rejects 4,235 base-choice prefixes; each
+        # free inference of (8.1) rejects 1,916 base-choice prefixes; each
         # counts as a state, so a small budget stops it
         record = dataclasses.replace(records["8.1"], steps=())
-        result = infer_plan(record, a0.restrict(record.curves), max_states=2000)
+        result = infer_plan(record, a0.restrict(record.curves), max_states=1000)
         assert not result.success and result.exhausted
-        assert result.states == 2001
+        assert result.states == 1001
 
     def test_negative_budget_rejected(self, a0, records):
         record = records["2.1"]
@@ -542,14 +543,14 @@ class TestInference:
 
     # the eight cases of the benchmark's free_infer workload, with the
     # base-choice prefixes each rejects and the states each takes
-    FREE_PRUNED = {"2.1": 5, "2.2": 8, "3.2": 5, "4.1": 26, "5.1": 381,
-                   "6.1": 428, "7.1": 305, "main2": 6}
-    FREE_STATES = {"2.1": 39, "2.2": 50, "3.2": 71, "4.1": 58, "5.1": 474,
-                   "6.1": 445, "7.1": 336, "main2": 25}
+    FREE_PRUNED = {"2.1": 17, "2.2": 13, "3.2": 6, "4.1": 23, "5.1": 259,
+                   "6.1": 396, "7.1": 261, "main2": 12}
+    FREE_STATES = {"2.1": 35, "2.2": 49, "3.2": 70, "4.1": 44, "5.1": 291,
+                   "6.1": 406, "7.1": 282, "main2": 25}
     # the state counts without the degree rule of `_leaves`, which finds the
     # same plans
-    UNSHAPED = {"2.1": 57, "2.2": 66, "3.2": 175, "4.1": 64, "5.1": 497,
-                "6.1": 446, "7.1": 337, "main2": 25}
+    UNSHAPED = {"2.1": 53, "2.2": 65, "3.2": 174, "4.1": 50, "5.1": 314,
+                "6.1": 407, "7.1": 283, "main2": 25}
     FREE_PLANS = {
         "2.1": "A2*B1, B1*E1, B1*E2, A3*C1, C1*E4, C1*C2, C2*D1",
         "2.2": "A2*B1, A2*C1, A2*E2, A2*E3, E3*E4, E4*E5, E5*E6, A3*C1, C1*C2, C1*E9",
@@ -596,14 +597,14 @@ class TestInference:
                                                    for a, b, occ in frozen))
 
     def test_free_inference_budget_counts(self, a0, records):
-        # rejected base-choice prefixes, and 225 choices that no pin admits,
-        # exhaust the budget before any leaf (the first comes after 4,523
-        # states)
+        # rejected base-choice prefixes, and 2 choices that no pin admits,
+        # exhaust the budget before any leaf (the only one is the last of
+        # its 1,929 states)
         record = dataclasses.replace(records["8.1"], steps=())
-        result = infer_plan(record, a0.restrict(record.curves), max_states=4000)
+        result = infer_plan(record, a0.restrict(record.curves), max_states=1800)
         assert not result.success
-        assert (result.states, result.pruned, result.leaves) == (4001, 3775, 0)
-        assert result.summary() == ("(8.1) no plan after 4001 states (3775 pruned), "
+        assert (result.states, result.pruned, result.leaves) == (1801, 1798, 0)
+        assert result.summary() == ("(8.1) no plan after 1801 states (1798 pruned), "
                                     "0 leaves: state budget exhausted")
         # towers exhaust the budget, and no base-node choice counts after them
         record = dataclasses.replace(records["2.1"], steps=())
@@ -612,7 +613,7 @@ class TestInference:
         assert result.states == 31
 
     @pytest.mark.parametrize("search, budget", [
-        ("5.1", 467), ("2.1-hinted", 5), ("bench", 1000), ("bench", 5000),
+        ("5.1", 284), ("2.1-hinted", 5), ("bench", 1000), ("bench", 5000),
     ], ids=["towers-5.1", "hinted", "search-1000", "search-5000"])
     def test_budget_stops_one_state_over(self, a0, records, monkeypatch, search,
                                          budget):
@@ -690,13 +691,13 @@ class TestInference:
         calls = _count_blow_ups(monkeypatch)
         record = dataclasses.replace(records["2.2"], steps=())
         result = infer_plan(record, a0.restrict(record.curves))
-        assert result.success and result.states == 50
+        assert result.success and result.states == 49
         assert 0 < result.leaves < result.states
         assert len(calls) == record.blowup_total
 
     def test_failed_summary_counts_leaves(self, a0, records):
         record = dataclasses.replace(records["2.1"], steps=())
-        result = infer_plan(record, a0.restrict(record.curves), max_states=35)
+        result = infer_plan(record, a0.restrict(record.curves), max_states=31)
         assert not result.success and result.leaves > 0
         assert f", {result.leaves} leaves: " in result.summary()
 
@@ -716,8 +717,10 @@ class TestInference:
     def test_prune_sets_the_deep_curves_of_both_rules(self, a0, records, monkeypatch,
                                                       prune):
         # one datum turns both chain-shape rules on or off: the base curves
-        # at -2 or below that the path rule and the degree rule read
+        # at -2 or below that the path rule and the degree rule read.  Only
+        # inference fits the paths to chains, its stated ones both ways round
         seen = []
+        fits = []
         leaves, base_choices = plans._leaves, plans._base_choices
 
         def recording_leaves(base, bases, allocs, pool, outcomes, result, max_states,
@@ -726,16 +729,20 @@ class TestInference:
             return leaves(base, bases, allocs, pool, outcomes, result, max_states, deep,
                           cap)
 
-        def recording_choices(base, m, result, max_states, deep=frozenset()):
+        def recording_choices(base, m, result, max_states, deep=frozenset(), stated=None):
             seen.append((base, deep))
-            return base_choices(base, m, result, max_states, deep)
+            fits.append(stated)
+            return base_choices(base, m, result, max_states, deep, stated)
 
         monkeypatch.setattr(plans, "_leaves", recording_leaves)
         monkeypatch.setattr(plans, "_base_choices", recording_choices)
         record = dataclasses.replace(records["2.1"], steps=())
         infer_plan(record, a0.restrict(record.curves), max_states=2000, prune=prune)
+        targets = [tuple(c.chain) for c in record.chains]
+        assert fits == [{t for target in targets for t in (target, target[::-1])}]
         params = dataclasses.replace(TestSearch.BENCH, max_blowups=4)
         search_constructions(params, a0, prune=prune)
+        assert len(fits) > 1 and all(stated is None for stated in fits[1:])
         assert len({id(base) for base, _ in seen}) > 1
         assert all(deep == (_deep_curves(base) if prune else frozenset())
                    for base, deep in seen)
@@ -1382,7 +1389,54 @@ class TestBaseChoices:
         assert every and not [x for x in every if _combo_feasible(cfg, x[0])]
         full, walk = TestBaseChoices._unlimited_walk(cfg, m, deep, every, [])
         assert (full, walk.states, walk.pruned) == ([], 1, 1)
-        return plans._PathPrefix.of(deep, cfg.nodes)
+        return plans._PathPrefix.of(cfg, deep)
+
+    @pytest.mark.parametrize("rid", SMALL)
+    def test_fit_drops_only_choices_without_pins(self, a0, records, rid):
+        # the record's own base nodes are among the choices with pins
+        record = records[rid]
+        base = a0.restrict(record.curves)
+        own = tuple(sorted(_pair(s.a, s.b) for s in record.steps))
+        targets = [tuple(c.chain) for c in record.chains]
+        assert own in self._pinned(base, _nodes_to_blow_up(record), targets)
+
+    def test_fit_exempts_paths_that_may_meet_a_shallow_curve(self):
+        # the path A-B fits no [4], but C meets the (-1)-curve S, so A-B-C
+        # may end untested: choosing D-E alone leaves a pin.  The path D-E
+        # is cut wherever it forms.
+        cfg = Configuration.build([(c, -2) for c in "ABCDE"] + [("S", -1)],
+                                  [("A", "B"), ("B", "C"), ("C", "S"), ("D", "E")])
+        assert (("D", "E"),) in self._pinned(cfg, 1, [(4,), (4,)])
+        for m in range(len(cfg.nodes) + 1):
+            self._pinned(cfg, m, [(4,), (4,)])
+        cut = _Counts()
+        assert not list(_base_choices(cfg, 0, cut, sys.maxsize, _deep_curves(cfg), {(4,)}))
+        assert (cut.states, cut.pruned) == (1, 1)
+
+    @staticmethod
+    def _pinned(cfg, m, targets):
+        """The free walk with the fit to `targets` against the walk without
+        it: it yields the same choices that `_pins` leaves a pin, in the same
+        order, and drops only choices that it leaves none.  Returns those
+        with a pin."""
+        deep = _deep_curves(cfg)
+
+        def walk(stated):
+            choices = []
+            for _, pairs in _base_choices(cfg, m, _Counts(), sys.maxsize, deep, stated):
+                bases = [PlanStep(a, b) for a, b in pairs]
+                tested = plans._tested_paths(cfg, bases, deep)
+                choices.append((pairs, tested is not None
+                                and bool(plans._pins(cfg, bases, tested, targets))))
+            return choices
+
+        fitted = walk({t for target in targets for t in (target, target[::-1])})
+        unfitted = walk(None)
+        assert [x for x in fitted if x[1]] == [x for x in unfitted if x[1]]
+        assert not any(pinned for x, pinned in unfitted if (x, pinned) not in fitted)
+        rest = iter(unfitted)
+        assert all(x in rest for x in fitted)  # a subsequence
+        return [pairs for pairs, pinned in fitted if pinned]
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_look_ahead_cuts_a_curve_with_too_many_neighbours(self, m):
