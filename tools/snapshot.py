@@ -13,7 +13,7 @@ json` on SEARCHES, and `infer_plan` on every record of the catalog, hinted
 of `expected.json`.  An inference line gives the states, the pruned
 prefixes, the leaves, whether the budget stopped it, the plan and the
 marked chains.  Each line starts with its case's name; naming cases on the
-command line prints only those.  All cases take about 6 s (2 cores,
+command line prints only those.  All cases take about 4 s (2 cores,
 CPython 3.11.7).
 """
 import argparse
