@@ -164,7 +164,7 @@ def ledger_constraints(expected: dict,
 
 
 def _check_chain(ledger: Ledger, section: str, spec: ChainSpec) -> bool:
-    sing = wahl_singularity(spec.chain)
+    sing = wahl_singularity(spec.chain) if min(spec.chain) >= 2 else None
     if sing is None:
         ledger.add(section, f"chain {list(spec.chain)} is a Wahl chain", False)
         return False

@@ -46,21 +46,20 @@ of a kept leaf other than its (-1)-curves lies in a chain, as the marker
 makes it.  A base curve at -2 or below (`_deep_curves`) only gets deeper,
 so it lies in a chain, and a chain is a path of curves.  So the surviving
 nodes between such curves must form disjoint simple paths, a rule checked
-on every prefix of a base-node choice (`_PathPrefix`), and a state is
+on every prefix of a base-node choice (`_base_choices`), and a state is
 dropped once such a curve has more than two final non-(-1) neighbours (the
-degree rule of `_leaves`).  The path rule also looks ahead: a prefix is
-cut once the nodes still to be chosen cannot bring every such curve down
-to two surviving nodes, since each chosen node relieves at most two
-curves.  On the same premise each such path, with its arms, is one whole
-chain, which the arm test reads.  A curve at -1 or above may end as a
-surviving (-1)-curve, so it is exempt from all three.  Inference reads the
-same paths once more, before any tower is placed: each must lie in a
-distinct stated chain, and the rest of that chain beyond each end of the
-path is the arm one tower holds there, so the stated chains fix the size
-of every tower whose sides are all at tested paths (`_pins`).  So its free
-walk also cuts a prefix once a path it forms fits no stated chain, with
-every entry at least its curve's depth plus the chosen nodes on it, unless
-the path may still grow to meet a curve at -1 or above (`_PathPrefix`).  A
+degree rule of `_leaves`).  On the same premise each such path, with its
+arms, is one whole chain, which the arm test reads.  A curve at -1 or above
+may end as a surviving (-1)-curve, so it is exempt from all three.
+Inference reads the same paths once more, before any tower is placed: each
+must lie in a distinct stated chain, and the rest of that chain beyond each
+end of the path is the arm one tower holds there, so the stated chains fix
+the size of every tower whose sides are all at tested paths (`_pins`).  The
+walk looks ahead to the degree rule and, in inference, to the pins: it cuts
+a prefix once the nodes still to be chosen cannot bring every such curve
+down to two surviving nodes (a curve's excess), or once a path it forms
+fits no stated chain above its curves' floors.  Both counts are read off
+one table of the nodes still undecided (`_base_choices`).  A
 failing prefix is not extended, and it counts as one state, as a yielded
 choice and a tower outcome do: every state counted is work done, so the
 budget bounds time.  The state that goes over the budget raises
@@ -368,16 +367,43 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     is.
 
     Each prefix runs through the path rule over the curves `deep` (by
-    default none, which admits every choice) and its degree look-ahead
-    (`_PathPrefix`): the nodes left unchosen must form paths, and the nodes
-    still to be chosen must be able to bring every deep curve down to two
-    of them.  A prefix cut by either is not extended, and exactly the
-    choices the path rule admits are yielded, in the same order as without
-    the look-ahead.  Given the stated chains, both ways round (`stated`, as
-    inference has them), a prefix is also cut once a path it forms fits
-    none of them, which drops only choices that `_pins` leaves no pin.  The
-    look-ahead runs at the root and after each chosen node, since leaving a
-    node unchosen changes no excess.  Each yielded
+    default none, which admits every choice).  The rule reads the ruled
+    nodes: the non-self nodes between two deep curves.  An unchosen one
+    survives into every leaf as an edge of its non-(-1) graph, and on the
+    premise of both searches (see the module docstring) it joins two
+    consecutive curves of one chain.  So the unchosen ruled nodes must form
+    disjoint simple paths, with degree at most 2 and no cycle (a second
+    unchosen node on the same pair closes one).  The walk keeps only those
+    paths, as each curve's `degree` and each path end's path read from that
+    end (`runs`); choosing a node adds no edge and changes neither.
+    Deciding more nodes only adds edges, so a prefix that fails has no
+    feasible completion.
+
+    A prefix decided up to position i has chosen, of the ruled nodes on a
+    curve c, all less the undecided ones, `after[i][c]`, less the unchosen
+    ones, `degree[c]`.  Two look-aheads read this count:
+
+    - the excess of c, `after[i][c] + degree[c] - 2`, is how many of its
+      undecided ruled nodes must still be chosen for its final degree to be
+      at most 2.  A completion chooses `need` more nodes and each relieves
+      at most two curves, so a prefix is cut, at the root and after each
+      chosen node, once an excess exceeds `need` or the positive excesses
+      sum to more than 2 `need`;
+    - given the stated chains, both ways round (`stated`, as inference has
+      them), each path that an unchosen node joins must lie in one of them
+      as a contiguous run (`_starts`), every entry at least its curve's
+      floor: its depth plus one per side of a chosen node on it.  That is
+      what `_pins` asks of the final tested paths (`_tested_paths`), into
+      which the paths only grow while the floors only rise, so only choices
+      that `_pins` leaves no pin are dropped.  A path that may still grow
+      into a curve that meets a curve at -1 or above through a base node
+      may end untested, so the curves of its whole component under the rule
+      are exempt.  Any other curve carries no unruled node but self-nodes,
+      so its floor is its depth plus its chosen ruled nodes plus two per
+      chosen self-node.
+
+    Exactly the choices the path rule admits are yielded, in the same order
+    as without the look-aheads, less those the fit drops.  Each yielded
     choice and each cut prefix (which has a completion: `room` stops the
     others) counts as one state of `result`, a cut prefix also in
     `result.pruned` (`_spend`); the state that exceeds `max_states` raises
@@ -388,9 +414,32 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     pairs = [n.pair() for n in nodes]
     # left[i][pair]: the nodes of each curve pair at position i or later
     left = [Counter(pairs[i:]) for i in range(len(nodes) + 1)]
+    ruled = [not n.is_self_node and n.a in deep and n.b in deep for n in nodes]
+    # after[i][c]: the ruled nodes on curve c at position i or later
+    after = [Counter(c for j in range(i, len(nodes)) if ruled[j] for c in pairs[j])
+             for i in range(len(nodes) + 1)]
+    top: dict = {}  # a fitted curve -> its depth plus its ruled nodes
+    if stated is not None:
+        exempt = {c for a, b in pairs if (a in deep) != (b in deep) for c in (a, b)}
+        grown = None
+        while grown != exempt:  # the whole components under the rule
+            grown, exempt = exempt, exempt | {
+                c for (a, b), r in zip(pairs, ruled) if r and (a in exempt or b in exempt)
+                for c in (a, b)}
+        top = {c: after[0][c] - base.self_int[c] for c in deep - exempt}
+        fit = functools.cache(lambda floors: any(_starts(floors, c) for c in stated))
+        self_nodes = {j for j, (a, b) in enumerate(pairs) if a == b}
 
-    def extend(i: int, chosen: tuple, closed: frozenset, room: int, state
-               ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
+    def fits(path: tuple, i: int, chosen: tuple, degree: dict) -> bool:
+        """Whether `path`, joined at node i, lies in a stated chain, every
+        entry at least its curve's floor."""
+        later = after[i + 1]
+        doubled = [pairs[j][0] for j in chosen if j in self_nodes]
+        return fit(tuple([top[c] - later.get(c, 0) - degree[c] + 2 * doubled.count(c)
+                          for c in path]))
+
+    def extend(i: int, chosen: tuple, closed: frozenset, room: int, degree: dict,
+               runs: dict) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
         """Complete a prefix decided up to i.
 
         `chosen` holds the positions chosen; `closed` holds the pairs with
@@ -398,159 +447,47 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
         the undecided nodes of the other pairs.
         """
         need = m - len(chosen)
-        if not state.fits(need):
+        excess = [k for c, n in after[i].items() if (k := n + degree.get(c, 0) - 2) > 0]
+        if excess and (max(excess) > need or sum(excess) > 2 * need):
             _spend(result, max_states, rejected=True)
             return
         while i < len(nodes):
             pair = pairs[i]
             if need and pair not in closed:
-                yield from extend(i + 1, chosen + (i,), closed, room - 1,
-                                  state.chosen(nodes[i]))
+                yield from extend(i + 1, chosen + (i,), closed, room - 1, degree, runs)
                 # leave node i unchosen, which closes its pair
                 room -= left[i][pair]
                 if room < need:
                     return
                 closed = closed | {pair}
-            state = state.unchosen(nodes[i])
-            if state is None:
-                _spend(result, max_states, rejected=True)
-                return
+            if ruled[i]:
+                a, b = pair
+                degree = dict(degree)
+                degree[a] = degree.get(a, 0) + 1
+                degree[b] = degree.get(b, 0) + 1
+                # a and b end paths (or are isolated): joining them closes a
+                # cycle exactly when they end the same path
+                run_a, run_b = runs.get(a, (a,)), runs.get(b, (b,))
+                path = run_a[::-1] + run_b
+                if degree[a] > 2 or degree[b] > 2 or run_a[-1] == b or (
+                        a in top and not fits(path, i, chosen, degree)):
+                    _spend(result, max_states, rejected=True)
+                    return
+                runs = dict(runs)
+                runs[path[0]] = path
+                runs[path[-1]] = path[::-1]
             i += 1
         _spend(result, max_states)
         yield tuple(ids[j] for j in chosen), tuple(sorted([pairs[j] for j in chosen]))
 
     if m <= len(nodes):
-        yield from extend(0, (), frozenset(), len(nodes),
-                          _PathPrefix.of(base, deep, stated))
+        yield from extend(0, (), frozenset(), len(nodes), {}, {})
 
 
 def _deep_curves(base: Configuration) -> frozenset[str]:
     """The base curves at -2 or below, which blow-ups only deepen: none of
     them ends as a (-1)-curve that a marking leaves out."""
     return frozenset(c.name for c in base.curves if c.self_int <= -2)
-
-
-class _PathPrefix:
-    """The path rule on the base nodes decided so far, in id order, with its
-    degree look-ahead and, in inference, its fit to the stated chains.
-
-    An unchosen non-self node survives into every leaf.  Between two curves
-    of `deep` (the base curves at -2 or below, `_deep_curves`) it is an edge
-    of every leaf's non-(-1) graph, and on the premise of both searches
-    (see the module docstring) it joins two consecutive curves of one
-    chain.  Those edges must form disjoint simple paths, with degree at
-    most 2 and no cycle; a second surviving node on the same pair closes a
-    cycle.  A curve at -1 or above may end as a (-1)-curve outside every
-    chain, so its nodes are exempt; over no deep curves the rule admits
-    every choice.  Deciding more nodes only adds edges, so a prefix that
-    fails has no feasible completion.  A chosen node adds no edge, so only
-    `unchosen` extends the path rule: it returns the extended prefix, or
-    None when it fails.
-
-    The look-ahead (`fits`) cuts a prefix that no choice of the nodes still
-    to be chosen brings to degree at most 2.  A curve's final degree is its
-    nodes under the rule less those chosen, so `excess` maps each curve
-    with more than two such nodes to how many of them must still be
-    chosen: `chosen` lowers it at the node's two curves, and leaving a node
-    unchosen changes none.  A completion chooses `need` more nodes and each
-    relieves at most two curves, so a prefix fits only if no excess exceeds
-    `need` and the excesses sum to at most 2 `need`.
-
-    Given the stated chains, both ways round (`stated`), each path that
-    `unchosen` forms must also lie in one of them as a contiguous run
-    (`_starts`), every entry at least its curve's `floor`: its depth plus
-    one per side of a chosen node on it.  That is what `_pins` asks of the
-    final tested paths (`_tested_paths`), into which the paths only grow,
-    while the floors only rise.  A path that may still grow into a curve
-    that meets a curve at -1 or above through a base node may end
-    untested, so the curves of its component under the rule are exempt:
-    `floor` holds only the others.
-    """
-
-    __slots__ = ("deep", "degree", "runs", "excess", "floor", "fit")
-
-    def __init__(self, deep: frozenset, degree: dict, runs: dict, excess: dict,
-                 floor: dict, fit: Optional[Callable]) -> None:
-        self.deep = deep  # the base curves at -2 or below
-        self.degree = degree
-        self.runs = runs  # a path end -> its path, read from that end
-        self.excess = excess  # a curve -> its nodes still to be chosen, if any
-        self.floor = floor  # a curve -> the least entry it can take
-        self.fit = fit  # whether a run of floors lies in a stated chain, memoised
-
-    @classmethod
-    def of(cls, base: Configuration, deep: frozenset, stated: Optional[set] = None
-           ) -> "_PathPrefix":
-        """The empty prefix over the nodes of `base`, its paths fit to
-        `stated` if given."""
-        ruled = [node for node in base.nodes if cls._ruled(node, deep)]
-        total = Counter(c for node in ruled for c in (node.a, node.b))
-        floor, fit = {}, None
-        if stated is not None:
-            exempt = {c for node in base.nodes if (node.a in deep) != (node.b in deep)
-                      for c in (node.a, node.b)}
-            grown = None
-            while grown != exempt:  # the whole components under the rule
-                grown, exempt = exempt, exempt | {
-                    c for node in ruled if node.a in exempt or node.b in exempt
-                    for c in (node.a, node.b)}
-            floor = {c: -base.self_int[c] for c in deep - exempt}
-            fit = functools.cache(lambda floors: any(_starts(floors, c) for c in stated))
-        return cls(deep, {}, {}, {c: k - 2 for c, k in total.items() if k > 2}, floor, fit)
-
-    @staticmethod
-    def _ruled(node, deep: frozenset) -> bool:
-        """Whether the rule reads `node`: a non-self node between deep curves."""
-        return not node.is_self_node and node.a in deep and node.b in deep
-
-    def fits(self, need: int) -> bool:
-        """Whether choosing `need` more nodes can leave every degree at most 2."""
-        excess = self.excess
-        return not excess or (max(excess.values()) <= need
-                              and sum(excess.values()) <= 2 * need)
-
-    def chosen(self, node) -> "_PathPrefix":
-        """The prefix with `node` chosen, which relieves its two curves and
-        raises their floors."""
-        a, b = node.a, node.b
-        excess, floor = self.excess, self.floor
-        if (a in excess or b in excess) and self._ruled(node, self.deep):
-            excess = dict(excess)
-            for c in (a, b):
-                if c in excess:
-                    excess[c] -= 1
-                    if not excess[c]:
-                        del excess[c]
-        if a in floor or b in floor:
-            floor = dict(floor)
-            for c in (a, b):
-                if c in floor:
-                    floor[c] += 1
-        elif excess is self.excess:
-            return self
-        return _PathPrefix(self.deep, self.degree, self.runs, excess, floor, self.fit)
-
-    def unchosen(self, node) -> Optional["_PathPrefix"]:
-        a, b = node.a, node.b
-        if not self._ruled(node, self.deep):
-            return self  # an exempt node leaves the prefix as it is
-        degree = dict(self.degree)
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-        if degree[a] > 2 or degree[b] > 2:
-            return None
-        # a and b are ends of paths (or isolated): joining them closes a
-        # cycle exactly when they end the same path
-        run_a, run_b = self.runs.get(a, (a,)), self.runs.get(b, (b,))
-        if run_a[-1] == b:
-            return None
-        path = run_a[::-1] + run_b
-        if a in self.floor and not self.fit(tuple(map(self.floor.__getitem__, path))):
-            return None
-        runs = dict(self.runs)
-        runs[path[0]] = path
-        runs[path[-1]] = path[::-1]
-        return _PathPrefix(self.deep, degree, runs, self.excess, self.floor, self.fit)
 
 
 class _State:
@@ -698,8 +635,8 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     The number of blow-ups is forced by K^2.  The record's steps, if it
     has any, fix the base nodes blown up; otherwise the choices of P + K^2
     base nodes are walked (`_base_choices`), a prefix cut once the path
-    rule or its degree look-ahead fails, or a path it forms fits no stated
-    chain (`_PathPrefix`).  For each choice the
+    rule fails or one of its look-aheads does: a curve's excess, or a path
+    that fits no stated chain above its floors.  For each choice the
     stated chains pin the tower sizes (`_pins`); bracket patterns are not
     read.  Succeeds when some interpretation yields a marked surface whose
     chains are exactly the stated ones; the survivor is re-certified
@@ -710,7 +647,7 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     result = InferenceResult(record)
     targets = [tuple(c.chain) for c in record.chains]
     for spec in record.chains:
-        sing = wahl_singularity(spec.chain)
+        sing = wahl_singularity(spec.chain) if min(spec.chain) >= 2 else None
         if sing is None:
             raise PlanError(f"({record.rid}): stated chain {list(spec.chain)} "
                             f"is not a Wahl chain")

@@ -178,6 +178,21 @@ class TestVerifyAndSearch:
             "not the Wahl chain it claims",
             "[FAIL] main K^2=2: recovered plan replays -- no node #5 between A2 and B1"]
 
+    def test_verify_reports_a_chain_entry_below_2_as_failure(self, capture, tmp_path):
+        # (2.1)'s chain [3, 5, 3, 2] written as [1, 5, 3, 2]: FAIL lines and
+        # exit code 1, as for any other chain that is not a Wahl chain
+        data = resources.files("wahlkit.catalog") / "data"
+        records = tmp_path / "records.txt"
+        records.write_text((data / "records.txt").read_text(encoding="utf-8").replace(
+            "(11,3):[4,5,3,2,2] - (8,3):[3,5,3,2]\n", "(11,3):[4,5,3,2,2] - (8,3):[1,5,3,2]\n"),
+            encoding="utf-8")
+        code, out, err = capture("verify", "--records", str(records))
+        assert code == 1 and err == ""
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+            "[FAIL] record (2.1): chain [1, 5, 3, 2] is a Wahl chain",
+            "[FAIL] record (2.1): plan inference -- not run: a stated chain is "
+            "not the Wahl chain it claims"]
+
     def test_verify_reports_malformed_plan_step_as_failure(self, capture, tmp_path):
         data = resources.files("wahlkit.catalog") / "data"
         expected = json.loads((data / "expected.json").read_text(encoding="utf-8"))

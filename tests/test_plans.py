@@ -45,7 +45,8 @@ def _nodes_to_blow_up(record):
 
 
 def _combo_feasible(base, combo):
-    """Oracle: the rule of `_PathPrefix`, on a whole choice of base nodes.
+    """Oracle: the path rule of `_base_choices`, on a whole choice of base
+    nodes, with neither of its look-aheads.
 
     Unblown non-self nodes between curves at -2 or below survive as edges
     of every leaf's non-(-1) graph, so they must form simple disjoint paths.
@@ -430,6 +431,14 @@ class TestInference:
                                (ChainSpec(2, 1, (4, 4)),))
         with pytest.raises(PlanError):
             infer_plan(record, cfg)
+
+    def test_claim_with_an_entry_below_2_rejected_before_search(self, a0, records):
+        # (2.1) with its chain [3, 5, 3, 2] written as [1, 5, 3, 2]
+        record = records["2.1"]
+        record = dataclasses.replace(
+            record, chains=(record.chains[0], ChainSpec(8, 3, (1, 5, 3, 2))))
+        with pytest.raises(PlanError, match=r"stated chain \[1, 5, 3, 2\] is not a Wahl"):
+            infer_plan(record, a0.restrict(record.curves))
 
     def test_wrong_na_claim_rejected(self):
         cfg = Configuration.build([("W", -4)], [])
@@ -1378,18 +1387,16 @@ class TestBaseChoices:
         return passed
 
     @staticmethod
-    def _cut_at_the_root(nodes, m):
-        """A walk over the all-(-2) configuration on `nodes` that its degree
-        look-ahead cuts at the root: no choice, one state, one pruned; the
-        oracle agrees that no choice is feasible."""
+    def _star_walk(nodes, m):
+        """The walk over the all-(-2) configuration on `nodes`, checked
+        against the oracle: its choices, states and pruned prefixes."""
         cfg = Configuration.build([(c, -2) for c in sorted({c for n in nodes for c in n})],
                                   nodes)
-        deep = _deep_curves(cfg)
         every = list(_reference_choices(cfg, m, _Counts(), sys.maxsize))
-        assert every and not [x for x in every if _combo_feasible(cfg, x[0])]
-        full, walk = TestBaseChoices._unlimited_walk(cfg, m, deep, every, [])
-        assert (full, walk.states, walk.pruned) == ([], 1, 1)
-        return plans._PathPrefix.of(cfg, deep)
+        feasible = [x for x in every if _combo_feasible(cfg, x[0])]
+        full, walk = TestBaseChoices._unlimited_walk(cfg, m, _deep_curves(cfg), every,
+                                                     feasible)
+        return [x[:2] for x in full], walk.states, walk.pruned
 
     @pytest.mark.parametrize("rid", SMALL)
     def test_fit_drops_only_choices_without_pins(self, a0, records, rid):
@@ -1440,18 +1447,76 @@ class TestBaseChoices:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_look_ahead_cuts_a_curve_with_too_many_neighbours(self, m):
-        # H meets five curves: choosing m nodes leaves it degree 5 - m > 2;
-        # with m = 2 the bound on H alone cuts, its excess 3 exceeding 2
-        root = self._cut_at_the_root([("H", c) for c in "ABCDE"], m)
-        assert root.excess == {"H": 3}
+        # H meets five curves: choosing m nodes leaves it degree 5 - m > 2,
+        # so its excess, 3, exceeds m and the walk is cut at the root (one
+        # state, one pruned); choosing 3 is not cut there
+        star = [("H", c) for c in "ABCDE"]
+        assert self._star_walk(star, m) == ([], 1, 1)
+        choices, states, pruned = self._star_walk(star, 3)
+        assert len(choices) == 10 and states == 10 and pruned == 0
 
     def test_look_ahead_cuts_by_the_sum_of_excesses(self):
         # three disjoint curves, each one node over: each excess fits the one
-        # node still to choose, but that node relieves at most two of them
-        root = self._cut_at_the_root(
-            [(x, f"{x}{k}") for x in "XYZ" for k in range(3)], 1)
-        assert root.excess == {"X": 1, "Y": 1, "Z": 1}
-        assert root.fits(2) and not root.fits(1)
+        # node still to choose, but that node relieves at most two of them,
+        # so the walk is cut at the root.  Two nodes pass the root and fail
+        # further down, since they cannot relieve all three.
+        stars = [(x, f"{x}{k}") for x in "XYZ" for k in range(3)]
+        assert self._star_walk(stars, 1) == ([], 1, 1)
+        choices, states, pruned = self._star_walk(stars, 2)
+        assert choices == [] and states == pruned > 1
+
+    # the walk's exact counts on bases that A0 cannot give: self-nodes, a
+    # pair meeting three times, a (-1)-curve and a (-3)-curve, with the fit
+    # to the stated chains.  Per m: states, pruned and the choices, each as
+    # its node ids.
+    WALKS = {
+        "tangle": (TANGLE, {}, [(4, 5, 3, 2, 2), (3, 5, 3, 2)], [
+            (1, 1, []), (1, 1, []), (1, 1, []), (3, 3, []), (15, 15, []),
+            (29, 27, ["03468", "04678"]),
+            (28, 22, ["013468", "014678", "023468", "024678", "034678", "045678"]),
+            (17, 9, ["0123468", "0124678", "0134678", "0145678", "0234568",
+                     "0234678", "0245678", "0345678"]),
+            (6, 1, ["01234568", "01234678", "01245678", "01345678", "02345678"]),
+            (1, 0, ["012345678"])]),
+        "tangle-short": (TANGLE, {}, [(2, 5), (4,)], [
+            (1, 1, []), (1, 1, []), (1, 1, []), (3, 3, []), (9, 9, []), (14, 14, []),
+            (16, 15, ["024678"]), (12, 10, ["0234678", "0245678"]),
+            (6, 4, ["01234678", "02345678"]), (1, 0, ["012345678"])]),
+        "self-node": ([("W", "W"), ("W", "X")], {}, [(3, 2)], [
+            (1, 0, [""]), (2, 1, ["1"]), (1, 0, ["01"])]),
+        # A-B meets the (-1)-curve S, so A and B are exempt from the fit
+        "minus-one": (
+            [("A", "B"), ("B", "S"), ("C", "D"), ("D", "D"), ("D", "E"), ("E", "F"),
+             ("E", "F"), ("F", "C"), ("C", "E")], {"S": -1, "F": -3},
+            [(3, 5, 3, 2), (4,), (2, 5)], [
+                (1, 1, []), (1, 1, []), (8, 8, []), (29, 29, []),
+                (59, 57, ["2568", "5678"]),
+                (73, 64, ["02568", "05678", "12568", "15678", "23568", "24568",
+                          "25678", "35678", "45678"]),
+                (57, 41, ["012568", "015678", "023568", "024568", "025678", "035678",
+                          "045678", "123568", "124568", "125678", "135678", "145678",
+                          "234568", "235678", "245678", "345678"]),
+                (28, 14, ["0123568", "0124568", "0125678", "0135678", "0145678",
+                          "0234568", "0235678", "0245678", "0345678", "1234568",
+                          "1235678", "1245678", "1345678", "2345678"]),
+                (8, 2, ["01234568", "01235678", "01245678", "01345678", "02345678",
+                        "12345678"]),
+                (1, 0, ["012345678"])]),
+    }
+
+    @pytest.mark.parametrize("case", list(WALKS))
+    def test_walk_counts_off_a0(self, case):
+        nodes, self_ints, targets, want = self.WALKS[case]
+        cfg = Configuration.build([(c, self_ints.get(c, -2))
+                                   for c in sorted({c for n in nodes for c in n})], nodes)
+        stated = {chain for t in targets for chain in (t, t[::-1])}
+        got = []
+        for m in range(len(cfg.nodes) + 1):
+            walk = _Counts()
+            choices = ["".join(map(str, combo)) for combo, _ in
+                       _base_choices(cfg, m, walk, sys.maxsize, _deep_curves(cfg), stated)]
+            got.append((walk.states, walk.pruned, choices))
+        assert got == want
 
     def test_too_few_nodes(self):
         cfg = Configuration.build([("A", -2), ("B", -2)], [("A", "B")])

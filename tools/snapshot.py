@@ -9,12 +9,13 @@ change with its parent is one `diff` of two runs of this script:
 
 The cases are `wahlkit verify --format json`, `wahlkit search --format
 json` on SEARCHES, and `infer_plan` on every record of the catalog, hinted
-(with the record's steps) and free (without them), and free on every main
-of `expected.json`.  An inference line gives the states, the pruned
-prefixes, the leaves, whether the budget stopped it, the plan and the
-marked chains.  Each line starts with its case's name; naming cases on the
-command line prints only those.  All cases take about 4 s (2 cores,
-CPython 3.11.7).
+(with the record's steps) and free (without them), free on every main
+of `expected.json`, and free on the SYNTHETIC_RECORDS, which walk base
+nodes that A0 does not have (self-nodes, a pair meeting three times, a
+(-1)-curve).  An inference line gives the states, the pruned prefixes, the
+leaves, whether the budget stopped it, the plan and the marked chains.
+Each line starts with its case's name; naming cases on the command line
+prints only those.  All cases take about 4 s (2 cores, CPython 3.11.7).
 """
 import argparse
 import contextlib
@@ -34,6 +35,23 @@ SEARCHES = (
 )
 
 
+# One configuration that A0 cannot give, for the free walk over base
+# nodes: self-nodes E*E and L*L, A*D meeting three times, (-1)-curves G and
+# J, (-3)-curves B, F and N, and every other curve at -2.
+SYNTHETIC_SELF_INTS = {"B": -3, "F": -3, "G": -1, "J": -1, "N": -3}
+SYNTHETIC_NODES = ("A*D A*D A*D E*E C*G A*G E*F B*D A*G "
+                   "H*I I*J K*L L*L L*M M*N M*N K*N K*M")
+# Free records on it, as (K^2, curves, chains as (n, a, entries)): the first
+# has a plan, the last spans both components.
+SYNTHETIC_RECORDS = {
+    "s1": (2, "ACDEFG", ((7, 5, (2, 2, 5, 4)), (5, 3, (2, 5, 3)))),
+    "s2": (2, "HIJKLMN", ((9, 7, (2, 2, 2, 5, 5)), (4, 3, (2, 2, 6)),
+                          (12, 7, (2, 4, 5, 2, 3)))),
+    "s3": (4, "ABCDEFGHIJKLMN", ((11, 8, (2, 2, 3, 5, 4)), (5, 3, (2, 5, 3)),
+                                 (5, 3, (2, 5, 3)), (2, 1, (4,)))),
+}
+
+
 def _cli(argv: list[str]) -> str:
     from wahlkit import cli
     out = io.StringIO()
@@ -42,9 +60,9 @@ def _cli(argv: list[str]) -> str:
     return f"exit={code} {out.getvalue().strip()}"
 
 
-def _inference(record, a0) -> str:
+def _inference(record, config) -> str:
     from wahlkit.plans import infer_plan
-    result = infer_plan(record, a0.restrict(record.curves))
+    result = infer_plan(record, config.restrict(record.curves))
     marked = result.marked.wahl_chains if result.success else None
     return (f"states={result.states} pruned={result.pruned} leaves={result.leaves} "
             f"exhausted={result.exhausted} plan=[{result.plan or ''}] marked={marked}")
@@ -55,6 +73,7 @@ def cases():
     from wahlkit.catalog.a0 import frozen_a0
     from wahlkit.catalog.records import ChainSpec, SurfaceRecord
     from wahlkit.catalog.verify import load_expected, load_records
+    from wahlkit.configuration import Configuration
 
     a0 = frozen_a0()
     records = load_records()
@@ -71,6 +90,15 @@ def cases():
     for record in records + mains:
         free = dataclasses.replace(record, steps=())
         yield f"free ({record.rid})", lambda free=free: _inference(free, a0)
+    nodes = [tuple(node.split("*")) for node in SYNTHETIC_NODES.split()]
+    synthetic = Configuration.build([(c, SYNTHETIC_SELF_INTS.get(c, -2))
+                                     for c in sorted({c for node in nodes for c in node})],
+                                    nodes)
+    for rid, (k2, curves, chains) in SYNTHETIC_RECORDS.items():
+        # inference reads no determinant
+        free = SurfaceRecord(rid, k2, tuple(curves), 0, (),
+                             tuple(ChainSpec(n, a, chain) for n, a, chain in chains))
+        yield f"free ({rid})", lambda free=free: _inference(free, synthetic)
 
 
 def main(argv: list[str]) -> int:
