@@ -20,7 +20,7 @@ from math import gcd
 from typing import Optional
 
 from .chains import (CyclicQuotient, TSingularity, WahlSingularity, blow_down_compose,
-                     discrepancies, meridian_exponents, t_singularity, wahl_singularity)
+                     discrepancies, meridian_exponents, recognize_wahl, t_singularity)
 from .configuration import Configuration
 
 __all__ = [
@@ -86,7 +86,7 @@ class MarkedSurface:
                 place[name] = (i, k)
         data = []
         for chain, entries in zip(self.wahl_chains, self.strings):
-            sing = wahl_singularity(entries) if min(entries) >= 2 else None
+            sing = recognize_wahl(entries)
             if sing is None:
                 raise AssemblyError(f"marked chain {chain} has string {list(entries)}, "
                                     f"not a Wahl chain")

@@ -11,6 +11,14 @@ checked for K^2, its singularity list, an ample canonical class and a
 trivial pi1 verdict.  A plan that is not found, or not frozen, is a failed
 check, so the ledger passes only what it proved.  The ledger is the only
 validator of an A0 model.
+
+A main is certified on the whole of A0, as its surface is the blown-up K3
+with all of A0's curves on it.  That is sound once its plan replays on the
+construction's own curves, which the ledger checks first: each blown-up
+node then lies between two of them, and a node of A0 lies on exactly two
+curves, so every other curve of A0 stays an untouched (-2)-curve.  Such a
+curve is a zero curve of the contracted canonical class or a relation of
+the meridian argument for pi1; it never breaks nefness.
 """
 from __future__ import annotations
 
@@ -21,11 +29,11 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..chains import (ChainError, CyclicQuotient, blow_down_compose, length_bound,
-                      meridian_exponents, t_singularity, wahl_singularity)
-from ..configuration import Configuration, geography_check
+                      meridian_exponents, recognize_wahl, t_singularity)
+from ..configuration import Configuration, ConfigurationError, geography_check
 from ..assembly import (AssemblyError, MarkedSurface, k_squared, nef_ample_check,
                         obstruction_dim, pi1_verdict, singularity_report)
-from ..plans import BlowupPlan, PlanError, PlanStep, _stated_marking, infer_plan
+from ..plans import BlowupPlan, PlanError, PlanStep, infer_plan, mark_chains
 from .a0 import (SECTIONS, A0Constraints, CatalogError, build_a0, frozen_a0,
                  incidences_of)
 from .records import ChainSpec, RecordError, SurfaceRecord, parse_records_file
@@ -87,13 +95,13 @@ def load_records(path: Optional[str] = None) -> list[SurfaceRecord]:
 
 
 # The shape of what the ledger reads from expected.json.  A dict lists the
-# keys an object must have ("?" marks an optional one), or, keyed by `int`,
-# the value of every key, which must be a decimal integer; [x] is a list of
-# x, and a tuple a list of exactly its entries.  `recovered_plan` is left to
-# the ledger, which reports a malformed plan as a failed check.
+# keys an object must have, or, keyed by `int`, the value of every key,
+# which must be a decimal integer; [x] is a list of x, and a tuple a list of
+# exactly its entries.  `recovered_plan` is left to the ledger, which
+# reports a malformed plan as a failed check.
 _MAIN_SHAPE = {"curves": [str], "matrix": [[int]], "det": int,
                "chains": [{"n": int, "a": int, "chain": [int]}], "duval": [[str]],
-               "ksba_dim": int, "pi1_witnesses?": [str]}
+               "ksba_dim": int}
 _EXPECTED_SHAPE = {
     "a0": {"r": int, "t2": int, "log_chern": [int], "obstruction_cap": int},
     "mains": {int: _MAIN_SHAPE},
@@ -114,11 +122,9 @@ def _check_shape(value, shape, where: str) -> None:
                 _check_shape(item, shape[int], f"{where}.{key}")
             return
         for key, item_shape in shape.items():
-            name = key.rstrip("?")
-            if name in value:
-                _check_shape(value[name], item_shape, f"{where}.{name}")
-            elif name == key:
-                raise CatalogError(f"{where} lacks {name!r}")
+            if key not in value:
+                raise CatalogError(f"{where} lacks {key!r}")
+            _check_shape(value[key], item_shape, f"{where}.{key}")
     elif isinstance(shape, (list, tuple)):
         if not isinstance(value, list):
             raise CatalogError(f"{where} is not a list")
@@ -164,7 +170,7 @@ def ledger_constraints(expected: dict,
 
 
 def _check_chain(ledger: Ledger, section: str, spec: ChainSpec) -> bool:
-    sing = wahl_singularity(spec.chain) if min(spec.chain) >= 2 else None
+    sing = recognize_wahl(spec.chain)
     if sing is None:
         ledger.add(section, f"chain {list(spec.chain)} is a Wahl chain", False)
         return False
@@ -394,13 +400,18 @@ def _plan_from_json(steps) -> BlowupPlan:
 
 
 def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None:
-    """A main's checks: the construction's, then its frozen plan replayed
-    with its Du Val curves and pi1 witnesses, marked without the witnesses
-    (the ADE chains found must be the Du Val chains), and certified with
-    the witnesses as unmarked (-2)-curves."""
+    """A main's checks: the construction's, then its frozen plan replayed on
+    the construction's curves and marked there as the stated chains
+    (`mark_chains`), then certified on the whole of A0: the plan replayed on
+    `a0`, with those Wahl chains and the Du Val chains as ADE chains.
+
+    The first replay keeps every blown-up node between two of the
+    construction's curves, so each other curve of A0 stays an untouched
+    (-2)-curve on the second: a zero curve or a pi1 relation, never a
+    break of nefness (see the module docstring)."""
     sec = f"main K^2={k2}"
     chains = tuple(ChainSpec(c["n"], c["a"], tuple(c["chain"])) for c in data["chains"])
-    _verify_construction(ledger, sec, a0, SurfaceRecord(
+    sub, _, _ = _verify_construction(ledger, sec, a0, SurfaceRecord(
         f"main{k2}", k2, tuple(data["curves"]), data["det"], (), chains))
     ledger.add(sec, f"KSBA family dimension {data['ksba_dim']}",
                data["ksba_dim"] == 20 - 2 * k2)
@@ -416,19 +427,13 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
         ledger.add(sec, "Du Val chains disjoint from the configuration", not why,
                    why or f"{len(duval)} chains")
 
-    witnesses = data.get("pi1_witnesses", [])
-    extended = a0.restrict(list(data["curves"]) + duval_curves + list(witnesses))
     marked, why = None, "marking failed"
     try:
         plan = _plan_from_json(data.get("recovered_plan"))
-        replayed = plan.execute(extended)
-        marking = _stated_marking(replayed.restrict(
-            [c for c in replayed.self_int if c not in witnesses]),
-            [tuple(c.chain) for c in chains])
-        if marking is not None and (sorted(min(ch, ch[::-1]) for ch in marking[1])
-                                    == sorted(min(ch, ch[::-1]) for ch in duval)):
-            marked = MarkedSurface(replayed, marking[0], duval)
-    except (PlanError, AssemblyError) as exc:
+        own = mark_chains(plan.execute(sub), [c.chain for c in chains])
+        if own is not None:
+            marked = MarkedSurface(plan.execute(a0), own.wahl_chains, duval)
+    except (PlanError, ConfigurationError, AssemblyError) as exc:
         why = str(exc)
     if marked is None:
         ledger.add(sec, "recovered plan replays", False, why)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
@@ -24,6 +25,7 @@ __all__ = [
     "hj_expand",
     "hj_eval",
     "wahl_singularity",
+    "recognize_wahl",
     "is_wahl",
     "wahl_generate",
     "discrepancies",
@@ -45,13 +47,13 @@ class ChainError(ValueError):
     """Raised for malformed chains or out-of-range (m, q) input."""
 
 
-def _as_chain(entries: Iterable[int], minimum: int = 2) -> tuple[int, ...]:
+def _as_chain(entries: Iterable[int]) -> tuple[int, ...]:
     chain = tuple(int(b) for b in entries)
     if not chain:
         raise ChainError("empty chain")
-    bad = [b for b in chain if b < minimum]
+    bad = [b for b in chain if b < 2]
     if bad:
-        raise ChainError(f"chain entries must be >= {minimum}, got {bad[0]}")
+        raise ChainError(f"chain entries must be >= 2, got {bad[0]}")
     return chain
 
 
@@ -219,6 +221,20 @@ def wahl_singularity(chain: Sequence[int]) -> Optional[WahlSingularity]:
         return None
     assert by_rules, f"arithmetic says Wahl but rules disagree on {entries}"
     return WahlSingularity(n, a, entries)
+
+
+@cache
+def recognize_wahl(string: tuple[int, ...]) -> Optional[WahlSingularity]:
+    """The Wahl singularity of any string of integers, or None; memoised.
+
+    Unlike `wahl_singularity`, which rejects what is no chain, this decides
+    every string: one that is empty, has an entry below 2 or does not sum to
+    3l + 1 (every Wahl chain does: [4] does, and each end extension adds 3
+    and one entry) is None without being evaluated.
+    """
+    if not string or min(string) < 2 or sum(string) != 3 * len(string) + 1:
+        return None
+    return wahl_singularity(string)
 
 
 def is_wahl(chain: Sequence[int]) -> bool:

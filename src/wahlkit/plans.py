@@ -88,9 +88,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .assembly import (AssemblyError, MarkedSurface, SurfaceReport, k_squared,
-                       nef_ample_check, surface_report)
-from .chains import wahl_singularity
+from .assembly import MarkedSurface, SurfaceReport, k_squared, nef_ample_check, surface_report
+from .chains import recognize_wahl
 from .configuration import Configuration, ConfigurationError, _pair, geography_check
 from .catalog.records import BlowupSpec, ChainSpec, SurfaceRecord
 
@@ -164,22 +163,13 @@ def mark_chains(config: Configuration, targets: Sequence[tuple[int, ...]]
     The marking must have Wahl chains only, no ADE chain, and their
     strings must be the targets as a multiset, either way round.  Each
     chain is oriented as its target, equal targets taking their paths in
-    the order of min(path, path[::-1]).  None as well if the marked
-    surface is invalid.
+    the order of min(path, path[::-1]).  A greedy marking always passes
+    `MarkedSurface`'s rules: each chain is a simple path whose consecutive
+    curves share one node, and every node between two marked curves is an
+    edge of such a path.
     """
-    marking = _stated_marking(config, targets)
-    if marking is None or marking[1]:
-        return None
-    return _marked(config, marking[0])
-
-
-def _stated_marking(config: Configuration, targets: Sequence[tuple[int, ...]]
-                    ) -> Optional[tuple[tuple[tuple[str, ...], ...], ...]]:
-    """The greedy marking's Wahl chains matched to the targets and oriented
-    as them, with its ADE chains; None if the marker fails or the Wahl
-    strings are not the targets as a multiset, either way round."""
     marking = _greedy_mark(config.self_int, config.meets)
-    if marking is None or len(marking[0]) != len(targets):
+    if marking is None or marking[1] or len(marking[0]) != len(targets):
         return None
     free = sorted(marking[0])  # each path starts at its smaller end
     oriented = []
@@ -192,17 +182,7 @@ def _stated_marking(config: Configuration, targets: Sequence[tuple[int, ...]]
                 break
         else:
             return None
-    return tuple(oriented), marking[1]
-
-
-def _marked(config: Configuration, wahl: Sequence[Sequence[str]]
-            ) -> Optional[MarkedSurface]:
-    """The surface with these Wahl chains marked, and no ADE chain, or None
-    if the marking is invalid."""
-    try:
-        return MarkedSurface(config, tuple(tuple(c) for c in wahl))
-    except AssemblyError:
-        return None
+    return MarkedSurface(config, tuple(oriented))
 
 
 # -- the search core -----------------------------------------------------------
@@ -647,7 +627,7 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     result = InferenceResult(record)
     targets = [tuple(c.chain) for c in record.chains]
     for spec in record.chains:
-        sing = wahl_singularity(spec.chain) if min(spec.chain) >= 2 else None
+        sing = recognize_wahl(spec.chain)
         if sing is None:
             raise PlanError(f"({record.rid}): stated chain {list(spec.chain)} "
                             f"is not a Wahl chain")
@@ -791,7 +771,7 @@ def _greedy_mark(self_int: dict[str, int], meets: Counter
         entries = tuple(-self_int[c] for c in path)
         if all(b == 2 for b in entries):
             ade.append(path)
-        elif min(entries) >= 2 and wahl_singularity(entries) is not None:
+        elif recognize_wahl(entries) is not None:
             wahl.append(path)
         else:
             return None
@@ -886,7 +866,7 @@ def _starts(floors: Sequence[int], chain: Sequence[int]) -> list[int]:
 
 def _arm_test(base: Configuration, bases: Sequence[PlanStep],
               tested: Optional[Sequence[tuple[str, ...]]],
-              accepts: Callable[[tuple[int, ...]], bool]
+              accepts: Callable[[tuple[int, ...]], object]
               ) -> Callable[[tuple[int, ...], _State], bool]:
     """The leaf verdict of one base choice, read off a leaf's integers.
 
@@ -904,12 +884,12 @@ def _arm_test(base: Configuration, bases: Sequence[PlanStep],
     path's first end reversed, the depths of the path's curves, then the
     arm at its last end (a one-curve path may carry one at each side).  By
     the degree rule of `_leaves`, run with the same deep curves, no other
-    arm hangs off a path.  The test passes a leaf when `accepts` every such
-    string, in the orientation just read:
+    arm hangs off a path.  The test passes a leaf when `accepts` returns a
+    true value for every such string, in the orientation just read:
 
-    - search accepts the Wahl chains, which no all-2 string (an ADE chain)
-      is, so the test fails the leaves whose `_greedy_mark` fails or marks
-      an ADE chain;
+    - search accepts the Wahl chains (`recognize_wahl`), which no all-2
+      string (an ADE chain) is, so the test fails the leaves whose
+      `_greedy_mark` fails or marks an ADE chain;
     - inference accepts the stated chains, either way round, so the test
       fails the leaves whose marking is not the stated chains
       (`mark_chains`).
@@ -1005,19 +985,9 @@ def search_constructions(params: SearchParams, a0: Configuration,
     result = SearchResult()
     a0.self_ints(pool)
     found: set[tuple] = set()
-    wahl: dict = {}  # component string -> whether it is a Wahl chain
     outcomes: dict = {}  # the tower memo
     # no Wahl chain of admissible length has an entry above 4K^2+4
     cap = 4 * params.k2 + 4 if prune else None
-
-    def is_wahl(string: tuple[int, ...]) -> bool:
-        verdict = wahl.get(string)
-        if verdict is None:
-            # every Wahl chain [b_1, ..., b_l] has entries >= 2 and sum 3l + 1
-            verdict = wahl[string] = (min(string) >= 2
-                                      and sum(string) == 3 * len(string) + 1
-                                      and wahl_singularity(string) is not None)
-        return verdict
 
     def full() -> bool:
         if len(result.records) < params.max_results:
@@ -1045,7 +1015,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
                 for _, pairs in _base_choices(sub, m, result, params.max_states, deep):
                     bases = [PlanStep(a, b) for a, b in pairs]
                     passes = _arm_test(sub, bases, _tested_paths(sub, bases, deep),
-                                       is_wahl)
+                                       recognize_wahl)
                     allocs = itertools.chain.from_iterable(
                         _allocations(total, [(None,) * (2 * m)])
                         for total in range(m, params.max_blowups + 1))
@@ -1075,9 +1045,7 @@ def _harvest(params: SearchParams, sub: Configuration, state: _State, bases, all
     if marking is None or not marking[0] or marking[1]:
         return
     result.marked += 1
-    marked = _marked(config, marking[0])
-    if marked is None:
-        return
+    marked = MarkedSurface(config, marking[0])
     if k_squared(marked) != params.k2:
         return
     if nef_ample_check(marked).status != "ample":

@@ -20,7 +20,7 @@ from wahlkit.configuration import Configuration, det_exact, geography_check
 from wahlkit.catalog.a0 import frozen_a0
 from wahlkit.catalog.records import ChainSpec, SurfaceRecord
 from wahlkit.catalog.verify import _plan_from_json, load_expected, load_records
-from wahlkit.plans import _stated_marking, infer_plan
+from wahlkit.plans import infer_plan, mark_chains
 
 
 @pytest.fixture(scope="module")
@@ -291,17 +291,14 @@ def test_criterion_7_plan_inference(a0, records):
 
 def _certified_main(a0, data):
     """A main's frozen plan, marked and certified as the ledger does it:
-    replayed with its Du Val curves and pi1 witnesses, marked without the
-    witnesses, which stay in the surface as unmarked (-2)-curves."""
-    duval = tuple(tuple(ch) for ch in data["duval"])
-    wits = data.get("pi1_witnesses", [])
-    replayed = _plan_from_json(data["recovered_plan"]).execute(
-        a0.restrict(list(data["curves"]) + [c for ch in duval for c in ch] + wits))
-    wahl, ade = _stated_marking(
-        replayed.restrict([c for c in replayed.self_int if c not in wits]),
-        [tuple(c["chain"]) for c in data["chains"]])
-    assert {frozenset(ch) for ch in ade} == {frozenset(ch) for ch in duval}
-    return MarkedSurface(replayed, wahl, duval)
+    replayed and marked as the stated chains on the construction's own
+    curves, then replayed on the whole of A0 with those Wahl chains and the
+    Du Val chains marked."""
+    plan = _plan_from_json(data["recovered_plan"])
+    own = mark_chains(plan.execute(a0.restrict(data["curves"])),
+                      [tuple(c["chain"]) for c in data["chains"]])
+    return MarkedSurface(plan.execute(a0), own.wahl_chains,
+                         tuple(tuple(ch) for ch in data["duval"]))
 
 
 def test_criterion_8_pi1_suite(a0, records, expected):

@@ -5,14 +5,16 @@ from collections import Counter
 
 import pytest
 
+from wahlkit.assembly import MarkedSurface, nef_ample_check, pi1_verdict
 from wahlkit.catalog.a0 import (COMPONENTS, A0Constraints, CatalogError, FIBERS,
                                 SECTIONS, build_a0, frozen_a0, incidences_of,
                                 reconstruct_a0)
 from wahlkit.catalog.records import (ChainSpec, RecordError, format_record, parse_record,
                                      parse_records_file)
-from wahlkit.catalog.verify import (ledger_constraints, load_expected,
+from wahlkit.catalog.verify import (_plan_from_json, ledger_constraints, load_expected,
                                     load_records, verify_all)
 from wahlkit.configuration import Configuration, Curve, Node, det_exact, rank_exact
+from wahlkit.plans import mark_chains
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +161,27 @@ class TestA0Model:
         assert sorted((c.n, c.a) for c in record.chains) == [(11, 3), (29, 8)]
 
 
+class TestMainsOnA0:
+    """Each main's frozen plan replayed on the whole of A0, with the Wahl
+    chains it marks on the construction's own curves, as the ledger
+    certifies it."""
+
+    @pytest.mark.parametrize("k2", range(2, 10))
+    def test_du_val_chains_are_the_zero_curves(self, a0, expected, k2):
+        data = expected["mains"][str(k2)]
+        plan = _plan_from_json(data["recovered_plan"])
+        own = mark_chains(plan.execute(a0.restrict(data["curves"])),
+                          [tuple(c["chain"]) for c in data["chains"]])
+        replay = plan.execute(a0)
+        duval = tuple(tuple(ch) for ch in data["duval"])
+        bare = nef_ample_check(MarkedSurface(replay, own.wahl_chains))
+        assert bare.status == ("nef-only" if duval else "ample")
+        assert {w.curve for w in bare.warnings} == {c for ch in duval for c in ch}
+        full = MarkedSurface(replay, own.wahl_chains, duval)
+        assert nef_ample_check(full).status == "ample"
+        assert pi1_verdict(full).status == "trivial"
+
+
 def _matrix_only(data: dict) -> A0Constraints:
     constraints = A0Constraints()
     constraints.matrices.append((tuple(data["curves"]), data["matrix"]))
@@ -297,21 +320,34 @@ class TestLedger:
                    and c.detail.endswith(": state budget exhausted")
                    for c, r in zip(failures, records))
 
+    def test_frozen_plan_stays_on_the_construction_curves(self, a0, records, expected):
+        # F9 is on A0 but on no curve of mains 2 and 3: their plans may not
+        # blow up a node there, though it exists on the whole of A0
+        strayed = json.loads(json.dumps(expected))
+        for k2 in ("2", "3"):
+            strayed["mains"][k2]["recovered_plan"].append(["A2", "F9", 0])
+        assert a0.pairing("A2", "F9") == 1
+        ledger = verify_all(a0, records, strayed, with_inference=False)
+        assert [c.line() for c in ledger.failures()] == [
+            f"[FAIL] main K^2={k2}: recovered plan replays -- no node #0 between A2 and F9"
+            for k2 in (2, 3)]
+
     def test_ledger_rejects_a_model_that_is_not_a0(self, a0, records, expected):
         # A4 misses the second I8 fiber; curve and node counts are unchanged
         # and no printed matrix or record sees the moved node, but it joins
-        # two Du Val chains of mains 2-5, so their markings fail too
+        # two Du Val chains of mains 2-5, so their surfaces on A0 fail too
         nodes = tuple(Node(n.id, "F6", "F14") if n.pair() == ("A4", "F11") else n
                       for n in a0.nodes)
         tampered = Configuration(a0.curves, nodes)
         assert (tampered.r, tampered.t2) == (32, 72) and nodes != a0.nodes
         ledger = verify_all(tampered, records, expected, with_inference=False)
+        joined = "marked curves F6,F14 meet but are not consecutive in one chain"
         assert [c.line() for c in ledger.failures()] == [
             "[FAIL] A0: fibration skeleton -- incidence missing for (A4,I8B)"] + [
             line for k2 in (2, 3, 4, 5) for line in (
                 f"[FAIL] main K^2={k2}: Du Val chains disjoint from the configuration "
-                f"-- marked curves F6,F14 meet but are not consecutive in one chain",
-                f"[FAIL] main K^2={k2}: recovered plan replays -- marking failed")]
+                f"-- {joined}",
+                f"[FAIL] main K^2={k2}: recovered plan replays -- {joined}")]
 
     @pytest.mark.parametrize("tamper, detail", [
         (lambda a0: Configuration(a0.curves, tuple(

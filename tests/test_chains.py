@@ -10,8 +10,8 @@ from wahlkit.catalog.verify import load_expected, load_records
 from wahlkit.chains import (ChainError, CyclicQuotient, blow_down_compose,
                             contract_ones, discrepancies, fibonacci, hj_eval,
                             hj_expand, is_wahl, length_bound,
-                            meridian_exponents, meridian_order, t_singularity,
-                            wahl_generate, wahl_singularity)
+                            meridian_exponents, meridian_order, recognize_wahl,
+                            t_singularity, wahl_generate, wahl_singularity)
 
 coprime_pairs = st.integers(2, 10 ** 6).flatmap(
     lambda m: st.integers(1, m - 1).map(lambda q: (m, q))).filter(
@@ -107,6 +107,21 @@ class TestWahlRecognition:
         sing = wahl_singularity([3, 5, 3, 2])
         assert (sing.n, sing.a) == (8, 3)
         assert sing.quotient().chain() == (3, 5, 3, 2)
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_recognizer_agrees_on_wahl_chains(self, length):
+        for chain in wahl_generate(length):
+            assert recognize_wahl(chain) == wahl_singularity(chain) is not None
+
+    @given(chains)
+    def test_recognizer_agrees_on_any_chain(self, chain):
+        assert recognize_wahl(chain) == wahl_singularity(chain)
+
+    @pytest.mark.parametrize("string", [(), (1, 5, 3, 2), (3, 4)],
+                             ids=["empty", "entry-1", "sum-3l+1"])
+    def test_recognizer_decides_what_is_no_chain(self, string):
+        # wahl_singularity rejects the first two; (3, 4) sums to 3l + 1
+        assert recognize_wahl(string) is None
 
 
 class TestWahlGenerate:

@@ -143,6 +143,19 @@ class TestVerifyAndSearch:
         code, _, err = capture("verify", "--a0", str(bad))
         assert (code, err) == (2, "error: unknown curve 'D4'")
 
+    def test_a0_with_a_taken_exceptional_name_fails_the_replays(self, capture, tmp_path):
+        # the mains are certified on the whole of A0, where a curve already
+        # named E3 stops each replay: a failed check, not a usage error
+        payload = json.loads(frozen_a0().to_json())
+        payload["curves"].append({"name": "E3", "self_int": -2})
+        bad = tmp_path / "a0.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = capture("verify", "--a0", str(bad), "--no-infer")
+        assert (code, err) == (1, "")
+        assert [line for line in out.splitlines() if "recovered plan" in line] == [
+            f"[FAIL] main K^2={k2}: recovered plan replays -- "
+            f"exceptional name E3 already taken" for k2 in range(2, 10)]
+
     @pytest.mark.parametrize("option", ["--a0", "--records", "--expected"])
     def test_missing_input_file_is_a_usage_error(self, capture, tmp_path, option):
         missing = tmp_path / "missing.txt"
