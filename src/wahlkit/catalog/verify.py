@@ -403,7 +403,8 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
     """A main's checks: the construction's, then its frozen plan replayed on
     the construction's curves and marked there as the stated chains
     (`mark_chains`), then certified on the whole of A0: the plan replayed on
-    `a0`, with those Wahl chains and the Du Val chains as ADE chains.
+    `a0`, with those Wahl chains and the Du Val chains as ADE chains, which
+    that `MarkedSurface` validates.
 
     The first replay keeps every blown-up node between two of the
     construction's curves, so each other curve of A0 stays an untouched
@@ -416,17 +417,6 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
     ledger.add(sec, f"KSBA family dimension {data['ksba_dim']}",
                data["ksba_dim"] == 20 - 2 * k2)
     duval = tuple(tuple(ch) for ch in data["duval"])
-    duval_curves = [c for ch in duval for c in ch]
-    if duval:
-        try:
-            MarkedSurface(a0.restrict(duval_curves), (), duval)
-            why = next((f"Du Val curve {name} meets {other}" for name in duval_curves
-                        for other in data["curves"] if a0.pairing(name, other)), "")
-        except AssemblyError as exc:
-            why = str(exc)
-        ledger.add(sec, "Du Val chains disjoint from the configuration", not why,
-                   why or f"{len(duval)} chains")
-
     marked, why = None, "marking failed"
     try:
         plan = _plan_from_json(data.get("recovered_plan"))

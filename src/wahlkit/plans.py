@@ -49,8 +49,13 @@ nodes between such curves must form disjoint simple paths, a rule checked
 on every prefix of a base-node choice (`_base_choices`), and a state is
 dropped once such a curve has more than two final non-(-1) neighbours (the
 degree rule of `_leaves`).  On the same premise each such path, with its
-arms, is one whole chain, which the arm test reads.  A curve at -1 or above
-may end as a surviving (-1)-curve, so it is exempt from all three.
+arms, is one whole chain, which the arm test reads.  So its string sums to
+3l + 1, as a Wahl chain of length l does (each end extension of [4] adds
+one entry and 3), and a tower of size s adds 2 to a sum less 3l, c at one
+side and 2 - c at the other, c in 2 - s, 4 - s, ..., s: the sum rule
+(`_sum_rule`) drops each allocation whose sizes rule that out, before
+`_leaves` places a tower.  A curve at -1 or above may end as a surviving
+(-1)-curve, so it is exempt from all four.
 Inference reads the same paths once more, before any tower is placed: each
 must lie in a distinct stated chain, and the rest of that chain beyond each
 end of the path is the arm one tower holds there, so the stated chains fix
@@ -70,10 +75,10 @@ a deeper entry.  Inference has no cap: the substring pool keeps tower
 curves at stated entries, and a leaf with a base curve deeper than every
 stated entry fails the arm test or the marking.  With `prune=False` a
 search runs no rule: no substring pool, no deep curves and no depth cap;
-the arm test then tests no path, no tower size is pinned, and every leaf
-is marked.  A tower's abstract outcomes depend only on its size, the
-substring pool and the depth cap; each search call memoises them in its
-own table.  In both searches each tower keeps exactly one surviving
+the arm test and the sum rule then test no path, no tower size is pinned,
+and every leaf is marked.  A tower's abstract outcomes depend only on its
+size, the substring pool and the depth cap; each search call memoises them
+in its own table.  In both searches each tower keeps exactly one surviving
 (-1)-curve (`_tower_outcomes`), so every blow-up of the tower lands next
 to the newest curve, and the outcomes are walked forwards along it,
 dropping a word once its finished runs leave the chains.
@@ -308,7 +313,8 @@ def _allocations(total: int, pins: Iterable[tuple[Optional[int], ...]]
     i then has |L'| + 1 + |R'| curves: exactly that many if both its sides
     are pinned, and at least that many otherwise.  The pin with every side
     free admits every composition of `total` into positive sizes, and
-    search uses only that one.  Lazy, so no composition space is built.
+    search uses only that one.  Lazy, so no composition space is built;
+    both searches filter the allocations by `_sum_rule`.
     """
     # per pin, each tower's least size and whether it may be larger
     spans = {tuple((1 + (a or 0) + (b or 0), None in (a, b))
@@ -480,9 +486,7 @@ class _State:
     `degree` counts, for each base curve, its final non-(-1) neighbours so
     far among the ones the degree rule of `_leaves` reads.  The depths are
     read by search's depth cap in `_leaves`, and at a leaf by the arm test
-    (`_arm_test`).  No tower is named here: a leaf's steps name the towers
-    on its path (`_tower_scripts`) when they are read, and replaying them
-    on the base builds its configuration.
+    (`_arm_test`).
     """
 
     __slots__ = ("parent", "depths", "exceptional", "script", "index", "count", "degree")
@@ -617,10 +621,11 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     base nodes are walked (`_base_choices`), a prefix cut once the path
     rule fails or one of its look-aheads does: a curve's excess, or a path
     that fits no stated chain above its floors.  For each choice the
-    stated chains pin the tower sizes (`_pins`); bracket patterns are not
-    read.  Succeeds when some interpretation yields a marked surface whose
-    chains are exactly the stated ones; the survivor is re-certified
-    (ample check, K^2, obstruction) in the result report.
+    stated chains pin the tower sizes (`_pins`), less those the sum rule
+    drops (`_sum_rule`); bracket patterns are not read.  Succeeds when some
+    interpretation yields a marked surface whose chains are exactly the
+    stated ones; the survivor is re-certified (ample check, K^2,
+    obstruction) in the result report.
     """
     if max_states < 0:
         raise PlanError(f"max_states must be nonnegative, got {max_states}")
@@ -648,8 +653,9 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
         if not pins:
             return None  # no leaf passes the arm test and the degree rule
         passes = _arm_test(base, bases, tested, stated.__contains__)
-        for alloc, state in _leaves(base, bases, _allocations(b_total, pins), pool,
-                                    outcomes, result, max_states, deep):
+        allocs = filter(_sum_rule(base, bases, tested), _allocations(b_total, pins))
+        for alloc, state in _leaves(base, bases, allocs, pool, outcomes, result,
+                                    max_states, deep):
             if passes(alloc, state):
                 plan = BlowupPlan(state.plan_steps(bases))
                 marked = mark_chains(plan.execute(base), targets)
@@ -857,6 +863,38 @@ def _pins(base: Configuration, bases: Sequence[PlanStep],
     return pins
 
 
+def _sum_rule(base: Configuration, bases: Sequence[PlanStep],
+              tested: Optional[Sequence[tuple[str, ...]]]
+              ) -> Callable[[tuple[int, ...]], bool]:
+    """Whether an allocation of one base choice lets every tested string
+    sum as a Wahl chain (see the module docstring).
+
+    Tower i with its 1 at k gives c = deepen_a + sum(xs[:k]) - 3k to
+    `bases[i].a`: 1 plus its blow-ups left of the 1 less those right of
+    it.  By the degree rule every arm at a path's curve is in its string
+    (`_arm_test`), so the towers with one side at the path make up what its
+    curves and the towers with both sides there need: their sizes' sum s
+    has the need's parity and 2 * their count - s <= need <= s.  None drops
+    every allocation.
+    """
+    if tested is None:
+        return lambda alloc: False
+    rules = []
+    for path in tested:
+        sides = [(step.a in path) + (step.b in path) for step in bases]
+        one = [i for i, n in enumerate(sides) if n == 1]
+        need = 1 + sum(3 + base.self_int[c] for c in path) - 2 * sides.count(2)
+        rules.append((need, 2 * len(one), one))
+
+    def admits(alloc: tuple[int, ...]) -> bool:
+        for need, least, one in rules:
+            total = sum(alloc[i] for i in one)
+            if total < need or (total - need) % 2 or least - total > need:
+                return False
+        return True
+    return admits
+
+
 def _starts(floors: Sequence[int], chain: Sequence[int]) -> list[int]:
     """Where `floors` lies in `chain` as a contiguous run, each entry at
     least its floor: the positions of the run's first entry."""
@@ -938,11 +976,18 @@ def _subsets(pool: Sequence[str], r: int, meets: Counter, t2: int
     Self-nodes count, and the subsets come in lexicographic order, as
     `itertools.combinations` gives them.  A subset grows one curve at a
     time with its node count; adding a curve only adds nodes, so a branch
-    stops once the count exceeds t2.
+    stops once the count exceeds t2, or once the k curves still to pick
+    cannot reach t2 with the k largest gains left (`best`).
     """
     # table[j][i]: the nodes between pool[i] and pool[j], for i <= j; the
     # pool is sorted, so each pair comes ordered as `Node.pair` orders it
     table = [[meets.get((a, b), 0) for a in pool[:j + 1]] for j, b in enumerate(pool)]
+    # a curve's gain, its self-nodes and nodes to every other pool curve,
+    # bounds what it adds; best[j][k]: the k largest among pool[j:], summed
+    gains = [sum(table[j]) + sum(table[i][j] for i in range(j + 1, len(pool)))
+             for j in range(len(pool))]
+    best = [list(itertools.accumulate(sorted(gains[j:], reverse=True), initial=0))
+            for j in range(len(pool) + 1)]
     chosen: list[int] = []
 
     def extend(start: int, nodes: int) -> Iterator[tuple[str, ...]]:
@@ -950,10 +995,13 @@ def _subsets(pool: Sequence[str], r: int, meets: Counter, t2: int
             if nodes == t2:
                 yield tuple(pool[i] for i in chosen)
             return
-        for j in range(start, len(pool) - r + len(chosen) + 1):
+        k = r - len(chosen) - 1  # the curves to pick after pool[j]
+        for j in range(start, len(pool) - k):
+            if nodes + best[j][k + 1] < t2:
+                return
             row = table[j]
             more = nodes + row[j] + sum(map(row.__getitem__, chosen))
-            if more <= t2:
+            if t2 - best[j + 1][k] <= more <= t2:
                 chosen.append(j)
                 yield from extend(j + 1, more)
                 chosen.pop()
@@ -970,8 +1018,9 @@ def search_constructions(params: SearchParams, a0: Configuration,
     empty pool raises `PlanError`.  A name repeated in the pool is searched
     once.  The search stops as soon as it holds `max_results` records.
     Budget exhaustion is reported, partial results are still returned.
-    Each leaf is first decided on its integers (`_arm_test`); only a leaf
-    that passes is replayed and marked (`_harvest`).
+    The sum rule (`_sum_rule`) filters each base choice's tower sizes, each
+    leaf is decided on its integers (`_arm_test`), and only a leaf that
+    passes is replayed and marked (`_harvest`).
     """
     for name in ("max_chains", "max_blowups", "max_states", "max_results"):
         if getattr(params, name) < 0:
@@ -1014,11 +1063,12 @@ def search_constructions(params: SearchParams, a0: Configuration,
                 deep = _deep_curves(sub) if prune else frozenset()
                 for _, pairs in _base_choices(sub, m, result, params.max_states, deep):
                     bases = [PlanStep(a, b) for a, b in pairs]
-                    passes = _arm_test(sub, bases, _tested_paths(sub, bases, deep),
-                                       recognize_wahl)
-                    allocs = itertools.chain.from_iterable(
-                        _allocations(total, [(None,) * (2 * m)])
-                        for total in range(m, params.max_blowups + 1))
+                    tested = _tested_paths(sub, bases, deep)
+                    passes = _arm_test(sub, bases, tested, recognize_wahl)
+                    allocs = filter(_sum_rule(sub, bases, tested),
+                                    itertools.chain.from_iterable(
+                                        _allocations(total, [(None,) * (2 * m)])
+                                        for total in range(m, params.max_blowups + 1)))
                     for alloc, state in _leaves(sub, bases, allocs, None, outcomes,
                                                 result, params.max_states, deep, cap):
                         if passes(alloc, state):

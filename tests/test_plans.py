@@ -555,12 +555,12 @@ class TestInference:
     # base-choice prefixes each rejects and the states each takes
     FREE_PRUNED = {"2.1": 17, "2.2": 13, "3.2": 6, "4.1": 23, "5.1": 259,
                    "6.1": 396, "7.1": 261, "main2": 12}
-    FREE_STATES = {"2.1": 35, "2.2": 49, "3.2": 70, "4.1": 44, "5.1": 291,
-                   "6.1": 406, "7.1": 282, "main2": 25}
+    FREE_STATES = {"2.1": 35, "2.2": 40, "3.2": 70, "4.1": 44, "5.1": 291,
+                   "6.1": 406, "7.1": 272, "main2": 25}
     # the state counts without the degree rule of `_leaves`, which finds the
     # same plans
-    UNSHAPED = {"2.1": 53, "2.2": 65, "3.2": 174, "4.1": 50, "5.1": 314,
-                "6.1": 407, "7.1": 283, "main2": 25}
+    UNSHAPED = {"2.1": 53, "2.2": 56, "3.2": 174, "4.1": 50, "5.1": 314,
+                "6.1": 407, "7.1": 273, "main2": 25}
     FREE_PLANS = {
         "2.1": "A2*B1, B1*E1, B1*E2, A3*C1, C1*E4, C1*C2, C2*D1",
         "2.2": "A2*B1, A2*C1, A2*E2, A2*E3, E3*E4, E4*E5, E5*E6, A3*C1, C1*C2, C1*E9",
@@ -623,8 +623,8 @@ class TestInference:
         assert result.states == 31
 
     @pytest.mark.parametrize("search, budget", [
-        ("5.1", 284), ("2.1-hinted", 5), ("bench", 1000), ("bench", 5000),
-    ], ids=["towers-5.1", "hinted", "search-1000", "search-5000"])
+        ("5.1", 284), ("2.1-hinted", 5), ("bench", 1000), ("bench", 4000),
+    ], ids=["towers-5.1", "hinted", "search-1000", "search-4000"])
     def test_budget_stops_one_state_over(self, a0, records, monkeypatch, search,
                                          budget):
         # as above: whichever layer spends the last state, an exhausted
@@ -701,7 +701,7 @@ class TestInference:
         calls = _count_blow_ups(monkeypatch)
         record = dataclasses.replace(records["2.2"], steps=())
         result = infer_plan(record, a0.restrict(record.curves))
-        assert result.success and result.states == 49
+        assert result.success and result.states == 40
         assert 0 < result.leaves < result.states
         assert len(calls) == record.blowup_total
 
@@ -778,8 +778,9 @@ class TestAbstractLeaves:
         # blow_up names the first tower's curves E1 and E2, and E2 is a base
         # curve; the second tower finds no A-B node left, so no leaf is built.
         # Paths (A) and (B, E2) survive, and each lies in a [5, 2], so the
-        # stated chains admit sizes (2, 1) and a first tower of two curves
-        cfg = Configuration.build([("A", -2), ("B", -2), ("E2", -2)],
+        # stated chains admit sizes (1, 2) and (2, 1), and a first tower of two
+        # curves.  A at -3 lets both sums reach a Wahl chain's (`_sum_rule`)
+        cfg = Configuration.build([("A", -3), ("B", -2), ("E2", -2)],
                                   [("A", "B"), ("B", "E2")])
         record = SurfaceRecord("0.9", 1, ("A", "B", "E2"), 0,
                                (BlowupSpec("A", "B", (2, 1)), BlowupSpec("A", "B", None)),
@@ -1185,11 +1186,11 @@ class TestArmTest:
     # deep curves _greedy_mark decides, and it rejects some leaves the arm
     # test passes; on deep curves the test passes only marked leaves
     SEARCHES = {
-        "bench": {(False, False, True): 2017, (True, True, True): 2},
+        "bench": {(False, False, True): 1055, (True, True, True): 2},
         "exempt": {(True, True, True): 1, (False, False, True): 6,
                    (True, True, False): 3, (True, False, False): 805,
-                   (False, False, False): 862},
-        "fibre": {(False, False, True): 919, (True, True, True): 14},
+                   (False, False, False): 252},
+        "fibre": {(False, False, True): 493, (True, True, True): 14},
     }
 
     @pytest.mark.parametrize("case", list(SEARCHES))
@@ -1562,11 +1563,11 @@ class TestSearch:
     def test_depth_cap_binds_at_k2_1(self, a0):
         # eight blow-ups take a base curve from -2 past -(4K^2+4) = -8, and
         # the cap drops such states; without it the same budget reaches
-        # 18,640 leaves
+        # 17,691 leaves
         params = SearchParams(k2=1, max_chains=3, max_blowups=8, max_states=50000)
         result = search_constructions(params, a0)
         assert (result.states, result.leaves, result.marked, len(result.records)) == \
-            (50001, 18431, 4, 2)
+            (50001, 17557, 82, 17)
 
     def test_geography_violating_params_empty(self, a0):
         params = SearchParams(k2=14, max_chains=2, max_blowups=4)
@@ -1650,7 +1651,7 @@ class TestSearch:
         params = SearchParams(k2=2, max_chains=2, max_blowups=6,
                               curve_pool=("A2", "A3", "B1", "C1", "C2", "D1"))
         once = search_constructions(params, a0)
-        assert once.states == 2899 and once.leaves > 0
+        assert once.states == 1606 and once.leaves > 0
         for pool in (("A2", "A2", "A3", "B1", "C1", "C2", "D1"),
                      ("D1", "A2", "A3", "D1", "B1", "C1", "C2", "D1")):
             repeated = dataclasses.replace(params, curve_pool=pool)
@@ -1702,7 +1703,33 @@ class TestSearch:
                 want = [subset for subset, nodes in counted if nodes == t2]
                 assert list(plans._subsets(pool, r, meets, t2)) == want, (r, t2)
 
-    # the benchmark's search: 9,427 states, 2,019 leaves, 2 of them marked
+    @staticmethod
+    def _subsets_without_look_ahead(pool, r, meets, t2):
+        """Oracle: the subset walk that stops a branch only once its node
+        count exceeds t2."""
+        table = [[meets.get((a, b), 0) for a in pool[:j + 1]] for j, b in enumerate(pool)]
+
+        def extend(chosen, start, nodes):
+            if len(chosen) == r:
+                if nodes == t2:
+                    yield tuple(pool[i] for i in chosen)
+                return
+            for j in range(start, len(pool) - r + len(chosen) + 1):
+                more = nodes + table[j][j] + sum(table[j][i] for i in chosen)
+                if more <= t2:
+                    yield from extend(chosen + [j], j + 1, more)
+        return list(extend([], 0, 0))
+
+    @pytest.mark.parametrize("k2, chains", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)])
+    def test_subsets_look_ahead_on_a0(self, a0, k2, chains):
+        # the full pool of A0, at the curve and node counts of the geography
+        geo = geography_check(chains, k2)
+        pool = sorted(c.name for c in a0.curves)
+        want = self._subsets_without_look_ahead(pool, geo.r, a0.meets, geo.t2)
+        assert list(plans._subsets(pool, geo.r, a0.meets, geo.t2)) == want
+        assert len(want) == {(1, 3): 256, (2, 2): 384, (3, 1): 728}.get((k2, chains), 0)
+
+    # the benchmark's search: 4,918 states, 1,057 leaves, 2 of them marked
     BENCH = SearchParams(k2=2, max_chains=2, max_blowups=7,
                          curve_pool=("A2", "A3", "B1", "C1", "C2", "D1"))
 
@@ -1711,16 +1738,16 @@ class TestSearch:
         # states on its path are built (60,250 blow-ups when every leaf was)
         calls = _count_blow_ups(monkeypatch)
         result = search_constructions(self.BENCH, a0)
-        assert (result.states, result.leaves, result.marked) == (9427, 2019, 2)
+        assert (result.states, result.leaves, result.marked) == (4918, 1057, 2)
         assert not result.exhausted
         assert len(result.records) == 1
         assert 0 < len(calls) <= result.marked * self.BENCH.max_blowups
 
     def test_result_cap_stops_the_search(self, a0):
-        # uncapped, this search finds 2 records in 27,082 states
+        # uncapped, this search finds 2 records in 14,220 states
         params = dataclasses.replace(self.BENCH, max_blowups=8)
         capped = search_constructions(dataclasses.replace(params, max_results=1), a0)
-        assert len(capped.records) == 1 and capped.states < 27082
+        assert len(capped.records) == 1 and capped.states < 14220
         assert capped.notes == ["result budget reached"]
         empty = search_constructions(dataclasses.replace(params, max_results=0), a0)
         assert (empty.records, empty.states) == ([], 0)
@@ -1765,6 +1792,137 @@ class TestSearch:
             (c.n, min(c.a, c.n - c.a)) for c in r.chains)))
         assert {key(r) for r in with_prune.records} == \
             {key(r) for r in without.records}
+
+
+def _passing_leaves(monkeypatch, run):
+    """The leaves that pass `_arm_test` in `run()`, in order, and its result."""
+    passing = []
+    arm_test = plans._arm_test
+
+    def recording(base, bases, tested, accepts):
+        passes = arm_test(base, bases, tested, accepts)
+        curves = tuple(c.name for c in base.curves)
+
+        def check(alloc, state):
+            verdict = passes(alloc, state)
+            if verdict:
+                passing.append((curves, alloc, state.plan_steps(bases)))
+            return verdict
+        return check
+
+    monkeypatch.setattr(plans, "_arm_test", recording)
+    result = run()
+    monkeypatch.setattr(plans, "_arm_test", arm_test)
+    return passing, result
+
+
+class TestSumRule:
+    """The allocations dropped by the Wahl sum rule (`_sum_rule`)."""
+
+    @pytest.mark.parametrize("size", range(1, 12))
+    def test_tower_sides_add_two(self, size):
+        # each tower replayed on its local chain [a, E1, b], from depths 1:
+        # its side toward a adds c_a = 1 + left - right to the sum less 3 per
+        # entry, its side toward b 2 - c_a
+        towers = plans._tower_outcomes(size, None)
+        assert len(towers) == 2 ** (size - 1)
+        for xs, script in towers:
+            local, k, left = [1, 1, 1], 0, 0
+            for gap in script:
+                assert gap in (k, k + 1)
+                left += gap == k
+                local[gap] += 1
+                local[gap + 1] += 1
+                local.insert(gap + 1, 1)
+                k = gap
+            deepen_a, deepen_b = local[0], local[-1]
+            assert tuple(local[1:-1]) == xs and xs.index(1) == k
+            c_a = deepen_a + sum(xs[:k]) - 3 * k
+            c_b = deepen_b + sum(xs[k + 1:]) - 3 * (size - 1 - k)
+            assert c_a + c_b == 2
+            assert c_a == 1 + left - (size - 1 - left)
+            assert 2 - size <= c_a <= size and (c_a - size) % 2 == 0
+
+    @pytest.mark.parametrize("depth", range(2, 8))
+    def test_exact_for_one_tower_at_one_curve(self, depth):
+        # a tower on P*X, X a (-1)-curve: P's string sums as a Wahl chain's
+        # for some outcome of the tower exactly when the rule admits its size
+        base = Configuration.build([("P", -depth), ("X", -1)], [("P", "X")])
+        bases = [PlanStep("P", "X")]
+        tested = plans._tested_paths(base, bases, _deep_curves(base))
+        assert tested == [("P",)]
+        admits = plans._sum_rule(base, bases, tested)
+        passes = plans._arm_test(base, bases, tested,
+                                 lambda string: sum(string) == 3 * len(string) + 1)
+        for size in range(1, 9):
+            leaves = plans._leaves(base, bases, [(size,)], None, {}, _Counts(),
+                                   sys.maxsize, _deep_curves(base))
+            assert admits((size,)) == any(passes(*leaf) for leaf in leaves), size
+
+    CASES = ([(f"{r.rid}-hinted", r.rid, True) for r in load_records()]
+             + [(f"{r.rid}-free", r.rid, False) for r in load_records()]
+             + [(f"main{k2}-free", f"main{k2}", False) for k2 in range(2, 10)])
+
+    @pytest.mark.parametrize("rid, hinted", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_inference_drops_no_passing_leaf(self, a0, records, monkeypatch, rid, hinted):
+        record = records[rid] if hinted else dataclasses.replace(records[rid], steps=())
+        base = a0.restrict(record.curves)
+        ruled, result = _passing_leaves(monkeypatch, lambda: infer_plan(record, base))
+        monkeypatch.setattr(plans, "_sum_rule", lambda *args: lambda alloc: True)
+        every, unruled = _passing_leaves(monkeypatch, lambda: infer_plan(record, base))
+        assert ruled == every and result.plan == unruled.plan
+        assert result.success and result.states <= unruled.states
+
+    SEARCHES = {
+        "bench": (None, TestSearch.BENCH),
+        "bench-8": (None, dataclasses.replace(TestSearch.BENCH, max_blowups=8)),
+        "bench-6": (None, dataclasses.replace(TestSearch.BENCH, max_blowups=6)),
+        "a0-k2-1": (None, SearchParams(k2=1, max_chains=3, max_blowups=6)),
+        "depth-cap": (None, SearchParams(k2=1, max_chains=3, max_blowups=8,
+                                         max_states=50000)),
+        "exempt": (TestSearch.EXEMPT, SearchParams(k2=2, max_chains=1, max_blowups=6)),
+        "fibre": (TestLeafGraph.FIBRE, SearchParams(k2=1, max_chains=2, max_blowups=7,
+                                                    curve_pool=tuple("WXYZ"))),
+    }
+
+    @pytest.mark.parametrize("case", list(SEARCHES))
+    def test_search_drops_no_passing_leaf(self, a0, monkeypatch, case):
+        # a search that stops at its budget gets further with the rule
+        base, params = self.SEARCHES[case]
+        base = base or a0
+        ruled, result = _passing_leaves(monkeypatch,
+                                        lambda: search_constructions(params, base))
+        monkeypatch.setattr(plans, "_sum_rule", lambda *args: lambda alloc: True)
+        every, unruled = _passing_leaves(monkeypatch,
+                                         lambda: search_constructions(params, base))
+        assert ruled[:len(every)] == every and result.states <= unruled.states
+        assert result.records[:len(unruled.records)] == unruled.records
+        if not unruled.exhausted:
+            assert ruled == every and result == dataclasses.replace(
+                unruled, states=result.states, leaves=result.leaves)
+        assert result.leaves < unruled.leaves
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_stated())
+    def test_dropped_allocations_have_no_wahl_leaf(self, case):
+        # on every base choice of up to three nodes and up to three extra
+        # blow-ups, no leaf of a dropped allocation passes the arm test
+        curves, nodes, _ = case
+        base = Configuration.build(curves, nodes)
+        deep = _deep_curves(base)
+        for m in range(1, min(len(base.nodes), 3) + 1):
+            for _, pairs in _base_choices(base, m, _Counts(), sys.maxsize, deep):
+                bases = [PlanStep(a, b) for a, b in pairs]
+                tested = plans._tested_paths(base, bases, deep)
+                admits = plans._sum_rule(base, bases, tested)
+                passes = plans._arm_test(base, bases, tested, plans.recognize_wahl)
+                for total in range(m, m + 4):
+                    for alloc in _allocations(total, [(None,) * (2 * m)]):
+                        if not admits(alloc):
+                            assert not any(passes(*leaf) for leaf in plans._leaves(
+                                base, bases, [alloc], None, {}, _Counts(), sys.maxsize,
+                                deep))
 
 
 def _wahl_data(chain):
@@ -1822,9 +1980,9 @@ class TestPins:
     # By case: the configuration, the most base nodes and extra blow-ups
     # of `_marked_records`, and the records, those found, and those found
     # in fewer states
-    CASES = {"tangle": (TestAbstractLeaves.TANGLE, 3, 3, (28, 28, 21)),
+    CASES = {"tangle": (TestAbstractLeaves.TANGLE, 3, 3, (28, 28, 22)),
              "leaf-exempt": (TestLeafGraph.EXEMPT, 6, 3, (3, 3, 3)),
-             "search-exempt": (TestSearch.EXEMPT, 3, 2, (56, 25, 39))}
+             "search-exempt": (TestSearch.EXEMPT, 3, 2, (56, 25, 41))}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_finds_a_plan_exactly_when_unpruned_does(self, case):

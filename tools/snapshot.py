@@ -8,14 +8,14 @@ change with its parent is one `diff` of two runs of this script:
     diff parent.txt change.txt
 
 The cases are `wahlkit verify --format json`, `wahlkit search --format
-json` on SEARCHES, and `infer_plan` on every record of the catalog, hinted
-(with the record's steps) and free (without them), free on every main
-of `expected.json`, and free on the SYNTHETIC_RECORDS, which walk base
-nodes that A0 does not have (self-nodes, a pair meeting three times, a
-(-1)-curve).  An inference line gives the states, the pruned prefixes, the
+json` on SEARCHES (one of which runs out of states), and `infer_plan` on
+every record of the catalog, hinted (with the record's steps) and free
+(without them), free on every main of `expected.json`, and free on the
+SYNTHETIC_RECORDS, which walk base nodes that A0 does not have
+(self-nodes, a pair meeting three times, a (-1)-curve).  An inference line gives the states, the pruned prefixes, the
 leaves, whether the budget stopped it, the plan and the marked chains.
 Each line starts with its case's name; naming cases on the command line
-prints only those.  All cases take about 4 s (2 cores, CPython 3.11.7).
+prints only those.  All cases take about 2.5 s (2 cores, CPython 3.11.7).
 """
 import argparse
 import contextlib
@@ -30,8 +30,9 @@ SEARCHES = (
     "--k2 2 --pool A2,A3,B1,C1,C2,D1 --max-blowups 7",
     "--k2 2 --max-blowups 8 --max-states 600000",
     "--k2 1 --max-chains 3 --max-blowups 6",
-    # the depth cap binds
+    # the depth cap binds; the second runs out of states
     "--k2 1 --max-chains 3 --max-blowups 8 --max-states 200000",
+    "--k2 1 --max-chains 3 --max-blowups 8 --max-states 50000",
 )
 
 
