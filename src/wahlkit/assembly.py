@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 from .chains import (CyclicQuotient, TSingularity, WahlSingularity, blow_down_compose,
                      discrepancies, meridian_exponents, recognize_wahl, t_singularity)
@@ -112,6 +112,50 @@ class MarkedSurface:
                                         f"{chain[k + 1]} must share exactly one node")
 
 
+def _paths(names: Sequence[str], meets: Counter) -> Optional[list[tuple[str, ...]]]:
+    """The components of the graph on `names` (sorted) as paths, or None.
+
+    The edges are the nodes that `meets` counts by curve pair, ordered as
+    `_pair` orders it, between two of the curves; the other nodes are left
+    out.  A component fails if it is no simple path: a self-node, a pair
+    meeting twice, a branch point or a cycle.  Each path starts at its
+    lexicographically smaller end, and the paths come in the order of their
+    components' first curves in `names`.
+    """
+    adjacency: dict[str, list[str]] = {name: [] for name in names}
+    for (a, b), count in meets.items():
+        if a in adjacency and b in adjacency:
+            if a == b or count > 1:
+                return None
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    if any(len(adjacent) > 2 for adjacent in adjacency.values()):
+        return None
+    seen: set[str] = set()
+    paths = []
+    for name in names:
+        if name in seen:
+            continue
+        comp = {name}
+        frontier = [name]
+        while frontier:
+            cur = frontier.pop()
+            for nxt in adjacency[cur]:
+                if nxt not in comp:
+                    comp.add(nxt)
+                    frontier.append(nxt)
+        seen |= comp
+        ends = [n for n in comp if len(adjacency[n]) <= 1]
+        if not ends:
+            return None
+        # every curve meets at most two others, so the walk never branches
+        path = [min(ends)]
+        while len(path) < len(comp):
+            path += [x for x in adjacency[path[-1]] if x not in path]
+        paths.append(tuple(path))
+    return paths
+
+
 def k_squared(ms: MarkedSurface) -> int:
     """K_X^2 of the contracted surface: -#blow-ups + sum of chain lengths."""
     return -ms.blowup_count + sum(len(c) for c in ms.wahl_chains)
@@ -145,14 +189,15 @@ class NefAmpleReport:
         A nef-only verdict still certifies the canonical model when K^2 is
         positive and every zero curve is contractible there: equality
         (-1)-curves joining two chain ends (their contraction is a
-        T-singularity) and stray (-2)-configurations (rational double
-        points).
+        T-singularity) and stray (-2)-curves forming disjoint simple paths
+        (A_k rational double points).  The warnings of `nef_ample_check`
+        name the cases that fail: K^2 not positive, stray curves not A_k.
         """
         if self.status == "ample":
             return True
         if self.status != "nef-only":
             return False
-        if any(w.kind == "k-squared" for w in self.warnings):
+        if any(w.kind in ("k-squared", "zero-curves-not-a-k") for w in self.warnings):
             return False
         return all(c.t_type is not None for c in self.contractions)
 
@@ -171,7 +216,10 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
     For each (-1)-curve G the sum s(G) of the discrepancies of the Wahl
     chain curves it meets (with node multiplicity) must be <= -1 for nef
     and < -1 for ample; ample additionally needs K^2 > 0 and no stray
-    (-2)-curve away from the chains.
+    (-2)-curve away from the chains.  Those stray curves are contracted in
+    the canonical model only as A_k chains: a warning names them when they
+    form anything but disjoint simple paths (`_paths`), a cycle of
+    (-2)-curves, two meeting twice or a nodal one among them.
     """
     surface = ms.surface
     chain_index = ms.chain_index
@@ -225,6 +273,9 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
     if strict and not zero_curves and k2 > 0:
         return NefAmpleReport("ample", (), (), tuple(contractions))
     notes = list(zero_curves)
+    if zero_curves and _paths(sorted(w.curve for w in zero_curves), surface.meets) is None:
+        notes.append(Witness("zero-curves-not-a-k", "-", "the stray (-2)-curves do not "
+                             "form disjoint simple paths (A_k)"))
     if k2 <= 0:
         notes.append(Witness("k-squared", "-", f"K^2 = {k2} is not positive"))
     return NefAmpleReport("nef-only", (), tuple(notes), tuple(contractions))

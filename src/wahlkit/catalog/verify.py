@@ -3,22 +3,26 @@
 Each assertion becomes one pass/fail line: the A0 fibration skeleton,
 chain recognition, restriction matrices and determinants, log-geography
 identities, obstruction dimensions, T-joins and wormhole compositions, and
-the surface certificates: each record's from the plan that inference
-recovers, each main's from its frozen `recovered_plan`.  A record's surface
-is checked for K^2, an ample canonical model and zero obstruction; its pi1
-verdict is reported in the detail but not checked.  A main's surface is
-checked for K^2, its singularity list, an ample canonical class and a
-trivial pi1 verdict.  A plan that is not found, or not frozen, is a failed
-check, so the ledger passes only what it proved.  The ledger is the only
-validator of an A0 model.
+the surface certificates.  Every construction is certified by one helper,
+`_certify`, on its surface marked on the whole of A0: K^2 from the
+marking, its singularity list, an ample canonical class and a trivial pi1
+verdict; an inconclusive verdict is a failed check.  A record's plan is
+the one that inference recovers on the record's own curves, a main's its
+frozen `recovered_plan`, marked there as the stated chains.  A plan that
+is not found, or not frozen, is a failed check, so the ledger passes only
+what it proved.  The ledger is the only validator of an A0 model.
 
-A main is certified on the whole of A0, as its surface is the blown-up K3
-with all of A0's curves on it.  That is sound once its plan replays on the
-construction's own curves, which the ledger checks first: each blown-up
-node then lies between two of them, and a node of A0 lies on exactly two
+A construction is certified on the whole of A0, as its surface is the
+blown-up K3 with all of A0's curves on it, so the meridian relations of
+pi1 come from the whole configuration (after Lee-Park, Invent. Math. 170,
+2007).  That is sound once its plan replays on the construction's own
+curves, as inference and the main's first replay show: each blown-up node
+then lies between two of them, and a node of A0 lies on exactly two
 curves, so every other curve of A0 stays an untouched (-2)-curve.  Such a
-curve is a zero curve of the contracted canonical class or a relation of
-the meridian argument for pi1; it never breaks nefness.
+curve D has K.D >= 0: it is a zero curve of the contracted canonical class
+or a relation of the meridian argument for pi1, and it never breaks
+nefness.  The zero curves must still form A_k chains for the canonical
+model to be ample, which `nef_ample_check` checks.
 """
 from __future__ import annotations
 
@@ -169,16 +173,15 @@ def ledger_constraints(expected: dict,
     return cons
 
 
-def _check_chain(ledger: Ledger, section: str, spec: ChainSpec) -> bool:
+def _check_chain(ledger: Ledger, section: str, spec: ChainSpec) -> None:
     sing = recognize_wahl(spec.chain)
     if sing is None:
         ledger.add(section, f"chain {list(spec.chain)} is a Wahl chain", False)
-        return False
+        return
     exact = (sing.n, sing.a) == (spec.n, spec.a)
     ok = sing.n == spec.n and spec.a in (sing.a, sing.n - sing.a)
     how = "as printed" if exact else f"reversed orientation (a={sing.a})"
     ledger.add(section, f"chain of ({spec.n},{spec.a}) recognized", ok, how)
-    return ok
 
 
 def verify_all(a0: Optional[Configuration] = None,
@@ -258,16 +261,16 @@ def _skeleton_mismatch(a0: Configuration) -> str:
 
 
 def _verify_construction(ledger: Ledger, sec: str, a0: Configuration,
-                         record: SurfaceRecord) -> tuple[Configuration, bool, bool]:
+                         record: SurfaceRecord) -> tuple[Configuration, bool]:
     """The checks every construction gets: its chains, their length bound,
     the determinant, the geography identities and the obstruction.
 
-    Returns three values: the configuration on the record's curves, whether
-    its family is unobstructed and its curves meet the geography identities
-    (admissibility included), and whether every stated chain is the Wahl
-    chain it claims to be.
+    Returns the configuration on the record's curves, and whether its
+    family is unobstructed and its curves meet the geography identities
+    (admissibility included).
     """
-    chains_ok = all([_check_chain(ledger, sec, spec) for spec in record.chains])
+    for spec in record.chains:
+        _check_chain(ledger, sec, spec)
     bound = length_bound("K3", record.k2)
     ledger.add(sec, f"length bound l <= {bound}",
                all(len(c.chain) <= bound for c in record.chains),
@@ -286,38 +289,52 @@ def _verify_construction(ledger: Ledger, sec: str, a0: Configuration,
                f"P={p} K={k} r={sub.r} t2={sub.t2} c1^2={c1} c2={c2}")
     obs = obstruction_dim(sub)
     ledger.add(sec, "no local-to-global obstruction", obs == 0, f"dim={obs}")
-    return sub, obs == 0 and identities, chains_ok
+    return sub, obs == 0 and identities
+
+
+def _certify(ledger: Ledger, sec: str, marked: MarkedSurface, k2: int,
+             chains: Sequence[ChainSpec]) -> None:
+    """The surface certificate of a construction marked on the whole of A0,
+    the same four checks for records and mains: K^2, the Wahl
+    singularities of the stated chains, an ample canonical class and a
+    trivial pi1 verdict."""
+    ledger.add(sec, f"K^2 = {k2} from the marking", k_squared(marked) == k2,
+               f"got {k_squared(marked)}")
+    sings = singularity_report(marked)
+    got = sorted((s.n, min(s.a, s.n - s.a)) for s in marked.wahl_data())
+    ledger.add(sec, "singularity list matches",
+               got == sorted((c.n, min(c.a, c.n - c.a)) for c in chains),
+               ", ".join(str(e) for e in sings))
+    amp = nef_ample_check(marked)
+    ledger.add(sec, "canonical class ample", amp.canonical_ample, amp.status)
+    pi1 = pi1_verdict(marked)
+    ledger.add(sec, "fundamental group trivial", pi1.status == "trivial",
+               f"{pi1.status}: {pi1.justification}")
 
 
 def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
                    with_inference: bool, infer_budget: int) -> None:
+    """A record's checks: the construction's, then its plan inferred on its
+    own curves and certified on the whole of A0, replayed on `a0` with the
+    inferred Wahl chains (see the module docstring)."""
     sec = f"record ({record.rid})"
-    sub, family_ok, chains_ok = _verify_construction(ledger, sec, a0, record)
+    sub, family_ok = _verify_construction(ledger, sec, a0, record)
     ledger.add(sec, f"family dimension {20 - 2 * record.k2}", family_ok)
     if not with_inference:
         return
-    if not chains_ok:
-        ledger.add(sec, "plan inference", False,
-                   "not run: a stated chain is not the Wahl chain it claims")
-        return
     try:
         result = infer_plan(record, sub, max_states=infer_budget)
-    except PlanError as exc:
+        marked = (MarkedSurface(result.plan.execute(a0), result.marked.wahl_chains)
+                  if result.success else None)
+    except (PlanError, AssemblyError) as exc:
         ledger.add(sec, "plan inference", False, str(exc))
         return
-    if result.success:
-        report = result.report
-        ledger.add(sec, "plan inference", True,
-                   f"{result.states} states; K^2={report.k2}, "
-                   f"{report.ample.status}"
-                   f"{' (canonical model ample)' if report.ample.canonical_ample else ''}")
-        ledger.add(sec,
-                   "inferred surface: K^2, ample canonical model, zero obstruction",
-                   report.k2 == record.k2 and report.ample.canonical_ample
-                   and report.obstruction == 0,
-                   f"pi1 {report.pi1.status}")
-    else:
+    if marked is None:
         ledger.add(sec, "plan inference", False, result.summary())
+        return
+    ledger.add(sec, "plan inference", True,
+               f"{result.states} states; K^2={k_squared(result.marked)}")
+    _certify(ledger, sec, marked, record.k2, record.chains)
 
 
 def _record_chain(records: Sequence[SurfaceRecord], rid: str) -> SurfaceRecord:
@@ -404,15 +421,10 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
     the construction's curves and marked there as the stated chains
     (`mark_chains`), then certified on the whole of A0: the plan replayed on
     `a0`, with those Wahl chains and the Du Val chains as ADE chains, which
-    that `MarkedSurface` validates.
-
-    The first replay keeps every blown-up node between two of the
-    construction's curves, so each other curve of A0 stays an untouched
-    (-2)-curve on the second: a zero curve or a pi1 relation, never a
-    break of nefness (see the module docstring)."""
+    that `MarkedSurface` validates (see the module docstring)."""
     sec = f"main K^2={k2}"
     chains = tuple(ChainSpec(c["n"], c["a"], tuple(c["chain"])) for c in data["chains"])
-    sub, _, _ = _verify_construction(ledger, sec, a0, SurfaceRecord(
+    sub, _ = _verify_construction(ledger, sec, a0, SurfaceRecord(
         f"main{k2}", k2, tuple(data["curves"]), data["det"], (), chains))
     ledger.add(sec, f"KSBA family dimension {data['ksba_dim']}",
                data["ksba_dim"] == 20 - 2 * k2)
@@ -429,24 +441,9 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
         ledger.add(sec, "recovered plan replays", False, why)
         return
     ledger.add(sec, "recovered plan replays", True, f"{len(plan.steps)} blow-ups")
-    ledger.add(sec, f"K^2 = {k2} from the marking", k_squared(marked) == k2,
-               f"got {k_squared(marked)}")
-    sings = singularity_report(marked)
-    got_wahl = sorted((e.wahl.n, min(e.wahl.a, e.wahl.n - e.wahl.a))
-                      for e in sings if e.kind == "wahl")
-    want_wahl = sorted((c.n, min(c.a, c.n - c.a)) for c in chains)
-    got_ade = sorted(e.ade_k for e in sings if e.kind == "ade")
-    want_ade = sorted(len(ch) for ch in duval)
-    ledger.add(sec, "singularity list matches", got_wahl == want_wahl and
-               got_ade == want_ade,
-               ", ".join(str(e) for e in sings))
-    amp = nef_ample_check(marked)
-    ledger.add(sec, "canonical class ample", amp.canonical_ample, amp.status)
-    pi1 = pi1_verdict(marked)
-    ledger.add(sec, "fundamental group trivial", pi1.status == "trivial",
-               f"{pi1.status}: {pi1.justification}")
     if k2 == 7:
         _verify_meridian_anchors(ledger, sec, marked)
+    _certify(ledger, sec, marked, k2, chains)
 
 
 def _verify_meridian_anchors(ledger: Ledger, sec: str, marked: MarkedSurface) -> None:

@@ -65,16 +65,6 @@ class Node:
     def pair(self) -> tuple[str, str]:
         return _pair(self.a, self.b)
 
-    def other(self, name: str) -> str:
-        if name == self.a:
-            return self.b
-        if name == self.b:
-            return self.a
-        raise ConfigurationError(f"curve {name} is not on node {self.id}")
-
-    def touches(self, name: str) -> bool:
-        return name == self.a or name == self.b
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -178,9 +168,6 @@ class Configuration:
         if a == b:
             return self.self_ints((a,))[0]
         return self.meets[_pair(a, b)]
-
-    def nodes_at(self, name: str) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if n.touches(name))
 
     def self_nodes(self, name: str) -> int:
         """The curve's number of self-nodes; 0 for an unknown name."""

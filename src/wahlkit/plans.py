@@ -38,8 +38,10 @@ paths that meet a curve at -1 or above, which the arm test leaves alone.
 Search keeps a leaf marked into Wahl chains and no ADE chain whose
 canonical class is ample; inference keeps a leaf marked into the stated
 chains (`mark_chains`, which the ledger runs on its frozen plans too).
-Pruning only ever discards states that provably cannot reach the chains
-sought.
+Inference certifies nothing itself: its result's `report`, the surface
+certificate on the configuration searched, is built when it is first read,
+and the ledger certifies on the whole of A0 instead.  Pruning only ever
+discards states that provably cannot reach the chains sought.
 
 Both searches run the same chain-shape rules, on one premise: every curve
 of a kept leaf other than its (-1)-curves lies in a chain, as the marker
@@ -93,7 +95,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .assembly import MarkedSurface, SurfaceReport, k_squared, nef_ample_check, surface_report
+from .assembly import (MarkedSurface, SurfaceReport, _paths, k_squared, nef_ample_check,
+                       surface_report)
 from .chains import recognize_wahl
 from .configuration import Configuration, ConfigurationError, _pair, geography_check
 from .catalog.records import BlowupSpec, ChainSpec, SurfaceRecord
@@ -138,9 +141,9 @@ class BlowupPlan:
 @dataclass
 class InferenceResult:
     record: SurfaceRecord
+    base: Configuration = field(repr=False)  # the configuration searched
     plan: Optional[BlowupPlan] = None
     marked: Optional[MarkedSurface] = None
-    report: Optional[SurfaceReport] = None
     states: int = 0  # max_states + 1 when the budget stops the search
     pruned: int = 0  # failing base-choice prefixes, each also one state
     leaves: int = 0  # completed search states, whether or not they are marked
@@ -149,6 +152,12 @@ class InferenceResult:
     @property
     def success(self) -> bool:
         return self.plan is not None
+
+    @functools.cached_property
+    def report(self) -> Optional[SurfaceReport]:
+        """The marked surface certified on `base` (`surface_report`), built
+        when first read; None without a plan."""
+        return None if self.marked is None else surface_report(self.marked, self.base)
 
     def summary(self) -> str:
         if self.success:
@@ -624,12 +633,12 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     stated chains pin the tower sizes (`_pins`), less those the sum rule
     drops (`_sum_rule`); bracket patterns are not read.  Succeeds when some
     interpretation yields a marked surface whose chains are exactly the
-    stated ones; the survivor is re-certified (ample check, K^2,
-    obstruction) in the result report.
+    stated ones.  The result's `report` certifies the survivor on `base`
+    (ample check, K^2, obstruction, pi1) when it is first read.
     """
     if max_states < 0:
         raise PlanError(f"max_states must be nonnegative, got {max_states}")
-    result = InferenceResult(record)
+    result = InferenceResult(record, base)
     targets = [tuple(c.chain) for c in record.chains]
     for spec in record.chains:
         sing = recognize_wahl(spec.chain)
@@ -680,11 +689,8 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
                     break
     except _Exhausted:
         result.exhausted = True
-    if found is None:
-        return result
-
-    result.plan, result.marked = found
-    result.report = surface_report(result.marked, base)
+    if found is not None:
+        result.plan, result.marked = found
     return result
 
 
@@ -709,50 +715,6 @@ class SearchResult:
     leaves: int = 0  # completed search states
     marked: int = 0  # leaves marked greedily into Wahl chains and no ADE chain
     exhausted: bool = False
-
-
-def _paths(names: Sequence[str], meets: Counter) -> Optional[list[tuple[str, ...]]]:
-    """The components of the graph on `names` (sorted) as paths, or None.
-
-    The edges are the nodes that `meets` counts by curve pair, ordered as
-    `_pair` orders it, between two of the curves; the other nodes are left
-    out.  A component fails if it is no simple path: a self-node, a pair
-    meeting twice, a branch point or a cycle.  Each path starts at its
-    lexicographically smaller end, and the paths come in the order of their
-    components' first curves in `names`.
-    """
-    adjacency: dict[str, list[str]] = {name: [] for name in names}
-    for (a, b), count in meets.items():
-        if a in adjacency and b in adjacency:
-            if a == b or count > 1:
-                return None
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-    if any(len(adjacent) > 2 for adjacent in adjacency.values()):
-        return None
-    seen: set[str] = set()
-    paths = []
-    for name in names:
-        if name in seen:
-            continue
-        comp = {name}
-        frontier = [name]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adjacency[cur]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        seen |= comp
-        ends = [n for n in comp if len(adjacency[n]) <= 1]
-        if not ends:
-            return None
-        # every curve meets at most two others, so the walk never branches
-        path = [min(ends)]
-        while len(path) < len(comp):
-            path += [x for x in adjacency[path[-1]] if x not in path]
-        paths.append(tuple(path))
-    return paths
 
 
 def _greedy_mark(self_int: dict[str, int], meets: Counter

@@ -212,6 +212,22 @@ class TestNefAmple:
         assert report.status == "nef-only"
         assert report.contractions[0].result is None  # single-chain join
 
+    @pytest.mark.parametrize("curves, nodes, ample", [
+        ([("R", -2), ("S", -2)], [("R", "S"), ("R", "S")], False),
+        ([("R", -2)], [("R", "R")], False),
+        ([("R", -2), ("S", -2)], [("R", "S")], True),
+    ], ids=["i2-cycle", "nodal", "a2"])
+    def test_stray_two_curves_contract_only_as_a_k(self, curves, nodes, ample):
+        # a marked [4] beside stray (-2)-curves, which are zero curves: the
+        # canonical model contracts them only as A_k chains, so two curves
+        # meeting twice (an I2 cycle) or a nodal one leave it not ample
+        cfg = chain_config((4,), extra_curves=curves, extra_nodes=nodes)
+        report = nef_ample_check(MarkedSurface(cfg, (("K0_0",),)))
+        assert report.status == "nef-only"
+        assert report.canonical_ample == ample
+        flagged = [w for w in report.warnings if w.kind == "zero-curves-not-a-k"]
+        assert len(flagged) == (0 if ample else 1)
+
 
 class TestReports:
     def test_k_squared(self):

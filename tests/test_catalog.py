@@ -5,7 +5,10 @@ from collections import Counter
 
 import pytest
 
-from wahlkit.assembly import MarkedSurface, nef_ample_check, pi1_verdict
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form
+
+from wahlkit.assembly import MarkedSurface, Pi1Report, nef_ample_check, pi1_verdict
 from wahlkit.catalog.a0 import (COMPONENTS, A0Constraints, CatalogError, FIBERS,
                                 SECTIONS, build_a0, frozen_a0, incidences_of,
                                 reconstruct_a0)
@@ -14,7 +17,20 @@ from wahlkit.catalog.records import (ChainSpec, RecordError, format_record, pars
 from wahlkit.catalog.verify import (_plan_from_json, ledger_constraints, load_expected,
                                     load_records, verify_all)
 from wahlkit.configuration import Configuration, Curve, Node, det_exact, rank_exact
-from wahlkit.plans import mark_chains
+from wahlkit.plans import infer_plan, mark_chains
+
+
+def _h1(marked: MarkedSurface) -> list[int]:
+    """The invariant factors other than 1 of the cokernel of the rows
+    (D.C_j), D over every curve of the surface and C_j over the Wahl chain
+    curves (Smith normal form); [] when the cokernel is 0, a free part
+    counting as 0s (after Lee-Park, Invent. Math. 170, 2007)."""
+    columns = [c for chain in marked.wahl_chains for c in chain]
+    rows = [[marked.surface.pairing(d.name, c) for c in columns]
+            for d in marked.surface.curves]
+    snf = smith_normal_form(Matrix(rows), domain=ZZ)
+    factors = [abs(snf[i, i]) for i in range(min(snf.shape))]
+    return sorted(f for f in factors if f != 1) + [0] * (len(columns) - len(factors))
 
 
 @pytest.fixture(scope="module")
@@ -266,23 +282,73 @@ class TestLedger:
         ledger = verify_all(a0, records, expected, infer_budget=250000)
         assert ledger.ok, [c.line() for c in ledger.failures()]
         payload = ledger.to_json()
-        assert payload["ok"] and payload["passed"] == payload["total"] == 396
-        assert ledger.lines()[-1] == "396/396 checks passed"
+        assert payload["ok"] and payload["passed"] == payload["total"] == 483
+        assert ledger.lines()[-1] == "483/483 checks passed"
         # every record's plan is inferred, and every main's frozen plan replays
         names = Counter((c.section.split(" ")[0], c.name) for c in ledger.checks)
         assert names["record", "plan inference"] == len(records)
         assert names["main", "recovered plan replays"] == len(expected["mains"]) == 8
 
     def test_record_check_names_only_what_it_checks(self, a0, records, expected):
-        # a record's surface check proves K^2, an ample canonical model and
-        # zero obstruction; its pi1 verdict is reported, not checked, so no
-        # record check claims a certificate
+        # a record's certificate names what it proves, pi1 among it: (2.2),
+        # inconclusive on its own curves, is trivial on A0
         ledger = verify_all(a0, records, expected)
-        names = {c.name for c in ledger.checks if c.section.startswith("record (")}
-        assert not [name for name in names if "certified" in name]
-        surface = [c for c in ledger.checks if c.section == "record (2.2)"
-                   and c.name.startswith("inferred surface")]
-        assert [(c.ok, c.detail) for c in surface] == [(True, "pi1 inconclusive")]
+        checks = [c for c in ledger.checks if c.section == "record (2.2)"]
+        assert all(c.ok for c in checks)
+        assert [c.name for c in checks] == [
+            "chain of (18,7) recognized", "chain of (18,7) recognized",
+            "length bound l <= 9", "determinant -32", "geography identities",
+            "no local-to-global obstruction", "family dimension 16", "plan inference",
+            "K^2 = 2 from the marking", "singularity list matches",
+            "canonical class ample", "fundamental group trivial"]
+        assert checks[-1].detail == "trivial: every chain meridian group dies"
+
+    def test_every_construction_ends_with_one_certificate(self, a0, records, expected):
+        # records and mains are certified on A0 by one helper: each section
+        # ends with its four checks, in one order
+        ledger = verify_all(a0, records, expected)
+        sections: dict[str, list[str]] = {}
+        for c in ledger.checks:
+            if c.section.startswith(("record (", "main K^2=")):
+                sections.setdefault(c.section, []).append(c.name)
+        assert len(sections) == len(records) + len(expected["mains"])
+        for section, names in sections.items():
+            k2 = names[-4].split()[2]
+            assert names[-4:] == [f"K^2 = {k2} from the marking", "singularity list matches",
+                                  "canonical class ample", "fundamental group trivial"], section
+
+    def test_inconclusive_pi1_fails_a_record(self, a0, records, expected, monkeypatch):
+        # the record's pi1 verdict on A0 is checked, not only reported
+        inconclusive = Pi1Report("inconclusive", "no sufficiency criterion applies")
+        monkeypatch.setattr("wahlkit.catalog.verify.pi1_verdict", lambda ms: inconclusive)
+        ledger = verify_all(a0, [r for r in records if r.rid == "2.2"], expected)
+        assert [c.line() for c in ledger.failures() if c.section == "record (2.2)"] == [
+            "[FAIL] record (2.2): fundamental group trivial -- "
+            "inconclusive: no sufficiency criterion applies"]
+
+    def test_trivial_pi1_has_zero_h1(self, a0, records, expected, monkeypatch):
+        # an independent oracle for every surface the ledger certifies on
+        # A0, the 29 records and the 8 mains: a trivial pi1 verdict needs
+        # H1 = 0, the cokernel of the rows (D.C_j) over every curve D
+        seen = []
+
+        def recording(ms):
+            report = pi1_verdict(ms)
+            seen.append((ms, report.status))
+            return report
+        monkeypatch.setattr("wahlkit.catalog.verify.pi1_verdict", recording)
+        verify_all(a0, records, expected)
+        assert len(seen) == len(records) + len(expected["mains"])
+        assert all(status == "trivial" and _h1(ms) == [] for ms, status in seen)
+
+    @pytest.mark.parametrize("rid", ["2.2", "3.1"])
+    def test_own_curves_leave_z2(self, a0, records, rid):
+        # the control: on their own curves these records keep H1 = Z/2,
+        # and their verdict there is inconclusive
+        record = next(r for r in records if r.rid == rid)
+        marked = infer_plan(record, a0.restrict(record.curves)).marked
+        assert _h1(marked) == [2]
+        assert pi1_verdict(marked).status == "inconclusive"
 
     @pytest.mark.parametrize("line", [
         "(2.1) K^2=5 - {C1, C2, B1, A2, A3, D1} - det=-40 - C1∩B1 - (2,1):[4]",
@@ -371,14 +437,15 @@ class TestLedger:
         assert any("node count" in c.name for c in ledger.failures())
 
     def test_non_wahl_chain_claim_is_a_failure(self, a0, records, expected):
-        # (8,3) written as [3,5,3,3]: inference is not run, and says why
+        # (8,3) written as [3,5,3,3]: inference fails, and says why
         bad = [dataclasses.replace(r, chains=(ChainSpec(8, 3, (3, 5, 3, 3)),) + r.chains[1:])
                if r.rid == "3.0" else r for r in records]
         ledger = verify_all(a0, bad, expected)
         failures = [(c.section, c.name) for c in ledger.failures()]
         assert failures == [("record (3.0)", "chain [3, 5, 3, 3] is a Wahl chain"),
                             ("record (3.0)", "plan inference")]
-        assert "not the Wahl chain" in ledger.failures()[1].detail
+        assert ledger.failures()[1].detail == (
+            "(3.0): stated chain [3, 5, 3, 3] is not a Wahl chain")
 
     def test_inference_error_is_a_failure(self, a0, records, expected):
         # a stated chain shorter than K^2 forces a negative blow-up count:
@@ -391,7 +458,7 @@ class TestLedger:
             "[FAIL] record (2.1): geography identities -- P=2 K=2 r=6 t2=8 c1^2=4 c2=20",
             "[FAIL] record (2.1): family dimension 10",
             "[FAIL] record (2.1): plan inference -- (2.1): negative blow-up count"]
-        assert len(ledger.checks) == 394 and ledger.checks[-1].section == "main K^2=9"
+        assert len(ledger.checks) == 478 and ledger.checks[-1].section == "main K^2=9"
 
     @pytest.mark.parametrize("step, shown", [
         (["A2", "C3"], '["A2", "C3"]'),

@@ -187,8 +187,8 @@ class TestVerifyAndSearch:
         assert code == 1 and err == ""
         assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
             "[FAIL] record (3.0): chain [3, 5, 3, 3] is a Wahl chain",
-            "[FAIL] record (3.0): plan inference -- not run: a stated chain is "
-            "not the Wahl chain it claims",
+            "[FAIL] record (3.0): plan inference -- (3.0): stated chain [3, 5, 3, 3] "
+            "is not a Wahl chain",
             "[FAIL] main K^2=2: recovered plan replays -- no node #5 between A2 and B1"]
 
     def test_verify_reports_a_chain_entry_below_2_as_failure(self, capture, tmp_path):
@@ -203,8 +203,8 @@ class TestVerifyAndSearch:
         assert code == 1 and err == ""
         assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
             "[FAIL] record (2.1): chain [1, 5, 3, 2] is a Wahl chain",
-            "[FAIL] record (2.1): plan inference -- not run: a stated chain is "
-            "not the Wahl chain it claims"]
+            "[FAIL] record (2.1): plan inference -- (2.1): stated chain [1, 5, 3, 2] "
+            "is not a Wahl chain"]
 
     def test_verify_reports_malformed_plan_step_as_failure(self, capture, tmp_path):
         data = resources.files("wahlkit.catalog") / "data"

@@ -338,18 +338,20 @@ class TestPairTable:
         for a in cfg.curves:
             assert cfg.curve(a.name) == a
             assert cfg.pairing(a.name, a.name) == a.self_int
-            others = [node.other(a.name) for node in cfg.nodes_at(a.name)]
+            others = [node.a if node.b == a.name else node.b for node in cfg.nodes
+                      if a.name in (node.a, node.b)]
             assert cfg.self_nodes(a.name) == others.count(a.name)
             around = Counter(other for other in others if other != a.name)
             # in the order of their first nodes, as Counter counts them
             assert list(cfg.neighbors(a.name).items()) == list(around.items())
             for b in cfg.curves:
                 if a != b:
-                    assert cfg.pairing(a.name, b.name) == \
-                        len(cfg.nodes_between(a.name, b.name)), (a, b)
+                    assert cfg.pairing(a.name, b.name) == sum(
+                        {node.a, node.b} == {a.name, b.name} for node in cfg.nodes), (a, b)
         names = [c.name for c in cfg.curves]
         assert cfg.intersection_matrix() == [
-            [c.self_int if c.name == b else len(cfg.nodes_between(c.name, b))
+            [c.self_int if c.name == b else
+             sum({node.a, node.b} == {c.name, b} for node in cfg.nodes)
              for b in names] for c in cfg.curves]
 
     def test_matches_node_scan_on_a0(self):

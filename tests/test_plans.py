@@ -277,8 +277,9 @@ def _degree_admits(config, base_names, deep, final):
     with multiplicity, self-nodes not at all.
     """
     for name in deep:
-        exceptional = [node.other(name) for node in config.nodes_at(name)
-                       if node.other(name) not in base_names]
+        others = [node.a if node.b == name else node.b for node in config.nodes
+                  if name in (node.a, node.b)]
+        exceptional = [other for other in others if other not in base_names]
         if not exceptional:
             continue
         count = sum(config.curve(x).self_int != -1 for x in exceptional)
