@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .chains import (CyclicQuotient, TSingularity, WahlSingularity, blow_down_compose,
                      discrepancies, meridian_exponents, recognize_wahl, t_singularity)
-from .configuration import Configuration
+from .configuration import Configuration, det_exact
 
 __all__ = [
     "AssemblyError", "MarkedSurface", "Witness", "NefAmpleReport",
@@ -156,6 +156,20 @@ def _paths(names: Sequence[str], meets: Counter) -> Optional[list[tuple[str, ...
     return paths
 
 
+def _contract_to_rdps(surface: Configuration, names: Sequence[str]) -> bool:
+    """Whether the (-2)-curves `names` contract to rational double points:
+    none has a self-node and their intersection matrix M is negative
+    definite (Artin), so each component is an ADE Dynkin tree.  Disjoint
+    simple paths (A_k, `_paths`) pass without the matrix; otherwise every
+    leading principal minor of -M must be positive (Sylvester)."""
+    if _paths(names, surface.meets) is not None:
+        return True
+    if any(surface.meets[name, name] for name in names):
+        return False
+    neg = [[-x for x in row] for row in surface.intersection_matrix(names)]
+    return all(det_exact([row[:k] for row in neg[:k]]) > 0 for k in range(1, len(neg) + 1))
+
+
 def k_squared(ms: MarkedSurface) -> int:
     """K_X^2 of the contracted surface: -#blow-ups + sum of chain lengths."""
     return -ms.blowup_count + sum(len(c) for c in ms.wahl_chains)
@@ -189,15 +203,16 @@ class NefAmpleReport:
         A nef-only verdict still certifies the canonical model when K^2 is
         positive and every zero curve is contractible there: equality
         (-1)-curves joining two chain ends (their contraction is a
-        T-singularity) and stray (-2)-curves forming disjoint simple paths
-        (A_k rational double points).  The warnings of `nef_ample_check`
-        name the cases that fail: K^2 not positive, stray curves not A_k.
+        T-singularity) and stray (-2)-curves that contract, with the ADE
+        chains they meet, to rational double points.  The warnings of
+        `nef_ample_check` name the cases that fail: K^2 not positive, stray
+        curves that do not contract so.
         """
         if self.status == "ample":
             return True
         if self.status != "nef-only":
             return False
-        if any(w.kind in ("k-squared", "zero-curves-not-a-k") for w in self.warnings):
+        if any(w.kind in ("k-squared", "zero-curves-not-ade") for w in self.warnings):
             return False
         return all(c.t_type is not None for c in self.contractions)
 
@@ -216,10 +231,11 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
     For each (-1)-curve G the sum s(G) of the discrepancies of the Wahl
     chain curves it meets (with node multiplicity) must be <= -1 for nef
     and < -1 for ample; ample additionally needs K^2 > 0 and no stray
-    (-2)-curve away from the chains.  Those stray curves are contracted in
-    the canonical model only as A_k chains: a warning names them when they
-    form anything but disjoint simple paths (`_paths`), a cycle of
-    (-2)-curves, two meeting twice or a nodal one among them.
+    (-2)-curve away from the chains.  The canonical model contracts those
+    stray curves, together with the ADE chains they meet, to rational
+    double points: a warning names them when they cannot be
+    (`_contract_to_rdps`), as a cycle of (-2)-curves, two meeting twice, a
+    nodal one or a tree that is not Dynkin.
     """
     surface = ms.surface
     chain_index = ms.chain_index
@@ -273,9 +289,10 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
     if strict and not zero_curves and k2 > 0:
         return NefAmpleReport("ample", (), (), tuple(contractions))
     notes = list(zero_curves)
-    if zero_curves and _paths(sorted(w.curve for w in zero_curves), surface.meets) is None:
-        notes.append(Witness("zero-curves-not-a-k", "-", "the stray (-2)-curves do not "
-                             "form disjoint simple paths (A_k)"))
+    contracted = [w.curve for w in zero_curves] + [c for ch in ms.ade_chains for c in ch]
+    if zero_curves and not _contract_to_rdps(surface, contracted):
+        notes.append(Witness("zero-curves-not-ade", "-", "the stray (-2)-curves and the "
+                             "ADE chains do not contract to rational double points"))
     if k2 <= 0:
         notes.append(Witness("k-squared", "-", f"K^2 = {k2} is not positive"))
     return NefAmpleReport("nef-only", (), tuple(notes), tuple(contractions))

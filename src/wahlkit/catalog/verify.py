@@ -21,8 +21,9 @@ then lies between two of them, and a node of A0 lies on exactly two
 curves, so every other curve of A0 stays an untouched (-2)-curve.  Such a
 curve D has K.D >= 0: it is a zero curve of the contracted canonical class
 or a relation of the meridian argument for pi1, and it never breaks
-nefness.  The zero curves must still form A_k chains for the canonical
-model to be ample, which `nef_ample_check` checks.
+nefness.  The zero curves, with the Du Val chains they meet, must still
+contract to rational double points for the canonical model to be ample,
+which `nef_ample_check` checks.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from ..chains import (ChainError, CyclicQuotient, blow_down_compose, length_boun
 from ..configuration import Configuration, ConfigurationError, geography_check
 from ..assembly import (AssemblyError, MarkedSurface, k_squared, nef_ample_check,
                         obstruction_dim, pi1_verdict, singularity_report)
-from ..plans import BlowupPlan, PlanError, PlanStep, infer_plan, mark_chains
+from ..plans import BlowupPlan, PlanError, PlanStep, _search_plan, mark_chains
 from .a0 import (SECTIONS, A0Constraints, CatalogError, build_a0, frozen_a0,
                  incidences_of)
 from .records import ChainSpec, RecordError, SurfaceRecord, parse_records_file
@@ -297,7 +298,14 @@ def _certify(ledger: Ledger, sec: str, marked: MarkedSurface, k2: int,
     """The surface certificate of a construction marked on the whole of A0,
     the same four checks for records and mains: K^2, the Wahl
     singularities of the stated chains, an ample canonical class and a
-    trivial pi1 verdict."""
+    trivial pi1 verdict.
+
+    The singularity check reads the Wahl data of the surface certified,
+    the A0 marking, and compares them with the stated (n, a) up to
+    orientation.  Inference and `_check_chain` compare the same numbers
+    earlier, on the search's marking and on the printed strings; this check
+    keeps the statement of which singularities the certified surface has,
+    with their full list in its detail, inside the certificate itself."""
     ledger.add(sec, f"K^2 = {k2} from the marking", k_squared(marked) == k2,
                f"got {k_squared(marked)}")
     sings = singularity_report(marked)
@@ -316,14 +324,16 @@ def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
                    with_inference: bool, infer_budget: int) -> None:
     """A record's checks: the construction's, then its plan inferred on its
     own curves and certified on the whole of A0, replayed on `a0` with the
-    inferred Wahl chains (see the module docstring)."""
+    inferred Wahl chains (see the module docstring).  It runs inference's
+    search alone, without `infer_plan`'s report on the record's curves, so
+    each record is certified once."""
     sec = f"record ({record.rid})"
     sub, family_ok = _verify_construction(ledger, sec, a0, record)
     ledger.add(sec, f"family dimension {20 - 2 * record.k2}", family_ok)
     if not with_inference:
         return
     try:
-        result = infer_plan(record, sub, max_states=infer_budget)
+        result = _search_plan(record, sub, infer_budget, prune=True)
         marked = (MarkedSurface(result.plan.execute(a0), result.marked.wahl_chains)
                   if result.success else None)
     except (PlanError, AssemblyError) as exc:

@@ -38,10 +38,10 @@ paths that meet a curve at -1 or above, which the arm test leaves alone.
 Search keeps a leaf marked into Wahl chains and no ADE chain whose
 canonical class is ample; inference keeps a leaf marked into the stated
 chains (`mark_chains`, which the ledger runs on its frozen plans too).
-Inference certifies nothing itself: its result's `report`, the surface
-certificate on the configuration searched, is built when it is first read,
-and the ledger certifies on the whole of A0 instead.  Pruning only ever
-discards states that provably cannot reach the chains sought.
+Inference certifies its survivor on the configuration searched, in the
+result's `report`; the ledger, which certifies on the whole of A0 instead,
+runs the search alone (`_search_plan`).  Pruning only ever discards states
+that provably cannot reach the chains sought.
 
 Both searches run the same chain-shape rules, on one premise: every curve
 of a kept leaf other than its (-1)-curves lies in a chain, as the marker
@@ -141,9 +141,9 @@ class BlowupPlan:
 @dataclass
 class InferenceResult:
     record: SurfaceRecord
-    base: Configuration = field(repr=False)  # the configuration searched
     plan: Optional[BlowupPlan] = None
     marked: Optional[MarkedSurface] = None
+    report: Optional[SurfaceReport] = None  # None without a plan, or uncertified
     states: int = 0  # max_states + 1 when the budget stops the search
     pruned: int = 0  # failing base-choice prefixes, each also one state
     leaves: int = 0  # completed search states, whether or not they are marked
@@ -152,12 +152,6 @@ class InferenceResult:
     @property
     def success(self) -> bool:
         return self.plan is not None
-
-    @functools.cached_property
-    def report(self) -> Optional[SurfaceReport]:
-        """The marked surface certified on `base` (`surface_report`), built
-        when first read; None without a plan."""
-        return None if self.marked is None else surface_report(self.marked, self.base)
 
     def summary(self) -> str:
         if self.success:
@@ -623,7 +617,18 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
                max_states: int = 200000, prune: bool = True) -> InferenceResult:
-    """Recover a concrete blow-up plan realizing the record, by search.
+    """Recover a concrete blow-up plan realizing the record by search
+    (`_search_plan`), and certify the survivor on `base` in the result's
+    `report` (ample check, K^2, obstruction, pi1)."""
+    result = _search_plan(record, base, max_states, prune)
+    if result.marked is not None:
+        result.report = surface_report(result.marked, base)
+    return result
+
+
+def _search_plan(record: SurfaceRecord, base: Configuration,
+                 max_states: int, prune: bool) -> InferenceResult:
+    """The search of `infer_plan`, with no report.
 
     The number of blow-ups is forced by K^2.  The record's steps, if it
     has any, fix the base nodes blown up; otherwise the choices of P + K^2
@@ -633,12 +638,11 @@ def infer_plan(record: SurfaceRecord, base: Configuration,
     stated chains pin the tower sizes (`_pins`), less those the sum rule
     drops (`_sum_rule`); bracket patterns are not read.  Succeeds when some
     interpretation yields a marked surface whose chains are exactly the
-    stated ones.  The result's `report` certifies the survivor on `base`
-    (ample check, K^2, obstruction, pi1) when it is first read.
+    stated ones.
     """
     if max_states < 0:
         raise PlanError(f"max_states must be nonnegative, got {max_states}")
-    result = InferenceResult(record, base)
+    result = InferenceResult(record)
     targets = [tuple(c.chain) for c in record.chains]
     for spec in record.chains:
         sing = recognize_wahl(spec.chain)

@@ -21,6 +21,16 @@ def chain_config(*chains, extra_curves=(), extra_nodes=()):
     return Configuration.build(curves, nodes)
 
 
+def star_tree(*arms):
+    """(-2)-curves and nodes: a centre Z with arms of the given lengths."""
+    curves, nodes = [("Z", -2)], []
+    for i, length in enumerate(arms):
+        names = ["Z"] + [f"T{i}_{k}" for k in range(length)]
+        curves += [(name, -2) for name in names[1:]]
+        nodes += list(zip(names, names[1:]))
+    return curves, nodes
+
+
 def chain_names(config, ci):
     return tuple(c.name for c in config.curves if c.name.startswith(f"K{ci}_"))
 
@@ -212,20 +222,40 @@ class TestNefAmple:
         assert report.status == "nef-only"
         assert report.contractions[0].result is None  # single-chain join
 
-    @pytest.mark.parametrize("curves, nodes, ample", [
-        ([("R", -2), ("S", -2)], [("R", "S"), ("R", "S")], False),
-        ([("R", -2)], [("R", "R")], False),
-        ([("R", -2), ("S", -2)], [("R", "S")], True),
-    ], ids=["i2-cycle", "nodal", "a2"])
-    def test_stray_two_curves_contract_only_as_a_k(self, curves, nodes, ample):
+    @pytest.mark.parametrize("curves, nodes, ade, ample", [
+        ([("R", -2), ("S", -2)], [("R", "S"), ("R", "S")], (), False),
+        ([("R", -2)], [("R", "R")], (), False),
+        ([("R", -2), ("S", -2), ("T", -2)], [("R", "S"), ("S", "T"), ("R", "T")], (), False),
+        ([("R", -2), ("S", -2)], [("R", "S")], (), True),
+        (*star_tree(1, 1, 1), (), True),
+        (*star_tree(1, 1, 1, 1), (), False),
+        (*star_tree(1, 2, 4), (), True),
+        (*star_tree(1, 2, 5), (), False),
+        (*star_tree(1, 2, 2), (), True),
+        (*star_tree(1, 2, 3), (), True),
+        (*star_tree(2, 2, 2), (), False),
+        (*star_tree(1, 3, 3), (), False),
+        ([("R", -2), ("S", -2), ("T", -2)], [("R", "S"), ("T", "R")], (("R", "S"),), True),
+        ([("R", -2), ("S", -2), ("T", -2)], [("R", "S"), ("T", "R"), ("T", "S")],
+         (("R", "S"),), False),
+        ([("R", -2), ("S", -2), ("U", -2), ("T", -2)],
+         [("R", "S"), ("S", "U"), ("T", "S")], (("R", "S", "U"),), True),
+        ([("R", -2), ("T", -2)], [("T", "R"), ("T", "R")], (("R",),), False),
+    ], ids=["i2-cycle", "nodal", "i3-cycle", "a2", "d4", "affine-d4", "e8", "affine-e8",
+            "e6", "e7", "affine-e6", "affine-e7", "a3-through-duval", "i3-through-duval",
+            "d4-through-duval", "i2-through-duval"])
+    def test_stray_two_curves_contract_to_rational_double_points(self, curves, nodes,
+                                                                  ade, ample):
         # a marked [4] beside stray (-2)-curves, which are zero curves: the
-        # canonical model contracts them only as A_k chains, so two curves
-        # meeting twice (an I2 cycle) or a nodal one leave it not ample
+        # canonical model contracts them, with the ADE chains they meet, to
+        # rational double points, which needs ADE Dynkin trees; a cycle, two
+        # curves meeting twice, a nodal curve or an affine tree leave it not
+        # ample
         cfg = chain_config((4,), extra_curves=curves, extra_nodes=nodes)
-        report = nef_ample_check(MarkedSurface(cfg, (("K0_0",),)))
+        report = nef_ample_check(MarkedSurface(cfg, (("K0_0",),), ade))
         assert report.status == "nef-only"
         assert report.canonical_ample == ample
-        flagged = [w for w in report.warnings if w.kind == "zero-curves-not-a-k"]
+        flagged = [w for w in report.warnings if w.kind == "zero-curves-not-ade"]
         assert len(flagged) == (0 if ample else 1)
 
 

@@ -326,6 +326,14 @@ class TestLedger:
             "[FAIL] record (2.2): fundamental group trivial -- "
             "inconclusive: no sufficiency criterion applies"]
 
+    def test_ledger_certifies_each_record_once(self, a0, records, expected, monkeypatch):
+        # the ledger runs inference's search without its report: the one
+        # certificate of a record is the A0 one
+        def refused(*args):
+            raise AssertionError("surface_report run inside the ledger")
+        monkeypatch.setattr("wahlkit.plans.surface_report", refused)
+        assert verify_all(a0, records, expected).lines()[-1] == "483/483 checks passed"
+
     def test_trivial_pi1_has_zero_h1(self, a0, records, expected, monkeypatch):
         # an independent oracle for every surface the ledger certifies on
         # A0, the 29 records and the 8 mains: a trivial pi1 verdict needs
