@@ -3,14 +3,16 @@
 Each assertion becomes one pass/fail line: the A0 fibration skeleton,
 chain recognition, restriction matrices and determinants, log-geography
 identities, obstruction dimensions, T-joins and wormhole compositions, and
-the surface certificates.  Every construction is certified by one helper,
-`_certify`, on its surface marked on the whole of A0: K^2 from the
-marking, its singularity list, an ample canonical class and a trivial pi1
-verdict; an inconclusive verdict is a failed check.  A record's plan is
-the one that inference recovers on the record's own curves, a main's its
-frozen `recovered_plan`, marked there as the stated chains.  A plan that
-is not found, or not frozen, is a failed check, so the ledger passes only
-what it proved.  The ledger is the only validator of an A0 model.
+the surface certificates.  A construction's certificate is
+`assembly.surface_report` of its surface marked on the whole of A0, built
+once, and `_certify` checks three of its entries: K^2 from the marking,
+with the singularity list as its detail, an ample canonical class and a
+trivial pi1 verdict; an inconclusive verdict is a failed check.  A
+record's plan is the one that inference recovers on the record's own
+curves, a main's its frozen `recovered_plan`, marked there as the stated
+chains.  A plan that is not found, or not frozen, is a failed check, so
+the ledger passes only what it proved.  The ledger is the only validator
+of an A0 model.
 
 A construction is certified on the whole of A0, as its surface is the
 blown-up K3 with all of A0's curves on it, so the meridian relations of
@@ -36,15 +38,17 @@ from typing import Optional, Sequence
 from ..chains import (ChainError, CyclicQuotient, blow_down_compose, length_bound,
                       meridian_exponents, recognize_wahl, t_singularity)
 from ..configuration import Configuration, ConfigurationError, geography_check
-from ..assembly import (AssemblyError, MarkedSurface, k_squared, nef_ample_check,
-                        obstruction_dim, pi1_verdict, singularity_report)
+from ..assembly import (AssemblyError, MarkedSurface, SurfaceReport, obstruction_dim,
+                        surface_report)
 from ..plans import BlowupPlan, PlanError, PlanStep, _search_plan, mark_chains
 from .a0 import (SECTIONS, A0Constraints, CatalogError, build_a0, frozen_a0,
                  incidences_of)
 from .records import ChainSpec, RecordError, SurfaceRecord, parse_records_file
 
-__all__ = ["Check", "Ledger", "load_records", "load_expected",
+__all__ = ["Check", "Ledger", "INFER_BUDGET", "load_records", "load_expected",
            "ledger_constraints", "verify_all"]
+
+INFER_BUDGET = 300000  # states each record's plan inference may take
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def _check_shape(value, shape, where: str) -> None:
             raise CatalogError(f"{where} is not an object")
         if int in shape:
             for key, item in value.items():
-                if not key.isdigit():
+                if not key.isdecimal():
                     raise CatalogError(f"{where} has key {key!r}, not an integer")
                 _check_shape(item, shape[int], f"{where}.{key}")
             return
@@ -188,7 +192,7 @@ def _check_chain(ledger: Ledger, section: str, spec: ChainSpec) -> None:
 def verify_all(a0: Optional[Configuration] = None,
                records: Optional[Sequence[SurfaceRecord]] = None,
                expected: Optional[dict] = None,
-               infer_budget: int = 300000,
+               infer_budget: int = INFER_BUDGET,
                with_inference: bool = True) -> Ledger:
     """Run the complete ledger; failures are report entries, not errors."""
     ledger = Ledger()
@@ -293,31 +297,20 @@ def _verify_construction(ledger: Ledger, sec: str, a0: Configuration,
     return sub, obs == 0 and identities
 
 
-def _certify(ledger: Ledger, sec: str, marked: MarkedSurface, k2: int,
-             chains: Sequence[ChainSpec]) -> None:
-    """The surface certificate of a construction marked on the whole of A0,
-    the same four checks for records and mains: K^2, the Wahl
-    singularities of the stated chains, an ample canonical class and a
-    trivial pi1 verdict.
-
-    The singularity check reads the Wahl data of the surface certified,
-    the A0 marking, and compares them with the stated (n, a) up to
-    orientation.  Inference and `_check_chain` compare the same numbers
-    earlier, on the search's marking and on the printed strings; this check
-    keeps the statement of which singularities the certified surface has,
-    with their full list in its detail, inside the certificate itself."""
-    ledger.add(sec, f"K^2 = {k2} from the marking", k_squared(marked) == k2,
-               f"got {k_squared(marked)}")
-    sings = singularity_report(marked)
-    got = sorted((s.n, min(s.a, s.n - s.a)) for s in marked.wahl_data())
-    ledger.add(sec, "singularity list matches",
-               got == sorted((c.n, min(c.a, c.n - c.a)) for c in chains),
-               ", ".join(str(e) for e in sings))
-    amp = nef_ample_check(marked)
-    ledger.add(sec, "canonical class ample", amp.canonical_ample, amp.status)
-    pi1 = pi1_verdict(marked)
-    ledger.add(sec, "fundamental group trivial", pi1.status == "trivial",
-               f"{pi1.status}: {pi1.justification}")
+def _certify(ledger: Ledger, sec: str, k2: int, report: SurfaceReport) -> None:
+    """The three checks of a construction's certificate, the same for
+    records and mains: `report` is `surface_report` of its surface marked
+    on the whole of A0.  K^2 is checked against the marking, with the
+    surface's singularity list as the detail; the canonical class must be
+    ample and the pi1 verdict trivial.  The stated chains' (n, a) are not
+    compared again: inference and `mark_chains` mark exactly the stated
+    chains, and `_check_chain` compares their numbers."""
+    ledger.add(sec, f"K^2 = {k2} from the marking", report.k2 == k2,
+               f"got {report.k2}; {', '.join(report.singularities)}")
+    ledger.add(sec, "canonical class ample", report.ample.canonical_ample,
+               report.ample.status)
+    ledger.add(sec, "fundamental group trivial", report.pi1.status == "trivial",
+               f"{report.pi1.status}: {report.pi1.justification}")
 
 
 def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
@@ -326,7 +319,7 @@ def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
     own curves and certified on the whole of A0, replayed on `a0` with the
     inferred Wahl chains (see the module docstring).  It runs inference's
     search alone, without `infer_plan`'s report on the record's curves, so
-    each record is certified once."""
+    each record's one certificate is `surface_report` of the A0 replay."""
     sec = f"record ({record.rid})"
     sub, family_ok = _verify_construction(ledger, sec, a0, record)
     ledger.add(sec, f"family dimension {20 - 2 * record.k2}", family_ok)
@@ -342,9 +335,9 @@ def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
     if marked is None:
         ledger.add(sec, "plan inference", False, result.summary())
         return
-    ledger.add(sec, "plan inference", True,
-               f"{result.states} states; K^2={k_squared(result.marked)}")
-    _certify(ledger, sec, marked, record.k2, record.chains)
+    report = surface_report(marked, sub)
+    ledger.add(sec, "plan inference", True, f"{result.states} states; K^2={report.k2}")
+    _certify(ledger, sec, record.k2, report)
 
 
 def _record_chain(records: Sequence[SurfaceRecord], rid: str) -> SurfaceRecord:
@@ -453,7 +446,7 @@ def _verify_main(ledger: Ledger, a0: Configuration, k2: int, data: dict) -> None
     ledger.add(sec, "recovered plan replays", True, f"{len(plan.steps)} blow-ups")
     if k2 == 7:
         _verify_meridian_anchors(ledger, sec, marked)
-    _certify(ledger, sec, marked, k2, chains)
+    _certify(ledger, sec, k2, surface_report(marked, sub))
 
 
 def _verify_meridian_anchors(ledger: Ledger, sec: str, marked: MarkedSurface) -> None:

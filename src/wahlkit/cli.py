@@ -17,8 +17,8 @@ from . import chains as cf
 from .configuration import geography_check
 from .catalog import a0 as a0mod
 from .catalog.records import format_record
-from .catalog.verify import (ledger_constraints, load_expected, load_records,
-                             verify_all)
+from .catalog.verify import (INFER_BUDGET, ledger_constraints, load_expected,
+                             load_records, verify_all)
 from .plans import SearchParams, search_constructions
 
 # every wahlkit error class subclasses ValueError
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", help="records file (default: bundled catalog)")
     p.add_argument("--a0", help="configuration file (default: bundled catalog)")
     p.add_argument("--expected", help="expected-values file")
-    p.add_argument("--infer-budget", type=int, default=300000)
+    p.add_argument("--infer-budget", type=int, default=INFER_BUDGET)
     p.add_argument("--no-infer", action="store_true",
                    help="skip blow-up plan inference")
     p.add_argument("--seedless", action="store_true",

@@ -159,10 +159,6 @@ class Configuration:
                 return n
         raise ConfigurationError(f"unknown node {node_id}")
 
-    def nodes_between(self, a: str, b: str) -> tuple[Node, ...]:
-        pair = _pair(a, b)
-        return tuple(n for n in self.nodes if n.pair() == pair)
-
     def pairing(self, a: str, b: str) -> int:
         """Intersection number: self_int on the diagonal, node count off it."""
         if a == b:

@@ -8,16 +8,18 @@ import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
-from wahlkit.assembly import MarkedSurface, Pi1Report, nef_ample_check, pi1_verdict
+from wahlkit.assembly import (MarkedSurface, Pi1Report, nef_ample_check, pi1_verdict,
+                              surface_report)
 from wahlkit.catalog.a0 import (COMPONENTS, A0Constraints, CatalogError, FIBERS,
                                 SECTIONS, build_a0, frozen_a0, incidences_of,
                                 reconstruct_a0)
 from wahlkit.catalog.records import (ChainSpec, RecordError, format_record, parse_record,
                                      parse_records_file)
-from wahlkit.catalog.verify import (_plan_from_json, ledger_constraints, load_expected,
-                                    load_records, verify_all)
+from wahlkit.catalog.verify import (INFER_BUDGET, _plan_from_json, ledger_constraints,
+                                    load_expected, load_records, verify_all)
 from wahlkit.configuration import Configuration, Curve, Node, det_exact, rank_exact
-from wahlkit.plans import infer_plan, mark_chains
+from wahlkit.plans import (SearchParams, _search_plan, infer_plan, mark_chains,
+                           search_constructions)
 
 
 def _h1(marked: MarkedSurface) -> list[int]:
@@ -282,8 +284,8 @@ class TestLedger:
         ledger = verify_all(a0, records, expected, infer_budget=250000)
         assert ledger.ok, [c.line() for c in ledger.failures()]
         payload = ledger.to_json()
-        assert payload["ok"] and payload["passed"] == payload["total"] == 483
-        assert ledger.lines()[-1] == "483/483 checks passed"
+        assert payload["ok"] and payload["passed"] == payload["total"] == 446
+        assert ledger.lines()[-1] == "446/446 checks passed"
         # every record's plan is inferred, and every main's frozen plan replays
         names = Counter((c.section.split(" ")[0], c.name) for c in ledger.checks)
         assert names["record", "plan inference"] == len(records)
@@ -299,13 +301,14 @@ class TestLedger:
             "chain of (18,7) recognized", "chain of (18,7) recognized",
             "length bound l <= 9", "determinant -32", "geography identities",
             "no local-to-global obstruction", "family dimension 16", "plan inference",
-            "K^2 = 2 from the marking", "singularity list matches",
-            "canonical class ample", "fundamental group trivial"]
+            "K^2 = 2 from the marking", "canonical class ample",
+            "fundamental group trivial"]
+        assert checks[-3].detail == "got 2; 1/324(1,125), 1/324(1,125)"
         assert checks[-1].detail == "trivial: every chain meridian group dies"
 
     def test_every_construction_ends_with_one_certificate(self, a0, records, expected):
         # records and mains are certified on A0 by one helper: each section
-        # ends with its four checks, in one order
+        # ends with its three checks, in one order
         ledger = verify_all(a0, records, expected)
         sections: dict[str, list[str]] = {}
         for c in ledger.checks:
@@ -313,14 +316,14 @@ class TestLedger:
                 sections.setdefault(c.section, []).append(c.name)
         assert len(sections) == len(records) + len(expected["mains"])
         for section, names in sections.items():
-            k2 = names[-4].split()[2]
-            assert names[-4:] == [f"K^2 = {k2} from the marking", "singularity list matches",
-                                  "canonical class ample", "fundamental group trivial"], section
+            k2 = names[-3].split()[2]
+            assert names[-3:] == [f"K^2 = {k2} from the marking", "canonical class ample",
+                                  "fundamental group trivial"], section
 
     def test_inconclusive_pi1_fails_a_record(self, a0, records, expected, monkeypatch):
         # the record's pi1 verdict on A0 is checked, not only reported
         inconclusive = Pi1Report("inconclusive", "no sufficiency criterion applies")
-        monkeypatch.setattr("wahlkit.catalog.verify.pi1_verdict", lambda ms: inconclusive)
+        monkeypatch.setattr("wahlkit.assembly.pi1_verdict", lambda ms: inconclusive)
         ledger = verify_all(a0, [r for r in records if r.rid == "2.2"], expected)
         assert [c.line() for c in ledger.failures() if c.section == "record (2.2)"] == [
             "[FAIL] record (2.2): fundamental group trivial -- "
@@ -328,11 +331,18 @@ class TestLedger:
 
     def test_ledger_certifies_each_record_once(self, a0, records, expected, monkeypatch):
         # the ledger runs inference's search without its report: the one
-        # certificate of a record is the A0 one
+        # certificate of a construction is the ledger's `surface_report` on A0
         def refused(*args):
-            raise AssertionError("surface_report run inside the ledger")
+            raise AssertionError("surface_report run inside the ledger's search")
         monkeypatch.setattr("wahlkit.plans.surface_report", refused)
-        assert verify_all(a0, records, expected).lines()[-1] == "483/483 checks passed"
+        built = []
+
+        def counted(ms, base):
+            built.append(ms)
+            return surface_report(ms, base)
+        monkeypatch.setattr("wahlkit.catalog.verify.surface_report", counted)
+        assert verify_all(a0, records, expected).lines()[-1] == "446/446 checks passed"
+        assert len(built) == len(records) + len(expected["mains"]) == 37
 
     def test_trivial_pi1_has_zero_h1(self, a0, records, expected, monkeypatch):
         # an independent oracle for every surface the ledger certifies on
@@ -344,10 +354,29 @@ class TestLedger:
             report = pi1_verdict(ms)
             seen.append((ms, report.status))
             return report
-        monkeypatch.setattr("wahlkit.catalog.verify.pi1_verdict", recording)
+        monkeypatch.setattr("wahlkit.assembly.pi1_verdict", recording)
         verify_all(a0, records, expected)
         assert len(seen) == len(records) + len(expected["mains"])
         assert all(status == "trivial" and _h1(ms) == [] for ms, status in seen)
+
+    @pytest.mark.parametrize("params, found", [
+        (SearchParams(k2=2, max_chains=2, max_blowups=7,
+                      curve_pool=("A2", "A3", "B1", "C1", "C2", "D1")), 1),
+        (SearchParams(k2=1, max_chains=3, max_blowups=6), 25),
+    ], ids=["k2-2-pool", "k2-1"])
+    def test_search_records_have_zero_h1_on_a0(self, a0, params, found):
+        # the same oracle beyond the catalog: each record that search finds,
+        # inferred again on its own curves and certified as the ledger
+        # certifies on A0, is trivial there with H1 = 0
+        records = search_constructions(params, a0).records
+        assert len(records) == found
+        for record in records:
+            sub = a0.restrict(record.curves)
+            result = _search_plan(record, sub, INFER_BUDGET, prune=True)
+            marked = MarkedSurface(result.plan.execute(a0), result.marked.wahl_chains)
+            report = surface_report(marked, sub)
+            assert report.k2 == record.k2 and report.ample.canonical_ample, record.rid
+            assert report.pi1.status == "trivial" and _h1(marked) == [], record.rid
 
     @pytest.mark.parametrize("rid", ["2.2", "3.1"])
     def test_own_curves_leave_z2(self, a0, records, rid):
@@ -466,7 +495,7 @@ class TestLedger:
             "[FAIL] record (2.1): geography identities -- P=2 K=2 r=6 t2=8 c1^2=4 c2=20",
             "[FAIL] record (2.1): family dimension 10",
             "[FAIL] record (2.1): plan inference -- (2.1): negative blow-up count"]
-        assert len(ledger.checks) == 478 and ledger.checks[-1].section == "main K^2=9"
+        assert len(ledger.checks) == 442 and ledger.checks[-1].section == "main K^2=9"
 
     @pytest.mark.parametrize("step, shown", [
         (["A2", "C3"], '["A2", "C3"]'),

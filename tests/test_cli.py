@@ -242,11 +242,13 @@ class TestVerifyAndSearch:
         (lambda e: e["mains"]["3"].update(duval=5), "expected.mains.3.duval is not a list"),
         (lambda e: e["mains"].update(x=e["mains"]["3"]),
          "expected.mains has key 'x', not an integer"),
+        (lambda e: e["mains"].update({"²": e["mains"].pop("2")}),
+         "expected.mains has key '²', not an integer"),
         (lambda e: e["wormholes"][0].update(records=["4.2"]),
          "expected.wormholes[0].records has 1 entries, not 2"),
         (lambda e: e["tjoins"][0].update(n="18"), "expected.tjoins[0].n is not an integer"),
-    ], ids=["empty", "main-without-chains", "duval-number", "main-key", "wormhole-pair",
-            "string-number"])
+    ], ids=["empty", "main-without-chains", "duval-number", "main-key", "superscript-key",
+            "wormhole-pair", "string-number"])
     def test_malformed_expected_is_a_usage_error(self, capture, tmp_path, edit, reason):
         data = resources.files("wahlkit.catalog") / "data"
         expected = json.loads((data / "expected.json").read_text(encoding="utf-8"))

@@ -231,7 +231,8 @@ class TestBlowUp:
         out = Configuration.build([("A", -2), ("B", -2)], [("A", "B")]).blow_up(0)
         kept = out.restrict([c.name for c in out.curves])
         assert kept == out and kept.pk_invariants() == out.pk_invariants() == (4, -1)
-        assert kept.blow_up(kept.nodes_between("A", "E1")[0].id).curve("E2").self_int == -1
+        node = next(n for n in kept.nodes if n.pair() == ("A", "E1"))
+        assert kept.blow_up(node.id).curve("E2").self_int == -1
 
 
 def stepwise_blow_ups(config, steps, missing=ConfigurationError):
@@ -367,7 +368,7 @@ class TestPairTable:
         for pair in [("G", "G"), ("G", "H"), ("E1", "G"), ("G", "H"), ("E2", "H"),
                      ("E1", "G")]:
             self._check(cfg)
-            cfg = cfg.blow_up(cfg.nodes_between(*pair)[0].id)
+            cfg = cfg.blow_up(next(n.id for n in cfg.nodes if n.pair() == pair))
         self._check(cfg)
         assert cfg.pairing("E1", "G") == cfg.pairing("G", "H") == 0
         rng = random.Random(7)

@@ -142,7 +142,7 @@ def _reference_tower_scripts(config, base, size, pool, outcomes):
     Gap g of the local chain is the newest node between its neighbours g
     and g+1; a script that finds no node there is dropped.
     """
-    nodes = config.nodes_between(base.a, base.b)
+    nodes = [n for n in config.nodes if n.pair() == _pair(base.a, base.b)]
     if base.occurrence >= len(nodes):
         return
     key = (size, pool)
@@ -154,7 +154,7 @@ def _reference_tower_scripts(config, base, size, pool, outcomes):
         steps = [base]
         for gap in script:
             u, v = local[gap], local[gap + 1]
-            between = state.nodes_between(u, v)
+            between = [n for n in state.nodes if n.pair() == _pair(u, v)]
             if not between:
                 break
             node = between[-1]
