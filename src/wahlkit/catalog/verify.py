@@ -26,14 +26,30 @@ or a relation of the meridian argument for pi1, and it never breaks
 nefness.  The zero curves, with the Du Val chains they meet, must still
 contract to rational double points for the canonical model to be ample,
 which `nef_ample_check` checks.
+
+No construction reads another's result, so `verify_all` runs them as
+separate tasks, each writing its own checks: the A0 checks, each record,
+the T-joins, the wormholes and each main, in that catalog order.  Task i
+falls in share i mod n, with one share per CPU the process may use
+(`os.sched_getaffinity`) and never more shares than tasks.  Share 0 runs
+in the calling process and every other share in a child made by
+`os.fork`, which pickles its checks into a pipe.  The checks are merged
+in catalog order, so the ledger is the same whatever n is.  A share stops
+at its first task that raises, and `verify_all` raises the exception of
+the earliest such task in catalog order: the one a run of the tasks in
+order stops at, since every task before it has run in its share.  With
+one CPU, or without `os.fork`, the tasks run in order in the calling
+process, with no pipe and no pickle.
 """
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..chains import (ChainError, CyclicQuotient, blow_down_compose, length_bound,
                       meridian_exponents, recognize_wahl, t_singularity)
@@ -105,9 +121,10 @@ def load_records(path: Optional[str] = None) -> list[SurfaceRecord]:
 
 # The shape of what the ledger reads from expected.json.  A dict lists the
 # keys an object must have, or, keyed by `int`, the value of every key,
-# which must be a decimal integer; [x] is a list of x, and a tuple a list of
-# exactly its entries.  `recovered_plan` is left to the ledger, which
-# reports a malformed plan as a failed check.
+# which must be an integer written as `str(int(key))` (ASCII digits, no
+# sign, no leading zero), so no two keys name one integer; [x] is a list of
+# x, and a tuple a list of exactly its entries.  `recovered_plan` is left
+# to the ledger, which reports a malformed plan as a failed check.
 _MAIN_SHAPE = {"curves": [str], "matrix": [[int]], "det": int,
                "chains": [{"n": int, "a": int, "chain": [int]}], "duval": [[str]],
                "ksba_dim": int}
@@ -126,7 +143,7 @@ def _check_shape(value, shape, where: str) -> None:
             raise CatalogError(f"{where} is not an object")
         if int in shape:
             for key, item in value.items():
-                if not key.isdecimal():
+                if not (key.isdecimal() and str(int(key)) == key):
                     raise CatalogError(f"{where} has key {key!r}, not an integer")
                 _check_shape(item, shape[int], f"{where}.{key}")
             return
@@ -195,19 +212,88 @@ def verify_all(a0: Optional[Configuration] = None,
                infer_budget: int = INFER_BUDGET,
                with_inference: bool = True) -> Ledger:
     """Run the complete ledger; failures are report entries, not errors."""
-    ledger = Ledger()
     a0 = a0 if a0 is not None else frozen_a0()
     records = list(records) if records is not None else load_records()
     expected = expected if expected is not None else load_expected()
 
-    _verify_a0(ledger, a0, expected, records)
-    for record in records:
-        _verify_record(ledger, a0, record, with_inference, infer_budget)
-    _verify_tjoins(ledger, expected, records)
-    _verify_wormholes(ledger, expected, records)
-    for k2s, data in sorted(expected["mains"].items(), key=lambda kv: int(kv[0])):
-        _verify_main(ledger, a0, int(k2s), data)
+    tasks = [partial(_verify_a0, a0=a0, expected=expected, records=records)]
+    tasks += [partial(_verify_record, a0=a0, record=record, with_inference=with_inference,
+                      infer_budget=infer_budget) for record in records]
+    tasks += [partial(_verify_tjoins, expected=expected, records=records),
+              partial(_verify_wormholes, expected=expected, records=records)]
+    tasks += [partial(_verify_main, a0=a0, k2=int(k2s), data=data)
+              for k2s, data in sorted(expected["mains"].items(), key=lambda kv: int(kv[0]))]
+    shares = _shares(tasks)
+    ledger = Ledger()
+    for i in range(len(tasks)):
+        outcome = shares[i % len(shares)][i // len(shares)]
+        if isinstance(outcome, Exception):
+            raise outcome
+        ledger.checks += outcome
     return ledger
+
+
+def _run_share(tasks: Sequence[Callable[[Ledger], None]]) -> list:
+    """Each task's checks, in order, up to the first task that raises, whose
+    exception ends the list."""
+    outcomes = []
+    for task in tasks:
+        ledger = Ledger()
+        try:
+            task(ledger)
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+        outcomes.append(ledger.checks)
+    return outcomes
+
+
+def _shares(tasks: Sequence[Callable[[Ledger], None]]) -> list[list]:
+    """`_run_share` of each share: task i falls in share i mod the number of
+    shares, one per CPU this process may use and never more than the tasks.
+    Share 0 runs here, each other one in a forked child that pickles its
+    outcomes into a pipe.  Every pipe is read and every child reaped before
+    this returns or raises."""
+    n = (min(len(os.sched_getaffinity(0)), len(tasks))
+         if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    if n <= 1:
+        return [_run_share(tasks)]
+    import pickle  # only here: the in-process ledger never loads it
+    children = []
+    try:
+        for s in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child: never returns into the caller's frames
+                code = 1
+                try:
+                    os.close(read)
+                    with os.fdopen(write, "wb") as out:
+                        pickle.dump(_run_share(tasks[s::n]), out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, read))
+        mine = _run_share(tasks[0::n])
+    finally:
+        received = []
+        for pid, read in children:
+            with os.fdopen(read, "rb") as src:
+                data = src.read()
+            received.append((data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    shares = [mine]
+    for s, (data, code) in enumerate(received, 1):
+        if code != 0:
+            raise ChildProcessError(f"ledger share {s} of {n} exited with code {code} "
+                                    "and sent no checks")
+        shares.append(pickle.loads(data))
+    return shares
 
 
 def _verify_a0(ledger: Ledger, a0: Configuration, expected: dict,

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-infer", action="store_true",
                    help="skip blow-up plan inference")
     p.add_argument("--seedless", action="store_true",
-                   help="single-threaded bit-identical logs (always on)")
+                   help="bit-identical logs (always on)")
 
     p = sub.add_parser("search", help="search ample constructions")
     p.add_argument("--k2", type=int, required=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import warnings
 from collections import Counter
 
@@ -17,7 +18,8 @@ from wahlkit.catalog.records import (ChainSpec, RecordError, format_record, pars
                                      parse_records_file)
 from wahlkit.catalog.verify import (INFER_BUDGET, _plan_from_json, ledger_constraints,
                                     load_expected, load_records, verify_all)
-from wahlkit.configuration import Configuration, Curve, Node, det_exact, rank_exact
+from wahlkit.configuration import (Configuration, ConfigurationError, Curve, Node, det_exact,
+                                   rank_exact)
 from wahlkit.plans import (SearchParams, _search_plan, infer_plan, mark_chains,
                            search_constructions)
 
@@ -33,6 +35,13 @@ def _h1(marked: MarkedSurface) -> list[int]:
     snf = smith_normal_form(Matrix(rows), domain=ZZ)
     factors = [abs(snf[i, i]) for i in range(min(snf.shape))]
     return sorted(f for f in factors if f != 1) + [0] * (len(columns) - len(factors))
+
+
+def _record_line(path, line: str) -> None:
+    """Append one line to `path`; safe from several processes at once, as
+    each write is one short append."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -329,35 +338,40 @@ class TestLedger:
             "[FAIL] record (2.2): fundamental group trivial -- "
             "inconclusive: no sufficiency criterion applies"]
 
-    def test_ledger_certifies_each_record_once(self, a0, records, expected, monkeypatch):
+    def test_ledger_certifies_each_record_once(self, a0, records, expected, monkeypatch,
+                                               tmp_path):
         # the ledger runs inference's search without its report: the one
-        # certificate of a construction is the ledger's `surface_report` on A0
+        # certificate of a construction is the ledger's `surface_report` on A0.
+        # The ledger's shares may run in forked children, so each call is
+        # recorded as a line in a file, from whichever process makes it
         def refused(*args):
             raise AssertionError("surface_report run inside the ledger's search")
         monkeypatch.setattr("wahlkit.plans.surface_report", refused)
-        built = []
+        built = tmp_path / "built.txt"
 
         def counted(ms, base):
-            built.append(ms)
+            _record_line(built, str(ms.wahl_chains))
             return surface_report(ms, base)
         monkeypatch.setattr("wahlkit.catalog.verify.surface_report", counted)
         assert verify_all(a0, records, expected).lines()[-1] == "446/446 checks passed"
-        assert len(built) == len(records) + len(expected["mains"]) == 37
+        assert len(built.read_text().splitlines()) == len(records) + len(expected["mains"]) == 37
 
-    def test_trivial_pi1_has_zero_h1(self, a0, records, expected, monkeypatch):
+    def test_trivial_pi1_has_zero_h1(self, a0, records, expected, monkeypatch, tmp_path):
         # an independent oracle for every surface the ledger certifies on
         # A0, the 29 records and the 8 mains: a trivial pi1 verdict needs
-        # H1 = 0, the cokernel of the rows (D.C_j) over every curve D
-        seen = []
+        # H1 = 0, the cokernel of the rows (D.C_j) over every curve D.  H1 is
+        # computed where the verdict is, in whichever process runs the share
+        seen = tmp_path / "seen.txt"
 
         def recording(ms):
             report = pi1_verdict(ms)
-            seen.append((ms, report.status))
+            _record_line(seen, json.dumps([report.status, _h1(ms)]))
             return report
         monkeypatch.setattr("wahlkit.assembly.pi1_verdict", recording)
         verify_all(a0, records, expected)
-        assert len(seen) == len(records) + len(expected["mains"])
-        assert all(status == "trivial" and _h1(ms) == [] for ms, status in seen)
+        lines = [json.loads(line) for line in seen.read_text().splitlines()]
+        assert len(lines) == len(records) + len(expected["mains"])
+        assert all(line == ["trivial", []] for line in lines)
 
     @pytest.mark.parametrize("params, found", [
         (SearchParams(k2=2, max_chains=2, max_blowups=7,
@@ -527,3 +541,88 @@ class TestLedger:
         ledger = verify_all(a0, records, broken, with_inference=False)
         assert [c.line() for c in ledger.failures()] == [
             "[FAIL] main K^2=2: recovered plan replays -- no node #5 between A2 and B1"]
+
+
+class TestForkedLedger:
+    """The ledger's tasks (the A0 checks, each record, the T-joins, the
+    wormholes, each main) run in one share per CPU, share 0 in this process
+    and the others in forked children.  These tests patch
+    `os.sched_getaffinity` to fix the number of shares."""
+
+    @staticmethod
+    def _cpus(monkeypatch, n: int) -> list:
+        """Make this process see `n` CPUs; the list returned fills with one
+        entry per fork this process makes."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(n)
+            return fork()
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @staticmethod
+    def _unknown_curve(records, rid: str, name: str):
+        return [dataclasses.replace(r, curves=r.curves + (name,)) if r.rid == rid else r
+                for r in records]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("with_inference", [True, False], ids=["infer", "no-infer"])
+    def test_same_ledger_forked_and_in_process(self, a0, records, expected, monkeypatch,
+                                               cpus, with_inference):
+        forks = self._cpus(monkeypatch, cpus)
+        forked = verify_all(a0, records, expected, with_inference=with_inference)
+        assert len(forks) == cpus - 1
+        with pytest.raises(ChildProcessError):  # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.undo()
+        forks = self._cpus(monkeypatch, 1)
+        alone = verify_all(a0, records, expected, with_inference=with_inference)
+        assert forks == []
+        assert forked.lines() == alone.lines()
+        assert forked.to_json() == alone.to_json()
+        passed = "446/446" if with_inference else "330/330"
+        assert forked.lines()[-1] == f"{passed} checks passed"
+
+    @pytest.mark.parametrize("first, second", [("3.0", "2.1"), ("2.1", "2.2")],
+                             ids=["child-first", "parent-first"])
+    def test_earliest_error_in_catalog_order(self, a0, records, expected, monkeypatch,
+                                             first, second):
+        # with two shares, task 0 is the A0 checks and the records follow,
+        # so (3.0) and (2.2) fall in the child's share and (2.1) in this
+        # one: whichever share holds it, the earlier record's error is raised
+        assert [r.rid for r in records[:3]] == ["3.0", "2.1", "2.2"]
+        forks = self._cpus(monkeypatch, 2)
+        broken = self._unknown_curve(self._unknown_curve(records, first, "ZZ1"), second, "ZZ2")
+        with pytest.raises(ConfigurationError, match="^unknown curve 'ZZ1'$"):
+            verify_all(a0, broken, expected)
+        assert forks == [2]
+        with pytest.raises(ChildProcessError):  # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_search_refusal_comes_back_from_a_child(self, a0, records, expected,
+                                                    monkeypatch):
+        # an AssertionError raised in a child's share reaches the caller:
+        # (3.0), the first record, is in the child's share
+        def refused(*args):
+            raise AssertionError(f"surface_report run inside the ledger's search "
+                                 f"in process {os.getpid()}")
+        monkeypatch.setattr("wahlkit.plans.surface_report", refused)
+        monkeypatch.setattr("wahlkit.catalog.verify._search_plan", infer_plan)
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(AssertionError, match="inside the ledger's search") as raised:
+            verify_all(a0, records, expected)
+        assert not str(raised.value).endswith(f" {os.getpid()}")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds on Linux")
+    def test_failed_fork_closes_its_pipe(self, a0, records, expected, monkeypatch):
+        self._cpus(monkeypatch, 2)
+
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", refused)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            verify_all(a0, records, expected, with_inference=False)
+        assert len(os.listdir("/proc/self/fd")) == open_fds

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+import os
 import pkgutil
 from importlib import resources
 
@@ -244,11 +245,15 @@ class TestVerifyAndSearch:
          "expected.mains has key 'x', not an integer"),
         (lambda e: e["mains"].update({"²": e["mains"].pop("2")}),
          "expected.mains has key '²', not an integer"),
+        (lambda e: e["mains"].update({"٢": e["mains"]["2"]}),
+         "expected.mains has key '٢', not an integer"),
+        (lambda e: e["mains"].update({"02": e["mains"]["2"]}),
+         "expected.mains has key '02', not an integer"),
         (lambda e: e["wormholes"][0].update(records=["4.2"]),
          "expected.wormholes[0].records has 1 entries, not 2"),
         (lambda e: e["tjoins"][0].update(n="18"), "expected.tjoins[0].n is not an integer"),
     ], ids=["empty", "main-without-chains", "duval-number", "main-key", "superscript-key",
-            "wormhole-pair", "string-number"])
+            "arabic-indic-key", "leading-zero-key", "wormhole-pair", "string-number"])
     def test_malformed_expected_is_a_usage_error(self, capture, tmp_path, edit, reason):
         data = resources.files("wahlkit.catalog") / "data"
         expected = json.loads((data / "expected.json").read_text(encoding="utf-8"))
@@ -259,6 +264,21 @@ class TestVerifyAndSearch:
             code, out, err = capture(*argv, "--expected", str(path))
             assert code == 2 and out == ""
             assert err == f"error: {path}: {reason}"
+
+    def test_verify_error_in_a_forked_share_is_a_usage_error(self, capture, tmp_path,
+                                                             monkeypatch):
+        # with two shares the first record, (3.0), is checked in a forked
+        # child (task 0 is the A0 checks); its error reaches the CLI as it
+        # does from a ledger run in one process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        data = resources.files("wahlkit.catalog") / "data"
+        text = (data / "records.txt").read_text(encoding="utf-8")
+        first = "(3.0) K^2=3 - {F1, C1, C2, C3, B1, A2, A3, D3}"
+        assert first in text.split("\n(2.1)")[0]
+        records = tmp_path / "records.txt"
+        records.write_text(text.replace(first, first[:-1] + ", ZZ9}"), encoding="utf-8")
+        code, out, err = capture("verify", "--records", str(records))
+        assert (code, out, err) == (2, "", "error: unknown curve 'ZZ9'")
 
     def test_verify_reports_uncomposable_joins_as_failures(self, capture, tmp_path):
         # (2.2) made to repeat [2], which does not compose with itself, and
