@@ -13,8 +13,7 @@ from .configuration import (Configuration, ConfigurationError, Curve, GeographyR
                             Node, det_exact, geography_check, rank_exact)
 from .assembly import (AssemblyError, MarkedSurface, NefAmpleReport, Pi1Report,
                        SurfaceReport, k_squared, nef_ample_check,
-                       obstruction_dim, pi1_verdict, singularity_report,
-                       surface_report)
+                       obstruction_dim, pi1_verdict, surface_report)
 from .plans import (BlowupPlan, InferenceResult, PlanError, PlanStep,
                     SearchParams, SearchResult, infer_plan, mark_chains,
                     search_constructions)

@@ -1,5 +1,5 @@
 """Marked surfaces: chain marking, K^2, nef/ample certification,
-obstruction dimension, singularity reports and fundamental-group verdicts.
+obstruction dimension and fundamental-group verdicts.
 
 A MarkedSurface is a blown-up configuration together with the Wahl chains
 to be contracted, the chains of (-2)-curves contracted to rational double
@@ -25,9 +25,9 @@ from .configuration import Configuration, det_exact
 
 __all__ = [
     "AssemblyError", "MarkedSurface", "Witness", "NefAmpleReport",
-    "SingularityEntry", "Pi1Report", "SurfaceReport",
+    "Pi1Report", "SurfaceReport",
     "k_squared", "nef_ample_check", "obstruction_dim",
-    "singularity_report", "pi1_verdict", "surface_report",
+    "pi1_verdict", "surface_report",
 ]
 
 
@@ -52,10 +52,6 @@ class MarkedSurface:
 
     def __post_init__(self) -> None:
         self._validate()
-
-    @property
-    def blowup_count(self) -> int:
-        return self.surface.blowup_count
 
     @cached_property
     def chain_index(self) -> dict[str, int]:
@@ -172,7 +168,7 @@ def _contract_to_rdps(surface: Configuration, names: Sequence[str]) -> bool:
 
 def k_squared(ms: MarkedSurface) -> int:
     """K_X^2 of the contracted surface: -#blow-ups + sum of chain lengths."""
-    return -ms.blowup_count + sum(len(c) for c in ms.wahl_chains)
+    return -ms.surface.blowup_count + sum(len(c) for c in ms.wahl_chains)
 
 
 @dataclass(frozen=True)
@@ -192,29 +188,10 @@ class Contraction:
 @dataclass(frozen=True)
 class NefAmpleReport:
     status: str  # "ample" | "nef-only" | "not-nef"
+    canonical_ample: bool  # ample after passing to the canonical model
     witnesses: tuple[Witness, ...] = ()
     warnings: tuple[Witness, ...] = ()
     contractions: tuple[Contraction, ...] = ()
-
-    @property
-    def canonical_ample(self) -> bool:
-        """Ample after passing to the canonical model.
-
-        A nef-only verdict still certifies the canonical model when K^2 is
-        positive and every zero curve is contractible there: equality
-        (-1)-curves joining two chain ends (their contraction is a
-        T-singularity) and stray (-2)-curves that contract, with the ADE
-        chains they meet, to rational double points.  The warnings of
-        `nef_ample_check` name the cases that fail: K^2 not positive, stray
-        curves that do not contract so.
-        """
-        if self.status == "ample":
-            return True
-        if self.status != "nef-only":
-            return False
-        if any(w.kind in ("k-squared", "zero-curves-not-ade") for w in self.warnings):
-            return False
-        return all(c.t_type is not None for c in self.contractions)
 
 
 def _discrepancy_table(ms: MarkedSurface) -> dict[str, Fraction]:
@@ -236,6 +213,14 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
     double points: a warning names them when they cannot be
     (`_contract_to_rdps`), as a cycle of (-2)-curves, two meeting twice, a
     nodal one or a tree that is not Dynkin.
+
+    `canonical_ample` says whether the canonical class is ample on the
+    canonical model: always for "ample", never for "not-nef".  A
+    "nef-only" verdict still certifies the canonical model when K^2 is
+    positive and every zero curve is contractible there: the stray
+    (-2)-curves contract, with the ADE chains, to rational double points,
+    and every equality (-1)-curve joins two chain ends, so that its
+    contraction is a T-singularity.
     """
     surface = ms.surface
     chain_index = ms.chain_index
@@ -248,7 +233,7 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
         if curve.name in marked:
             continue
         if curve.self_int not in (-1, -2):
-            return NefAmpleReport("not-nef", (Witness(
+            return NefAmpleReport("not-nef", False, (Witness(
                 "bad-free-curve", curve.name,
                 f"unmarked curve with self-intersection {curve.self_int}"),))
 
@@ -270,7 +255,7 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
             contractions.append(_contraction_for(ms, curve.name, meets))
 
     if witnesses:
-        return NefAmpleReport("not-nef", tuple(witnesses))
+        return NefAmpleReport("not-nef", False, tuple(witnesses))
 
     zero_curves: list[Witness] = []
     for curve in surface.curves:
@@ -287,15 +272,17 @@ def nef_ample_check(ms: MarkedSurface) -> NefAmpleReport:
 
     k2 = k_squared(ms)
     if strict and not zero_curves and k2 > 0:
-        return NefAmpleReport("ample", (), (), tuple(contractions))
+        return NefAmpleReport("ample", True, (), (), tuple(contractions))
     notes = list(zero_curves)
     contracted = [w.curve for w in zero_curves] + [c for ch in ms.ade_chains for c in ch]
-    if zero_curves and not _contract_to_rdps(surface, contracted):
+    rdps = not zero_curves or _contract_to_rdps(surface, contracted)
+    if not rdps:
         notes.append(Witness("zero-curves-not-ade", "-", "the stray (-2)-curves and the "
                              "ADE chains do not contract to rational double points"))
     if k2 <= 0:
         notes.append(Witness("k-squared", "-", f"K^2 = {k2} is not positive"))
-    return NefAmpleReport("nef-only", (), tuple(notes), tuple(contractions))
+    canonical = rdps and k2 > 0 and all(c.t_type is not None for c in contractions)
+    return NefAmpleReport("nef-only", canonical, (), tuple(notes), tuple(contractions))
 
 
 def _contraction_for(ms: MarkedSurface, curve: str, meets: list[str]) -> Contraction:
@@ -332,28 +319,6 @@ def obstruction_dim(config: Configuration, ambient_rank_cap: Optional[int] = Non
     if ambient_rank_cap is not None:
         rank = min(rank, ambient_rank_cap)
     return config.r - rank
-
-
-@dataclass(frozen=True)
-class SingularityEntry:
-    kind: str  # "wahl" | "ade"
-    quotient: CyclicQuotient
-    wahl: Optional[WahlSingularity] = None
-    ade_k: Optional[int] = None
-
-    def __str__(self) -> str:
-        if self.kind == "wahl":
-            return f"1/{self.quotient.m}(1,{self.quotient.q})"
-        return f"A{self.ade_k} = 1/{self.quotient.m}(1,{self.quotient.q})"
-
-
-def singularity_report(ms: MarkedSurface) -> list[SingularityEntry]:
-    """Wahl chains as 1/n^2(1,na-1), A_k chains as 1/(k+1)(1,k)."""
-    entries = [SingularityEntry("wahl", s.quotient(), wahl=s) for s in ms.wahl_data()]
-    for chain in ms.ade_chains:
-        k = len(chain)
-        entries.append(SingularityEntry("ade", CyclicQuotient(k + 1, k), ade_k=k))
-    return entries
 
 
 @dataclass(frozen=True)
@@ -445,35 +410,23 @@ def pi1_verdict(ms: MarkedSurface) -> Pi1Report:
 
 @dataclass(frozen=True)
 class SurfaceReport:
-    """Everything the toolkit certifies about one construction."""
+    """What the toolkit certifies about one construction."""
 
     k2: int
-    singularities: tuple[str, ...]
+    singularities: tuple[str, ...]  # Wahl chains, then "Ak = 1/(k+1)(1,k)"
     ample: NefAmpleReport
     obstruction: int
     pi1: Pi1Report
-    family_dim: int
-
-    def lines(self) -> list[str]:
-        out = [f"K^2 = {self.k2}",
-               "singularities: " + ", ".join(self.singularities),
-               f"canonical class: {self.ample.status}",
-               f"obstruction dimension: {self.obstruction}",
-               f"pi1 verdict: {self.pi1.status} ({self.pi1.justification})",
-               f"family dimension: {self.family_dim}"]
-        for w in self.ample.witnesses + self.ample.warnings:
-            out.append(f"  witness[{w.kind}] {w.curve}: {w.detail}")
-        return out
 
 
 def surface_report(ms: MarkedSurface, base: Configuration) -> SurfaceReport:
     """Assemble the full report; base is the configuration before blow-ups."""
-    k2 = k_squared(ms)
+    wahl = [str(s.quotient()) for s in ms.wahl_data()]
+    ade = [f"A{len(ch)} = 1/{len(ch) + 1}(1,{len(ch)})" for ch in ms.ade_chains]
     return SurfaceReport(
-        k2=k2,
-        singularities=tuple(str(e) for e in singularity_report(ms)),
+        k2=k_squared(ms),
+        singularities=tuple(wahl + ade),
         ample=nef_ample_check(ms),
         obstruction=obstruction_dim(base),
         pi1=pi1_verdict(ms),
-        family_dim=20 - 2 * k2,
     )

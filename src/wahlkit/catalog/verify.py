@@ -56,15 +56,14 @@ from ..chains import (ChainError, CyclicQuotient, blow_down_compose, length_boun
 from ..configuration import Configuration, ConfigurationError, geography_check
 from ..assembly import (AssemblyError, MarkedSurface, SurfaceReport, obstruction_dim,
                         surface_report)
-from ..plans import BlowupPlan, PlanError, PlanStep, _search_plan, mark_chains
+from ..plans import (INFER_BUDGET, BlowupPlan, PlanError, PlanStep, _search_plan,
+                     mark_chains)
 from .a0 import (SECTIONS, A0Constraints, CatalogError, build_a0, frozen_a0,
                  incidences_of)
 from .records import ChainSpec, RecordError, SurfaceRecord, parse_records_file
 
 __all__ = ["Check", "Ledger", "INFER_BUDGET", "load_records", "load_expected",
            "ledger_constraints", "verify_all"]
-
-INFER_BUDGET = 300000  # states each record's plan inference may take
 
 
 @dataclass(frozen=True)
@@ -415,7 +414,7 @@ def _verify_record(ledger: Ledger, a0: Configuration, record: SurfaceRecord,
         result = _search_plan(record, sub, infer_budget, prune=True)
         marked = (MarkedSurface(result.plan.execute(a0), result.marked.wahl_chains)
                   if result.success else None)
-    except (PlanError, AssemblyError) as exc:
+    except (PlanError, ConfigurationError, AssemblyError) as exc:
         ledger.add(sec, "plan inference", False, str(exc))
         return
     if marked is None:

@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, default=500000)
     p.add_argument("--max-results", type=int, default=25)
     p.add_argument("--a0", help="configuration file (default: bundled catalog)")
-    p.add_argument("--seedless", action="store_true")
+    p.add_argument("--seedless", action="store_true",
+                   help="bit-identical logs (always on)")
 
     p = sub.add_parser("reconstruct-a0",
                        help="re-derive the configuration from the constraints")

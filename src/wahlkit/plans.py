@@ -107,6 +107,8 @@ __all__ = [
     "mark_chains",
 ]
 
+INFER_BUDGET = 300000  # states a plan inference may take, by default
+
 
 class PlanError(ValueError):
     """Plan references a node that does not exist in the evolving surface."""
@@ -616,7 +618,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
 
 
 def infer_plan(record: SurfaceRecord, base: Configuration,
-               max_states: int = 200000, prune: bool = True) -> InferenceResult:
+               max_states: int = INFER_BUDGET, prune: bool = True) -> InferenceResult:
     """Recover a concrete blow-up plan realizing the record by search
     (`_search_plan`), and certify the survivor on `base` in the result's
     `report` (ample check, K^2, obstruction, pi1)."""

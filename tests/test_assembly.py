@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from wahlkit.assembly import (AssemblyError, MarkedSurface, k_squared,
                               nef_ample_check, obstruction_dim, pi1_verdict,
-                              singularity_report, surface_report)
+                              surface_report)
 from wahlkit.chains import wahl_generate, wahl_singularity
 from wahlkit.configuration import Configuration, ConfigurationError, det_exact
 
@@ -210,8 +210,8 @@ class TestNefAmple:
         report = nef_ample_check(ms)
         assert report.status == "nef-only"
         assert any(w.kind == "free-two-isolated" for w in report.warnings)
-        assert not report.canonical_ample or all(
-            c.t_type for c in report.contractions)
+        # the stray curve R alone contracts to an A1 point
+        assert report.canonical_ample
 
     def test_multiplicity_two_meeting(self):
         # G meets the (-4)-curve twice: s = -1 exactly
@@ -221,6 +221,38 @@ class TestNefAmple:
         report = nef_ample_check(ms)
         assert report.status == "nef-only"
         assert report.contractions[0].result is None  # single-chain join
+
+    def test_t_join_with_k_squared_not_positive_is_not_canonical_ample(self):
+        # the join of two [4] chains is a T-singularity, but three recorded
+        # blow-ups leave K^2 = 2 - 3 = -1
+        cfg = chain_config((4,), (4,), extra_curves=[("G", -1)],
+                           extra_nodes=[("G", "K0_0"), ("G", "K1_0")])
+        cfg = Configuration(cfg.curves, cfg.nodes, 3)
+        report = nef_ample_check(MarkedSurface(cfg, (("K0_0",), ("K1_0",))))
+        assert report.status == "nef-only"
+        assert report.contractions[0].t_type is not None
+        assert not report.canonical_ample
+        assert [w.kind for w in report.warnings] == ["k-squared"]
+
+    def test_equality_curve_meeting_one_chain_twice_is_not_canonical_ample(self):
+        # G meets the (-4)-curve twice: its contraction is no T-join
+        cfg = chain_config((4,), extra_curves=[("G", -1)],
+                           extra_nodes=[("G", "K0_0"), ("G", "K0_0")])
+        report = nef_ample_check(MarkedSurface(cfg, (("K0_0",),)))
+        assert report.status == "nef-only"
+        assert report.contractions[0].result is None
+        assert report.warnings == ()
+        assert not report.canonical_ample
+
+    @pytest.mark.parametrize("extra_curves, extra_nodes", [
+        ([("G", -1)], [("G", "K0_0")]),
+        ([("R", -3)], []),
+    ], ids=["negative-curve", "bad-free-curve"])
+    def test_not_nef_is_not_canonical_ample(self, extra_curves, extra_nodes):
+        cfg = chain_config((4,), extra_curves=extra_curves, extra_nodes=extra_nodes)
+        report = nef_ample_check(MarkedSurface(cfg, (("K0_0",),)))
+        assert report.status == "not-nef"
+        assert not report.canonical_ample
 
     @pytest.mark.parametrize("curves, nodes, ade, ample", [
         ([("R", -2), ("S", -2)], [("R", "S"), ("R", "S")], (), False),
@@ -269,10 +301,8 @@ class TestReports:
         cfg = chain_config((3, 2, 6, 2), extra_curves=[("R1", -2), ("R2", -2)],
                            extra_nodes=[("R1", "R2")])
         ms = MarkedSurface(cfg, (chain_names(cfg, 0),), (("R1", "R2"),))
-        entries = singularity_report(ms)
-        assert entries[0].wahl.n == 7 and entries[0].wahl.a == 3
-        assert str(entries[0]) == "1/49(1,20)"
-        assert entries[1].ade_k == 2 and str(entries[1]) == "A2 = 1/3(1,2)"
+        assert ms.wahl_data()[0].n == 7 and ms.wahl_data()[0].a == 3
+        assert surface_report(ms, cfg).singularities == ("1/49(1,20)", "A2 = 1/3(1,2)")
 
     def test_obstruction_dim(self):
         i2 = Configuration.build([("B1", -2), ("B2", -2)],
@@ -287,11 +317,8 @@ class TestReports:
                            extra_nodes=[("G", "K0_0"), ("G", "K1_0")])
         ms = MarkedSurface(cfg, (("K0_0",), ("K1_0",)))
         report = surface_report(ms, cfg)
-        lines = report.lines()
-        assert lines[0].startswith("K^2 = ")
-        assert report.family_dim == 20 - 2 * report.k2
-        again = surface_report(ms, cfg)
-        assert again.lines() == lines
+        assert report.k2 == 2 and report.ample.canonical_ample
+        assert surface_report(ms, cfg) == report
 
 
 class TestPi1:

@@ -9,6 +9,7 @@ import pytest
 
 import wahlkit
 from wahlkit.catalog.a0 import frozen_a0
+from wahlkit.catalog.verify import load_records
 from wahlkit.cli import _ERRORS, run
 
 
@@ -156,6 +157,23 @@ class TestVerifyAndSearch:
         assert [line for line in out.splitlines() if "recovered plan" in line] == [
             f"[FAIL] main K^2={k2}: recovered plan replays -- "
             f"exceptional name E3 already taken" for k2 in range(2, 10)]
+
+    def test_a0_with_a_taken_exceptional_name_fails_the_inferences(self, capture, tmp_path):
+        # with inference, each record's plan replayed on the whole of A0
+        # stops at E3 too: a failed check, not a usage error
+        payload = json.loads(frozen_a0().to_json())
+        payload["curves"].append({"name": "E3", "self_int": -2})
+        bad = tmp_path / "a0.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = capture("verify", "--a0", str(bad))
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert [line for line in lines if "plan inference" in line] == [
+            f"[FAIL] record ({record.rid}): plan inference -- "
+            f"exceptional name E3 already taken" for record in load_records()]
+        assert sum("recovered plan replays -- exceptional name E3" in line
+                   for line in lines) == 8
+        assert lines[-1] == "293/334 checks passed"
 
     @pytest.mark.parametrize("option", ["--a0", "--records", "--expected"])
     def test_missing_input_file_is_a_usage_error(self, capture, tmp_path, option):

@@ -54,4 +54,6 @@ def test_snapshot_prints_the_named_cases():
     assert run.stdout == (
         "hinted (3.0): states=9 pruned=0 leaves=1 exhausted=False "
         "plan=[C1*C2, C1*C2, A3*C1, A3*E3, A3*E4, A2*C3, A2*B1, A2*E7] "
-        "marked=(('C3', 'A3', 'B1', 'E7'), ('C2', 'D3', 'F1', 'A2', 'C1', 'E3', 'E4'))\n")
+        "marked=(('C3', 'A3', 'B1', 'E7'), ('C2', 'D3', 'F1', 'A2', 'C1', 'E3', 'E4')) "
+        "k2=3 singularities=['1/64(1,23)', '1/529(1,160)'] ample=ample "
+        "canonical_ample=True obstruction=0 pi1=inconclusive\n")
