@@ -67,13 +67,9 @@ class SurfaceRecord:
     chains: tuple[ChainSpec, ...]
 
     @property
-    def chain_length_sum(self) -> int:
-        return sum(len(c.chain) for c in self.chains)
-
-    @property
     def blowup_total(self) -> int:
         """Total blow-ups forced by K^2 = -b + sum of chain lengths."""
-        return self.chain_length_sum - self.k2
+        return sum(len(c.chain) for c in self.chains) - self.k2
 
 
 def _split_top(text: str, sep: str) -> list[str]:

@@ -7,13 +7,18 @@ twice contributes two distinct nodes; a nodal irreducible curve carries
 self-nodes).  The ambient surface is always a K3 (chi_top = 24, K^2 = 0).
 All derived linear algebra is exact over the integers.
 
+A node is only its curve pair, so two configurations with the same curves,
+nodes and blow-ups compare equal.  The nodes of one pair are told apart by
+their order: a blow-up step (a, b, k) names the k-th node between a and b
+in node order.
+
 A configuration is immutable, so every query reads one graph built the
 first time it is asked for and kept with the instance: `self_int`, each
 curve's self-intersection, and `meets`, each curve pair's node count.  The
 rank and determinant of its intersection matrix (`rank_det`) are kept the
-same way, from one elimination.  The blow-up engine (`blow_ups`), which
-both `blow_up` and plan replay run, reads the curves and nodes themselves
-and builds no graph.
+same way, from one elimination.  The blow-up engine (`blow_ups`), the one
+way to blow up, which plan replay runs, reads the curves and nodes
+themselves and builds no graph.
 """
 from __future__ import annotations
 
@@ -54,7 +59,6 @@ def _pair(a: str, b: str) -> tuple[str, str]:
 class Node:
     """One physical intersection point between two (branches of) curves."""
 
-    id: int
     a: str
     b: str
 
@@ -79,10 +83,7 @@ class Configuration:
         known = set(names)
         for node in self.nodes:
             if node.a not in known or node.b not in known:
-                raise ConfigurationError(f"node {node.id} references unknown curve")
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("duplicate node ids")
+                raise ConfigurationError(f"node {node.a}*{node.b} references unknown curve")
 
     # -- construction -----------------------------------------------------
 
@@ -94,8 +95,7 @@ class Configuration:
         Duplicate node pairs denote multiple intersection points.
         """
         cs = tuple(Curve(name, int(s)) for name, s in curves)
-        ns = tuple(Node(i, a, b) for i, (a, b) in enumerate(nodes))
-        return Configuration(cs, ns)
+        return Configuration(cs, tuple(Node(a, b) for a, b in nodes))
 
     # -- the graph ----------------------------------------------------------
 
@@ -153,12 +153,6 @@ class Configuration:
         except KeyError as exc:
             raise ConfigurationError(f"unknown curve {exc.args[0]!r}") from None
 
-    def node(self, node_id: int) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise ConfigurationError(f"unknown node {node_id}")
-
     def pairing(self, a: str, b: str) -> int:
         """Intersection number: self_int on the diagonal, node count off it."""
         if a == b:
@@ -201,7 +195,7 @@ class Configuration:
         """(P, K): P = sum C_i^2 + 5r - 2*t2, K = K_S^2 + 2r - t2 - P.
 
         K_S^2 here is K3's K^2 = 0 minus one per recorded blow-up.
-        Both invariants are preserved by blow_up; on a completed
+        Both invariants are preserved by a blow-up; on a completed
         construction P counts the Wahl chains and K equals K_X^2.
         """
         total = sum(c.self_int for c in self.curves)
@@ -211,12 +205,6 @@ class Configuration:
 
     # -- blow-up engine ---------------------------------------------------
 
-    def blow_up(self, node_id: int) -> "Configuration":
-        """Blow up one node, the one-step case of `blow_ups`."""
-        pair = self.node(node_id).pair()
-        ids = [n.id for n in self.nodes if n.pair() == pair]
-        return self.blow_ups([(*pair, ids.index(node_id))])
-
     def blow_ups(self, steps: Iterable[tuple[str, str, int]],
                  missing: type[Exception] = ConfigurationError) -> "Configuration":
         """Blow up in turn, for each step (a, b, k), the k-th node between a
@@ -224,23 +212,22 @@ class Configuration:
 
         Each branch's curve drops by one (a self-node's twice) and the new
         (-1)-curve E{blowup_count + 1} meets each branch once; the two new
-        nodes go at the end, with ids past every id so far.  The result is
-        built once and not validated again (each new name is checked), and
-        no graph is read or built.
+        nodes go at the end, its node with the first branch first.  The
+        result is built once and not validated again (each new name is
+        checked), and no graph is read or built.
         """
         self_int = {c.name: c.self_int for c in self.curves}
-        nodes: dict[int, Node] = {}  # id -> node, in node order
-        between: dict[tuple[str, str], list[int]] = {}  # pair -> ids, in node order
-        for node in self.nodes:
-            nodes[node.id] = node
-            between.setdefault(node.pair(), []).append(node.id)
+        nodes = dict(enumerate(self.nodes))  # position -> node, in node order
+        between: dict[tuple[str, str], list[int]] = {}  # pair -> positions, in order
+        for i, node in nodes.items():
+            between.setdefault(node.pair(), []).append(i)
         count = self.blowup_count
-        top = max(nodes, default=-1)
+        top = len(nodes) - 1
         for a, b, k in steps:
-            ids = between.get(_pair(a, b), [])
-            if k >= len(ids):
+            at = between.get(_pair(a, b), [])
+            if k >= len(at):
                 raise missing(f"no node #{k} between {a} and {b}")
-            target = nodes.pop(ids.pop(k))
+            target = nodes.pop(at.pop(k))
             count += 1
             exc = f"E{count}"
             if exc in self_int:
@@ -250,7 +237,7 @@ class Configuration:
             self_int[exc] = -1
             for other in (target.a, target.b):
                 top += 1
-                nodes[top] = Node(top, exc, other)
+                nodes[top] = Node(exc, other)
                 between.setdefault(_pair(exc, other), []).append(top)
         out = object.__new__(Configuration)  # no __post_init__
         object.__setattr__(out, "curves", tuple(Curve(n, s) for n, s in self_int.items()))
@@ -277,6 +264,8 @@ class Configuration:
             "curves": [{"name": c.name, "self_int": c.self_int} for c in self.curves],
             "nodes": [[n.a, n.b] for n in self.nodes],
         }
+        if self.blowup_count:
+            payload["blowup_count"] = self.blowup_count
         return json.dumps(payload, indent=1)
 
     @staticmethod
@@ -287,7 +276,7 @@ class Configuration:
             raise ConfigurationError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigurationError("top level must be an object")
-        unknown = set(payload) - {"curves", "nodes"}
+        unknown = set(payload) - {"curves", "nodes", "blowup_count"}
         if unknown:
             raise ConfigurationError(f"unknown fields: {sorted(unknown)}")
         curves = []
@@ -301,7 +290,12 @@ class Configuration:
                 raise ConfigurationError(f"node entry must be a pair of curve names, "
                                          f"got {entry!r}")
             nodes.append((entry[0], entry[1]))
-        return Configuration.build(curves, nodes)
+        count = payload.get("blowup_count", 0)
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ConfigurationError(f"blowup_count must be a nonnegative integer, "
+                                     f"got {count!r}")
+        built = Configuration.build(curves, nodes)
+        return Configuration(built.curves, built.nodes, count)
 
 
 def _json_list(value, what: str) -> list:

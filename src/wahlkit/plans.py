@@ -8,10 +8,10 @@ search.  Plan inference (`infer_plan`) and construction search
 - `_base_choices` enumerates the choices of base nodes to blow up, one per
   multiset of curve pairs, counting each choice and each prefix it cuts
   as one state.  It generates only the canonical choice of each multiset:
-  deciding the nodes in id order, a node may be chosen only after the node
+  deciding the nodes in order, a node may be chosen only after the node
   before it on the same curve pair.  That is the first of its multiset
-  among the combinations of node ids, so choices come in lexicographic
-  order with no duplicate to drop;
+  among the combinations of node positions, so choices come in
+  lexicographic order with no duplicate to drop;
 - `_allocations` gives the tower sizes of a choice, as compositions of
   the blow-ups: all of them in search, those the stated chains pin
   (`_pins`) in inference;
@@ -99,7 +99,7 @@ from .assembly import (MarkedSurface, SurfaceReport, _paths, k_squared, nef_ampl
                        surface_report)
 from .chains import recognize_wahl
 from .configuration import Configuration, ConfigurationError, _pair, geography_check
-from .catalog.records import BlowupSpec, ChainSpec, SurfaceRecord
+from .catalog.records import CAP, BlowupSpec, ChainSpec, SurfaceRecord
 
 __all__ = [
     "PlanError", "PlanStep", "BlowupPlan", "InferenceResult",
@@ -349,13 +349,13 @@ def _allocations(total: int, pins: Iterable[tuple[Optional[int], ...]]
 
 def _base_choices(base: Configuration, m: int, result, max_states: int,
                   deep: frozenset = frozenset(), stated: Optional[set] = None
-                  ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
-    """Each choice of m base nodes to blow up, as node ids and curve pairs.
+                  ) -> Iterator[tuple[tuple[str, str], ...]]:
+    """Each choice of m base nodes to blow up, as its sorted curve pairs.
 
     Choices meeting the same multiset of curve pairs are isomorphic, so
-    only the canonical one is generated: nodes are decided in id order, and
-    a node may be chosen only if the node before it on the same curve pair
-    is.
+    only the canonical one is generated: nodes are decided in node order,
+    and a node may be chosen only if the node before it on the same curve
+    pair is.
 
     Each prefix runs through the path rule over the curves `deep` (by
     default none, which admits every choice).  The rule reads the ruled
@@ -400,8 +400,7 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
     `result.pruned` (`_spend`); the state that exceeds `max_states` raises
     `_Exhausted`.
     """
-    nodes = sorted(base.nodes, key=operator.attrgetter("id"))
-    ids = [n.id for n in nodes]
+    nodes = base.nodes
     pairs = [n.pair() for n in nodes]
     # left[i][pair]: the nodes of each curve pair at position i or later
     left = [Counter(pairs[i:]) for i in range(len(nodes) + 1)]
@@ -430,7 +429,7 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
                           for c in path]))
 
     def extend(i: int, chosen: tuple, closed: frozenset, room: int, degree: dict,
-               runs: dict) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], ...]]]:
+               runs: dict) -> Iterator[tuple[tuple[str, str], ...]]:
         """Complete a prefix decided up to i.
 
         `chosen` holds the positions chosen; `closed` holds the pairs with
@@ -469,7 +468,7 @@ def _base_choices(base: Configuration, m: int, result, max_states: int,
                 runs[path[-1]] = path[::-1]
             i += 1
         _spend(result, max_states)
-        yield tuple(ids[j] for j in chosen), tuple(sorted([pairs[j] for j in chosen]))
+        yield tuple(sorted([pairs[j] for j in chosen]))
 
     if m <= len(nodes):
         yield from extend(0, (), frozenset(), len(nodes), {}, {})
@@ -526,9 +525,11 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     """Every completed search state, with its allocation.
 
     For each allocation, blows alloc[i] times over the base node bases[i],
-    depth first, one tower at a time, on integer states (`_State`).  Tower
-    i is there when its pair meets in `base` more often than the towers
-    before it on that pair use up; the base nodes left over survive in
+    depth first, one tower at a time, on integer states (`_State`).  Each
+    step must name a node of `base`: its occurrence is below its pair's
+    nodes less the steps before it on that pair, which the callers ensure
+    (`_base_choices` yields only such choices, and `_search_plan` refuses
+    a record's steps that are not).  The base nodes left over survive in
     every leaf.  Each outcome of a tower counts as one state of `result`;
     the state that exceeds `max_states` raises `_Exhausted`.  Every leaf
     counts in `result.leaves`.  With a `cap`, no curve gets deeper than it:
@@ -555,13 +556,7 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
     """
     names = [c.name for c in base.curves]
     position = {name: i for i, name in enumerate(names)}
-    placed: Counter = Counter()
-    available = []
-    for step in bases:
-        pair = _pair(step.a, step.b)
-        available.append(step.occurrence < base.meets[pair] - placed[pair])
-        placed[pair] += 1
-    surviving = base.meets - placed
+    surviving = base.meets - Counter(_pair(step.a, step.b) for step in bases)
     is_deep = [name in deep for name in names]
     degree = [0] * len(names)
     for (a, b), k in surviving.items():
@@ -583,8 +578,6 @@ def _leaves(base: Configuration, bases: Sequence[PlanStep],
             if idx == len(bases):
                 result.leaves += 1
                 yield alloc, state
-                continue
-            if not available[idx]:
                 continue
             count, size = state.count, alloc[idx]
             towers = outcomes.get(size)
@@ -633,7 +626,8 @@ def _search_plan(record: SurfaceRecord, base: Configuration,
     """The search of `infer_plan`, with no report.
 
     The number of blow-ups is forced by K^2.  The record's steps, if it
-    has any, fix the base nodes blown up; otherwise the choices of P + K^2
+    has any, fix the base nodes blown up, and PlanError names a pair they
+    name more often than it has nodes; otherwise the choices of P + K^2
     base nodes are walked (`_base_choices`), a prefix cut once the path
     rule fails or one of its look-aheads does: a curve's excess, or a path
     that fits no stated chain above its floors.  For each choice the
@@ -683,13 +677,18 @@ def _search_plan(record: SurfaceRecord, base: Configuration,
         if record.steps:
             # a step always blows the first surviving node of its pair: the two
             # nodes of a doubly-meeting pair are interchangeable until one goes
-            found = run_bases([PlanStep(*_pair(spec.a, spec.b)) for spec in record.steps])
+            bases = [PlanStep(*_pair(spec.a, spec.b)) for spec in record.steps]
+            for (a, b), k in Counter((s.a, s.b) for s in bases).items():
+                if k > base.meets[a, b]:
+                    raise PlanError(f"({record.rid}): the steps name {a}{CAP}{b} {k} "
+                                    f"times, but it has {base.meets[a, b]} nodes")
+            found = run_bases(bases)
         elif b_total == 0:
             found = run_bases([])
         else:
             # free search over base-node choices of the forced size
             m = geography_check(len(record.chains), record.k2).nodes_to_blow_up
-            for _, pairs in _base_choices(base, m, result, max_states, deep, stated):
+            for pairs in _base_choices(base, m, result, max_states, deep, stated):
                 found = run_bases([PlanStep(a, b) for a, b in pairs])
                 if found is not None:
                     break
@@ -1029,7 +1028,7 @@ def search_constructions(params: SearchParams, a0: Configuration,
                 if base_det == 0:
                     continue
                 deep = _deep_curves(sub) if prune else frozenset()
-                for _, pairs in _base_choices(sub, m, result, params.max_states, deep):
+                for pairs in _base_choices(sub, m, result, params.max_states, deep):
                     bases = [PlanStep(a, b) for a, b in pairs]
                     tested = _tested_paths(sub, bases, deep)
                     passes = _arm_test(sub, bases, tested, recognize_wahl)

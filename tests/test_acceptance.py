@@ -229,8 +229,10 @@ def test_criterion_6_engine_properties():
             a, b = rng.choice(names), rng.choice(names)
             nodes.append((a, b))
         cfg = Configuration.build(curves, nodes)
-        node = rng.choice(cfg.nodes)
-        out = cfg.blow_up(node.id)
+        i = rng.randrange(len(cfg.nodes))
+        node = cfg.nodes[i]
+        k = [n.pair() for n in cfg.nodes[:i]].count(node.pair())
+        out = cfg.blow_ups([(node.a, node.b, k)])
         assert out.pk_invariants() == cfg.pk_invariants()
         assert (out.r, out.t2) == (cfg.r + 1, cfg.t2 + 1)
         done += 1

@@ -453,7 +453,7 @@ class TestLedger:
         # A4 misses the second I8 fiber; curve and node counts are unchanged
         # and no printed matrix or record sees the moved node, but it joins
         # two Du Val chains of mains 2-5, so their A0 certificates fail too
-        nodes = tuple(Node(n.id, "F6", "F14") if n.pair() == ("A4", "F11") else n
+        nodes = tuple(Node("F6", "F14") if n.pair() == ("A4", "F11") else n
                       for n in a0.nodes)
         tampered = Configuration(a0.curves, nodes)
         assert (tampered.r, tampered.t2) == (32, 72) and nodes != a0.nodes
@@ -466,12 +466,12 @@ class TestLedger:
 
     @pytest.mark.parametrize("tamper, detail", [
         (lambda a0: Configuration(a0.curves, tuple(
-            Node(n.id, "F1", "F3") if n.pair() == ("F1", "F2") else n for n in a0.nodes)),
+            Node("F1", "F3") if n.pair() == ("F1", "F2") else n for n in a0.nodes)),
          "node count differs at ('F1', 'F2')"),
         (lambda a0: Configuration(tuple(
             Curve("F1", -3) if c.name == "F1" else c for c in a0.curves), a0.nodes),
          "curve F1 differs from the skeleton's"),
-        (lambda a0: Configuration(a0.curves, a0.nodes + (Node(999, "A1", "D1"),)),
+        (lambda a0: Configuration(a0.curves, a0.nodes + (Node("A1", "D1"),)),
          "section A1 meets non-fiber curve D1"),
     ], ids=["fiber-node", "self-intersection", "sections-meet"])
     def test_skeleton_check_names_the_difference(self, a0, records, expected, tamper,

@@ -225,6 +225,21 @@ class TestVerifyAndSearch:
             "[FAIL] record (2.1): plan inference -- (2.1): stated chain [1, 5, 3, 2] "
             "is not a Wahl chain"]
 
+    def test_verify_reports_a_step_past_its_pair_as_failure(self, capture, tmp_path):
+        # (3.0) given a third C1∩C2 step, where C1 and C2 meet twice: its
+        # inference fails, naming the pair and both counts
+        data = resources.files("wahlkit.catalog") / "data"
+        text = (data / "records.txt").read_text(encoding="utf-8")
+        steps = "det=-76 - C1∩C2, C1∩C2, "
+        assert steps in text
+        records = tmp_path / "records.txt"
+        records.write_text(text.replace(steps, steps + "C1∩C2, "), encoding="utf-8")
+        code, out, err = capture("verify", "--records", str(records))
+        assert code == 1 and err == ""
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+            "[FAIL] record (3.0): plan inference -- (3.0): the steps name C1∩C2 3 times, "
+            "but it has 2 nodes"]
+
     def test_verify_reports_malformed_plan_step_as_failure(self, capture, tmp_path):
         data = resources.files("wahlkit.catalog") / "data"
         expected = json.loads((data / "expected.json").read_text(encoding="utf-8"))

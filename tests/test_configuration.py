@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from importlib.resources import files
 
 import pytest
 import sympy
@@ -46,6 +47,12 @@ def random_configuration(rng):
     return Configuration.build(curves, nodes)
 
 
+def step_at(config, i):
+    """The blow-up step (a, b, k) that names the node at position i."""
+    node = config.nodes[i]
+    return node.a, node.b, [n.pair() for n in config.nodes[:i]].count(node.pair())
+
+
 class TestStructure:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -87,6 +94,30 @@ class TestStructure:
         assert again.intersection_matrix(["A", "B"]) == \
             cfg.intersection_matrix(["A", "B"])
         assert again.t2 == cfg.t2
+
+    def test_restriction_equals_the_built_configuration(self):
+        # a node is its curve pair, so the restriction keeps nothing of A0's
+        sub = frozen_a0().restrict(["C1", "C2", "B1", "A2", "A3", "D1"])
+        built = Configuration.build([(c.name, c.self_int) for c in sub.curves],
+                                    [(n.a, n.b) for n in sub.nodes])
+        assert sub == built and hash(sub) == hash(built)
+
+    def test_json_round_trip_keeps_the_blow_ups(self):
+        sub = frozen_a0().restrict(["C1", "C2", "B1", "A2", "A3", "D1"])
+        out = sub.blow_ups([("A2", "B1", 0)])
+        again = Configuration.from_json(out.to_json())
+        assert again == out and hash(again) == hash(out)
+        assert again.pk_invariants() == out.pk_invariants() == (2, 2)
+        assert again.blow_ups([("A2", "E1", 0)]).curve("E2").self_int == -1
+        # with no blow-up the text has no count, as the shipped a0.json
+        assert "blowup_count" not in sub.to_json()
+        text = files("wahlkit.catalog").joinpath("data/a0.json").read_text()
+        assert frozen_a0().to_json() + "\n" == text
+
+    @pytest.mark.parametrize("count", ["-1", "true", "1.5", '"2"', "null"])
+    def test_json_rejects_a_bad_blowup_count(self, count):
+        with pytest.raises(ConfigurationError, match="blowup_count must be a nonnegative"):
+            Configuration.from_json(f'{{"curves": [], "nodes": [], "blowup_count": {count}}}')
 
     def test_json_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError):
@@ -185,7 +216,7 @@ class TestMatrices:
 class TestBlowUp:
     def test_simple_node(self):
         cfg = Configuration.build([("A", -2), ("B", -2)], [("A", "B")])
-        out = cfg.blow_up(0)
+        out = cfg.blow_ups([("A", "B", 0)])
         assert out.curve("A").self_int == -3
         assert out.curve("B").self_int == -3
         assert out.curve("E1").self_int == -1
@@ -196,13 +227,13 @@ class TestBlowUp:
 
     def test_double_pair_keeps_other_node(self):
         cfg = Configuration.build([("C1", -2), ("C2", -2)], [("C1", "C2"), ("C1", "C2")])
-        out = cfg.blow_up(0)
+        out = cfg.blow_ups([("C1", "C2", 0)])
         assert out.pairing("C1", "C2") == 1
         assert out.curve("C1").self_int == -3
 
     def test_self_node_flagged(self):
         cfg = Configuration.build([("G", -2)], [("G", "G")])
-        out = cfg.blow_up(0)
+        out = cfg.blow_ups([("G", "G", 0)])
         assert out.curve("G").self_int == -4
         assert out.pairing("E1", "G") == 2
 
@@ -213,8 +244,7 @@ class TestBlowUp:
             cfg = random_configuration(rng)
             if not cfg.nodes:
                 continue
-            node = rng.choice(cfg.nodes)
-            out = cfg.blow_up(node.id)
+            out = cfg.blow_ups([step_at(cfg, rng.randrange(len(cfg.nodes)))])
             assert out.pk_invariants() == cfg.pk_invariants()
             assert (out.r, out.t2) == (cfg.r + 1, cfg.t2 + 1)
             drop = sum(c.self_int for c in out.curves) - \
@@ -224,15 +254,15 @@ class TestBlowUp:
 
     def test_unknown_node(self):
         cfg = Configuration.build([("A", -2)], [])
-        with pytest.raises(ConfigurationError):
-            cfg.blow_up(0)
+        with pytest.raises(ConfigurationError, match="no node #0 between A and A"):
+            cfg.blow_ups([("A", "A", 0)])
 
     def test_restrict_keeps_the_blow_ups(self):
-        out = Configuration.build([("A", -2), ("B", -2)], [("A", "B")]).blow_up(0)
+        out = Configuration.build([("A", -2), ("B", -2)], [("A", "B")]).blow_ups(
+            [("A", "B", 0)])
         kept = out.restrict([c.name for c in out.curves])
         assert kept == out and kept.pk_invariants() == out.pk_invariants() == (4, -1)
-        node = next(n for n in kept.nodes if n.pair() == ("A", "E1"))
-        assert kept.blow_up(node.id).curve("E2").self_int == -1
+        assert kept.blow_ups([("A", "E1", 0)]).curve("E2").self_int == -1
 
 
 def stepwise_blow_ups(config, steps, missing=ConfigurationError):
@@ -240,18 +270,17 @@ def stepwise_blow_ups(config, steps, missing=ConfigurationError):
     built from all the curves and nodes of the last."""
     for a, b, k in steps:
         pair = tuple(sorted((a, b)))
-        between = [n for n in config.nodes if tuple(sorted((n.a, n.b))) == pair]
+        between = [i for i, n in enumerate(config.nodes) if tuple(sorted((n.a, n.b))) == pair]
         if k >= len(between):
             raise missing(f"no node #{k} between {a} and {b}")
-        target = between[k]
+        target = config.nodes[between[k]]
         name = f"E{config.blowup_count + 1}"
         if any(c.name == name for c in config.curves):
             raise ConfigurationError(f"exceptional name {name} already taken")
         curves = tuple(Curve(c.name, c.self_int - (c.name == target.a) - (c.name == target.b))
                        for c in config.curves) + (Curve(name, -1),)
-        next_id = max(n.id for n in config.nodes) + 1
-        nodes = tuple(n for n in config.nodes if n is not target) + (
-            Node(next_id, name, target.a), Node(next_id + 1, name, target.b))
+        nodes = config.nodes[:between[k]] + config.nodes[between[k] + 1:] + (
+            Node(name, target.a), Node(name, target.b))
         config = Configuration(curves, nodes, config.blowup_count + 1)
     return config
 
@@ -270,20 +299,18 @@ NAMES = ("A", "B", "C", "E1", "E2", "E4")
 
 @st.composite
 def small_configurations(draw):
-    """A few curves, doubled pairs and self-nodes among them, and distinct
-    node ids in any order."""
+    """A few curves, with doubled pairs and self-nodes among them."""
     names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
     pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
                           max_size=8))
-    ids = draw(st.permutations(range(len(pairs) + 2)))
     return Configuration(tuple(Curve(name, draw(st.integers(-4, 0))) for name in names),
-                         tuple(Node(i, a, b) for i, (a, b) in zip(ids, pairs)),
+                         tuple(Node(a, b) for a, b in pairs),
                          draw(st.integers(0, 6)))
 
 
 class TestBlowUpEngine:
-    """`Configuration.blow_ups` against the step-by-step oracle: curves, node
-    ids and order, `blowup_count` and raised errors."""
+    """`Configuration.blow_ups` against the step-by-step oracle: curves,
+    nodes in order, `blowup_count` and raised errors."""
 
     @given(small_configurations(), st.data())
     def test_matches_stepwise(self, base, data):
@@ -292,9 +319,8 @@ class TestBlowUpEngine:
         config, steps = base, []
         for _ in range(data.draw(st.integers(1, 6))):
             if config.nodes and data.draw(st.integers(0, 5)):
-                node = data.draw(st.sampled_from(config.nodes))
-                step = data.draw(st.sampled_from([(node.a, node.b), (node.b, node.a)]))
-                step += ([n for n in config.nodes if {n.a, n.b} == set(step)].index(node),)
+                a, b, k = step_at(config, data.draw(st.integers(0, len(config.nodes) - 1)))
+                step = data.draw(st.sampled_from([(a, b, k), (b, a, k)]))
             else:
                 step = data.draw(st.tuples(st.sampled_from(names), st.sampled_from(names),
                                            st.integers(0, 2)))
@@ -306,15 +332,6 @@ class TestBlowUpEngine:
         assert outcome(base.blow_ups, steps) == outcome(stepwise_blow_ups, base, steps)
         assert outcome(plan.execute, base) == \
             outcome(stepwise_blow_ups, base, steps, PlanError)
-
-    @given(small_configurations(), st.integers(0, 9))
-    def test_one_step(self, base, node_id):
-        node = next((n for n in base.nodes if n.id == node_id), None)
-        want = (ConfigurationError, f"unknown node {node_id}") if node is None else \
-            outcome(stepwise_blow_ups, base, [(node.a, node.b, [
-                n.id for n in base.nodes if {n.a, n.b} == {node.a, node.b}
-            ].index(node_id))])
-        assert outcome(base.blow_up, node_id) == want
 
     def test_matches_stepwise_on_the_catalog(self):
         a0 = frozen_a0()
@@ -368,7 +385,7 @@ class TestPairTable:
         for pair in [("G", "G"), ("G", "H"), ("E1", "G"), ("G", "H"), ("E2", "H"),
                      ("E1", "G")]:
             self._check(cfg)
-            cfg = cfg.blow_up(next(n.id for n in cfg.nodes if n.pair() == pair))
+            cfg = cfg.blow_ups([(*pair, 0)])
         self._check(cfg)
         assert cfg.pairing("E1", "G") == cfg.pairing("G", "H") == 0
         rng = random.Random(7)
@@ -376,13 +393,13 @@ class TestPairTable:
             cfg = random_configuration(rng)
             self._check(cfg)
             while cfg.nodes and cfg.r < 10:
-                cfg = cfg.blow_up(rng.choice(cfg.nodes).id)
+                cfg = cfg.blow_ups([step_at(cfg, rng.randrange(len(cfg.nodes)))])
                 self._check(cfg)
 
     def test_table_is_not_part_of_the_value(self):
         a0 = frozen_a0()
         sub = a0.restrict(["A2", "A3", "B1", "C1", "C2", "D1"])
-        sub = sub.blow_up(sub.nodes[0].id)
+        sub = sub.blow_ups([step_at(sub, 0)])
         for cfg in (a0, sub):
             text = cfg.to_json()
             fresh = Configuration(cfg.curves, cfg.nodes, cfg.blowup_count)
@@ -401,7 +418,7 @@ class TestPairTable:
         cfg = Configuration.build([("G", -2), ("H", -2)], [("G", "H"), ("G", "H")])
         plan = BlowupPlan((PlanStep("G", "H"), PlanStep("E1", "G"), PlanStep("G", "H")))
         out = plan.execute(cfg)
-        for config in (cfg, cfg.blow_up(0), out):
+        for config in (cfg, cfg.blow_ups([("G", "H", 0)]), out):
             assert not {"self_int", "meets", "_around"} & vars(config).keys()
         assert out.blowup_count == 3
 
